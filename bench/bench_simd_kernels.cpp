@@ -1,11 +1,14 @@
 // Per-kernel cost of the SIMD dispatch layer (src/media/kernels) at every
 // level available on this machine, against the scalar reference.  This is
 // the PR's acceptance bench: the fused frame profile must beat scalar by
-// >= 2x and the 256-bin EMD by >= 4x on x86-64.  Every variant's output is
+// >= 2x and the 256-bin EMD by >= 4x on x86-64.  The codec kernels
+// (8x8 DCT/IDCT, quantisation, YCbCr conversion) are timed per block or
+// per frame alongside them.  Every variant's output is
 // checked equal to scalar before its timing is reported; divergence aborts
 // with EXIT_FAILURE (the bit-identical contract is not a benchmark knob).
 // Emits BENCH_simd_kernels.json at the repo root.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -240,6 +243,133 @@ int main() {
           static std::vector<std::uint8_t> dst(n);
           table->lumaPlane(pxA, n, dst.data());
           g_sink += dst[0];
+        };
+      },
+      40);
+
+  // (6) Codec block kernels, one 8x8 block per op, cycling through the
+  // blocks of frame A's luma plane (level-shifted by 128 as the intra coder
+  // does).  Outputs are compared bitwise on every block.
+  std::vector<double> planeY(n);
+  std::vector<double> planeCb(n);
+  std::vector<double> planeCr(n);
+  scalar->rgbToYcbcrPlanes(pxA, n, planeY.data(), planeCb.data(),
+                           planeCr.data());
+  std::vector<std::array<double, 64>> spatial;
+  for (int by = 0; by + 8 <= kHeight; by += 8) {
+    for (int bx = 0; bx + 8 <= kWidth; bx += 8) {
+      std::array<double, 64> blk;
+      for (int i = 0; i < 64; ++i) {
+        blk[i] = planeY[static_cast<std::size_t>(by + i / 8) * kWidth + bx +
+                        i % 8] -
+                 128.0;
+      }
+      spatial.push_back(blk);
+    }
+  }
+  std::vector<std::array<double, 64>> freq(spatial.size());
+  for (std::size_t b = 0; b < spatial.size(); ++b) {
+    scalar->fdct8x8(spatial[b].data(), freq[b].data());
+  }
+  // JPEG Annex K luminance table at quality 75, as the codec builds it.
+  constexpr int kBaseQuant[64] = {
+      16, 11, 10, 16, 24,  40,  51,  61,  12, 12, 14, 19, 26,  58,  60,  55,
+      14, 13, 16, 24, 40,  57,  69,  56,  14, 17, 22, 29, 51,  87,  80,  62,
+      18, 22, 37, 56, 68,  109, 103, 77,  24, 35, 55, 64, 81,  104, 113, 92,
+      49, 64, 78, 87, 103, 121, 120, 101, 72, 92, 95, 98, 112, 100, 103, 99};
+  int quant[64];
+  for (int i = 0; i < 64; ++i) quant[i] = (kBaseQuant[i] * 50 + 50) / 100;
+  std::size_t next = 0;  // block cursor of the per-block ops
+  using BlockFn = void (*)(const double*, double*);
+  const auto reportBlock = [&](const char* name, BlockFn KernelTable::*fn,
+                               const std::vector<std::array<double, 64>>& in) {
+    std::vector<std::array<double, 64>> want(in.size());
+    for (std::size_t b = 0; b < in.size(); ++b) {
+      (scalar->*fn)(in[b].data(), want[b].data());
+    }
+    report(
+        name, 64.0,
+        [&, fn](const KernelTable* table) {
+          for (std::size_t b = 0; b < in.size(); ++b) {
+            std::array<double, 64> got;
+            (table->*fn)(in[b].data(), got.data());
+            identical = identical && std::memcmp(got.data(), want[b].data(),
+                                                 sizeof got) == 0;
+          }
+          return [table, fn, &in, &next] {
+            std::array<double, 64> out;
+            (table->*fn)(in[next].data(), out.data());
+            next = next + 1 == in.size() ? 0 : next + 1;
+            g_sink = g_sink + static_cast<std::uint64_t>(out[0] != 0.0);
+          };
+        },
+        200000);
+  };
+  reportBlock("fdct8x8", &KernelTable::fdct8x8, spatial);
+  reportBlock("idct8x8", &KernelTable::idct8x8, freq);
+
+  std::vector<std::array<int, 64>> quantWant(freq.size());
+  for (std::size_t b = 0; b < freq.size(); ++b) {
+    scalar->quantizeBlock(freq[b].data(), quant, quantWant[b].data());
+  }
+  report(
+      "quantize_block", 64.0,
+      [&](const KernelTable* table) {
+        for (std::size_t b = 0; b < freq.size(); ++b) {
+          std::array<int, 64> got;
+          table->quantizeBlock(freq[b].data(), quant, got.data());
+          identical = identical && got == quantWant[b];
+        }
+        return [table, &freq, &quant, &next] {
+          int out[64];
+          table->quantizeBlock(freq[next].data(), quant, out);
+          next = next + 1 == freq.size() ? 0 : next + 1;
+          g_sink = g_sink + static_cast<std::uint64_t>(out[0]);
+        };
+      },
+      200000);
+
+  // (7) Codec colour conversion over the whole frame.
+  report(
+      "rgb_to_ycbcr", static_cast<double>(n),
+      [&](const KernelTable* table) {
+        std::vector<double> y(n);
+        std::vector<double> cb(n);
+        std::vector<double> cr(n);
+        table->rgbToYcbcrPlanes(pxA, n, y.data(), cb.data(), cr.data());
+        identical =
+            identical &&
+            std::memcmp(y.data(), planeY.data(), n * sizeof(double)) == 0 &&
+            std::memcmp(cb.data(), planeCb.data(), n * sizeof(double)) == 0 &&
+            std::memcmp(cr.data(), planeCr.data(), n * sizeof(double)) == 0;
+        return [table, pxA, n] {
+          static std::vector<double> y(n);
+          static std::vector<double> cb(n);
+          static std::vector<double> cr(n);
+          table->rgbToYcbcrPlanes(pxA, n, y.data(), cb.data(), cr.data());
+          g_sink = g_sink + static_cast<std::uint64_t>(y[0]);
+        };
+      },
+      40);
+
+  // Back from planes with Cb/Cr offset so the clamps fire on some pixels.
+  std::vector<double> cbShift(n);
+  for (std::size_t i = 0; i < n; ++i) cbShift[i] = planeCb[i] * 1.3 - 20.0;
+  std::vector<media::Rgb8> rgbWant(n);
+  scalar->ycbcrPlanesToRgb(planeY.data(), cbShift.data(), planeCr.data(), n,
+                           rgbWant.data());
+  report(
+      "ycbcr_to_rgb", static_cast<double>(n),
+      [&](const KernelTable* table) {
+        std::vector<media::Rgb8> out(n);
+        table->ycbcrPlanesToRgb(planeY.data(), cbShift.data(),
+                                planeCr.data(), n, out.data());
+        identical = identical && out == rgbWant;
+        return [table, &planeY, &cbShift, &planeCr, n] {
+          static std::vector<media::Rgb8> dst(n);
+          table->ycbcrPlanesToRgb(planeY.data(), cbShift.data(),
+                                  planeCr.data(), n, dst.data());
+          g_sink = g_sink + dst[0].r;
         };
       },
       40);

@@ -87,6 +87,22 @@ class ByteReader {
     throw std::runtime_error("ByteReader: varint too long");
   }
 
+  /// Reads a varint element count for a decoder about to size a container
+  /// from it.  Every element takes at least `minBytesPerElem` bytes of the
+  /// input, so a count the remaining bytes cannot hold throws
+  /// std::out_of_range before anything is allocated from it.
+  /// `minBytesPerElem` must be at least 1.
+  [[nodiscard]] std::size_t count(std::size_t minBytesPerElem) {
+    if (minBytesPerElem == 0) {
+      throw std::invalid_argument("ByteReader::count: zero element size");
+    }
+    const std::uint64_t n = varint();
+    if (n > remaining() / minBytesPerElem) {
+      throw std::out_of_range("ByteReader: count exceeds remaining bytes");
+    }
+    return static_cast<std::size_t>(n);
+  }
+
   [[nodiscard]] std::int64_t svarint() {
     const std::uint64_t z = varint();
     return static_cast<std::int64_t>((z >> 1) ^ (~(z & 1) + 1));

@@ -6,6 +6,7 @@
 
 #include "media/bitstream.h"
 #include "media/dct.h"
+#include "media/kernels/kernels.h"
 
 namespace anno::media {
 namespace {
@@ -40,24 +41,6 @@ std::array<int, 64> quantMatrix(int quality) {
   return q;
 }
 
-struct Ycbcr {
-  double y, cb, cr;
-};
-
-Ycbcr toYcbcr(const Rgb8& p) {
-  const double y = kLumaR * p.r + kLumaG * p.g + kLumaB * p.b;
-  const double cb = 128.0 + (-0.168736 * p.r - 0.331264 * p.g + 0.5 * p.b);
-  const double cr = 128.0 + (0.5 * p.r - 0.418688 * p.g - 0.081312 * p.b);
-  return {y, cb, cr};
-}
-
-Rgb8 toRgb(double y, double cb, double cr) {
-  const double r = y + 1.402 * (cr - 128.0);
-  const double g = y - 0.344136 * (cb - 128.0) - 0.714136 * (cr - 128.0);
-  const double b = y + 1.772 * (cb - 128.0);
-  return Rgb8{clamp8(r), clamp8(g), clamp8(b)};
-}
-
 int blocksAcross(int dim) { return (dim + 7) / 8; }
 
 using Planes = std::array<std::vector<double>, 3>;
@@ -67,22 +50,17 @@ Planes toPlanes(const Image& frame) {
   for (auto& p : planes) {
     p.resize(frame.pixelCount());
   }
-  auto src = frame.pixels();
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    const Ycbcr c = toYcbcr(src[i]);
-    planes[0][i] = c.y;
-    planes[1][i] = c.cb;
-    planes[2][i] = c.cr;
-  }
+  const auto src = frame.pixels();
+  kernels::active().rgbToYcbcrPlanes(src.data(), src.size(), planes[0].data(),
+                                     planes[1].data(), planes[2].data());
   return planes;
 }
 
 Image fromPlanes(const Planes& planes, int width, int height) {
   Image img(width, height);
   auto dst = img.pixels();
-  for (std::size_t i = 0; i < dst.size(); ++i) {
-    dst[i] = toRgb(planes[0][i], planes[1][i], planes[2][i]);
-  }
+  kernels::active().ycbcrPlanesToRgb(planes[0].data(), planes[1].data(),
+                                     planes[2].data(), dst.size(), dst.data());
   return img;
 }
 
@@ -91,31 +69,40 @@ Image fromPlanes(const Planes& planes, int width, int height) {
 /// from every sample (128 for intra blocks, 0 for residuals).
 Block8x8 fetchBlock(const std::vector<double>& plane, int width, int height,
                     int bx, int by, double offset) {
-  Block8x8 blk{};
+  Block8x8 blk;
+  const int cols = std::min(8, width - bx * 8);
   for (int y = 0; y < 8; ++y) {
     const int sy = std::min(by * 8 + y, height - 1);
-    for (int x = 0; x < 8; ++x) {
-      const int sx = std::min(bx * 8 + x, width - 1);
-      blk[y * 8 + x] =
-          plane[static_cast<std::size_t>(sy) * width + sx] - offset;
-    }
+    const double* row =
+        plane.data() + static_cast<std::size_t>(sy) * width + bx * 8;
+    double* out = blk.data() + y * 8;
+    for (int x = 0; x < cols; ++x) out[x] = row[x] - offset;
+    for (int x = cols; x < 8; ++x) out[x] = row[cols - 1] - offset;
   }
   return blk;
+}
+
+/// The part of block (bx,by) inside a width x height plane: `rows` x
+/// `cols` samples starting at plane index `origin`.
+struct BlockSpan {
+  int rows;
+  int cols;
+  std::size_t origin;
+};
+
+BlockSpan spanOf(int width, int height, int bx, int by) {
+  return {std::min(8, height - by * 8), std::min(8, width - bx * 8),
+          static_cast<std::size_t>(by) * 8 * width + bx * 8};
 }
 
 /// Writes the block into the plane, adding `offset` back; pixels outside
 /// the image are dropped.
 void storeBlock(const Block8x8& blk, std::vector<double>& plane, int width,
                 int height, int bx, int by, double offset) {
-  for (int y = 0; y < 8; ++y) {
-    const int sy = by * 8 + y;
-    if (sy >= height) break;
-    for (int x = 0; x < 8; ++x) {
-      const int sx = bx * 8 + x;
-      if (sx >= width) break;
-      plane[static_cast<std::size_t>(sy) * width + sx] =
-          blk[y * 8 + x] + offset;
-    }
+  const BlockSpan s = spanOf(width, height, bx, by);
+  double* dst = plane.data() + s.origin;
+  for (int y = 0; y < s.rows; ++y, dst += width) {
+    for (int x = 0; x < s.cols; ++x) dst[x] = blk[y * 8 + x] + offset;
   }
 }
 
@@ -123,61 +110,48 @@ void storeBlock(const Block8x8& blk, std::vector<double>& plane, int width,
 void addBlock(const Block8x8& residual, const std::vector<double>& ref,
               std::vector<double>& plane, int width, int height, int bx,
               int by) {
-  for (int y = 0; y < 8; ++y) {
-    const int sy = by * 8 + y;
-    if (sy >= height) break;
-    for (int x = 0; x < 8; ++x) {
-      const int sx = bx * 8 + x;
-      if (sx >= width) break;
-      const std::size_t idx = static_cast<std::size_t>(sy) * width + sx;
-      plane[idx] = ref[idx] + residual[y * 8 + x];
-    }
+  const BlockSpan s = spanOf(width, height, bx, by);
+  const double* src = ref.data() + s.origin;
+  double* dst = plane.data() + s.origin;
+  for (int y = 0; y < s.rows; ++y, src += width, dst += width) {
+    for (int x = 0; x < s.cols; ++x) dst[x] = src[x] + residual[y * 8 + x];
   }
 }
 
 void copyBlock(const std::vector<double>& ref, std::vector<double>& plane,
                int width, int height, int bx, int by) {
-  for (int y = 0; y < 8; ++y) {
-    const int sy = by * 8 + y;
-    if (sy >= height) break;
-    for (int x = 0; x < 8; ++x) {
-      const int sx = bx * 8 + x;
-      if (sx >= width) break;
-      const std::size_t idx = static_cast<std::size_t>(sy) * width + sx;
-      plane[idx] = ref[idx];
-    }
+  const BlockSpan s = spanOf(width, height, bx, by);
+  const double* src = ref.data() + s.origin;
+  double* dst = plane.data() + s.origin;
+  for (int y = 0; y < s.rows; ++y, src += width, dst += width) {
+    std::copy_n(src, s.cols, dst);
   }
 }
 
 /// Mean absolute difference of a block position between two planes.
 double blockMad(const std::vector<double>& a, const std::vector<double>& b,
                 int width, int height, int bx, int by) {
+  const BlockSpan s = spanOf(width, height, bx, by);
+  const double* pa = a.data() + s.origin;
+  const double* pb = b.data() + s.origin;
   double sum = 0.0;
-  int n = 0;
-  for (int y = 0; y < 8; ++y) {
-    const int sy = by * 8 + y;
-    if (sy >= height) break;
-    for (int x = 0; x < 8; ++x) {
-      const int sx = bx * 8 + x;
-      if (sx >= width) break;
-      const std::size_t idx = static_cast<std::size_t>(sy) * width + sx;
-      sum += std::abs(a[idx] - b[idx]);
-      ++n;
-    }
+  for (int y = 0; y < s.rows; ++y, pa += width, pb += width) {
+    for (int x = 0; x < s.cols; ++x) sum += std::abs(pa[x] - pb[x]);
   }
+  const int n = s.rows * s.cols;
   return n > 0 ? sum / n : 0.0;
 }
 
-/// Encodes one quantized, zigzagged block: DC delta then (run,level) pairs
-/// terminated by run=0 marker.
-void encodeBlock(const Block8x8& freq, const std::array<int, 64>& quant,
-                 int& dcPred, ByteWriter& w) {
-  const auto& zz = zigzagOrder();
+/// Transforms, quantises and entropy-codes one block of samples: the
+/// zigzagged coefficients as a DC delta then (run,level) pairs, terminated
+/// by a run=0 marker.
+void encodeBlock(const kernels::KernelTable& kt, const Block8x8& spatial,
+                 const std::array<int, 64>& quant, int& dcPred,
+                 ByteWriter& w) {
+  Block8x8 freq;
+  kt.fdct8x8(spatial.data(), freq.data());
   int coeffs[64];
-  for (int i = 0; i < 64; ++i) {
-    const double q = freq[zz[i]] / quant[zz[i]];
-    coeffs[i] = static_cast<int>(std::lround(q));
-  }
+  kt.quantizeBlock(freq.data(), quant.data(), coeffs);
   w.svarint(coeffs[0] - dcPred);
   dcPred = coeffs[0];
   int run = 0;
@@ -193,40 +167,43 @@ void encodeBlock(const Block8x8& freq, const std::array<int, 64>& quant,
   w.varint(0);  // end of block
 }
 
-Block8x8 decodeBlock(const std::array<int, 64>& quant, int& dcPred,
+/// Entropy-decodes and dequantises one block, returning its samples.
+Block8x8 decodeBlock(const kernels::KernelTable& kt,
+                     const std::array<int, 64>& quant, int& dcPred,
                      ByteReader& r) {
   const auto& zz = zigzagOrder();
-  int coeffs[64] = {};
+  // Dequantise as we go: uncoded coefficients stay +0.0, which is what
+  // 0 * quant gives.
+  Block8x8 freq{};
   dcPred += static_cast<int>(r.svarint());
-  coeffs[0] = dcPred;
+  freq[0] = static_cast<double>(dcPred) * quant[0];
   int pos = 0;
   for (;;) {
     const std::uint64_t marker = r.varint();
     if (marker == 0) break;  // EOB
-    pos += static_cast<int>(marker);  // marker = run+1 -> advance past zeros
-    if (pos > 63) throw std::runtime_error("codec: coefficient overrun");
-    coeffs[pos] = static_cast<int>(r.svarint());
+    // marker = run+1 -> advance past zeros.  Checked before the add, so a
+    // corrupt 64-bit marker cannot wrap pos negative.
+    if (marker > static_cast<std::uint64_t>(63 - pos)) {
+      throw std::runtime_error("codec: coefficient overrun");
+    }
+    pos += static_cast<int>(marker);
+    const int z = zz[pos];
+    freq[z] = static_cast<double>(static_cast<int>(r.svarint())) * quant[z];
   }
-  Block8x8 freq{};
-  for (int i = 0; i < 64; ++i) {
-    freq[zz[i]] = static_cast<double>(coeffs[i]) * quant[zz[i]];
-  }
-  return freq;
+  Block8x8 spatial;
+  kt.idct8x8(freq.data(), spatial.data());
+  return spatial;
 }
 
 void checkFrameGeometry(const Image& frame) {
   if (frame.empty()) throw std::invalid_argument("codec: empty frame");
 }
 
-}  // namespace
-
-EncodedFrame encodeFrame(const Image& frame, const CodecConfig& cfg) {
-  checkFrameGeometry(frame);
-  const int w = frame.width();
-  const int h = frame.height();
-  const auto quant = quantMatrix(cfg.quality);
-  const Planes planes = toPlanes(frame);
-
+/// Codes an I frame from its colour planes.
+EncodedFrame encodeIntra(const Planes& planes, int w, int h,
+                         const std::array<int, 64>& quant,
+                         const CodecConfig& cfg) {
+  const kernels::KernelTable& kt = kernels::active();
   ByteWriter out;
   out.u8(static_cast<std::uint8_t>(cfg.quality));
   out.u8(kFrameIntra);
@@ -236,7 +213,7 @@ EncodedFrame encodeFrame(const Image& frame, const CodecConfig& cfg) {
     int dcPred = 0;
     for (int by = 0; by < bh; ++by) {
       for (int bx = 0; bx < bw; ++bx) {
-        encodeBlock(forwardDct(fetchBlock(plane, w, h, bx, by, 128.0)), quant,
+        encodeBlock(kt, fetchBlock(plane, w, h, bx, by, 128.0), quant,
                     dcPred, out);
       }
     }
@@ -244,19 +221,11 @@ EncodedFrame encodeFrame(const Image& frame, const CodecConfig& cfg) {
   return EncodedFrame{out.take(), /*intra=*/true};
 }
 
-EncodedFrame encodePFrame(const Image& frame, const Image& reference,
-                          const CodecConfig& cfg) {
-  checkFrameGeometry(frame);
-  if (reference.width() != frame.width() ||
-      reference.height() != frame.height()) {
-    throw std::invalid_argument("encodePFrame: reference geometry mismatch");
-  }
-  const int w = frame.width();
-  const int h = frame.height();
-  const auto quant = quantMatrix(cfg.quality);
-  const Planes cur = toPlanes(frame);
-  const Planes ref = toPlanes(reference);
-
+/// Codes a P frame from its colour planes against the reference planes.
+EncodedFrame encodeInter(const Planes& cur, const Planes& ref, int w, int h,
+                         const std::array<int, 64>& quant,
+                         const CodecConfig& cfg) {
+  const kernels::KernelTable& kt = kernels::active();
   ByteWriter out;
   out.u8(static_cast<std::uint8_t>(cfg.quality));
   out.u8(kFrameInter);
@@ -276,18 +245,21 @@ EncodedFrame encodePFrame(const Image& frame, const Image& reference,
         Block8x8 residual = fetchBlock(cur[p], w, h, bx, by, 0.0);
         const Block8x8 refBlk = fetchBlock(ref[p], w, h, bx, by, 0.0);
         for (int i = 0; i < 64; ++i) residual[i] -= refBlk[i];
-        encodeBlock(forwardDct(residual), quant, dcPred, out);
+        encodeBlock(kt, residual, quant, dcPred, out);
       }
     }
   }
   return EncodedFrame{out.take(), /*intra=*/false};
 }
 
-Image decodeFrame(const EncodedFrame& frame, int width, int height,
-                  const Image* reference) {
-  if (width <= 0 || height <= 0) {
-    throw std::invalid_argument("decodeFrame: bad dimensions");
-  }
+bool isInterFrame(const EncodedFrame& frame) {
+  return frame.bytes.size() >= 2 && frame.bytes[1] == kFrameInter;
+}
+
+/// Decodes a frame into colour planes.  `ref` holds the reference planes
+/// and must be non-null for a P frame.
+Planes decodePlanes(const EncodedFrame& frame, int width, int height,
+                    const Planes* ref) {
   ByteReader r(frame.bytes);
   const int quality = r.u8();
   const std::uint8_t frameType = r.u8();
@@ -297,17 +269,11 @@ Image decodeFrame(const EncodedFrame& frame, int width, int height,
   if (frameType != kFrameIntra && !inter) {
     throw std::runtime_error("decodeFrame: unknown frame type");
   }
-  Planes ref;
-  if (inter) {
-    if (reference == nullptr) {
-      throw std::runtime_error("decodeFrame: P frame needs a reference");
-    }
-    if (reference->width() != width || reference->height() != height) {
-      throw std::invalid_argument("decodeFrame: reference geometry mismatch");
-    }
-    ref = toPlanes(*reference);
+  if (inter && ref == nullptr) {
+    throw std::runtime_error("decodeFrame: P frame needs a reference");
   }
 
+  const kernels::KernelTable& kt = kernels::active();
   Planes planes;
   for (auto& p : planes) {
     p.assign(static_cast<std::size_t>(width) * height, 0.0);
@@ -319,23 +285,60 @@ Image decodeFrame(const EncodedFrame& frame, int width, int height,
     for (int by = 0; by < bh; ++by) {
       for (int bx = 0; bx < bw; ++bx) {
         if (!inter) {
-          storeBlock(inverseDct(decodeBlock(quant, dcPred, r)), planes[p],
-                     width, height, bx, by, 128.0);
+          storeBlock(decodeBlock(kt, quant, dcPred, r), planes[p], width,
+                     height, bx, by, 128.0);
           continue;
         }
         const std::uint8_t mode = r.u8();
         if (mode == kBlockSkip) {
-          copyBlock(ref[p], planes[p], width, height, bx, by);
+          copyBlock((*ref)[p], planes[p], width, height, bx, by);
         } else if (mode == kBlockDelta) {
-          addBlock(inverseDct(decodeBlock(quant, dcPred, r)), ref[p],
-                   planes[p], width, height, bx, by);
+          addBlock(decodeBlock(kt, quant, dcPred, r), (*ref)[p], planes[p],
+                   width, height, bx, by);
         } else {
           throw std::runtime_error("decodeFrame: unknown block mode");
         }
       }
     }
   }
-  return fromPlanes(planes, width, height);
+  return planes;
+}
+
+}  // namespace
+
+EncodedFrame encodeFrame(const Image& frame, const CodecConfig& cfg) {
+  checkFrameGeometry(frame);
+  return encodeIntra(toPlanes(frame), frame.width(), frame.height(),
+                     quantMatrix(cfg.quality), cfg);
+}
+
+EncodedFrame encodePFrame(const Image& frame, const Image& reference,
+                          const CodecConfig& cfg) {
+  checkFrameGeometry(frame);
+  if (reference.width() != frame.width() ||
+      reference.height() != frame.height()) {
+    throw std::invalid_argument("encodePFrame: reference geometry mismatch");
+  }
+  return encodeInter(toPlanes(frame), toPlanes(reference), frame.width(),
+                     frame.height(), quantMatrix(cfg.quality), cfg);
+}
+
+Image decodeFrame(const EncodedFrame& frame, int width, int height,
+                  const Image* reference) {
+  if (width <= 0 || height <= 0) {
+    throw std::invalid_argument("decodeFrame: bad dimensions");
+  }
+  Planes ref;
+  const bool useRef = reference != nullptr && isInterFrame(frame);
+  if (useRef) {
+    if (reference->width() != width || reference->height() != height) {
+      throw std::invalid_argument("decodeFrame: reference geometry mismatch");
+    }
+    ref = toPlanes(*reference);
+  }
+  return fromPlanes(
+      decodePlanes(frame, width, height, useRef ? &ref : nullptr), width,
+      height);
 }
 
 EncodedClip encodeClip(const VideoClip& clip, const CodecConfig& cfg) {
@@ -343,6 +346,8 @@ EncodedClip encodeClip(const VideoClip& clip, const CodecConfig& cfg) {
   if (cfg.gopLength < 1) {
     throw std::invalid_argument("encodeClip: gopLength must be >= 1");
   }
+  checkFrameGeometry(clip.frames.front());
+  const auto quant = quantMatrix(cfg.quality);
   EncodedClip out;
   out.name = clip.name;
   out.width = clip.width();
@@ -352,15 +357,25 @@ EncodedClip encodeClip(const VideoClip& clip, const CodecConfig& cfg) {
   out.frames.reserve(clip.frames.size());
 
   // Closed-loop encoding: P frames reference the previous DECODED frame so
-  // the decoder never drifts.
-  Image decodedRef;
+  // the decoder never drifts.  That reconstruction (decode, then through
+  // RGB and back to planes, exactly as decodeClip sees it) is only made
+  // when the next frame is a P frame; with gopLength 1 it never is.
+  const auto gop = static_cast<std::size_t>(cfg.gopLength);
+  Planes refPlanes;
   for (std::size_t i = 0; i < clip.frames.size(); ++i) {
-    const bool intra = (i % static_cast<std::size_t>(cfg.gopLength)) == 0;
+    const bool intra = i % gop == 0;
+    const Planes cur = toPlanes(clip.frames[i]);
     EncodedFrame enc =
-        intra ? encodeFrame(clip.frames[i], cfg)
-              : encodePFrame(clip.frames[i], decodedRef, cfg);
-    decodedRef = decodeFrame(enc, out.width, out.height,
-                             intra ? nullptr : &decodedRef);
+        intra ? encodeIntra(cur, out.width, out.height, quant, cfg)
+              : encodeInter(cur, refPlanes, out.width, out.height, quant,
+                            cfg);
+    const bool nextIsP = i + 1 < clip.frames.size() && (i + 1) % gop != 0;
+    if (nextIsP) {
+      refPlanes = toPlanes(fromPlanes(
+          decodePlanes(enc, out.width, out.height,
+                       intra ? nullptr : &refPlanes),
+          out.width, out.height));
+    }
     out.frames.push_back(std::move(enc));
   }
   return out;
@@ -414,7 +429,8 @@ EncodedClip parseClip(std::span<const std::uint8_t> bytes) {
   clip.height = static_cast<int>(r.varint());
   clip.fps = static_cast<double>(r.varint()) / 1000.0;
   clip.quality = static_cast<int>(r.varint());
-  const std::size_t nframes = r.varint();
+  // A frame record is at least a type byte and a one-byte length.
+  const std::size_t nframes = r.count(2);
   clip.frames.reserve(nframes);
   for (std::size_t i = 0; i < nframes; ++i) {
     EncodedFrame f;

@@ -1,94 +1,22 @@
 #include "media/dct.h"
 
-#include <cmath>
+#include "media/kernels/kernels.h"
+#include "media/kernels/kernels_internal.h"
 
 namespace anno::media {
-namespace {
-
-constexpr double kPi = 3.14159265358979323846;
-
-/// Cosine basis table: cosTable[k][n] = c(k) * cos((2n+1) k pi / 16) where
-/// c(0)=sqrt(1/8), c(k>0)=sqrt(2/8).  Built once.
-struct CosTable {
-  double t[8][8];
-  CosTable() {
-    for (int k = 0; k < 8; ++k) {
-      const double ck = k == 0 ? std::sqrt(1.0 / 8.0) : std::sqrt(2.0 / 8.0);
-      for (int n = 0; n < 8; ++n) {
-        t[k][n] = ck * std::cos((2.0 * n + 1.0) * k * kPi / 16.0);
-      }
-    }
-  }
-};
-
-const CosTable& cosTable() {
-  static const CosTable table;
-  return table;
-}
-
-}  // namespace
 
 Block8x8 forwardDct(const Block8x8& spatial) {
-  const auto& C = cosTable().t;
-  // Separable: rows then columns.
-  Block8x8 tmp{};
-  for (int y = 0; y < 8; ++y) {
-    for (int k = 0; k < 8; ++k) {
-      double acc = 0.0;
-      for (int x = 0; x < 8; ++x) acc += spatial[y * 8 + x] * C[k][x];
-      tmp[y * 8 + k] = acc;
-    }
-  }
-  Block8x8 out{};
-  for (int k = 0; k < 8; ++k) {
-    for (int j = 0; j < 8; ++j) {
-      double acc = 0.0;
-      for (int y = 0; y < 8; ++y) acc += tmp[y * 8 + k] * C[j][y];
-      out[j * 8 + k] = acc;
-    }
-  }
+  Block8x8 out;
+  kernels::active().fdct8x8(spatial.data(), out.data());
   return out;
 }
 
 Block8x8 inverseDct(const Block8x8& freq) {
-  const auto& C = cosTable().t;
-  Block8x8 tmp{};
-  for (int j = 0; j < 8; ++j) {
-    for (int x = 0; x < 8; ++x) {
-      double acc = 0.0;
-      for (int k = 0; k < 8; ++k) acc += freq[j * 8 + k] * C[k][x];
-      tmp[j * 8 + x] = acc;
-    }
-  }
-  Block8x8 out{};
-  for (int x = 0; x < 8; ++x) {
-    for (int y = 0; y < 8; ++y) {
-      double acc = 0.0;
-      for (int j = 0; j < 8; ++j) acc += tmp[j * 8 + x] * C[j][y];
-      out[y * 8 + x] = acc;
-    }
-  }
+  Block8x8 out;
+  kernels::active().idct8x8(freq.data(), out.data());
   return out;
 }
 
-const std::array<int, 64>& zigzagOrder() {
-  static const std::array<int, 64> order = [] {
-    std::array<int, 64> z{};
-    int idx = 0;
-    for (int s = 0; s < 15; ++s) {
-      if (s % 2 == 0) {  // up-right
-        for (int y = std::min(s, 7); y >= 0 && s - y <= 7; --y) {
-          z[idx++] = y * 8 + (s - y);
-        }
-      } else {  // down-left
-        for (int x = std::min(s, 7); x >= 0 && s - x <= 7; --x) {
-          z[idx++] = (s - x) * 8 + x;
-        }
-      }
-    }
-    return z;
-  }();
-  return order;
-}
+const std::array<int, 64>& zigzagOrder() { return kernels::detail::kZigzag; }
 
 }  // namespace anno::media

@@ -13,6 +13,9 @@ namespace anno::media {
 /// One 8x8 block of coefficients or samples, row-major.
 using Block8x8 = std::array<double, 64>;
 
+// Both transforms run through the dispatched kernel table
+// (media/kernels), bit-identical at every SIMD level.
+
 /// Forward 8x8 DCT-II with orthonormal scaling.
 [[nodiscard]] Block8x8 forwardDct(const Block8x8& spatial);
 

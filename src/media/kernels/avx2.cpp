@@ -414,6 +414,161 @@ int highPointAvx2(const std::uint64_t* counts, std::uint64_t budget) {
   return detail::highPointRange(counts, budget);
 }
 
+/// out = a * b for row-major 8x8 doubles.  Each output is the scalar chain
+/// acc = 0.0; acc += a[r][i] * b[i][c] for i = 0..7; the eight outputs of a
+/// row sit in two vectors, four rows at a time for independent chains.
+/// Named accumulators (not an array) keep them in registers at -O2.
+inline void matmul8Avx2(const double* a, const double* b, double* out) {
+  for (int r = 0; r < 8; r += 4) {
+    const double* ar = a + r * 8;
+    __m256d c00 = _mm256_setzero_pd(), c01 = c00, c10 = c00, c11 = c00;
+    __m256d c20 = c00, c21 = c00, c30 = c00, c31 = c00;
+    for (int i = 0; i < 8; ++i) {
+      const __m256d b0 = _mm256_loadu_pd(b + 8 * i);
+      const __m256d b1 = _mm256_loadu_pd(b + 8 * i + 4);
+      __m256d ai = _mm256_broadcast_sd(ar + i);
+      c00 = _mm256_add_pd(c00, _mm256_mul_pd(ai, b0));
+      c01 = _mm256_add_pd(c01, _mm256_mul_pd(ai, b1));
+      ai = _mm256_broadcast_sd(ar + 8 + i);
+      c10 = _mm256_add_pd(c10, _mm256_mul_pd(ai, b0));
+      c11 = _mm256_add_pd(c11, _mm256_mul_pd(ai, b1));
+      ai = _mm256_broadcast_sd(ar + 16 + i);
+      c20 = _mm256_add_pd(c20, _mm256_mul_pd(ai, b0));
+      c21 = _mm256_add_pd(c21, _mm256_mul_pd(ai, b1));
+      ai = _mm256_broadcast_sd(ar + 24 + i);
+      c30 = _mm256_add_pd(c30, _mm256_mul_pd(ai, b0));
+      c31 = _mm256_add_pd(c31, _mm256_mul_pd(ai, b1));
+    }
+    double* o = out + r * 8;
+    _mm256_storeu_pd(o, c00);
+    _mm256_storeu_pd(o + 4, c01);
+    _mm256_storeu_pd(o + 8, c10);
+    _mm256_storeu_pd(o + 12, c11);
+    _mm256_storeu_pd(o + 16, c20);
+    _mm256_storeu_pd(o + 20, c21);
+    _mm256_storeu_pd(o + 24, c30);
+    _mm256_storeu_pd(o + 28, c31);
+  }
+}
+
+// The scalar DCT's row pass is tmp = in * C^T and its column pass
+// out = C * tmp, both summing over the inner index in ascending order; the
+// inverse is tmp = in * C, out = C^T * tmp.  matmul8 keeps those orders.
+void fdct8x8Avx2(const double* spatial, double* freq) {
+  const detail::DctBasis& basis = detail::dctBasis();
+  alignas(32) double tmp[64];
+  matmul8Avx2(spatial, &basis.ct[0][0], tmp);
+  matmul8Avx2(&basis.c[0][0], tmp, freq);
+}
+
+void idct8x8Avx2(const double* freq, double* spatial) {
+  const detail::DctBasis& basis = detail::dctBasis();
+  alignas(32) double tmp[64];
+  matmul8Avx2(freq, &basis.c[0][0], tmp);
+  matmul8Avx2(&basis.ct[0][0], tmp, spatial);
+}
+
+void quantizeBlockAvx2(const double* freq, const int* quant,
+                       int* zigzagOut) {
+  // lround(q) exactly: t = trunc(q) and r = q - t are exact, and
+  // round-half-away steps t by one toward q's sign when |r| >= 0.5.
+  const __m256d half = _mm256_set1_pd(0.5);
+  const __m256d minusHalf = _mm256_set1_pd(-0.5);
+  const __m256d one = _mm256_set1_pd(1.0);
+  alignas(16) int q[64];
+  for (int j = 0; j < 64; j += 4) {
+    const __m256d x = _mm256_div_pd(
+        _mm256_loadu_pd(freq + j),
+        _mm256_cvtepi32_pd(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(quant + j))));
+    const __m256d t =
+        _mm256_round_pd(x, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+    const __m256d r = _mm256_sub_pd(x, t);
+    const __m256d step = _mm256_sub_pd(
+        _mm256_and_pd(_mm256_cmp_pd(r, half, _CMP_GE_OQ), one),
+        _mm256_and_pd(_mm256_cmp_pd(r, minusHalf, _CMP_LE_OQ), one));
+    _mm_store_si128(reinterpret_cast<__m128i*>(q + j),
+                    _mm256_cvttpd_epi32(_mm256_add_pd(t, step)));
+  }
+  for (int i = 0; i < 64; ++i) zigzagOut[i] = q[detail::kZigzag[i]];
+}
+
+void rgbToYcbcrPlanesAvx2(const Rgb8* px, std::size_t n, double* y,
+                          double* cb, double* cr) {
+  const std::uint8_t* bytes = reinterpret_cast<const std::uint8_t*>(px);
+  const __m256d c128 = _mm256_set1_pd(128.0);
+  std::size_t i = 0;
+  // Same 6-pixel overread guard as lumaPlaneAvx2.
+  for (; i + 6 <= n; i += 4) {
+    const Rgb4d p = loadRgb4(bytes + 3 * i);
+    _mm256_storeu_pd(
+        y + i,
+        _mm256_add_pd(
+            _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(kLumaR), p.r),
+                          _mm256_mul_pd(_mm256_set1_pd(kLumaG), p.g)),
+            _mm256_mul_pd(_mm256_set1_pd(kLumaB), p.b)));
+    _mm256_storeu_pd(
+        cb + i,
+        _mm256_add_pd(
+            c128,
+            _mm256_add_pd(
+                _mm256_sub_pd(_mm256_mul_pd(_mm256_set1_pd(-0.168736), p.r),
+                              _mm256_mul_pd(_mm256_set1_pd(0.331264), p.g)),
+                _mm256_mul_pd(_mm256_set1_pd(0.5), p.b))));
+    _mm256_storeu_pd(
+        cr + i,
+        _mm256_add_pd(
+            c128,
+            _mm256_sub_pd(
+                _mm256_sub_pd(_mm256_mul_pd(_mm256_set1_pd(0.5), p.r),
+                              _mm256_mul_pd(_mm256_set1_pd(0.418688), p.g)),
+                _mm256_mul_pd(_mm256_set1_pd(0.081312), p.b))));
+  }
+  detail::rgbToYcbcrPlanesScalar(px + i, n - i, y + i, cb + i, cr + i);
+}
+
+/// clamp8 of 4 doubles as 4 x i32: 0 if v <= 0, 255 if v >= 255, else
+/// trunc(v + 0.5).
+inline __m128i clamp8x4(__m256d v) {
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d lim = _mm256_set1_pd(255.0);
+  __m256d t = _mm256_add_pd(v, _mm256_set1_pd(0.5));
+  t = _mm256_blendv_pd(t, lim, _mm256_cmp_pd(v, lim, _CMP_GE_OQ));
+  t = _mm256_blendv_pd(t, zero, _mm256_cmp_pd(v, zero, _CMP_LE_OQ));
+  return _mm256_cvttpd_epi32(t);
+}
+
+void ycbcrPlanesToRgbAvx2(const double* y, const double* cb,
+                          const double* cr, std::size_t n, Rgb8* out) {
+  const __m256d c128 = _mm256_set1_pd(128.0);
+  // Packs lanes of r | g << 8 | b << 16 into 12 consecutive RGB bytes.
+  const __m128i pack = _mm_setr_epi8(0, 1, 2, 4, 5, 6, 8, 9, 10, 12, 13,
+                                     14, -1, -1, -1, -1);
+  std::uint8_t* bytes = reinterpret_cast<std::uint8_t*>(out);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d yv = _mm256_loadu_pd(y + i);
+    const __m256d cbm = _mm256_sub_pd(_mm256_loadu_pd(cb + i), c128);
+    const __m256d crm = _mm256_sub_pd(_mm256_loadu_pd(cr + i), c128);
+    const __m128i r = clamp8x4(
+        _mm256_add_pd(yv, _mm256_mul_pd(_mm256_set1_pd(1.402), crm)));
+    const __m128i g = clamp8x4(_mm256_sub_pd(
+        _mm256_sub_pd(yv, _mm256_mul_pd(_mm256_set1_pd(0.344136), cbm)),
+        _mm256_mul_pd(_mm256_set1_pd(0.714136), crm)));
+    const __m128i b = clamp8x4(
+        _mm256_add_pd(yv, _mm256_mul_pd(_mm256_set1_pd(1.772), cbm)));
+    const __m128i rgb = _mm_shuffle_epi8(
+        _mm_or_si128(r, _mm_or_si128(_mm_slli_epi32(g, 8),
+                                     _mm_slli_epi32(b, 16))),
+        pack);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(bytes + 3 * i), rgb);
+    const std::uint32_t tail =
+        static_cast<std::uint32_t>(_mm_cvtsi128_si32(_mm_srli_si128(rgb, 8)));
+    __builtin_memcpy(bytes + 3 * i + 8, &tail, 4);
+  }
+  detail::ycbcrPlanesToRgbScalar(y + i, cb + i, cr + i, n - i, out + i);
+}
+
 }  // namespace
 
 const KernelTable& avx2Table() noexcept {
@@ -422,6 +577,8 @@ const KernelTable& avx2Table() noexcept {
       maxChannelHistogramAvx2, lumaPlaneAvx2, histAccumulateAvx2,
       emdNumeratorAvx2,    scalePixelsAvx2,   countClippedAvx2,
       tailBudgetLevelAvx2, lowPointAvx2,      highPointAvx2,
+      fdct8x8Avx2,         idct8x8Avx2,       quantizeBlockAvx2,
+      rgbToYcbcrPlanesAvx2, ycbcrPlanesToRgbAvx2,
   };
   return kTable;
 }

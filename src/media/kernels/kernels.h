@@ -4,6 +4,9 @@
 // luma extraction, 256-bin histogram build, min/max/sum stats, the
 // compensation transform C' = min(1, C*k), clipped-pixel counting, and the
 // per-frame histogram earth-mover's distance of the EMD scene detector.
+// The toy codec's block transforms, quantiser and colour conversion live
+// here too: they are the serving hot path (every cache miss encodes a
+// clip, every client decodes one).
 // This layer provides one scalar reference implementation per kernel plus
 // SSE2/AVX2 (x86-64) and NEON (aarch64) variants behind a single dispatch
 // table selected once at startup via CPUID.
@@ -20,6 +23,11 @@
 //   * Integer kernels (histogram build/merge, EMD numerator, tail scans,
 //     clipped counting) are exact, so accumulation order is irrelevant and
 //     any lane decomposition gives the same result.
+//   * The codec kernels (8x8 DCT/IDCT, quantisation, YCbCr conversion)
+//     vectorize ACROSS outputs: each DCT output keeps the scalar
+//     `acc = 0.0; acc += a*c` chain in the scalar summation order, and
+//     quantisation keeps the correctly rounded divide, replacing lround
+//     with an exact truncate-and-step rounding.
 //   * The EMD kernel computes an exact integer numerator
 //         sum_v | cdfA(v)*totalB - cdfB(v)*totalA |
 //     and performs a SINGLE final floating divide by totalA*totalB, so
@@ -108,6 +116,26 @@ struct KernelTable {
   int (*lowPoint)(const std::uint64_t* counts, std::uint64_t budget);
   /// First v from 255 downward with cumulative count > budget, else 0.
   int (*highPoint)(const std::uint64_t* counts, std::uint64_t budget);
+
+  /// (6) Codec block transforms on 64 row-major doubles (media/codec).
+  /// Orthonormal 8x8 DCT-II and its inverse, separable rows then columns.
+  /// Every output is `acc = 0.0; acc += a*c` over the scalar summation
+  /// order, so vector variants lay outputs across lanes, never sums.
+  void (*fdct8x8)(const double* spatial, double* freq);
+  void (*idct8x8)(const double* freq, double* spatial);
+  /// Quantises a DCT block and emits it in zigzag order:
+  /// zigzagOut[i] = round-half-away(freq[z] / quant[z]) with z =
+  /// zigzagOrder()[i] and a correctly rounded divide.  Requires
+  /// |freq / quant| < 2^31 (codec blocks stay below 2^11).
+  void (*quantizeBlock)(const double* freq, const int* quant,
+                        int* zigzagOut);
+
+  /// (7) Codec colour conversion, BT.601 full range.  RGB to three double
+  /// planes (Y, Cb, Cr), and back with the clamp8 rounding per channel.
+  void (*rgbToYcbcrPlanes)(const Rgb8* px, std::size_t n, double* y,
+                           double* cb, double* cr);
+  void (*ycbcrPlanesToRgb)(const double* y, const double* cb,
+                           const double* cr, std::size_t n, Rgb8* out);
 };
 
 /// Smallest 8-bit channel code whose clamp-scale by k (k >= 0) clips, or

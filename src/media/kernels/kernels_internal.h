@@ -5,6 +5,8 @@
 // vector flags.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -26,6 +28,44 @@ namespace anno::media::kernels {
 }  // namespace anno::media::kernels
 
 namespace anno::media::kernels::detail {
+
+/// Orthonormal DCT-II basis: c[k][n] = c(k) * cos((2n+1) k pi / 16), with
+/// c(0) = sqrt(1/8) and c(k>0) = sqrt(2/8); ct is its transpose.  Built once
+/// (std::cos at run time, so every level multiplies by the same doubles).
+struct DctBasis {
+  alignas(32) double c[8][8];
+  alignas(32) double ct[8][8];
+};
+[[nodiscard]] const DctBasis& dctBasis() noexcept;
+
+/// JPEG zigzag scan order of an 8x8 block.
+inline constexpr std::array<int, 64> kZigzag = [] {
+  std::array<int, 64> z{};
+  int idx = 0;
+  for (int s = 0; s < 15; ++s) {
+    if (s % 2 == 0) {  // up-right
+      for (int y = std::min(s, 7); y >= 0 && s - y <= 7; --y) {
+        z[idx++] = y * 8 + (s - y);
+      }
+    } else {  // down-left
+      for (int x = std::min(s, 7); x >= 0 && s - x <= 7; --x) {
+        z[idx++] = (s - x) * 8 + x;
+      }
+    }
+  }
+  return z;
+}();
+
+// Scalar codec kernels (scalar.cpp): the reference every variant matches,
+// and the entries of levels that have no vector version of a kernel.
+void fdct8x8Scalar(const double* spatial, double* freq);
+void idct8x8Scalar(const double* freq, double* spatial);
+void quantizeBlockScalar(const double* freq, const int* quant,
+                         int* zigzagOut);
+void rgbToYcbcrPlanesScalar(const Rgb8* px, std::size_t n, double* y,
+                            double* cb, double* cr);
+void ycbcrPlanesToRgbScalar(const double* y, const double* cb,
+                            const double* cr, std::size_t n, Rgb8* out);
 
 /// Accumulates `n` RGB pixels into an in-progress profile.  `minAcc` /
 /// `maxAcc` are int running values (255 / 0 sentinels when empty) so the

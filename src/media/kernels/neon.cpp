@@ -243,6 +243,11 @@ const KernelTable& neonTable() noexcept {
       maxChannelHistogramNeon, lumaPlaneNeon, histAccumulateNeon,
       emdNumeratorNeon,    scalePixelsNeon,   countClippedNeon,
       tailBudgetLevelNeon, lowPointNeon,      highPointNeon,
+      // Codec kernels: scalar until an aarch64 runner can validate a
+      // vector variant.
+      detail::fdct8x8Scalar, detail::idct8x8Scalar,
+      detail::quantizeBlockScalar, detail::rgbToYcbcrPlanesScalar,
+      detail::ycbcrPlanesToRgbScalar,
   };
   return kTable;
 }

@@ -221,6 +221,149 @@ int highPointSse2(const std::uint64_t* counts, std::uint64_t budget) {
   return detail::highPointRange(counts, budget);
 }
 
+/// out = a * b for row-major 8x8 doubles; each output keeps the scalar
+/// chain acc = 0.0; acc += a[r][i] * b[i][c] (see the AVX2 variant), two
+/// rows of four vectors at a time in named (register) accumulators.
+inline void matmul8Sse2(const double* a, const double* b, double* out) {
+  for (int r = 0; r < 8; r += 2) {
+    const double* ar = a + r * 8;
+    __m128d c00 = _mm_setzero_pd(), c01 = c00, c02 = c00, c03 = c00;
+    __m128d c10 = c00, c11 = c00, c12 = c00, c13 = c00;
+    for (int i = 0; i < 8; ++i) {
+      const double* bi = b + 8 * i;
+      const __m128d b0 = _mm_loadu_pd(bi);
+      const __m128d b1 = _mm_loadu_pd(bi + 2);
+      const __m128d b2 = _mm_loadu_pd(bi + 4);
+      const __m128d b3 = _mm_loadu_pd(bi + 6);
+      __m128d ai = _mm_set1_pd(ar[i]);
+      c00 = _mm_add_pd(c00, _mm_mul_pd(ai, b0));
+      c01 = _mm_add_pd(c01, _mm_mul_pd(ai, b1));
+      c02 = _mm_add_pd(c02, _mm_mul_pd(ai, b2));
+      c03 = _mm_add_pd(c03, _mm_mul_pd(ai, b3));
+      ai = _mm_set1_pd(ar[8 + i]);
+      c10 = _mm_add_pd(c10, _mm_mul_pd(ai, b0));
+      c11 = _mm_add_pd(c11, _mm_mul_pd(ai, b1));
+      c12 = _mm_add_pd(c12, _mm_mul_pd(ai, b2));
+      c13 = _mm_add_pd(c13, _mm_mul_pd(ai, b3));
+    }
+    double* o = out + r * 8;
+    _mm_storeu_pd(o, c00);
+    _mm_storeu_pd(o + 2, c01);
+    _mm_storeu_pd(o + 4, c02);
+    _mm_storeu_pd(o + 6, c03);
+    _mm_storeu_pd(o + 8, c10);
+    _mm_storeu_pd(o + 10, c11);
+    _mm_storeu_pd(o + 12, c12);
+    _mm_storeu_pd(o + 14, c13);
+  }
+}
+
+void fdct8x8Sse2(const double* spatial, double* freq) {
+  const detail::DctBasis& basis = detail::dctBasis();
+  alignas(16) double tmp[64];
+  matmul8Sse2(spatial, &basis.ct[0][0], tmp);
+  matmul8Sse2(&basis.c[0][0], tmp, freq);
+}
+
+void idct8x8Sse2(const double* freq, double* spatial) {
+  const detail::DctBasis& basis = detail::dctBasis();
+  alignas(16) double tmp[64];
+  matmul8Sse2(freq, &basis.c[0][0], tmp);
+  matmul8Sse2(&basis.ct[0][0], tmp, spatial);
+}
+
+void quantizeBlockSse2(const double* freq, const int* quant,
+                       int* zigzagOut) {
+  // lround(q) exactly (see the AVX2 variant).  SSE2 has no roundpd, so
+  // trunc(q) goes through int32, which the |q| < 2^31 contract allows.
+  const __m128d half = _mm_set1_pd(0.5);
+  const __m128d minusHalf = _mm_set1_pd(-0.5);
+  const __m128d one = _mm_set1_pd(1.0);
+  alignas(16) int q[64];
+  for (int j = 0; j < 64; j += 2) {
+    const __m128d x = _mm_div_pd(
+        _mm_loadu_pd(freq + j),
+        _mm_cvtepi32_pd(_mm_loadl_epi64(
+            reinterpret_cast<const __m128i*>(quant + j))));
+    const __m128d t = _mm_cvtepi32_pd(_mm_cvttpd_epi32(x));
+    const __m128d r = _mm_sub_pd(x, t);
+    const __m128d step =
+        _mm_sub_pd(_mm_and_pd(_mm_cmpge_pd(r, half), one),
+                   _mm_and_pd(_mm_cmple_pd(r, minusHalf), one));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(q + j),
+                     _mm_cvttpd_epi32(_mm_add_pd(t, step)));
+  }
+  for (int i = 0; i < 64; ++i) zigzagOut[i] = q[detail::kZigzag[i]];
+}
+
+void rgbToYcbcrPlanesSse2(const Rgb8* px, std::size_t n, double* y,
+                          double* cb, double* cr) {
+  const __m128d c128 = _mm_set1_pd(128.0);
+  std::size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    const __m128d r = _mm_set_pd(px[i + 1].r, px[i].r);
+    const __m128d g = _mm_set_pd(px[i + 1].g, px[i].g);
+    const __m128d b = _mm_set_pd(px[i + 1].b, px[i].b);
+    _mm_storeu_pd(y + i,
+                  _mm_add_pd(_mm_add_pd(_mm_mul_pd(_mm_set1_pd(kLumaR), r),
+                                        _mm_mul_pd(_mm_set1_pd(kLumaG), g)),
+                             _mm_mul_pd(_mm_set1_pd(kLumaB), b)));
+    _mm_storeu_pd(
+        cb + i,
+        _mm_add_pd(c128,
+                   _mm_add_pd(_mm_sub_pd(_mm_mul_pd(_mm_set1_pd(-0.168736), r),
+                                         _mm_mul_pd(_mm_set1_pd(0.331264), g)),
+                              _mm_mul_pd(_mm_set1_pd(0.5), b))));
+    _mm_storeu_pd(
+        cr + i,
+        _mm_add_pd(c128,
+                   _mm_sub_pd(_mm_sub_pd(_mm_mul_pd(_mm_set1_pd(0.5), r),
+                                         _mm_mul_pd(_mm_set1_pd(0.418688), g)),
+                              _mm_mul_pd(_mm_set1_pd(0.081312), b))));
+  }
+  detail::rgbToYcbcrPlanesScalar(px + i, n - i, y + i, cb + i, cr + i);
+}
+
+/// clamp8 of 2 doubles as 2 x i32 in the low lanes.
+inline __m128i clamp8x2(__m128d v) {
+  const __m128d lim = _mm_set1_pd(255.0);
+  __m128d t = _mm_add_pd(v, _mm_set1_pd(0.5));
+  const __m128d hi = _mm_cmpge_pd(v, lim);
+  t = _mm_or_pd(_mm_and_pd(hi, lim), _mm_andnot_pd(hi, t));
+  t = _mm_andnot_pd(_mm_cmple_pd(v, _mm_setzero_pd()), t);  // v <= 0 -> 0
+  return _mm_cvttpd_epi32(t);
+}
+
+void ycbcrPlanesToRgbSse2(const double* y, const double* cb,
+                          const double* cr, std::size_t n, Rgb8* out) {
+  const __m128d c128 = _mm_set1_pd(128.0);
+  std::size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    const __m128d yv = _mm_loadu_pd(y + i);
+    const __m128d cbm = _mm_sub_pd(_mm_loadu_pd(cb + i), c128);
+    const __m128d crm = _mm_sub_pd(_mm_loadu_pd(cr + i), c128);
+    const __m128i r =
+        clamp8x2(_mm_add_pd(yv, _mm_mul_pd(_mm_set1_pd(1.402), crm)));
+    const __m128i g = clamp8x2(
+        _mm_sub_pd(_mm_sub_pd(yv, _mm_mul_pd(_mm_set1_pd(0.344136), cbm)),
+                   _mm_mul_pd(_mm_set1_pd(0.714136), crm)));
+    const __m128i b =
+        clamp8x2(_mm_add_pd(yv, _mm_mul_pd(_mm_set1_pd(1.772), cbm)));
+    // Lane p holds r | g << 8 | b << 16 of pixel i + p.
+    const __m128i rgb = _mm_or_si128(
+        r, _mm_or_si128(_mm_slli_epi32(g, 8), _mm_slli_epi32(b, 16)));
+    const std::uint64_t two =
+        static_cast<std::uint64_t>(_mm_cvtsi128_si64(rgb));
+    out[i] = Rgb8{static_cast<std::uint8_t>(two),
+                  static_cast<std::uint8_t>(two >> 8),
+                  static_cast<std::uint8_t>(two >> 16)};
+    out[i + 1] = Rgb8{static_cast<std::uint8_t>(two >> 32),
+                      static_cast<std::uint8_t>(two >> 40),
+                      static_cast<std::uint8_t>(two >> 48)};
+  }
+  detail::ycbcrPlanesToRgbScalar(y + i, cb + i, cr + i, n - i, out + i);
+}
+
 }  // namespace
 
 const KernelTable& sse2Table() noexcept {
@@ -229,6 +372,8 @@ const KernelTable& sse2Table() noexcept {
       maxChannelHistogramSse2, lumaPlaneSse2, histAccumulateSse2,
       emdNumeratorSse2,    scalePixelsSse2,   countClippedSse2,
       tailBudgetLevelSse2, lowPointSse2,      highPointSse2,
+      fdct8x8Sse2,         idct8x8Sse2,       quantizeBlockSse2,
+      rgbToYcbcrPlanesSse2, ycbcrPlanesToRgbSse2,
   };
   return kTable;
 }

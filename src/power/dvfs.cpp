@@ -98,7 +98,7 @@ std::vector<std::uint8_t> ComplexityTrack::encode() const {
 ComplexityTrack ComplexityTrack::decode(std::span<const std::uint8_t> bytes) {
   media::ByteReader r(bytes);
   ComplexityTrack track;
-  const std::size_t n = r.varint();
+  const std::size_t n = r.count(1);  // one svarint delta per frame
   track.frameMegacycles.reserve(n);
   std::int64_t value = 0;
   for (std::size_t i = 0; i < n; ++i) {

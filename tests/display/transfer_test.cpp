@@ -54,7 +54,9 @@ TEST_P(TransferShapes, MonotoneAndNormalized) {
 }
 
 TEST_P(TransferShapes, InverseReturnsMinimalLevel) {
-  const TransferFunction& tf = shapes()[GetParam()].tf;
+  // A copy: shapes() returns a temporary vector, which a reference into
+  // it would outlive.
+  const TransferFunction tf = shapes()[GetParam()].tf;
   for (double target = 0.0; target <= 1.0; target += 0.05) {
     const std::uint8_t level = tf.minimumLevelFor(target);
     EXPECT_GE(tf.relLuminance(level), target - 1e-12);

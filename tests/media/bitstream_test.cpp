@@ -121,6 +121,28 @@ TEST(ByteReader, BytesSpanAndPosition) {
   EXPECT_EQ(r.remaining(), 1u);
 }
 
+TEST(ByteReader, CountWithinRemainingBytes) {
+  ByteWriter w;
+  w.varint(3);
+  for (int i = 0; i < 6; ++i) w.u8(0);
+  ByteReader r(w.data());
+  EXPECT_EQ(r.count(2), 3u);  // 6 bytes left hold 3 two-byte elements
+  ByteReader exact(w.data());
+  EXPECT_THROW((void)exact.count(3), std::out_of_range);  // 9 > 6
+}
+
+TEST(ByteReader, CountRejectsHugeCountBeforeAllocating) {
+  // A 2^40 count in a 16-byte buffer: the bound fires on the count itself,
+  // so a caller's reserve(count) is never reached.
+  ByteWriter w;
+  w.varint(std::uint64_t{1} << 40);
+  while (w.size() < 16) w.u8(0);
+  ByteReader r(w.data());
+  EXPECT_THROW((void)r.count(1), std::out_of_range);
+  ByteReader zero(w.data());
+  EXPECT_THROW((void)zero.count(0), std::invalid_argument);
+}
+
 TEST(Rle, RoundtripRandom) {
   SplitMix64 rng(17);
   for (int trial = 0; trial < 20; ++trial) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "media/bitstream.h"
 #include "media/clipgen.h"
 #include "media/rng.h"
 #include "quality/metrics.h"
@@ -112,6 +113,20 @@ TEST(Codec, ParseRejectsTruncation) {
   std::vector<std::uint8_t> bytes = serializeClip(encodeClip(clip, {70}));
   bytes.resize(bytes.size() / 2);
   EXPECT_ANY_THROW((void)parseClip(bytes));
+}
+
+TEST(Codec, ParseRejectsFrameCountLargerThanInput) {
+  // A 2^40 frame count in a 16-byte container must throw the bounded-count
+  // error before reserving frame records (bad_alloc, or an ASan abort).
+  // An empty clip's container ends in its zero frame count; swap that
+  // last byte for the forged count.
+  const std::vector<std::uint8_t> header = serializeClip(EncodedClip{});
+  ByteWriter w;
+  w.bytes(std::span(header).first(header.size() - 1));
+  w.varint(std::uint64_t{1} << 40);
+  while (w.size() < 16) w.u8(0);
+  ASSERT_EQ(w.size(), 16u);
+  EXPECT_THROW((void)parseClip(w.data()), std::out_of_range);
 }
 
 TEST(Codec, PFrameRoundtrip) {

@@ -8,10 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "compensate/compensate.h"
+#include "media/dct.h"
 #include "media/histogram.h"
 #include "media/image.h"
 #include "media/luminance.h"
@@ -485,6 +489,281 @@ TEST(Kernels, AnalyzeLuminanceIntegerSumMatchesReference) {
     EXPECT_EQ(fl.pixelCount, n);
   }
   EXPECT_EQ(analyzeLuminance(Image{}).pixelCount, 0u);
+}
+
+// ---- Codec kernels: DCT/IDCT, quantisation, colour conversion ----------
+
+/// Bitwise equality of doubles: tells +0.0 from -0.0 and compares NaNs by
+/// payload, which EXPECT_EQ on doubles would not.
+bool sameBits(const double* a, const double* b, std::size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+using Block = std::array<double, 64>;
+
+/// Blocks that take every DCT code path the codec feeds it: random
+/// samples, integer residuals at the +-255 extremes, all-zero, all -0.0,
+/// DC-only and a full-swing checkerboard.
+std::vector<Block> dctInputs() {
+  std::vector<Block> blocks;
+  SplitMix64 rng(0xDC7);
+  for (int i = 0; i < 200; ++i) {
+    Block b;
+    for (double& v : b) v = rng.uniform(-255.0, 255.0);
+    blocks.push_back(b);
+  }
+  for (int i = 0; i < 200; ++i) {
+    Block b;
+    for (double& v : b) {
+      const std::uint64_t r = rng.below(8);
+      v = r == 0 ? 255.0 : r == 1 ? -255.0 : rng.uniform(-255.0, 255.0);
+      v = std::round(v);
+    }
+    blocks.push_back(b);
+  }
+  Block b{};
+  blocks.push_back(b);  // all +0.0
+  b.fill(-0.0);
+  blocks.push_back(b);
+  b.fill(0.0);
+  b[0] = -0.0;
+  b[9] = -0.0;
+  blocks.push_back(b);  // mixed signed zeros
+  b.fill(0.0);
+  b[0] = 2040.0;
+  blocks.push_back(b);  // DC only
+  for (int i = 0; i < 64; ++i) {
+    b[i] = (i / 8 + i % 8) % 2 == 0 ? 255.0 : -255.0;
+  }
+  blocks.push_back(b);
+  b.fill(255.0);
+  blocks.push_back(b);
+  b.fill(-255.0);
+  blocks.push_back(b);
+  return blocks;
+}
+
+TEST(Kernels, DctMatchesScalarBitwise) {
+  const KernelTable* scalar = tableFor(Level::kScalar);
+  const std::vector<Block> inputs = dctInputs();
+  for (Level level : availableLevels()) {
+    const KernelTable* table = tableFor(level);
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << levelName(level) << " block " << i);
+      Block want;
+      Block got;
+      scalar->fdct8x8(inputs[i].data(), want.data());
+      table->fdct8x8(inputs[i].data(), got.data());
+      EXPECT_TRUE(sameBits(got.data(), want.data(), 64)) << "fdct8x8";
+      // The codec's inverse sees dequantised coefficients; random blocks
+      // and the forward output both stand in for them.
+      scalar->idct8x8(inputs[i].data(), want.data());
+      table->idct8x8(inputs[i].data(), got.data());
+      EXPECT_TRUE(sameBits(got.data(), want.data(), 64)) << "idct8x8";
+      Block freq;
+      scalar->fdct8x8(inputs[i].data(), freq.data());
+      scalar->idct8x8(freq.data(), want.data());
+      table->idct8x8(freq.data(), got.data());
+      EXPECT_TRUE(sameBits(got.data(), want.data(), 64)) << "round trip";
+    }
+  }
+}
+
+TEST(Kernels, DctWrappersFollowTheActiveTable) {
+  const Block in = dctInputs().front();
+  const Block want = [&] {
+    ScopedLevel guard(Level::kScalar);
+    return inverseDct(forwardDct(in));
+  }();
+  for (Level level : availableLevels()) {
+    ScopedLevel guard(level);
+    const Block got = inverseDct(forwardDct(in));
+    EXPECT_TRUE(sameBits(got.data(), want.data(), 64)) << levelName(level);
+  }
+}
+
+/// Independent round-half-away-from-zero of an exact quotient, written
+/// without lround.
+int roundHalfAway(double q) {
+  const double t = std::trunc(q);
+  if (q - t >= 0.5) return static_cast<int>(t) + 1;
+  if (q - t <= -0.5) return static_cast<int>(t) - 1;
+  return static_cast<int>(t);
+}
+
+void expectQuantizeEq(const double* freq, const int* quant, Level level,
+                      const char* what) {
+  int want[64];
+  int got[64];
+  tableFor(Level::kScalar)->quantizeBlock(freq, quant, want);
+  tableFor(level)->quantizeBlock(freq, quant, got);
+  for (int i = 0; i < 64; ++i) {
+    const int z = zigzagOrder()[i];
+    ASSERT_EQ(got[i], want[i])
+        << what << " level=" << levelName(level) << " zigzag " << i
+        << " freq=" << freq[z] << " quant=" << quant[z];
+    ASSERT_EQ(want[i], roundHalfAway(freq[z] / quant[z]))
+        << what << " scalar reference, zigzag " << i;
+  }
+}
+
+TEST(Kernels, QuantizeMatchesScalarOnRandomBlocks) {
+  SplitMix64 rng(0x0A7);
+  const std::vector<Block> inputs = dctInputs();
+  for (Level level : availableLevels()) {
+    for (const Block& spatial : inputs) {
+      Block freq;
+      tableFor(Level::kScalar)->fdct8x8(spatial.data(), freq.data());
+      int quant[64];
+      for (int& q : quant) q = 1 + static_cast<int>(rng.below(255));
+      expectQuantizeEq(freq.data(), quant, level, "dct block");
+      expectQuantizeEq(spatial.data(), quant, level, "raw block");
+    }
+  }
+}
+
+TEST(Kernels, QuantizeRoundsExactHalvesAwayFromZero) {
+  // freq / quant lands exactly on k + 0.5 and -(k + 0.5): the cases where
+  // round-half-even or floor(q + 0.5) would disagree with lround.
+  for (Level level : availableLevels()) {
+    for (const int quant : {2, 4, 10, 254}) {
+      for (int base = -512; base < 512; base += 64) {
+        Block freq;
+        int quantBlock[64];
+        for (int j = 0; j < 64; ++j) {
+          const int k = base + j;
+          freq[j] = (k + 0.5) * quant;  // exact: quant is even
+          quantBlock[j] = quant;
+        }
+        expectQuantizeEq(freq.data(), quantBlock, level, "halves");
+        int got[64];
+        tableFor(level)->quantizeBlock(freq.data(), quantBlock, got);
+        for (int i = 0; i < 64; ++i) {
+          const int k = base + zigzagOrder()[i];
+          EXPECT_EQ(got[i], k >= 0 ? k + 1 : k) << "k=" << k;
+        }
+      }
+    }
+    // Just inside and just outside a half, and signed zeros.
+    const double edge[] = {0.5,  -0.5, std::nextafter(0.5, 0.0),
+                           std::nextafter(-0.5, 0.0), 1.5, -1.5, 2.5, -2.5,
+                           0.0, -0.0, std::nextafter(2.5, 3.0), 2040.0,
+                           -2040.0};
+    Block freq{};
+    int ones[64];
+    std::fill(std::begin(ones), std::end(ones), 1);
+    std::copy(std::begin(edge), std::end(edge), freq.begin());
+    expectQuantizeEq(freq.data(), ones, level, "edges");
+  }
+}
+
+/// Random RGB with the channel extremes over-represented.
+std::vector<Rgb8> colourPixels(std::size_t n, std::uint64_t seed) {
+  std::vector<Rgb8> px(n);
+  SplitMix64 rng(seed);
+  for (Rgb8& p : px) {
+    const std::uint64_t r = rng.next();
+    auto channel = [](std::uint64_t bits) {
+      const std::uint8_t v = static_cast<std::uint8_t>(bits);
+      return (bits >> 8) % 5 == 0 ? std::uint8_t{255}
+             : (bits >> 8) % 5 == 1 ? std::uint8_t{0}
+                                    : v;
+    };
+    p = Rgb8{channel(r), channel(r >> 16), channel(r >> 32)};
+  }
+  return px;
+}
+
+TEST(Kernels, RgbToYcbcrMatchesScalarOnRaggedSizes) {
+  constexpr double kCanary = 12345.678;
+  constexpr std::size_t kPad = 5;
+  for (Level level : availableLevels()) {
+    const KernelTable* table = tableFor(level);
+    for (std::size_t n = 0; n <= 1000; ++n) {
+      const std::vector<Rgb8> px = colourPixels(n, 0xC010 + n);
+      std::vector<double> want[3];
+      std::vector<double> got[3];
+      for (int c = 0; c < 3; ++c) {
+        want[c].assign(n + kPad, kCanary);
+        got[c].assign(n + kPad, kCanary);
+      }
+      tableFor(Level::kScalar)
+          ->rgbToYcbcrPlanes(px.data(), n, want[0].data(), want[1].data(),
+                             want[2].data());
+      table->rgbToYcbcrPlanes(px.data(), n, got[0].data(), got[1].data(),
+                              got[2].data());
+      for (int c = 0; c < 3; ++c) {
+        ASSERT_TRUE(sameBits(got[c].data(), want[c].data(), n))
+            << levelName(level) << " n=" << n << " plane " << c;
+        for (std::size_t i = n; i < n + kPad; ++i) {
+          ASSERT_EQ(got[c][i], kCanary)
+              << levelName(level) << " n=" << n << " wrote past the end";
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, YcbcrToRgbMatchesScalarOnRaggedSizes) {
+  const Rgb8 canary{0xA5, 0x5A, 0xC3};
+  constexpr std::size_t kPad = 5;
+  // Exact clamp boundaries: with Cb = Cr = 128 every channel equals Y.
+  const double specials[] = {0.0,   -0.0,  255.0, 254.5, 254.49999999999997,
+                             0.5,   0.49999999999999994, -1e-300,
+                             255.00000000000003, 127.5, -300.0, 600.0};
+  for (Level level : availableLevels()) {
+    const KernelTable* table = tableFor(level);
+    for (std::size_t n = 0; n <= 1000; ++n) {
+      SplitMix64 rng(0xB00 + n);
+      std::vector<double> y(n);
+      std::vector<double> cb(n);
+      std::vector<double> cr(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (i % 7 == 3) {
+          y[i] = specials[rng.below(std::size(specials))];
+          cb[i] = 128.0;
+          cr[i] = 128.0;
+        } else {
+          // Decoded planes overshoot [0, 255] after quantisation noise.
+          y[i] = rng.uniform(-40.0, 300.0);
+          cb[i] = rng.uniform(-40.0, 300.0);
+          cr[i] = rng.uniform(-40.0, 300.0);
+        }
+      }
+      std::vector<Rgb8> want(n + kPad, canary);
+      std::vector<Rgb8> got(n + kPad, canary);
+      tableFor(Level::kScalar)
+          ->ycbcrPlanesToRgb(y.data(), cb.data(), cr.data(), n, want.data());
+      table->ycbcrPlanesToRgb(y.data(), cb.data(), cr.data(), n, got.data());
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin()))
+          << levelName(level) << " n=" << n;
+      for (std::size_t i = n; i < n + kPad; ++i) {
+        ASSERT_EQ(got[i], canary) << levelName(level) << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(Kernels, ColourRoundTripOfGreyIsExactAtEveryLevel) {
+  // Grey pixels have Cb = Cr = 128 up to rounding and must come back
+  // unchanged through the codec's two conversions.
+  std::vector<Rgb8> px;
+  for (int v = 0; v < 256; ++v) {
+    const auto c = static_cast<std::uint8_t>(v);
+    px.push_back(Rgb8{c, c, c});
+  }
+  for (Level level : availableLevels()) {
+    const KernelTable* table = tableFor(level);
+    std::vector<double> y(px.size());
+    std::vector<double> cb(px.size());
+    std::vector<double> cr(px.size());
+    table->rgbToYcbcrPlanes(px.data(), px.size(), y.data(), cb.data(),
+                            cr.data());
+    std::vector<Rgb8> back(px.size());
+    table->ycbcrPlanesToRgb(y.data(), cb.data(), cr.data(), px.size(),
+                            back.data());
+    EXPECT_EQ(back, px) << levelName(level);
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "media/bitstream.h"
 #include "media/clipgen.h"
 
 namespace anno::power {
@@ -78,6 +79,16 @@ TEST(ComplexityTrack, EncodeDecodeRoundtrip) {
   for (std::size_t i = 0; i < track.frameMegacycles.size(); ++i) {
     EXPECT_NEAR(decoded.frameMegacycles[i], track.frameMegacycles[i], 0.01);
   }
+}
+
+TEST(ComplexityTrack, DecodeRejectsCountLargerThanInput) {
+  // A 2^40 frame count in a 16-byte buffer must throw the bounded-count
+  // error, not reserve 8 TB of doubles (which would throw bad_alloc, or
+  // abort under ASan).
+  media::ByteWriter w;
+  w.varint(std::uint64_t{1} << 40);
+  while (w.size() < 16) w.u8(0);
+  EXPECT_THROW((void)ComplexityTrack::decode(w.data()), std::out_of_range);
 }
 
 TEST(ComplexityTrack, EncodingIsCompact) {
