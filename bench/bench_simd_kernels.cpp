@@ -1,9 +1,9 @@
 // Per-kernel cost of the SIMD dispatch layer (src/media/kernels) at every
 // level available on this machine, against the scalar reference.  This is
 // the PR's acceptance bench: the fused frame profile must beat scalar by
-// >= 2x and the 256-bin EMD by >= 4x on x86-64.  The codec kernels
-// (8x8 DCT/IDCT, quantisation, YCbCr conversion) are timed per block or
-// per frame alongside them.  Every variant's output is
+// >= 2x and the 256-bin EMD by >= 4x on x86-64.  The fixed-point codec
+// kernels (8x8 DCT/IDCT, quantisation, YCbCr conversion) are timed per
+// block or per frame alongside them.  Every variant's output is
 // checked equal to scalar before its timing is reported; divergence aborts
 // with EXIT_FAILURE (the bit-identical contract is not a benchmark knob).
 // Emits BENCH_simd_kernels.json at the repo root.
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "media/dct.h"
 #include "media/image.h"
 #include "media/kernels/kernels.h"
 #include "media/pixel.h"
@@ -248,28 +249,25 @@ int main() {
       40);
 
   // (6) Codec block kernels, one 8x8 block per op, cycling through the
-  // blocks of frame A's luma plane (level-shifted by 128 as the intra coder
-  // does).  Outputs are compared bitwise on every block.
-  std::vector<double> planeY(n);
-  std::vector<double> planeCb(n);
-  std::vector<double> planeCr(n);
+  // blocks of frame A's Q5 luma plane.  Outputs are compared for equality
+  // on every block.
+  std::vector<std::int16_t> planeY(n);
+  std::vector<std::int16_t> planeCb(n);
+  std::vector<std::int16_t> planeCr(n);
   scalar->rgbToYcbcrPlanes(pxA, n, planeY.data(), planeCb.data(),
                            planeCr.data());
-  std::vector<std::array<double, 64>> spatial;
+  using Samples = std::array<std::int16_t, 64>;
+  using Coefs = std::array<std::int32_t, 64>;
+  std::vector<Samples> spatial;
   for (int by = 0; by + 8 <= kHeight; by += 8) {
     for (int bx = 0; bx + 8 <= kWidth; bx += 8) {
-      std::array<double, 64> blk;
+      Samples blk;
       for (int i = 0; i < 64; ++i) {
         blk[i] = planeY[static_cast<std::size_t>(by + i / 8) * kWidth + bx +
-                        i % 8] -
-                 128.0;
+                        i % 8];
       }
       spatial.push_back(blk);
     }
-  }
-  std::vector<std::array<double, 64>> freq(spatial.size());
-  for (std::size_t b = 0; b < spatial.size(); ++b) {
-    scalar->fdct8x8(spatial[b].data(), freq[b].data());
   }
   // JPEG Annex K luminance table at quality 75, as the codec builds it.
   constexpr int kBaseQuant[64] = {
@@ -277,38 +275,54 @@ int main() {
       14, 13, 16, 24, 40,  57,  69,  56,  14, 17, 22, 29, 51,  87,  80,  62,
       18, 22, 37, 56, 68,  109, 103, 77,  24, 35, 55, 64, 81,  104, 113, 92,
       49, 64, 78, 87, 103, 121, 120, 101, 72, 92, 95, 98, 112, 100, 103, 99};
-  int quant[64];
-  for (int i = 0; i < 64; ++i) quant[i] = (kBaseQuant[i] * 50 + 50) / 100;
+  int divisors[64];
+  for (int i = 0; i < 64; ++i) divisors[i] = (kBaseQuant[i] * 50 + 50) / 100;
+  const media::kernels::QuantTable quant =
+      media::kernels::makeQuantTable(divisors);
+  // Forward coefficients (intra offset removed) and their dequantised
+  // levels: what the inverse sees in a decoder.
+  std::vector<Coefs> freq(spatial.size());
+  std::vector<Coefs> dequant(spatial.size());
+  for (std::size_t b = 0; b < spatial.size(); ++b) {
+    scalar->fdct8x8(spatial[b].data(), freq[b].data());
+    freq[b][0] -= 1024 << media::kernels::kCoefFracBits;
+    std::int32_t levelsZz[64];
+    scalar->quantizeBlock(freq[b].data(), quant, levelsZz);
+    for (int i = 0; i < 64; ++i) {
+      const int z = media::zigzagOrder()[i];
+      dequant[b][z] = levelsZz[i] * divisors[z];
+    }
+    dequant[b][0] += 1024;
+  }
   std::size_t next = 0;  // block cursor of the per-block ops
-  using BlockFn = void (*)(const double*, double*);
-  const auto reportBlock = [&](const char* name, BlockFn KernelTable::*fn,
-                               const std::vector<std::array<double, 64>>& in) {
-    std::vector<std::array<double, 64>> want(in.size());
+  const auto reportBlock = [&](const char* name, auto fn, const auto& in,
+                               auto want) {
     for (std::size_t b = 0; b < in.size(); ++b) {
       (scalar->*fn)(in[b].data(), want[b].data());
     }
     report(
         name, 64.0,
-        [&, fn](const KernelTable* table) {
+        [&, fn, want](const KernelTable* table) {
           for (std::size_t b = 0; b < in.size(); ++b) {
-            std::array<double, 64> got;
+            auto got = want[b];
             (table->*fn)(in[b].data(), got.data());
-            identical = identical && std::memcmp(got.data(), want[b].data(),
-                                                 sizeof got) == 0;
+            identical = identical && got == want[b];
           }
           return [table, fn, &in, &next] {
-            std::array<double, 64> out;
+            typename decltype(want)::value_type out;
             (table->*fn)(in[next].data(), out.data());
             next = next + 1 == in.size() ? 0 : next + 1;
-            g_sink = g_sink + static_cast<std::uint64_t>(out[0] != 0.0);
+            g_sink = g_sink + static_cast<std::uint64_t>(out[0] != 0);
           };
         },
         200000);
   };
-  reportBlock("fdct8x8", &KernelTable::fdct8x8, spatial);
-  reportBlock("idct8x8", &KernelTable::idct8x8, freq);
+  reportBlock("fdct8x8", &KernelTable::fdct8x8, spatial,
+              std::vector<Coefs>(spatial.size()));
+  reportBlock("idct8x8", &KernelTable::idct8x8, dequant,
+              std::vector<Samples>(dequant.size()));
 
-  std::vector<std::array<int, 64>> quantWant(freq.size());
+  std::vector<Coefs> quantWant(freq.size());
   for (std::size_t b = 0; b < freq.size(); ++b) {
     scalar->quantizeBlock(freq[b].data(), quant, quantWant[b].data());
   }
@@ -316,15 +330,14 @@ int main() {
       "quantize_block", 64.0,
       [&](const KernelTable* table) {
         for (std::size_t b = 0; b < freq.size(); ++b) {
-          std::array<int, 64> got;
+          Coefs got;
           table->quantizeBlock(freq[b].data(), quant, got.data());
           identical = identical && got == quantWant[b];
         }
         return [table, &freq, &quant, &next] {
-          int out[64];
-          table->quantizeBlock(freq[next].data(), quant, out);
+          std::int32_t out[64];
+          g_sink = g_sink + table->quantizeBlock(freq[next].data(), quant, out);
           next = next + 1 == freq.size() ? 0 : next + 1;
-          g_sink = g_sink + static_cast<std::uint64_t>(out[0]);
         };
       },
       200000);
@@ -333,28 +346,28 @@ int main() {
   report(
       "rgb_to_ycbcr", static_cast<double>(n),
       [&](const KernelTable* table) {
-        std::vector<double> y(n);
-        std::vector<double> cb(n);
-        std::vector<double> cr(n);
+        std::vector<std::int16_t> y(n);
+        std::vector<std::int16_t> cb(n);
+        std::vector<std::int16_t> cr(n);
         table->rgbToYcbcrPlanes(pxA, n, y.data(), cb.data(), cr.data());
-        identical =
-            identical &&
-            std::memcmp(y.data(), planeY.data(), n * sizeof(double)) == 0 &&
-            std::memcmp(cb.data(), planeCb.data(), n * sizeof(double)) == 0 &&
-            std::memcmp(cr.data(), planeCr.data(), n * sizeof(double)) == 0;
+        identical = identical && y == planeY && cb == planeCb &&
+                    cr == planeCr;
         return [table, pxA, n] {
-          static std::vector<double> y(n);
-          static std::vector<double> cb(n);
-          static std::vector<double> cr(n);
-          table->rgbToYcbcrPlanes(pxA, n, y.data(), cb.data(), cr.data());
-          g_sink = g_sink + static_cast<std::uint64_t>(y[0]);
+          static std::vector<std::int16_t> yOut(n);
+          static std::vector<std::int16_t> cbOut(n);
+          static std::vector<std::int16_t> crOut(n);
+          table->rgbToYcbcrPlanes(pxA, n, yOut.data(), cbOut.data(),
+                                  crOut.data());
+          g_sink = g_sink + static_cast<std::uint64_t>(yOut[0]);
         };
       },
       40);
 
-  // Back from planes with Cb/Cr offset so the clamps fire on some pixels.
-  std::vector<double> cbShift(n);
-  for (std::size_t i = 0; i < n; ++i) cbShift[i] = planeCb[i] * 1.3 - 20.0;
+  // Back from planes with Cb stretched so the clamps fire on some pixels.
+  std::vector<std::int16_t> cbShift(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    cbShift[i] = static_cast<std::int16_t>(planeCb[i] * 13 / 10 - 640);
+  }
   std::vector<media::Rgb8> rgbWant(n);
   scalar->ycbcrPlanesToRgb(planeY.data(), cbShift.data(), planeCr.data(), n,
                            rgbWant.data());

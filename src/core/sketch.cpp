@@ -1,6 +1,7 @@
 #include "core/sketch.h"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "media/bitstream.h"
@@ -58,10 +59,17 @@ std::vector<std::uint8_t> SketchTrack::encode() const {
 SketchTrack SketchTrack::decode(std::span<const std::uint8_t> bytes) {
   media::ByteReader r(bytes);
   SketchTrack track;
-  const std::size_t nscenes = r.varint();
+  const std::uint64_t nscenes = r.varint();
+  // The RLE payload is compressed, so the scene count has no byte bound;
+  // guard the size multiply and let the RLE decoder stop at that size.
+  if (nscenes > std::numeric_limits<std::size_t>::max() / 16) {
+    throw std::runtime_error("SketchTrack::decode: scene count overflows");
+  }
+  const std::size_t rawBytes = static_cast<std::size_t>(nscenes) * 16;
   const std::size_t rleLen = r.varint();
-  const std::vector<std::uint8_t> raw = media::rleDecode(r.bytes(rleLen));
-  if (raw.size() != nscenes * 16) {
+  const std::vector<std::uint8_t> raw =
+      media::rleDecode(r.bytes(rleLen), rawBytes);
+  if (raw.size() != rawBytes) {
     throw std::runtime_error("SketchTrack::decode: size mismatch");
   }
   track.scenes.resize(nscenes);

@@ -11,6 +11,15 @@
 
 namespace anno::media {
 
+/// Zigzag signed mapping: 0, -1, 1, -2, ... -> 0, 1, 2, 3, ...
+[[nodiscard]] constexpr std::uint64_t zigzagEncode(std::int64_t v) noexcept {
+  return (static_cast<std::uint64_t>(v) << 1) ^
+         static_cast<std::uint64_t>(v >> 63);
+}
+[[nodiscard]] constexpr std::int64_t zigzagDecode(std::uint64_t z) noexcept {
+  return static_cast<std::int64_t>((z >> 1) ^ (~(z & 1) + 1));
+}
+
 /// Growable byte sink with varint support.
 class ByteWriter {
  public:
@@ -36,10 +45,7 @@ class ByteWriter {
   }
 
   /// Zigzag-mapped signed LEB128.
-  void svarint(std::int64_t v) {
-    varint((static_cast<std::uint64_t>(v) << 1) ^
-           static_cast<std::uint64_t>(v >> 63));
-  }
+  void svarint(std::int64_t v) { varint(zigzagEncode(v)); }
 
   void bytes(std::span<const std::uint8_t> data) {
     bytes_.insert(bytes_.end(), data.begin(), data.end());
@@ -103,10 +109,7 @@ class ByteReader {
     return static_cast<std::size_t>(n);
   }
 
-  [[nodiscard]] std::int64_t svarint() {
-    const std::uint64_t z = varint();
-    return static_cast<std::int64_t>((z >> 1) ^ (~(z & 1) + 1));
-  }
+  [[nodiscard]] std::int64_t svarint() { return zigzagDecode(varint()); }
 
   [[nodiscard]] std::span<const std::uint8_t> bytes(std::size_t n) {
     if (pos_ + n > data_.size()) {

@@ -1,7 +1,12 @@
 #include "media/codec.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <memory>
 #include <stdexcept>
 
 #include "media/bitstream.h"
@@ -41,45 +46,81 @@ std::array<int, 64> quantMatrix(int quality) {
   return q;
 }
 
+/// The quantizer of one quality level: reciprocal table for the encoder,
+/// divisors and the per-position level bound for the decoder.
+struct Quantizer {
+  kernels::QuantTable table;
+  /// Largest |level| the decoder accepts at row-major position z, so
+  /// |level * divisor| <= kMaxIdctInput.  The DC bound also admits the
+  /// intra offset; its dequantised value is range-checked on its own.
+  std::array<std::int32_t, 64> maxLevel;
+};
+
+/// An intra block's samples are coded with 128 subtracted, a DC of 1024.
+/// The islow transforms are exact under that DC shift, so the offset rides
+/// on the DC coefficient instead of on every sample.
+constexpr std::int32_t kIntraOffset = 1024;
+/// A valid stream's dequantised coefficients stay below 2178: the forward
+/// transform of a residual of 8-bit samples is at most 2050 and rounding
+/// adds at most 127 (255 / 2).  kMaxIdctInput leaves room for that, so
+/// the decoder can reject every coefficient the inverse transform could
+/// overflow on.
+static_assert(kernels::kMaxIdctInput >= 2050 + 127);
+/// The samples of a DC-only block: its integer DC coefficient (8 times
+/// the 8-bit mean) in plane units, exactly what the inverse transform
+/// returns for it.
+constexpr std::int32_t kDcSample = 1 << (kernels::kPlaneFracBits - 3);
+
+Quantizer makeQuantizer(int quality) {
+  const std::array<int, 64> divisors = quantMatrix(quality);
+  Quantizer q{kernels::makeQuantTable(divisors.data()), {}};
+  for (int z = 0; z < 64; ++z) {
+    q.maxLevel[z] = kernels::kMaxIdctInput / divisors[z];
+  }
+  q.maxLevel[0] = (kernels::kMaxIdctInput + kIntraOffset) / divisors[0];
+  return q;
+}
+
 int blocksAcross(int dim) { return (dim + 7) / 8; }
 
-using Planes = std::array<std::vector<double>, 3>;
+/// Y, Cb, Cr as Q5 int16 planes (see codec.h) in one allocation, left
+/// uninitialised: every sample is written before it is read.
+class Planes {
+ public:
+  Planes() = default;
+  explicit Planes(std::size_t samples)
+      : samples_(samples), data_(new std::int16_t[3 * samples]) {}
+
+  std::int16_t* operator[](int p) { return data_.get() + p * samples_; }
+  const std::int16_t* operator[](int p) const {
+    return data_.get() + p * samples_;
+  }
+
+ private:
+  std::size_t samples_ = 0;
+  std::unique_ptr<std::int16_t[]> data_;
+};
 
 Planes toPlanes(const Image& frame) {
-  Planes planes;
-  for (auto& p : planes) {
-    p.resize(frame.pixelCount());
-  }
+  Planes planes(frame.pixelCount());
   const auto src = frame.pixels();
-  kernels::active().rgbToYcbcrPlanes(src.data(), src.size(), planes[0].data(),
-                                     planes[1].data(), planes[2].data());
+  kernels::active().rgbToYcbcrPlanes(src.data(), src.size(), planes[0],
+                                     planes[1], planes[2]);
   return planes;
 }
 
 Image fromPlanes(const Planes& planes, int width, int height) {
   Image img(width, height);
   auto dst = img.pixels();
-  kernels::active().ycbcrPlanesToRgb(planes[0].data(), planes[1].data(),
-                                     planes[2].data(), dst.size(), dst.data());
+  kernels::active().ycbcrPlanesToRgb(planes[0], planes[1], planes[2],
+                                     dst.size(), dst.data());
   return img;
 }
 
-/// Extracts the 8x8 block at block coordinates (bx,by) from `plane`,
-/// replicating edge samples for partial blocks.  `offset` is subtracted
-/// from every sample (128 for intra blocks, 0 for residuals).
-Block8x8 fetchBlock(const std::vector<double>& plane, int width, int height,
-                    int bx, int by, double offset) {
-  Block8x8 blk;
-  const int cols = std::min(8, width - bx * 8);
-  for (int y = 0; y < 8; ++y) {
-    const int sy = std::min(by * 8 + y, height - 1);
-    const double* row =
-        plane.data() + static_cast<std::size_t>(sy) * width + bx * 8;
-    double* out = blk.data() + y * 8;
-    for (int x = 0; x < cols; ++x) out[x] = row[x] - offset;
-    for (int x = cols; x < 8; ++x) out[x] = row[cols - 1] - offset;
-  }
-  return blk;
+std::int16_t saturate16(std::int32_t v) {
+  return static_cast<std::int16_t>(std::clamp<std::int32_t>(
+      v, std::numeric_limits<std::int16_t>::min(),
+      std::numeric_limits<std::int16_t>::max()));
 }
 
 /// The part of block (bx,by) inside a width x height plane: `rows` x
@@ -95,104 +136,172 @@ BlockSpan spanOf(int width, int height, int bx, int by) {
           static_cast<std::size_t>(by) * 8 * width + bx * 8};
 }
 
-/// Writes the block into the plane, adding `offset` back; pixels outside
-/// the image are dropped.
-void storeBlock(const Block8x8& blk, std::vector<double>& plane, int width,
-                int height, int bx, int by, double offset) {
-  const BlockSpan s = spanOf(width, height, bx, by);
-  double* dst = plane.data() + s.origin;
-  for (int y = 0; y < s.rows; ++y, dst += width) {
-    for (int x = 0; x < s.cols; ++x) dst[x] = blk[y * 8 + x] + offset;
+/// Copies `cols` samples of a block row; a full row is one 16-byte copy.
+void copyRow(std::int16_t* dst, const std::int16_t* src, int cols) {
+  if (cols == 8) {
+    std::memcpy(dst, src, 8 * sizeof(std::int16_t));
+  } else {
+    std::copy_n(src, cols, dst);
   }
 }
 
-/// Adds a residual block onto the reference plane content.
-void addBlock(const Block8x8& residual, const std::vector<double>& ref,
-              std::vector<double>& plane, int width, int height, int bx,
-              int by) {
+/// Extracts the 8x8 block at block coordinates (bx,by) from `plane`,
+/// replicating edge samples for partial blocks.
+SampleBlock fetchBlock(const std::int16_t* plane, int width,
+                       int height, int bx, int by) {
+  SampleBlock blk;
   const BlockSpan s = spanOf(width, height, bx, by);
-  const double* src = ref.data() + s.origin;
-  double* dst = plane.data() + s.origin;
-  for (int y = 0; y < s.rows; ++y, src += width, dst += width) {
-    for (int x = 0; x < s.cols; ++x) dst[x] = src[x] + residual[y * 8 + x];
+  for (int y = 0; y < 8; ++y) {
+    const std::int16_t* row =
+        plane + s.origin +
+        static_cast<std::size_t>(std::min(y, s.rows - 1)) * width;
+    std::int16_t* out = blk.data() + y * 8;
+    copyRow(out, row, s.cols);
+    std::fill(out + s.cols, out + 8, row[s.cols - 1]);
   }
+  return blk;
 }
 
-void copyBlock(const std::vector<double>& ref, std::vector<double>& plane,
-               int width, int height, int bx, int by) {
-  const BlockSpan s = spanOf(width, height, bx, by);
-  const double* src = ref.data() + s.origin;
-  double* dst = plane.data() + s.origin;
-  for (int y = 0; y < s.rows; ++y, src += width, dst += width) {
-    std::copy_n(src, s.cols, dst);
-  }
-}
-
-/// Mean absolute difference of a block position between two planes.
-double blockMad(const std::vector<double>& a, const std::vector<double>& b,
+/// Writes the block into the plane; pixels outside the image are dropped.
+void storeBlock(const SampleBlock& blk, std::int16_t* plane,
                 int width, int height, int bx, int by) {
   const BlockSpan s = spanOf(width, height, bx, by);
-  const double* pa = a.data() + s.origin;
-  const double* pb = b.data() + s.origin;
-  double sum = 0.0;
+  std::int16_t* dst = plane + s.origin;
+  for (int y = 0; y < s.rows; ++y, dst += width) {
+    copyRow(dst, blk.data() + y * 8, s.cols);
+  }
+}
+
+/// Fills the block with one value (a DC-only intra block).
+void fillBlock(std::int16_t value, std::int16_t* plane,
+               int width, int height, int bx, int by) {
+  const BlockSpan s = spanOf(width, height, bx, by);
+  std::int16_t row[8];
+  std::fill_n(row, 8, value);
+  std::int16_t* dst = plane + s.origin;
+  for (int y = 0; y < s.rows; ++y, dst += width) copyRow(dst, row, s.cols);
+}
+
+/// Adds a residual block onto the reference plane content, saturating.
+void addBlock(const SampleBlock& residual,
+              const std::int16_t* ref,
+              std::int16_t* plane, int width, int height, int bx,
+              int by) {
+  const BlockSpan s = spanOf(width, height, bx, by);
+  const std::int16_t* src = ref + s.origin;
+  std::int16_t* dst = plane + s.origin;
+  for (int y = 0; y < s.rows; ++y, src += width, dst += width) {
+    for (int x = 0; x < s.cols; ++x) {
+      dst[x] = saturate16(src[x] + residual[y * 8 + x]);
+    }
+  }
+}
+
+/// Adds a constant residual (a DC-only P block), saturating.
+void addConstant(std::int32_t value, const std::int16_t* ref,
+                 std::int16_t* plane, int width, int height,
+                 int bx, int by) {
+  const BlockSpan s = spanOf(width, height, bx, by);
+  const std::int16_t* src = ref + s.origin;
+  std::int16_t* dst = plane + s.origin;
+  for (int y = 0; y < s.rows; ++y, src += width, dst += width) {
+    for (int x = 0; x < s.cols; ++x) dst[x] = saturate16(src[x] + value);
+  }
+}
+
+void copyBlock(const std::int16_t* ref,
+               std::int16_t* plane, int width, int height,
+               int bx, int by) {
+  const BlockSpan s = spanOf(width, height, bx, by);
+  const std::int16_t* src = ref + s.origin;
+  std::int16_t* dst = plane + s.origin;
+  for (int y = 0; y < s.rows; ++y, src += width, dst += width) {
+    copyRow(dst, src, s.cols);
+  }
+}
+
+/// Mean absolute difference of a block position between two planes, in
+/// 8-bit units.
+double blockMad(const std::int16_t* a,
+                const std::int16_t* b, int width, int height,
+                int bx, int by) {
+  const BlockSpan s = spanOf(width, height, bx, by);
+  const std::int16_t* pa = a + s.origin;
+  const std::int16_t* pb = b + s.origin;
+  std::int32_t sum = 0;
   for (int y = 0; y < s.rows; ++y, pa += width, pb += width) {
     for (int x = 0; x < s.cols; ++x) sum += std::abs(pa[x] - pb[x]);
   }
   const int n = s.rows * s.cols;
-  return n > 0 ? sum / n : 0.0;
+  return n > 0 ? static_cast<double>(sum) / (n << kernels::kPlaneFracBits)
+               : 0.0;
 }
 
-/// Transforms, quantises and entropy-codes one block of samples: the
-/// zigzagged coefficients as a DC delta then (run,level) pairs, terminated
-/// by a run=0 marker.
-void encodeBlock(const kernels::KernelTable& kt, const Block8x8& spatial,
-                 const std::array<int, 64>& quant, int& dcPred,
-                 ByteWriter& w) {
-  Block8x8 freq;
+/// Transforms, quantises and entropy-codes one block of samples.  The DC
+/// symbol is the zigzag-mapped DC delta shifted left by one, its low bit
+/// set when the block has no AC coefficient (end of block).  Otherwise the
+/// zigzagged AC coefficients follow as (run+1, level) pairs and a 0.
+void encodeBlock(const kernels::KernelTable& kt, const SampleBlock& spatial,
+                 std::int32_t dcOffset, const kernels::QuantTable& quant,
+                 std::int32_t& dcPred, ByteWriter& w) {
+  CoefBlock freq;
   kt.fdct8x8(spatial.data(), freq.data());
-  int coeffs[64];
-  kt.quantizeBlock(freq.data(), quant.data(), coeffs);
-  w.svarint(coeffs[0] - dcPred);
-  dcPred = coeffs[0];
-  int run = 0;
-  for (int i = 1; i < 64; ++i) {
-    if (coeffs[i] == 0) {
-      ++run;
-      continue;
-    }
-    w.varint(static_cast<std::uint64_t>(run) + 1);  // 1-based: 0 = EOB
-    w.svarint(coeffs[i]);
-    run = 0;
+  freq[0] -= dcOffset << kernels::kCoefFracBits;
+  std::int32_t levels[64];
+  const std::uint64_t ac = kt.quantizeBlock(freq.data(), quant, levels) & ~1ull;
+  w.varint(zigzagEncode(levels[0] - dcPred) << 1 | (ac == 0 ? 1 : 0));
+  dcPred = levels[0];
+  if (ac == 0) return;
+  int pos = 0;
+  for (std::uint64_t m = ac; m != 0; m &= m - 1) {
+    const int next = std::countr_zero(m);
+    w.varint(static_cast<std::uint64_t>(next - pos));  // run + 1
+    w.svarint(levels[next]);
+    pos = next;
   }
   w.varint(0);  // end of block
 }
 
-/// Entropy-decodes and dequantises one block, returning its samples.
-Block8x8 decodeBlock(const kernels::KernelTable& kt,
-                     const std::array<int, 64>& quant, int& dcPred,
-                     ByteReader& r) {
+/// Entropy-decodes and dequantises one block into `freq`, DC offset
+/// included.  Returns false for a DC-only block, whose samples are the
+/// constant freq[0] (the inverse transform of a DC-only block, exactly);
+/// only freq[0] is written then.  Every DC delta and level is range-checked
+/// before it is added or multiplied, so a corrupt stream throws instead of
+/// wrapping.
+bool decodeBlock(const Quantizer& q, std::int32_t dcOffset,
+                 std::int32_t& dcPred, ByteReader& r, CoefBlock& freq) {
+  const std::uint64_t sym = r.varint();
+  const std::int64_t delta = zigzagDecode(sym >> 1);
+  const std::int32_t maxDc = q.maxLevel[0];
+  if (delta < -2 * maxDc || delta > 2 * maxDc ||
+      std::abs(dcPred + delta) > maxDc) {
+    throw std::runtime_error("codec: DC out of range");
+  }
+  dcPred += static_cast<std::int32_t>(delta);
+  freq[0] = dcPred * q.table.divisor[0] + dcOffset;
+  if (std::abs(freq[0]) > kernels::kMaxIdctInput) {
+    throw std::runtime_error("codec: DC out of range");
+  }
+  if ((sym & 1) != 0) return false;
+  std::fill(freq.begin() + 1, freq.end(), 0);
   const auto& zz = zigzagOrder();
-  // Dequantise as we go: uncoded coefficients stay +0.0, which is what
-  // 0 * quant gives.
-  Block8x8 freq{};
-  dcPred += static_cast<int>(r.svarint());
-  freq[0] = static_cast<double>(dcPred) * quant[0];
   int pos = 0;
   for (;;) {
     const std::uint64_t marker = r.varint();
-    if (marker == 0) break;  // EOB
-    // marker = run+1 -> advance past zeros.  Checked before the add, so a
-    // corrupt 64-bit marker cannot wrap pos negative.
+    if (marker == 0) break;  // end of block
+    // Checked before the add, so a corrupt 64-bit marker cannot wrap pos.
     if (marker > static_cast<std::uint64_t>(63 - pos)) {
       throw std::runtime_error("codec: coefficient overrun");
     }
     pos += static_cast<int>(marker);
     const int z = zz[pos];
-    freq[z] = static_cast<double>(static_cast<int>(r.svarint())) * quant[z];
+    const std::int64_t level = r.svarint();
+    if (level < -q.maxLevel[z] || level > q.maxLevel[z]) {
+      throw std::runtime_error("codec: level out of range");
+    }
+    freq[z] = static_cast<std::int32_t>(level) * q.table.divisor[z];
   }
-  Block8x8 spatial;
-  kt.idct8x8(freq.data(), spatial.data());
-  return spatial;
+  return true;
 }
 
 void checkFrameGeometry(const Image& frame) {
@@ -201,20 +310,19 @@ void checkFrameGeometry(const Image& frame) {
 
 /// Codes an I frame from its colour planes.
 EncodedFrame encodeIntra(const Planes& planes, int w, int h,
-                         const std::array<int, 64>& quant,
-                         const CodecConfig& cfg) {
+                         const Quantizer& quant, const CodecConfig& cfg) {
   const kernels::KernelTable& kt = kernels::active();
   ByteWriter out;
   out.u8(static_cast<std::uint8_t>(cfg.quality));
   out.u8(kFrameIntra);
   const int bw = blocksAcross(w);
   const int bh = blocksAcross(h);
-  for (const auto& plane : planes) {
-    int dcPred = 0;
+  for (int p = 0; p < 3; ++p) {
+    std::int32_t dcPred = 0;
     for (int by = 0; by < bh; ++by) {
       for (int bx = 0; bx < bw; ++bx) {
-        encodeBlock(kt, fetchBlock(plane, w, h, bx, by, 128.0), quant,
-                    dcPred, out);
+        encodeBlock(kt, fetchBlock(planes[p], w, h, bx, by), kIntraOffset,
+                    quant.table, dcPred, out);
       }
     }
   }
@@ -223,8 +331,7 @@ EncodedFrame encodeIntra(const Planes& planes, int w, int h,
 
 /// Codes a P frame from its colour planes against the reference planes.
 EncodedFrame encodeInter(const Planes& cur, const Planes& ref, int w, int h,
-                         const std::array<int, 64>& quant,
-                         const CodecConfig& cfg) {
+                         const Quantizer& quant, const CodecConfig& cfg) {
   const kernels::KernelTable& kt = kernels::active();
   ByteWriter out;
   out.u8(static_cast<std::uint8_t>(cfg.quality));
@@ -232,7 +339,7 @@ EncodedFrame encodeInter(const Planes& cur, const Planes& ref, int w, int h,
   const int bw = blocksAcross(w);
   const int bh = blocksAcross(h);
   for (int p = 0; p < 3; ++p) {
-    int dcPred = 0;
+    std::int32_t dcPred = 0;
     for (int by = 0; by < bh; ++by) {
       for (int bx = 0; bx < bw; ++bx) {
         const double mad = blockMad(cur[p], ref[p], w, h, bx, by);
@@ -241,11 +348,13 @@ EncodedFrame encodeInter(const Planes& cur, const Planes& ref, int w, int h,
           continue;
         }
         out.u8(kBlockDelta);
-        // Residual block: cur - ref (no 128 offset on residuals).
-        Block8x8 residual = fetchBlock(cur[p], w, h, bx, by, 0.0);
-        const Block8x8 refBlk = fetchBlock(ref[p], w, h, bx, by, 0.0);
-        for (int i = 0; i < 64; ++i) residual[i] -= refBlk[i];
-        encodeBlock(kt, residual, quant, dcPred, out);
+        // Residual block: cur - ref, within kMaxFdctInput.
+        SampleBlock residual = fetchBlock(cur[p], w, h, bx, by);
+        const SampleBlock refBlk = fetchBlock(ref[p], w, h, bx, by);
+        for (int i = 0; i < 64; ++i) {
+          residual[i] = static_cast<std::int16_t>(residual[i] - refBlk[i]);
+        }
+        encodeBlock(kt, residual, 0, quant.table, dcPred, out);
       }
     }
   }
@@ -263,7 +372,7 @@ Planes decodePlanes(const EncodedFrame& frame, int width, int height,
   ByteReader r(frame.bytes);
   const int quality = r.u8();
   const std::uint8_t frameType = r.u8();
-  const auto quant = quantMatrix(quality == 0 ? 1 : quality);
+  const Quantizer quant = makeQuantizer(quality == 0 ? 1 : quality);
 
   const bool inter = frameType == kFrameInter;
   if (frameType != kFrameIntra && !inter) {
@@ -273,30 +382,42 @@ Planes decodePlanes(const EncodedFrame& frame, int width, int height,
     throw std::runtime_error("decodeFrame: P frame needs a reference");
   }
 
-  const kernels::KernelTable& kt = kernels::active();
-  Planes planes;
-  for (auto& p : planes) {
-    p.assign(static_cast<std::size_t>(width) * height, 0.0);
-  }
   const int bw = blocksAcross(width);
   const int bh = blocksAcross(height);
+  // Every block codes at least one byte (its DC symbol or its P mode), so
+  // the payload bounds the frame size -- and what decoding allocates.
+  if (r.remaining() / 3 < static_cast<std::size_t>(bw) * bh) {
+    throw std::runtime_error("decodeFrame: payload too short for the frame");
+  }
+  const kernels::KernelTable& kt = kernels::active();
+  Planes planes(static_cast<std::size_t>(width) * height);
+  CoefBlock freq;
+  SampleBlock spatial;
   for (int p = 0; p < 3; ++p) {
-    int dcPred = 0;
+    std::int32_t dcPred = 0;
     for (int by = 0; by < bh; ++by) {
       for (int bx = 0; bx < bw; ++bx) {
         if (!inter) {
-          storeBlock(decodeBlock(kt, quant, dcPred, r), planes[p], width,
-                     height, bx, by, 128.0);
+          if (decodeBlock(quant, kIntraOffset, dcPred, r, freq)) {
+            kt.idct8x8(freq.data(), spatial.data());
+            storeBlock(spatial, planes[p], width, height, bx, by);
+          } else {
+            fillBlock(static_cast<std::int16_t>(freq[0] * kDcSample),
+                      planes[p], width, height, bx, by);
+          }
           continue;
         }
         const std::uint8_t mode = r.u8();
         if (mode == kBlockSkip) {
           copyBlock((*ref)[p], planes[p], width, height, bx, by);
-        } else if (mode == kBlockDelta) {
-          addBlock(decodeBlock(kt, quant, dcPred, r), (*ref)[p], planes[p],
-                   width, height, bx, by);
-        } else {
+        } else if (mode != kBlockDelta) {
           throw std::runtime_error("decodeFrame: unknown block mode");
+        } else if (decodeBlock(quant, 0, dcPred, r, freq)) {
+          kt.idct8x8(freq.data(), spatial.data());
+          addBlock(spatial, (*ref)[p], planes[p], width, height, bx, by);
+        } else {
+          addConstant(freq[0] * kDcSample, (*ref)[p], planes[p], width,
+                      height, bx, by);
         }
       }
     }
@@ -309,7 +430,7 @@ Planes decodePlanes(const EncodedFrame& frame, int width, int height,
 EncodedFrame encodeFrame(const Image& frame, const CodecConfig& cfg) {
   checkFrameGeometry(frame);
   return encodeIntra(toPlanes(frame), frame.width(), frame.height(),
-                     quantMatrix(cfg.quality), cfg);
+                     makeQuantizer(cfg.quality), cfg);
 }
 
 EncodedFrame encodePFrame(const Image& frame, const Image& reference,
@@ -320,7 +441,7 @@ EncodedFrame encodePFrame(const Image& frame, const Image& reference,
     throw std::invalid_argument("encodePFrame: reference geometry mismatch");
   }
   return encodeInter(toPlanes(frame), toPlanes(reference), frame.width(),
-                     frame.height(), quantMatrix(cfg.quality), cfg);
+                     frame.height(), makeQuantizer(cfg.quality), cfg);
 }
 
 Image decodeFrame(const EncodedFrame& frame, int width, int height,
@@ -347,7 +468,7 @@ EncodedClip encodeClip(const VideoClip& clip, const CodecConfig& cfg) {
     throw std::invalid_argument("encodeClip: gopLength must be >= 1");
   }
   checkFrameGeometry(clip.frames.front());
-  const auto quant = quantMatrix(cfg.quality);
+  const Quantizer quant = makeQuantizer(cfg.quality);
   EncodedClip out;
   out.name = clip.name;
   out.width = clip.width();
@@ -394,7 +515,7 @@ VideoClip decodeClip(const EncodedClip& clip) {
 }
 
 namespace {
-constexpr std::uint32_t kClipMagic = 0x30564100;  // "\0AV0"
+constexpr std::uint32_t kClipMagic = 0x31564100;  // "\0AV1"
 }
 
 std::vector<std::uint8_t> serializeClip(const EncodedClip& clip) {

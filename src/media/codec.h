@@ -1,4 +1,4 @@
-// Toy intra-only block-DCT video codec ("AV0").
+// Fixed-point block-DCT video codec ("AV1").
 //
 // Substrate for the streaming experiments: the paper streams MPEG clips of
 // "a few megabytes" and embeds annotations whose RLE-compressed size is
@@ -6,9 +6,23 @@
 // need a real (if simple) compressed representation of the video, plus a
 // decode path that exercises the client CPU like a software MPEG player.
 //
-// Design: RGB -> BT.601 YCbCr, per-plane 8x8 DCT, uniform quantization with
-// a JPEG-style matrix scaled by a quality factor, zigzag scan, DC prediction
-// across blocks, and (run,level) entropy coding with LEB128 varints.
+// Layout, all integer arithmetic (media/kernels), so the encoded bytes and
+// decoded pixels are the same on every compiler and SIMD level:
+//   * RGB -> BT.601 YCbCr as three Q5 int16 planes (32x the 8-bit value),
+//     the one plane format of encoder input, P-frame reference and decoder
+//     output; rounded to RGB8 once, at the end of decoding.
+//   * Per-plane 8x8 JPEG "islow" DCT (13-bit constants), uniform
+//     round-half-away quantisation with a JPEG-style matrix scaled by a
+//     quality factor, zigzag scan.
+//   * Entropy coding with LEB128 varints.  A block starts with its DC
+//     symbol: the zigzag-mapped DC delta (DC predicted from the previous
+//     block of the plane) shifted left by one, with the end-of-block flag
+//     in the low bit.  A DC-only block is that one varint and decodes to a
+//     constant fill; otherwise (run+1, level) pairs of the nonzero AC
+//     coefficients follow, ended by a 0.
+//   * The clip container starts with the magic "\0AV1".  Levels and DC
+//     deltas are range-checked on decode, so corrupt streams throw rather
+//     than overflow.
 //
 // Two frame types, MPEG-style:
 //   I (intra):  blocks coded standalone; every GOP starts with one.

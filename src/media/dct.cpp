@@ -5,14 +5,14 @@
 
 namespace anno::media {
 
-Block8x8 forwardDct(const Block8x8& spatial) {
-  Block8x8 out;
+CoefBlock forwardDct(const SampleBlock& spatial) {
+  CoefBlock out;
   kernels::active().fdct8x8(spatial.data(), out.data());
   return out;
 }
 
-Block8x8 inverseDct(const Block8x8& freq) {
-  Block8x8 out;
+SampleBlock inverseDct(const CoefBlock& freq) {
+  SampleBlock out;
   kernels::active().idct8x8(freq.data(), out.data());
   return out;
 }

@@ -6,7 +6,8 @@
 // Bit-identical contract: four pixels per vector, each lane running the
 // scalar double sequence ((cR*r + cG*g) + cB*b) with explicit mul/add
 // intrinsics (no FMA contraction possible), truncating conversions
-// matching the scalar casts, and exact integer reductions everywhere else.
+// matching the scalar casts, and exact integer arithmetic everywhere else
+// (the codec kernels included).
 // See kernels.h and DESIGN.md sec. 12.
 #if defined(__x86_64__) || defined(_M_X64)
 
@@ -414,157 +415,258 @@ int highPointAvx2(const std::uint64_t* counts, std::uint64_t budget) {
   return detail::highPointRange(counts, budget);
 }
 
-/// out = a * b for row-major 8x8 doubles.  Each output is the scalar chain
-/// acc = 0.0; acc += a[r][i] * b[i][c] for i = 0..7; the eight outputs of a
-/// row sit in two vectors, four rows at a time for independent chains.
-/// Named accumulators (not an array) keep them in registers at -O2.
-inline void matmul8Avx2(const double* a, const double* b, double* out) {
-  for (int r = 0; r < 8; r += 4) {
-    const double* ar = a + r * 8;
-    __m256d c00 = _mm256_setzero_pd(), c01 = c00, c10 = c00, c11 = c00;
-    __m256d c20 = c00, c21 = c00, c30 = c00, c31 = c00;
-    for (int i = 0; i < 8; ++i) {
-      const __m256d b0 = _mm256_loadu_pd(b + 8 * i);
-      const __m256d b1 = _mm256_loadu_pd(b + 8 * i + 4);
-      __m256d ai = _mm256_broadcast_sd(ar + i);
-      c00 = _mm256_add_pd(c00, _mm256_mul_pd(ai, b0));
-      c01 = _mm256_add_pd(c01, _mm256_mul_pd(ai, b1));
-      ai = _mm256_broadcast_sd(ar + 8 + i);
-      c10 = _mm256_add_pd(c10, _mm256_mul_pd(ai, b0));
-      c11 = _mm256_add_pd(c11, _mm256_mul_pd(ai, b1));
-      ai = _mm256_broadcast_sd(ar + 16 + i);
-      c20 = _mm256_add_pd(c20, _mm256_mul_pd(ai, b0));
-      c21 = _mm256_add_pd(c21, _mm256_mul_pd(ai, b1));
-      ai = _mm256_broadcast_sd(ar + 24 + i);
-      c30 = _mm256_add_pd(c30, _mm256_mul_pd(ai, b0));
-      c31 = _mm256_add_pd(c31, _mm256_mul_pd(ai, b1));
-    }
-    double* o = out + r * 8;
-    _mm256_storeu_pd(o, c00);
-    _mm256_storeu_pd(o + 4, c01);
-    _mm256_storeu_pd(o + 8, c10);
-    _mm256_storeu_pd(o + 12, c11);
-    _mm256_storeu_pd(o + 16, c20);
-    _mm256_storeu_pd(o + 20, c21);
-    _mm256_storeu_pd(o + 24, c30);
-    _mm256_storeu_pd(o + 28, c31);
+/// fdctPass / idctPass lane ops: eight int32 lanes.  Shifts stand in for
+/// the reference's multiplies by 2^n; both are exact (nothing overflows).
+struct Avx2Ops {
+  static __m256i add(__m256i a, __m256i b) { return _mm256_add_epi32(a, b); }
+  static __m256i sub(__m256i a, __m256i b) { return _mm256_sub_epi32(a, b); }
+  static __m256i mul(__m256i a, std::int32_t c) {
+    return _mm256_mullo_epi32(a, _mm256_set1_epi32(c));
+  }
+  static __m256i shl(__m256i a, int n) { return _mm256_slli_epi32(a, n); }
+  static __m256i sra(__m256i a, int n) { return _mm256_srai_epi32(a, n); }
+  static __m256i constant(std::int32_t c) { return _mm256_set1_epi32(c); }
+  static __m256i descale(__m256i a, int n) {
+    return _mm256_srai_epi32(
+        _mm256_add_epi32(a, _mm256_set1_epi32(1 << (n - 1))), n);
+  }
+};
+
+/// In-place transpose of an 8x8 int32 matrix held as eight row vectors.
+inline void transpose8x8(__m256i* r) {
+  const __m256i t0 = _mm256_unpacklo_epi32(r[0], r[1]);
+  const __m256i t1 = _mm256_unpackhi_epi32(r[0], r[1]);
+  const __m256i t2 = _mm256_unpacklo_epi32(r[2], r[3]);
+  const __m256i t3 = _mm256_unpackhi_epi32(r[2], r[3]);
+  const __m256i t4 = _mm256_unpacklo_epi32(r[4], r[5]);
+  const __m256i t5 = _mm256_unpackhi_epi32(r[4], r[5]);
+  const __m256i t6 = _mm256_unpacklo_epi32(r[6], r[7]);
+  const __m256i t7 = _mm256_unpackhi_epi32(r[6], r[7]);
+  const __m256i u0 = _mm256_unpacklo_epi64(t0, t2);
+  const __m256i u1 = _mm256_unpackhi_epi64(t0, t2);
+  const __m256i u2 = _mm256_unpacklo_epi64(t1, t3);
+  const __m256i u3 = _mm256_unpackhi_epi64(t1, t3);
+  const __m256i u4 = _mm256_unpacklo_epi64(t4, t6);
+  const __m256i u5 = _mm256_unpackhi_epi64(t4, t6);
+  const __m256i u6 = _mm256_unpacklo_epi64(t5, t7);
+  const __m256i u7 = _mm256_unpackhi_epi64(t5, t7);
+  r[0] = _mm256_permute2x128_si256(u0, u4, 0x20);
+  r[1] = _mm256_permute2x128_si256(u1, u5, 0x20);
+  r[2] = _mm256_permute2x128_si256(u2, u6, 0x20);
+  r[3] = _mm256_permute2x128_si256(u3, u7, 0x20);
+  r[4] = _mm256_permute2x128_si256(u0, u4, 0x31);
+  r[5] = _mm256_permute2x128_si256(u1, u5, 0x31);
+  r[6] = _mm256_permute2x128_si256(u2, u6, 0x31);
+  r[7] = _mm256_permute2x128_si256(u3, u7, 0x31);
+}
+
+// A vector holds one row of the block (lanes = columns).  A 1-D pass runs
+// down the vectors, so the forward row pass and the inverse row pass work
+// on the transpose.
+void fdct8x8Avx2(const std::int16_t* spatial, std::int32_t* freq) {
+  __m256i r[8];
+  __m256i o[8];
+  for (int y = 0; y < 8; ++y) {
+    r[y] = _mm256_cvtepi16_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(spatial + 8 * y)));
+  }
+  transpose8x8(r);
+  detail::fdctPass<Avx2Ops>(r, o, detail::kFdctRowDc, detail::kFdctRowAc);
+  transpose8x8(o);
+  detail::fdctPass<Avx2Ops>(o, r, detail::kFdctColDc, detail::kFdctColAc);
+  for (int j = 0; j < 8; ++j) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(freq + 8 * j), r[j]);
   }
 }
 
-// The scalar DCT's row pass is tmp = in * C^T and its column pass
-// out = C * tmp, both summing over the inner index in ascending order; the
-// inverse is tmp = in * C, out = C^T * tmp.  matmul8 keeps those orders.
-void fdct8x8Avx2(const double* spatial, double* freq) {
-  const detail::DctBasis& basis = detail::dctBasis();
-  alignas(32) double tmp[64];
-  matmul8Avx2(spatial, &basis.ct[0][0], tmp);
-  matmul8Avx2(&basis.c[0][0], tmp, freq);
-}
-
-void idct8x8Avx2(const double* freq, double* spatial) {
-  const detail::DctBasis& basis = detail::dctBasis();
-  alignas(32) double tmp[64];
-  matmul8Avx2(freq, &basis.c[0][0], tmp);
-  matmul8Avx2(&basis.ct[0][0], tmp, spatial);
-}
-
-void quantizeBlockAvx2(const double* freq, const int* quant,
-                       int* zigzagOut) {
-  // lround(q) exactly: t = trunc(q) and r = q - t are exact, and
-  // round-half-away steps t by one toward q's sign when |r| >= 0.5.
-  const __m256d half = _mm256_set1_pd(0.5);
-  const __m256d minusHalf = _mm256_set1_pd(-0.5);
-  const __m256d one = _mm256_set1_pd(1.0);
-  alignas(16) int q[64];
-  for (int j = 0; j < 64; j += 4) {
-    const __m256d x = _mm256_div_pd(
-        _mm256_loadu_pd(freq + j),
-        _mm256_cvtepi32_pd(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(quant + j))));
-    const __m256d t =
-        _mm256_round_pd(x, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
-    const __m256d r = _mm256_sub_pd(x, t);
-    const __m256d step = _mm256_sub_pd(
-        _mm256_and_pd(_mm256_cmp_pd(r, half, _CMP_GE_OQ), one),
-        _mm256_and_pd(_mm256_cmp_pd(r, minusHalf, _CMP_LE_OQ), one));
-    _mm_store_si128(reinterpret_cast<__m128i*>(q + j),
-                    _mm256_cvttpd_epi32(_mm256_add_pd(t, step)));
+void idct8x8Avx2(const std::int32_t* freq, std::int16_t* spatial) {
+  __m256i r[8];
+  __m256i o[8];
+  for (int j = 0; j < 8; ++j) {
+    r[j] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(freq + 8 * j));
   }
-  for (int i = 0; i < 64; ++i) zigzagOut[i] = q[detail::kZigzag[i]];
+  detail::idctPass<Avx2Ops>(r, o, detail::kIdctColShift);
+  transpose8x8(o);
+  detail::idctRowPass<Avx2Ops>(o, r);
+  transpose8x8(r);
+  for (int y = 0; y < 8; y += 2) {
+    // packs saturates to int16 exactly like the reference's clamp.
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(spatial + 8 * y),
+        _mm256_permute4x64_epi64(_mm256_packs_epi32(r[y], r[y + 1]), 0xD8));
+  }
 }
 
-void rgbToYcbcrPlanesAvx2(const Rgb8* px, std::size_t n, double* y,
-                          double* cb, double* cr) {
+std::uint64_t quantizeBlockAvx2(const std::int32_t* freq,
+                                const QuantTable& table,
+                                std::int32_t* zigzagOut) {
+  std::uint64_t zeros = 0;
+  for (int i = 0; i < 64; i += 8) {
+    // Gather the coefficients in zigzag order; the table already is.
+    const __m256i c = _mm256_i32gather_epi32(
+        freq,
+        _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(detail::kZigzag.data() + i)),
+        4);
+    const __m256i n = _mm256_srli_epi32(
+        _mm256_add_epi32(_mm256_abs_epi32(c),
+                         _mm256_load_si256(reinterpret_cast<const __m256i*>(
+                             table.half + i))),
+        kCoefFracBits);
+    // n < 2^12 and recip <= 2^20: the unsigned product fits 32 bits.
+    const __m256i level = _mm256_sign_epi32(
+        _mm256_srli_epi32(
+            _mm256_mullo_epi32(n, _mm256_load_si256(
+                                      reinterpret_cast<const __m256i*>(
+                                          table.recip + i))),
+            QuantTable::kQuantShift),
+        c);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(zigzagOut + i), level);
+    zeros |= static_cast<std::uint64_t>(_mm256_movemask_ps(_mm256_castsi256_ps(
+                 _mm256_cmpeq_epi32(level, _mm256_setzero_si256()))))
+             << i;
+  }
+  return ~zeros;
+}
+
+/// Two int16 weights (a, b) repeated across the lanes, for madd pairs.
+inline __m256i weights(std::int32_t a, std::int32_t b) {
+  return _mm256_set1_epi32(static_cast<int>(
+      static_cast<std::uint16_t>(a) |
+      (static_cast<std::uint32_t>(static_cast<std::uint16_t>(b)) << 16)));
+}
+
+void rgbToYcbcrPlanesAvx2(const Rgb8* px, std::size_t n, std::int16_t* y,
+                          std::int16_t* cb, std::int16_t* cr) {
   const std::uint8_t* bytes = reinterpret_cast<const std::uint8_t*>(px);
-  const __m256d c128 = _mm256_set1_pd(128.0);
+  // Per 128-bit lane of four packed pixels: (R, G) and (B, 0) int16 pairs.
+  const __m256i rgSel = _mm256_setr_epi8(
+      0, -1, 1, -1, 3, -1, 4, -1, 6, -1, 7, -1, 9, -1, 10, -1,  //
+      0, -1, 1, -1, 3, -1, 4, -1, 6, -1, 7, -1, 9, -1, 10, -1);
+  const __m256i bSel = _mm256_setr_epi8(
+      2, -1, -1, -1, 5, -1, -1, -1, 8, -1, -1, -1, 11, -1, -1, -1,  //
+      2, -1, -1, -1, 5, -1, -1, -1, 8, -1, -1, -1, 11, -1, -1, -1);
+  const __m256i yRG = weights(detail::kYR, detail::kYG);
+  const __m256i yB = weights(detail::kYB, 0);
+  const __m256i cbRG = weights(detail::kCbR, detail::kCbG);
+  const __m256i cbB = weights(detail::kCbB, 0);
+  const __m256i crRG = weights(detail::kCrR, detail::kCrG);
+  const __m256i crB = weights(detail::kCrB, 0);
+  const __m256i lumaRound = _mm256_set1_epi32(detail::kToPlaneRound);
+  const __m256i chromaRound = _mm256_set1_epi32(detail::kToChromaRound);
+  const auto plane = [](__m256i rg, __m256i b, __m256i wRG, __m256i wB,
+                        __m256i round) {
+    return _mm256_srai_epi32(
+        _mm256_add_epi32(_mm256_add_epi32(_mm256_madd_epi16(rg, wRG),
+                                          _mm256_madd_epi16(b, wB)),
+                         round),
+        detail::kToPlaneShift);
+  };
+  // Pack two 8 x i32 halves (pixels 0-7, 8-15) into 16 x i16 in order.
+  const auto pack = [](__m256i a, __m256i b) {
+    return _mm256_permute4x64_epi64(_mm256_packs_epi32(a, b), 0xD8);
+  };
   std::size_t i = 0;
-  // Same 6-pixel overread guard as lumaPlaneAvx2.
-  for (; i + 6 <= n; i += 4) {
-    const Rgb4d p = loadRgb4(bytes + 3 * i);
-    _mm256_storeu_pd(
-        y + i,
-        _mm256_add_pd(
-            _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(kLumaR), p.r),
-                          _mm256_mul_pd(_mm256_set1_pd(kLumaG), p.g)),
-            _mm256_mul_pd(_mm256_set1_pd(kLumaB), p.b)));
-    _mm256_storeu_pd(
-        cb + i,
-        _mm256_add_pd(
-            c128,
-            _mm256_add_pd(
-                _mm256_sub_pd(_mm256_mul_pd(_mm256_set1_pd(-0.168736), p.r),
-                              _mm256_mul_pd(_mm256_set1_pd(0.331264), p.g)),
-                _mm256_mul_pd(_mm256_set1_pd(0.5), p.b))));
-    _mm256_storeu_pd(
-        cr + i,
-        _mm256_add_pd(
-            c128,
-            _mm256_sub_pd(
-                _mm256_sub_pd(_mm256_mul_pd(_mm256_set1_pd(0.5), p.r),
-                              _mm256_mul_pd(_mm256_set1_pd(0.418688), p.g)),
-                _mm256_mul_pd(_mm256_set1_pd(0.081312), p.b))));
+  // 16 pixels per iteration as four 16-byte loads of 4 pixels each; the
+  // last load reads 4 bytes past pixel i+15, hence the i+18 guard.
+  for (; i + 18 <= n; i += 16) {
+    __m256i yv[2];
+    __m256i cbv[2];
+    __m256i crv[2];
+    for (int h = 0; h < 2; ++h) {
+      const std::uint8_t* p = bytes + 3 * (i + 8 * h);
+      const __m256i v = _mm256_inserti128_si256(
+          _mm256_castsi128_si256(
+              _mm_loadu_si128(reinterpret_cast<const __m128i*>(p))),
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 12)), 1);
+      const __m256i rg = _mm256_shuffle_epi8(v, rgSel);
+      const __m256i b = _mm256_shuffle_epi8(v, bSel);
+      yv[h] = plane(rg, b, yRG, yB, lumaRound);
+      cbv[h] = plane(rg, b, cbRG, cbB, chromaRound);
+      crv[h] = plane(rg, b, crRG, crB, chromaRound);
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(y + i), pack(yv[0], yv[1]));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(cb + i),
+                        pack(cbv[0], cbv[1]));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(cr + i),
+                        pack(crv[0], crv[1]));
   }
   detail::rgbToYcbcrPlanesScalar(px + i, n - i, y + i, cb + i, cr + i);
 }
 
-/// clamp8 of 4 doubles as 4 x i32: 0 if v <= 0, 255 if v >= 255, else
-/// trunc(v + 0.5).
-inline __m128i clamp8x4(__m256d v) {
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d lim = _mm256_set1_pd(255.0);
-  __m256d t = _mm256_add_pd(v, _mm256_set1_pd(0.5));
-  t = _mm256_blendv_pd(t, lim, _mm256_cmp_pd(v, lim, _CMP_GE_OQ));
-  t = _mm256_blendv_pd(t, zero, _mm256_cmp_pd(v, zero, _CMP_LE_OQ));
-  return _mm256_cvttpd_epi32(t);
-}
-
-void ycbcrPlanesToRgbAvx2(const double* y, const double* cb,
-                          const double* cr, std::size_t n, Rgb8* out) {
-  const __m256d c128 = _mm256_set1_pd(128.0);
-  // Packs lanes of r | g << 8 | b << 16 into 12 consecutive RGB bytes.
-  const __m128i pack = _mm_setr_epi8(0, 1, 2, 4, 5, 6, 8, 9, 10, 12, 13,
-                                     14, -1, -1, -1, -1);
-  std::uint8_t* bytes = reinterpret_cast<std::uint8_t*>(out);
+void ycbcrPlanesToRgbAvx2(const std::int16_t* y, const std::int16_t* cb,
+                          const std::int16_t* cr, std::size_t n, Rgb8* out) {
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i rW = weights(detail::kRgbY, detail::kRCr);
+  const __m256i gW = weights(detail::kRgbY, detail::kGCb);
+  const __m256i gCrW = weights(detail::kGCr, 0);
+  const __m256i bW = weights(detail::kRgbY, detail::kBCb);
+  const __m256i rBias = _mm256_set1_epi32(detail::kRBias);
+  const __m256i gBias = _mm256_set1_epi32(detail::kGBias);
+  const __m256i bBias = _mm256_set1_epi32(detail::kBBias);
+  // Per 128-bit lane, from [R0..R7 G0..G7] and [B0..B7 ...]: RGB bytes
+  // 0-15 of the lane's eight pixels, then bytes 16-23.
+  const __m256i rgA = _mm256_setr_epi8(
+      0, 8, -1, 1, 9, -1, 2, 10, -1, 3, 11, -1, 4, 12, -1, 5,  //
+      0, 8, -1, 1, 9, -1, 2, 10, -1, 3, 11, -1, 4, 12, -1, 5);
+  const __m256i bA = _mm256_setr_epi8(
+      -1, -1, 0, -1, -1, 1, -1, -1, 2, -1, -1, 3, -1, -1, 4, -1,  //
+      -1, -1, 0, -1, -1, 1, -1, -1, 2, -1, -1, 3, -1, -1, 4, -1);
+  const __m256i rgB = _mm256_setr_epi8(
+      13, -1, 6, 14, -1, 7, 15, -1, -1, -1, -1, -1, -1, -1, -1, -1,  //
+      13, -1, 6, 14, -1, 7, 15, -1, -1, -1, -1, -1, -1, -1, -1, -1);
+  const __m256i bB = _mm256_setr_epi8(
+      -1, 5, -1, -1, 6, -1, -1, 7, -1, -1, -1, -1, -1, -1, -1, -1,  //
+      -1, 5, -1, -1, 6, -1, -1, 7, -1, -1, -1, -1, -1, -1, -1, -1);
+  const auto channel = [](__m256i sum) {
+    return _mm256_srai_epi32(sum, detail::kToRgbShift);
+  };
+  std::uint8_t* dst = reinterpret_cast<std::uint8_t*>(out);
   std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d yv = _mm256_loadu_pd(y + i);
-    const __m256d cbm = _mm256_sub_pd(_mm256_loadu_pd(cb + i), c128);
-    const __m256d crm = _mm256_sub_pd(_mm256_loadu_pd(cr + i), c128);
-    const __m128i r = clamp8x4(
-        _mm256_add_pd(yv, _mm256_mul_pd(_mm256_set1_pd(1.402), crm)));
-    const __m128i g = clamp8x4(_mm256_sub_pd(
-        _mm256_sub_pd(yv, _mm256_mul_pd(_mm256_set1_pd(0.344136), cbm)),
-        _mm256_mul_pd(_mm256_set1_pd(0.714136), crm)));
-    const __m128i b = clamp8x4(
-        _mm256_add_pd(yv, _mm256_mul_pd(_mm256_set1_pd(1.772), cbm)));
-    const __m128i rgb = _mm_shuffle_epi8(
-        _mm_or_si128(r, _mm_or_si128(_mm_slli_epi32(g, 8),
-                                     _mm_slli_epi32(b, 16))),
-        pack);
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(bytes + 3 * i), rgb);
-    const std::uint32_t tail =
-        static_cast<std::uint32_t>(_mm_cvtsi128_si32(_mm_srli_si128(rgb, 8)));
-    __builtin_memcpy(bytes + 3 * i + 8, &tail, 4);
+  for (; i + 16 <= n; i += 16) {
+    const __m256i yv =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + i));
+    const __m256i cbv =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cb + i));
+    const __m256i crv =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cr + i));
+    // unpacklo/hi and packs are both per 128-bit lane, so packing the
+    // (lo, hi) results restores pixel order.
+    __m256i r[2];
+    __m256i g[2];
+    __m256i b[2];
+    for (int h = 0; h < 2; ++h) {
+      const __m256i ycr = h == 0 ? _mm256_unpacklo_epi16(yv, crv)
+                                 : _mm256_unpackhi_epi16(yv, crv);
+      const __m256i ycb = h == 0 ? _mm256_unpacklo_epi16(yv, cbv)
+                                 : _mm256_unpackhi_epi16(yv, cbv);
+      const __m256i cr0 = h == 0 ? _mm256_unpacklo_epi16(crv, zero)
+                                 : _mm256_unpackhi_epi16(crv, zero);
+      r[h] = channel(_mm256_add_epi32(_mm256_madd_epi16(ycr, rW), rBias));
+      g[h] = channel(_mm256_add_epi32(
+          _mm256_add_epi32(_mm256_madd_epi16(ycb, gW),
+                           _mm256_madd_epi16(cr0, gCrW)),
+          gBias));
+      b[h] = channel(_mm256_add_epi32(_mm256_madd_epi16(ycb, bW), bBias));
+    }
+    // packus clamps to 0..255 exactly like the reference.
+    const __m256i rg = _mm256_packus_epi16(_mm256_packs_epi32(r[0], r[1]),
+                                           _mm256_packs_epi32(g[0], g[1]));
+    const __m256i bb = _mm256_packus_epi16(_mm256_packs_epi32(b[0], b[1]),
+                                           zero);
+    const __m256i a = _mm256_or_si256(_mm256_shuffle_epi8(rg, rgA),
+                                      _mm256_shuffle_epi8(bb, bA));
+    const __m256i t = _mm256_or_si256(_mm256_shuffle_epi8(rg, rgB),
+                                      _mm256_shuffle_epi8(bb, bB));
+    std::uint8_t* d = dst + 3 * i;
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(d),
+                     _mm256_castsi256_si128(a));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(d + 16),
+                     _mm256_castsi256_si128(t));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(d + 24),
+                     _mm256_extracti128_si256(a, 1));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(d + 40),
+                     _mm256_extracti128_si256(t, 1));
   }
   detail::ycbcrPlanesToRgbScalar(y + i, cb + i, cr + i, n - i, out + i);
 }

@@ -4,8 +4,8 @@
 // luma extraction, 256-bin histogram build, min/max/sum stats, the
 // compensation transform C' = min(1, C*k), clipped-pixel counting, and the
 // per-frame histogram earth-mover's distance of the EMD scene detector.
-// The toy codec's block transforms, quantiser and colour conversion live
-// here too: they are the serving hot path (every cache miss encodes a
+// The codec's fixed-point block transforms, quantiser and colour conversion
+// live here too: they are the serving hot path (every cache miss encodes a
 // clip, every client decodes one).
 // This layer provides one scalar reference implementation per kernel plus
 // SSE2/AVX2 (x86-64) and NEON (aarch64) variants behind a single dispatch
@@ -24,10 +24,9 @@
 //     clipped counting) are exact, so accumulation order is irrelevant and
 //     any lane decomposition gives the same result.
 //   * The codec kernels (8x8 DCT/IDCT, quantisation, YCbCr conversion)
-//     vectorize ACROSS outputs: each DCT output keeps the scalar
-//     `acc = 0.0; acc += a*c` chain in the scalar summation order, and
-//     quantisation keeps the correctly rounded divide, replacing lround
-//     with an exact truncate-and-step rounding.
+//     are fixed point on int16/int32 lanes.  Every intermediate is proven
+//     to fit its lane for the documented input range, so they are exact
+//     too, whatever the factorisation or lane layout.
 //   * The EMD kernel computes an exact integer numerator
 //         sum_v | cdfA(v)*totalB - cdfB(v)*totalA |
 //     and performs a SINGLE final floating divide by totalA*totalB, so
@@ -74,6 +73,40 @@ struct FrameProfile {
   std::uint8_t maxLuma = 0;
 };
 
+/// Codec plane samples are Q5 int16: 32 times the 8-bit value.  Coarser
+/// planes cost PSNR at high quality -- the inverse colour matrix amplifies
+/// chroma rounding about threefold.
+inline constexpr int kPlaneFracBits = 5;
+/// Largest |sample| fdct8x8 accepts: the residual of two plane samples
+/// fits, and every intermediate of both passes stays below 2^31.
+inline constexpr std::int32_t kMaxFdctInput = 256 << kPlaneFracBits;
+/// Fractional bits of the forward transform's coefficients, so the
+/// quantiser rounds once, from nearly exact coefficients.
+inline constexpr int kCoefFracBits = 8;
+/// Largest |coefficient| idct8x8 accepts without int32 overflow.  A valid
+/// stream stays below 2050 + 255 / 2 (see media/codec.cpp).
+inline constexpr std::int32_t kMaxIdctInput = 2304;
+/// Largest |coefficient| quantizeBlock divides exactly.
+inline constexpr std::int32_t kMaxQuantInput =
+    (1 << (12 + kCoefFracBits)) - (256 << (kCoefFracBits - 1));
+
+/// The divisors (1..255) of a quantizer and, in zigzag order for the
+/// quantiser's loads, their rounding offsets and reciprocals:
+/// floor(n / d) == (n * recip) >> kQuantShift for 0 <= n < 2^12.
+struct QuantTable {
+  static constexpr int kQuantShift = 20;
+  alignas(32) std::int32_t divisor[64];  ///< row-major
+  /// divisor * 2^(kCoefFracBits - 1), half a quantiser step, for rounding
+  /// half away from zero; zigzag order.
+  alignas(32) std::int32_t half[64];
+  /// ceil(2^kQuantShift / divisor); zigzag order.
+  alignas(32) std::uint32_t recip[64];
+};
+
+/// Builds the table for 64 row-major divisors in [1, 255]; throws
+/// std::invalid_argument outside that range.
+[[nodiscard]] QuantTable makeQuantTable(const int* divisors);
+
 /// The dispatch table.  All function pointers are non-null in every
 /// registered table.  Histogram arrays are 256 bins of uint64.
 struct KernelTable {
@@ -117,25 +150,35 @@ struct KernelTable {
   /// First v from 255 downward with cumulative count > budget, else 0.
   int (*highPoint)(const std::uint64_t* counts, std::uint64_t budget);
 
-  /// (6) Codec block transforms on 64 row-major doubles (media/codec).
-  /// Orthonormal 8x8 DCT-II and its inverse, separable rows then columns.
-  /// Every output is `acc = 0.0; acc += a*c` over the scalar summation
-  /// order, so vector variants lay outputs across lanes, never sums.
-  void (*fdct8x8)(const double* spatial, double* freq);
-  void (*idct8x8)(const double* freq, double* spatial);
-  /// Quantises a DCT block and emits it in zigzag order:
-  /// zigzagOut[i] = round-half-away(freq[z] / quant[z]) with z =
-  /// zigzagOrder()[i] and a correctly rounded divide.  Requires
-  /// |freq / quant| < 2^31 (codec blocks stay below 2^11).
-  void (*quantizeBlock)(const double* freq, const int* quant,
-                        int* zigzagOut);
+  /// (6) Codec kernels (media/codec), all integer, so every level is
+  /// byte-identical by construction.  Plane samples are Q5 int16
+  /// (kPlaneFracBits).  Coefficients are orthonormal DCT coefficients of
+  /// the 8-bit-scale samples, row-major int32.
+  /// fdct8x8: JPEG "islow" 8x8 DCT-II (13-bit constants, rows then
+  /// columns) of |spatial| <= kMaxFdctInput, with kCoefFracBits
+  /// fractional bits; |freq| <= 2050 * 2^kCoefFracBits.
+  void (*fdct8x8)(const std::int16_t* spatial, std::int32_t* freq);
+  /// idct8x8: islow inverse (columns then rows) of integer coefficients
+  /// |freq| <= kMaxIdctInput, as plane samples saturated to int16.  A
+  /// DC-only block comes back as the constant 4 * freq[0], exactly.
+  void (*idct8x8)(const std::int32_t* freq, std::int16_t* spatial);
+  /// Quantises a forward-transform block and emits it in zigzag order:
+  /// zigzagOut[i] = round-half-away(freq[z] / (divisor[z] <<
+  /// kCoefFracBits)) with z = zigzagOrder()[i], by a shift and a
+  /// reciprocal multiply, exact for |freq| <= kMaxQuantInput.  Returns the
+  /// nonzero mask: bit i set iff zigzagOut[i] != 0.
+  std::uint64_t (*quantizeBlock)(const std::int32_t* freq,
+                                 const QuantTable& table,
+                                 std::int32_t* zigzagOut);
 
-  /// (7) Codec colour conversion, BT.601 full range.  RGB to three double
-  /// planes (Y, Cb, Cr), and back with the clamp8 rounding per channel.
-  void (*rgbToYcbcrPlanes)(const Rgb8* px, std::size_t n, double* y,
-                           double* cb, double* cr);
-  void (*ycbcrPlanesToRgb)(const double* y, const double* cb,
-                           const double* cr, std::size_t n, Rgb8* out);
+  /// (7) Codec colour conversion, integer BT.601 full range.  RGB to three
+  /// Q5 planes (Y, Cb, Cr; 2^15-scaled weights, rounded), and back with
+  /// 2^13-scaled weights, rounding once to each 8-bit channel.  The
+  /// inverse accepts any int16 sample (decoded planes overshoot).
+  void (*rgbToYcbcrPlanes)(const Rgb8* px, std::size_t n, std::int16_t* y,
+                           std::int16_t* cb, std::int16_t* cr);
+  void (*ycbcrPlanesToRgb)(const std::int16_t* y, const std::int16_t* cb,
+                           const std::int16_t* cr, std::size_t n, Rgb8* out);
 };
 
 /// Smallest 8-bit channel code whose clamp-scale by k (k >= 0) clips, or

@@ -29,15 +29,6 @@ namespace anno::media::kernels {
 
 namespace anno::media::kernels::detail {
 
-/// Orthonormal DCT-II basis: c[k][n] = c(k) * cos((2n+1) k pi / 16), with
-/// c(0) = sqrt(1/8) and c(k>0) = sqrt(2/8); ct is its transpose.  Built once
-/// (std::cos at run time, so every level multiplies by the same doubles).
-struct DctBasis {
-  alignas(32) double c[8][8];
-  alignas(32) double ct[8][8];
-};
-[[nodiscard]] const DctBasis& dctBasis() noexcept;
-
 /// JPEG zigzag scan order of an 8x8 block.
 inline constexpr std::array<int, 64> kZigzag = [] {
   std::array<int, 64> z{};
@@ -56,16 +47,214 @@ inline constexpr std::array<int, 64> kZigzag = [] {
   return z;
 }();
 
-// Scalar codec kernels (scalar.cpp): the reference every variant matches,
-// and the entries of levels that have no vector version of a kernel.
-void fdct8x8Scalar(const double* spatial, double* freq);
-void idct8x8Scalar(const double* freq, double* spatial);
-void quantizeBlockScalar(const double* freq, const int* quant,
-                         int* zigzagOut);
-void rgbToYcbcrPlanesScalar(const Rgb8* px, std::size_t n, double* y,
-                            double* cb, double* cr);
-void ycbcrPlanesToRgbScalar(const double* y, const double* cb,
-                            const double* cr, std::size_t n, Rgb8* out);
+// Scalar kernels (scalar.cpp) that other levels install as they are: the
+// reference every variant matches, for kernels where a level has no vector
+// version that beats it.
+void profileRgbScalar(const Rgb8* px, std::size_t n, FrameProfile& out);
+void lumaPlaneScalar(const Rgb8* px, std::size_t n, std::uint8_t* out);
+void fdct8x8Scalar(const std::int16_t* spatial, std::int32_t* freq);
+void idct8x8Scalar(const std::int32_t* freq, std::int16_t* spatial);
+std::uint64_t quantizeBlockScalar(const std::int32_t* freq,
+                                  const QuantTable& table,
+                                  std::int32_t* zigzagOut);
+void rgbToYcbcrPlanesScalar(const Rgb8* px, std::size_t n, std::int16_t* y,
+                            std::int16_t* cb, std::int16_t* cr);
+void ycbcrPlanesToRgbScalar(const std::int16_t* y, const std::int16_t* cb,
+                            const std::int16_t* cr, std::size_t n, Rgb8* out);
+
+// ---- Codec fixed-point constants, shared by every level ----------------
+
+/// islow constants: FIX(x) = round(x * 2^13), named as in libjpeg.
+inline constexpr int kConstBits = 13;
+inline constexpr std::int32_t kFix0_298631336 = 2446;
+inline constexpr std::int32_t kFix0_390180644 = 3196;
+inline constexpr std::int32_t kFix0_541196100 = 4433;
+inline constexpr std::int32_t kFix0_765366865 = 6270;
+inline constexpr std::int32_t kFix0_899976223 = 7373;
+inline constexpr std::int32_t kFix1_175875602 = 9633;
+inline constexpr std::int32_t kFix1_501321110 = 12299;
+inline constexpr std::int32_t kFix1_847759065 = 15137;
+inline constexpr std::int32_t kFix1_961570560 = 16069;
+inline constexpr std::int32_t kFix2_053119869 = 16819;
+inline constexpr std::int32_t kFix2_562915447 = 20995;
+inline constexpr std::int32_t kFix3_072711026 = 25172;
+
+/// Fractional bits kept between the two passes of each transform.  The
+/// forward input is Q5 (five bits above libjpeg's 8-bit samples), so
+/// libjpeg's PASS1_BITS = 2 would overflow int32; with -2 the worst case
+/// over every input in range -- the L1 norm of each intermediate's linear
+/// form times the input bound -- is 0.64 * 2^31.  The inverse keeps 3 for
+/// precision and splits its row pass to stay in range (idctRowPass).
+inline constexpr int kFdctPass1Bits = 3 - kPlaneFracBits;
+inline constexpr int kIdctPass1Bits = 3;
+/// The forward transform's output shift: Q5 input (x32) through the islow
+/// normalisation (x8) to orthonormal coefficients with kCoefFracBits.
+inline constexpr int kFdctOutShift = 3 + kPlaneFracBits - kCoefFracBits;
+
+/// RGB8 -> planes: weights scaled by 2^15 (each triple sums to 2^15 for Y
+/// and to 0 for Cb/Cr, so grey v maps to exactly (v, 128, 128) in plane
+/// units); the sum is rounded and shifted down to kPlaneFracBits.
+inline constexpr std::int32_t kYR = 9798, kYG = 19234, kYB = 3736;
+inline constexpr std::int32_t kCbR = -5529, kCbG = -10855, kCbB = 16384;
+inline constexpr std::int32_t kCrR = 16384, kCrG = -13720, kCrB = -2664;
+inline constexpr int kToPlaneShift = 15 - kPlaneFracBits;
+inline constexpr std::int32_t kToPlaneRound = 1 << (kToPlaneShift - 1);
+/// Adds the chroma offset 128 before the shift.
+inline constexpr std::int32_t kToChromaRound =
+    kToPlaneRound + (128 << 15);
+
+/// Planes -> RGB8: weights scaled by 2^13, rounded and shifted by 13 plus
+/// kPlaneFracBits.  The chroma offsets fold into the constants, so
+/// R = (8192 Y + 11485 Cr + kRBias) >> kToRgbShift and so on, then clamp
+/// to 0..255.  No int16 input can overflow: |sum| < 2^30.
+inline constexpr std::int32_t kRgbY = 8192;
+inline constexpr std::int32_t kRCr = 11485, kGCb = -2819, kGCr = -5850,
+                              kBCb = 14516;
+inline constexpr int kToRgbShift = 13 + kPlaneFracBits;
+inline constexpr std::int32_t kToRgbRound = 1 << (kToRgbShift - 1);
+inline constexpr std::int32_t kChroma0 = 128 << kPlaneFracBits;
+inline constexpr std::int32_t kRBias = kToRgbRound - kChroma0 * kRCr;
+inline constexpr std::int32_t kGBias = kToRgbRound - kChroma0 * (kGCb + kGCr);
+inline constexpr std::int32_t kBBias = kToRgbRound - kChroma0 * kBCb;
+
+/// One islow 1-D forward pass: out[k] for k = 0..7 from inputs d[0..7],
+/// each a lane vector of independent transforms (V = std::int32_t in the
+/// scalar reference).  O supplies add/sub/mul-by-constant/descale/shl on
+/// V.  DC and AC outputs are descaled by dcShift and acShift; a negative
+/// dcShift shifts the DC left instead (libjpeg's PASS1_BITS in pass 1).
+/// Every level runs this one body, so the arithmetic is the same
+/// expression tree everywhere -- only the lane width differs.
+template <class O, class V>
+[[gnu::always_inline]] inline void fdctPass(const V* d, V* out, int dcShift,
+                                            int acShift) {
+  const V tmp0 = O::add(d[0], d[7]);
+  const V tmp7 = O::sub(d[0], d[7]);
+  const V tmp1 = O::add(d[1], d[6]);
+  const V tmp6 = O::sub(d[1], d[6]);
+  const V tmp2 = O::add(d[2], d[5]);
+  const V tmp5 = O::sub(d[2], d[5]);
+  const V tmp3 = O::add(d[3], d[4]);
+  const V tmp4 = O::sub(d[3], d[4]);
+  // Even part.
+  const V tmp10 = O::add(tmp0, tmp3);
+  const V tmp13 = O::sub(tmp0, tmp3);
+  const V tmp11 = O::add(tmp1, tmp2);
+  const V tmp12 = O::sub(tmp1, tmp2);
+  const auto dc = [dcShift](V v) {
+    return dcShift > 0 ? O::descale(v, dcShift)
+                       : dcShift < 0 ? O::shl(v, -dcShift) : v;
+  };
+  out[0] = dc(O::add(tmp10, tmp11));
+  out[4] = dc(O::sub(tmp10, tmp11));
+  const V z1 = O::mul(O::add(tmp12, tmp13), kFix0_541196100);
+  out[2] = O::descale(O::add(z1, O::mul(tmp13, kFix0_765366865)), acShift);
+  out[6] = O::descale(O::sub(z1, O::mul(tmp12, kFix1_847759065)), acShift);
+  // Odd part.
+  const V z5 = O::mul(O::add(O::add(tmp4, tmp6), O::add(tmp5, tmp7)),
+                      kFix1_175875602);
+  const V o1 = O::mul(O::add(tmp4, tmp7), -kFix0_899976223);
+  const V o2 = O::mul(O::add(tmp5, tmp6), -kFix2_562915447);
+  const V o3 = O::add(O::mul(O::add(tmp4, tmp6), -kFix1_961570560), z5);
+  const V o4 = O::add(O::mul(O::add(tmp5, tmp7), -kFix0_390180644), z5);
+  out[7] = O::descale(
+      O::add(O::add(O::mul(tmp4, kFix0_298631336), o1), o3), acShift);
+  out[5] = O::descale(
+      O::add(O::add(O::mul(tmp5, kFix2_053119869), o2), o4), acShift);
+  out[3] = O::descale(
+      O::add(O::add(O::mul(tmp6, kFix3_072711026), o2), o3), acShift);
+  out[1] = O::descale(
+      O::add(O::add(O::mul(tmp7, kFix1_501321110), o1), o4), acShift);
+}
+
+/// One islow 1-D inverse pass: out[n] for n = 0..7 from coefficients
+/// in[0..7], every output descaled by `shift` (0: the raw sums).
+template <class O, class V>
+[[gnu::always_inline]] inline void idctPass(const V* in, V* out, int shift) {
+  // Even part.
+  const V z1 = O::mul(O::add(in[2], in[6]), kFix0_541196100);
+  const V tmp2 = O::sub(z1, O::mul(in[6], kFix1_847759065));
+  const V tmp3 = O::add(z1, O::mul(in[2], kFix0_765366865));
+  const V tmp0 = O::shl(O::add(in[0], in[4]), kConstBits);
+  const V tmp1 = O::shl(O::sub(in[0], in[4]), kConstBits);
+  const V tmp10 = O::add(tmp0, tmp3);
+  const V tmp13 = O::sub(tmp0, tmp3);
+  const V tmp11 = O::add(tmp1, tmp2);
+  const V tmp12 = O::sub(tmp1, tmp2);
+  // Odd part.
+  const V z5 = O::mul(O::add(O::add(in[7], in[3]), O::add(in[5], in[1])),
+                      kFix1_175875602);
+  const V o1 = O::mul(O::add(in[7], in[1]), -kFix0_899976223);
+  const V o2 = O::mul(O::add(in[5], in[3]), -kFix2_562915447);
+  const V o3 = O::add(O::mul(O::add(in[7], in[3]), -kFix1_961570560), z5);
+  const V o4 = O::add(O::mul(O::add(in[5], in[1]), -kFix0_390180644), z5);
+  const V t0 = O::add(O::add(O::mul(in[7], kFix0_298631336), o1), o3);
+  const V t1 = O::add(O::add(O::mul(in[5], kFix2_053119869), o2), o4);
+  const V t2 = O::add(O::add(O::mul(in[3], kFix3_072711026), o2), o3);
+  const V t3 = O::add(O::add(O::mul(in[1], kFix1_501321110), o1), o4);
+  const auto done = [shift](V v) {
+    return shift > 0 ? O::descale(v, shift) : v;
+  };
+  out[0] = done(O::add(tmp10, t3));
+  out[7] = done(O::sub(tmp10, t3));
+  out[1] = done(O::add(tmp11, t2));
+  out[6] = done(O::sub(tmp11, t2));
+  out[2] = done(O::add(tmp12, t1));
+  out[5] = done(O::sub(tmp12, t1));
+  out[3] = done(O::add(tmp13, t0));
+  out[4] = done(O::sub(tmp13, t0));
+}
+
+/// Pass shifts: the row pass of the forward transform keeps
+/// kFdctPass1Bits, the column pass lands on orthonormal coefficients; the
+/// inverse keeps kIdctPass1Bits and lands on plane samples.
+inline constexpr int kFdctRowDc = -kFdctPass1Bits;
+inline constexpr int kFdctRowAc = kConstBits - kFdctPass1Bits;
+inline constexpr int kFdctColDc = kFdctPass1Bits + kFdctOutShift;
+inline constexpr int kFdctColAc = kConstBits + kFdctPass1Bits + kFdctOutShift;
+inline constexpr int kIdctColShift = kConstBits - kIdctPass1Bits;
+inline constexpr int kIdctRowShift =
+    kConstBits + kIdctPass1Bits + 3 - kPlaneFracBits;
+
+/// The inverse row pass.  Its input carries kIdctPass1Bits fractional
+/// bits, too many for the pass's int32 sums, so it runs on the split
+/// v = 2^b h + l (h = v >> b, 0 <= l < 2^b): the raw sums A of h stay
+/// within 0.49 * 2^31 and those of l (B) within 2^21, and
+/// floor((2^b A + B + r) / 2^n) = floor((A + floor((B + r) / 2^b)) /
+/// 2^(n - b)) for the rounding r = 2^(n - 1), exactly.
+template <class O, class V>
+[[gnu::always_inline]] inline void idctRowPass(const V* in, V* out) {
+  constexpr int b = kIdctPass1Bits;
+  V hi[8];
+  V lo[8];
+  for (int k = 0; k < 8; ++k) {
+    hi[k] = O::sra(in[k], b);
+    lo[k] = O::sub(in[k], O::shl(hi[k], b));
+  }
+  V a[8];
+  V c[8];
+  idctPass<O>(hi, a, 0);
+  idctPass<O>(lo, c, 0);
+  for (int x = 0; x < 8; ++x) {
+    out[x] = O::sra(
+        O::add(a[x], O::sra(O::add(c[x], O::constant(1 << (kIdctRowShift - 1))),
+                            b)),
+        kIdctRowShift - b);
+  }
+}
+
+/// Round-half-away quantisation of coefficient c (kCoefFracBits = f) by
+/// divisor d: floor((|c| + d 2^(f-1)) / (d 2^f)) =
+/// floor(floor((|c| + d 2^(f-1)) / 2^f) / d), the inner division a shift
+/// and the outer one a reciprocal multiply.
+inline std::int32_t quantize(std::int32_t c, std::int32_t half,
+                             std::uint32_t recip) {
+  const auto n = (static_cast<std::uint32_t>(c < 0 ? -c : c) +
+                  static_cast<std::uint32_t>(half)) >>
+                 kCoefFracBits;
+  const auto q = static_cast<std::int32_t>((n * recip) >>
+                                           QuantTable::kQuantShift);
+  return c < 0 ? -q : q;
+}
 
 /// Accumulates `n` RGB pixels into an in-progress profile.  `minAcc` /
 /// `maxAcc` are int running values (255 / 0 sentinels when empty) so the

@@ -2,21 +2,15 @@
 // property-tested against.  Clarity over speed -- the dispatcher never
 // selects this level on x86-64 (SSE2 is baseline) unless forced with
 // ANNO_SIMD=scalar.
-#include <cmath>
+#include <algorithm>
+#include <cstdint>
+#include <stdexcept>
 
 #include "media/kernels/kernels.h"
 #include "media/kernels/kernels_internal.h"
 
 namespace anno::media::kernels {
 namespace {
-
-void profileRgbScalar(const Rgb8* px, std::size_t n, FrameProfile& out) {
-  out = FrameProfile{};
-  int minAcc = 255;
-  int maxAcc = 0;
-  detail::profileRgbRange(px, n, out, minAcc, maxAcc);
-  detail::finishProfile(out, n, minAcc, maxAcc);
-}
 
 void profileGrayScalar(const std::uint8_t* px, std::size_t n,
                        FrameProfile& out) {
@@ -30,10 +24,6 @@ void profileGrayScalar(const std::uint8_t* px, std::size_t n,
 void maxChannelHistogramScalar(const Rgb8* px, std::size_t n,
                                std::uint64_t* hist) {
   detail::maxChannelRange(px, n, hist);
-}
-
-void lumaPlaneScalar(const Rgb8* px, std::size_t n, std::uint8_t* out) {
-  detail::lumaPlaneRange(px, n, out);
 }
 
 void histAccumulateScalar(std::uint64_t* dst, const std::uint64_t* src) {
@@ -69,96 +59,145 @@ int highPointScalar(const std::uint64_t* counts, std::uint64_t budget) {
 
 namespace detail {
 
-const DctBasis& dctBasis() noexcept {
-  static const DctBasis basis = [] {
-    constexpr double kPi = 3.14159265358979323846;
-    DctBasis b{};
-    for (int k = 0; k < 8; ++k) {
-      const double ck = k == 0 ? std::sqrt(1.0 / 8.0) : std::sqrt(2.0 / 8.0);
-      for (int n = 0; n < 8; ++n) {
-        b.c[k][n] = ck * std::cos((2.0 * n + 1.0) * k * kPi / 16.0);
-        b.ct[n][k] = b.c[k][n];
-      }
-    }
-    return b;
-  }();
-  return basis;
+void profileRgbScalar(const Rgb8* px, std::size_t n, FrameProfile& out) {
+  out = FrameProfile{};
+  int minAcc = 255;
+  int maxAcc = 0;
+  profileRgbRange(px, n, out, minAcc, maxAcc);
+  finishProfile(out, n, minAcc, maxAcc);
 }
 
-void fdct8x8Scalar(const double* spatial, double* freq) {
-  const auto& C = dctBasis().c;
-  // Separable: rows then columns.
-  double tmp[64];
+void lumaPlaneScalar(const Rgb8* px, std::size_t n, std::uint8_t* out) {
+  lumaPlaneRange(px, n, out);
+}
+
+namespace {
+
+/// fdctPass / idctPass lane ops on one int32 (the reference lane).
+struct ScalarOps {
+  static std::int32_t add(std::int32_t a, std::int32_t b) { return a + b; }
+  static std::int32_t sub(std::int32_t a, std::int32_t b) { return a - b; }
+  static std::int32_t mul(std::int32_t a, std::int32_t c) { return a * c; }
+  static std::int32_t shl(std::int32_t a, int n) { return a * (1 << n); }
+  static std::int32_t sra(std::int32_t a, int n) { return a >> n; }
+  static std::int32_t constant(std::int32_t c) { return c; }
+  /// Round-half-up arithmetic shift right (libjpeg's DESCALE).
+  static std::int32_t descale(std::int32_t a, int n) {
+    return (a + (1 << (n - 1))) >> n;
+  }
+};
+
+}  // namespace
+
+void fdct8x8Scalar(const std::int16_t* spatial, std::int32_t* freq) {
+  std::int32_t tmp[64];
+  std::int32_t d[8];
+  std::int32_t o[8];
   for (int y = 0; y < 8; ++y) {
-    for (int k = 0; k < 8; ++k) {
-      double acc = 0.0;
-      for (int x = 0; x < 8; ++x) acc += spatial[y * 8 + x] * C[k][x];
-      tmp[y * 8 + k] = acc;
-    }
+    for (int x = 0; x < 8; ++x) d[x] = spatial[y * 8 + x];
+    fdctPass<ScalarOps>(d, o, kFdctRowDc, kFdctRowAc);
+    for (int k = 0; k < 8; ++k) tmp[y * 8 + k] = o[k];
   }
   for (int k = 0; k < 8; ++k) {
-    for (int j = 0; j < 8; ++j) {
-      double acc = 0.0;
-      for (int y = 0; y < 8; ++y) acc += tmp[y * 8 + k] * C[j][y];
-      freq[j * 8 + k] = acc;
-    }
+    for (int y = 0; y < 8; ++y) d[y] = tmp[y * 8 + k];
+    fdctPass<ScalarOps>(d, o, kFdctColDc, kFdctColAc);
+    for (int j = 0; j < 8; ++j) freq[j * 8 + k] = o[j];
   }
 }
 
-void idct8x8Scalar(const double* freq, double* spatial) {
-  const auto& C = dctBasis().c;
-  double tmp[64];
-  for (int j = 0; j < 8; ++j) {
+void idct8x8Scalar(const std::int32_t* freq, std::int16_t* spatial) {
+  std::int32_t tmp[64];
+  std::int32_t in[8];
+  std::int32_t o[8];
+  for (int k = 0; k < 8; ++k) {
+    for (int j = 0; j < 8; ++j) in[j] = freq[j * 8 + k];
+    idctPass<ScalarOps>(in, o, kIdctColShift);
+    for (int y = 0; y < 8; ++y) tmp[y * 8 + k] = o[y];
+  }
+  for (int y = 0; y < 8; ++y) {
+    idctRowPass<ScalarOps>(tmp + y * 8, o);
     for (int x = 0; x < 8; ++x) {
-      double acc = 0.0;
-      for (int k = 0; k < 8; ++k) acc += freq[j * 8 + k] * C[k][x];
-      tmp[j * 8 + x] = acc;
-    }
-  }
-  for (int x = 0; x < 8; ++x) {
-    for (int y = 0; y < 8; ++y) {
-      double acc = 0.0;
-      for (int j = 0; j < 8; ++j) acc += tmp[j * 8 + x] * C[j][y];
-      spatial[y * 8 + x] = acc;
+      spatial[y * 8 + x] = static_cast<std::int16_t>(
+          std::clamp<std::int32_t>(o[x], INT16_MIN, INT16_MAX));
     }
   }
 }
 
-void quantizeBlockScalar(const double* freq, const int* quant,
-                         int* zigzagOut) {
+std::uint64_t quantizeBlockScalar(const std::int32_t* freq,
+                                  const QuantTable& table,
+                                  std::int32_t* zigzagOut) {
+  std::uint64_t mask = 0;
   for (int i = 0; i < 64; ++i) {
-    const double q = freq[kZigzag[i]] / quant[kZigzag[i]];
-    zigzagOut[i] = static_cast<int>(std::lround(q));
+    const int z = kZigzag[i];
+    zigzagOut[i] = quantize(freq[z], table.half[i], table.recip[i]);
+    mask |= static_cast<std::uint64_t>(zigzagOut[i] != 0) << i;
   }
+  return mask;
 }
 
-void rgbToYcbcrPlanesScalar(const Rgb8* px, std::size_t n, double* y,
-                            double* cb, double* cr) {
+inline std::int16_t toY(int r, int g, int b) {
+  return static_cast<std::int16_t>((kYR * r + kYG * g + kYB * b +
+                                    kToPlaneRound) >> kToPlaneShift);
+}
+inline std::int16_t toCb(int r, int g, int b) {
+  return static_cast<std::int16_t>((kCbR * r + kCbG * g + kCbB * b +
+                                    kToChromaRound) >> kToPlaneShift);
+}
+inline std::int16_t toCr(int r, int g, int b) {
+  return static_cast<std::int16_t>((kCrR * r + kCrG * g + kCrB * b +
+                                    kToChromaRound) >> kToPlaneShift);
+}
+
+inline std::uint8_t clampToByte(std::int32_t v) {
+  return static_cast<std::uint8_t>(v < 0 ? 0 : v > 255 ? 255 : v);
+}
+
+inline Rgb8 toRgb(std::int32_t y, std::int32_t cb, std::int32_t cr) {
+  return Rgb8{
+      clampToByte((kRgbY * y + kRCr * cr + kRBias) >> kToRgbShift),
+      clampToByte((kRgbY * y + kGCb * cb + kGCr * cr + kGBias) >>
+                  kToRgbShift),
+      clampToByte((kRgbY * y + kBCb * cb + kBBias) >> kToRgbShift)};
+}
+
+void rgbToYcbcrPlanesScalar(const Rgb8* px, std::size_t n, std::int16_t* y,
+                            std::int16_t* cb, std::int16_t* cr) {
   for (std::size_t i = 0; i < n; ++i) {
     const Rgb8& p = px[i];
-    y[i] = kLumaR * p.r + kLumaG * p.g + kLumaB * p.b;
-    cb[i] = 128.0 + (-0.168736 * p.r - 0.331264 * p.g + 0.5 * p.b);
-    cr[i] = 128.0 + (0.5 * p.r - 0.418688 * p.g - 0.081312 * p.b);
+    y[i] = toY(p.r, p.g, p.b);
+    cb[i] = toCb(p.r, p.g, p.b);
+    cr[i] = toCr(p.r, p.g, p.b);
   }
 }
 
-void ycbcrPlanesToRgbScalar(const double* y, const double* cb,
-                            const double* cr, std::size_t n, Rgb8* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double r = y[i] + 1.402 * (cr[i] - 128.0);
-    const double g =
-        y[i] - 0.344136 * (cb[i] - 128.0) - 0.714136 * (cr[i] - 128.0);
-    const double b = y[i] + 1.772 * (cb[i] - 128.0);
-    out[i] = Rgb8{clamp8(r), clamp8(g), clamp8(b)};
-  }
+void ycbcrPlanesToRgbScalar(const std::int16_t* y, const std::int16_t* cb,
+                            const std::int16_t* cr, std::size_t n,
+                            Rgb8* out) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = toRgb(y[i], cb[i], cr[i]);
 }
 
 }  // namespace detail
 
+QuantTable makeQuantTable(const int* divisors) {
+  QuantTable t{};
+  for (int i = 0; i < 64; ++i) {
+    const int d = divisors[detail::kZigzag[i]];
+    if (d < 1 || d > 255) {
+      throw std::invalid_argument("makeQuantTable: divisor outside 1..255");
+    }
+    t.divisor[detail::kZigzag[i]] = d;
+    t.half[i] = d << (kCoefFracBits - 1);
+    t.recip[i] = static_cast<std::uint32_t>(
+        ((std::uint32_t{1} << QuantTable::kQuantShift) + d - 1) / d);
+  }
+  return t;
+}
+
 const KernelTable& scalarTable() noexcept {
   static constexpr KernelTable kTable{
-      Level::kScalar,        profileRgbScalar,    profileGrayScalar,
-      maxChannelHistogramScalar, lumaPlaneScalar, histAccumulateScalar,
+      Level::kScalar,        detail::profileRgbScalar, profileGrayScalar,
+      maxChannelHistogramScalar, detail::lumaPlaneScalar,
+      histAccumulateScalar,
       emdNumeratorScalar,    scalePixelsScalar,   countClippedScalar,
       tailBudgetLevelScalar, lowPointScalar,      highPointScalar,
       detail::fdct8x8Scalar, detail::idct8x8Scalar,

@@ -3,7 +3,8 @@
 //
 // Bit-identical contract: the double-precision kernels run each pixel
 // through the exact scalar operation sequence, two pixels per vector; the
-// integer kernels are exact.  Clipped counting compares bytes against a
+// integer kernels, the codec's included, are exact.  Clipped counting
+// compares bytes against a
 // threshold derived from the scalar predicate (detail::clipThreshold), so
 // it reproduces the per-pixel double comparison on every input.
 //
@@ -18,19 +19,6 @@
 
 namespace anno::media::kernels {
 namespace {
-
-// Baseline SSE2 has no byte shuffle (SSSE3) or widening loads (SSE4.1), so
-// the RGB deinterleave costs more scalar construction than the two-wide
-// double math saves: the measured 2-lane variants ran ~0.85x of scalar.
-// The profile and plane kernels therefore use the scalar reference here;
-// SSE2 still wins on the byte-oriented kernels below.
-void profileRgbSse2(const Rgb8* px, std::size_t n, FrameProfile& out) {
-  out = FrameProfile{};
-  int minAcc = 255;
-  int maxAcc = 0;
-  detail::profileRgbRange(px, n, out, minAcc, maxAcc);
-  detail::finishProfile(out, n, minAcc, maxAcc);
-}
 
 void profileGraySse2(const std::uint8_t* px, std::size_t n,
                      FrameProfile& out) {
@@ -101,10 +89,6 @@ void maxChannelHistogramSse2(const Rgb8* px, std::size_t n,
     }
   }
   detail::maxChannelRange(px + i, n - i, hist);
-}
-
-void lumaPlaneSse2(const Rgb8* px, std::size_t n, std::uint8_t* out) {
-  detail::lumaPlaneRange(px, n, out);  // see the profileRgbSse2 note
 }
 
 void histAccumulateSse2(std::uint64_t* dst, const std::uint64_t* src) {
@@ -221,145 +205,254 @@ int highPointSse2(const std::uint64_t* counts, std::uint64_t budget) {
   return detail::highPointRange(counts, budget);
 }
 
-/// out = a * b for row-major 8x8 doubles; each output keeps the scalar
-/// chain acc = 0.0; acc += a[r][i] * b[i][c] (see the AVX2 variant), two
-/// rows of four vectors at a time in named (register) accumulators.
-inline void matmul8Sse2(const double* a, const double* b, double* out) {
-  for (int r = 0; r < 8; r += 2) {
-    const double* ar = a + r * 8;
-    __m128d c00 = _mm_setzero_pd(), c01 = c00, c02 = c00, c03 = c00;
-    __m128d c10 = c00, c11 = c00, c12 = c00, c13 = c00;
-    for (int i = 0; i < 8; ++i) {
-      const double* bi = b + 8 * i;
-      const __m128d b0 = _mm_loadu_pd(bi);
-      const __m128d b1 = _mm_loadu_pd(bi + 2);
-      const __m128d b2 = _mm_loadu_pd(bi + 4);
-      const __m128d b3 = _mm_loadu_pd(bi + 6);
-      __m128d ai = _mm_set1_pd(ar[i]);
-      c00 = _mm_add_pd(c00, _mm_mul_pd(ai, b0));
-      c01 = _mm_add_pd(c01, _mm_mul_pd(ai, b1));
-      c02 = _mm_add_pd(c02, _mm_mul_pd(ai, b2));
-      c03 = _mm_add_pd(c03, _mm_mul_pd(ai, b3));
-      ai = _mm_set1_pd(ar[8 + i]);
-      c10 = _mm_add_pd(c10, _mm_mul_pd(ai, b0));
-      c11 = _mm_add_pd(c11, _mm_mul_pd(ai, b1));
-      c12 = _mm_add_pd(c12, _mm_mul_pd(ai, b2));
-      c13 = _mm_add_pd(c13, _mm_mul_pd(ai, b3));
+/// Low 32 bits of the lane-wise product (SSE2 has no pmulld): two
+/// unsigned 32x32->64 multiplies, whose low halves equal the signed ones.
+inline __m128i mullo32(__m128i a, __m128i b) {
+  const __m128i even = _mm_mul_epu32(a, b);
+  const __m128i odd =
+      _mm_mul_epu32(_mm_srli_epi64(a, 32), _mm_srli_epi64(b, 32));
+  return _mm_unpacklo_epi32(_mm_shuffle_epi32(even, 0x08),
+                            _mm_shuffle_epi32(odd, 0x08));
+}
+
+/// fdctPass / idctPass lane ops: four int32 lanes.
+struct Sse2Ops {
+  static __m128i add(__m128i a, __m128i b) { return _mm_add_epi32(a, b); }
+  static __m128i sub(__m128i a, __m128i b) { return _mm_sub_epi32(a, b); }
+  static __m128i mul(__m128i a, std::int32_t c) {
+    return mullo32(a, _mm_set1_epi32(c));
+  }
+  static __m128i shl(__m128i a, int n) { return _mm_slli_epi32(a, n); }
+  static __m128i sra(__m128i a, int n) { return _mm_srai_epi32(a, n); }
+  static __m128i constant(std::int32_t c) { return _mm_set1_epi32(c); }
+  static __m128i descale(__m128i a, int n) {
+    return _mm_srai_epi32(_mm_add_epi32(a, _mm_set1_epi32(1 << (n - 1))), n);
+  }
+};
+
+/// An 8x8 int32 matrix as two halves of eight 4-lane vectors: m[h][i]
+/// holds lanes 4h..4h+3 of vector i.
+using Block4 = __m128i[2][8];
+
+/// out[h][c] = column c of `in`, restricted to rows 4h..4h+3 (transpose).
+inline void transpose8x8(const Block4& in, Block4& out) {
+  for (int h = 0; h < 2; ++h) {
+    for (int c = 0; c < 2; ++c) {
+      const __m128i* r = &in[c][4 * h];
+      const __m128i t0 = _mm_unpacklo_epi32(r[0], r[1]);
+      const __m128i t1 = _mm_unpacklo_epi32(r[2], r[3]);
+      const __m128i t2 = _mm_unpackhi_epi32(r[0], r[1]);
+      const __m128i t3 = _mm_unpackhi_epi32(r[2], r[3]);
+      out[h][4 * c] = _mm_unpacklo_epi64(t0, t1);
+      out[h][4 * c + 1] = _mm_unpackhi_epi64(t0, t1);
+      out[h][4 * c + 2] = _mm_unpacklo_epi64(t2, t3);
+      out[h][4 * c + 3] = _mm_unpackhi_epi64(t2, t3);
     }
-    double* o = out + r * 8;
-    _mm_storeu_pd(o, c00);
-    _mm_storeu_pd(o + 2, c01);
-    _mm_storeu_pd(o + 4, c02);
-    _mm_storeu_pd(o + 6, c03);
-    _mm_storeu_pd(o + 8, c10);
-    _mm_storeu_pd(o + 10, c11);
-    _mm_storeu_pd(o + 12, c12);
-    _mm_storeu_pd(o + 14, c13);
   }
 }
 
-void fdct8x8Sse2(const double* spatial, double* freq) {
-  const detail::DctBasis& basis = detail::dctBasis();
-  alignas(16) double tmp[64];
-  matmul8Sse2(spatial, &basis.ct[0][0], tmp);
-  matmul8Sse2(&basis.c[0][0], tmp, freq);
-}
-
-void idct8x8Sse2(const double* freq, double* spatial) {
-  const detail::DctBasis& basis = detail::dctBasis();
-  alignas(16) double tmp[64];
-  matmul8Sse2(freq, &basis.c[0][0], tmp);
-  matmul8Sse2(&basis.ct[0][0], tmp, spatial);
-}
-
-void quantizeBlockSse2(const double* freq, const int* quant,
-                       int* zigzagOut) {
-  // lround(q) exactly (see the AVX2 variant).  SSE2 has no roundpd, so
-  // trunc(q) goes through int32, which the |q| < 2^31 contract allows.
-  const __m128d half = _mm_set1_pd(0.5);
-  const __m128d minusHalf = _mm_set1_pd(-0.5);
-  const __m128d one = _mm_set1_pd(1.0);
-  alignas(16) int q[64];
-  for (int j = 0; j < 64; j += 2) {
-    const __m128d x = _mm_div_pd(
-        _mm_loadu_pd(freq + j),
-        _mm_cvtepi32_pd(_mm_loadl_epi64(
-            reinterpret_cast<const __m128i*>(quant + j))));
-    const __m128d t = _mm_cvtepi32_pd(_mm_cvttpd_epi32(x));
-    const __m128d r = _mm_sub_pd(x, t);
-    const __m128d step =
-        _mm_sub_pd(_mm_and_pd(_mm_cmpge_pd(r, half), one),
-                   _mm_and_pd(_mm_cmple_pd(r, minusHalf), one));
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(q + j),
-                     _mm_cvttpd_epi32(_mm_add_pd(t, step)));
+// Vector i of a Block4 is row i of the block (as in the AVX2 variant),
+// split into column halves.
+void fdct8x8Sse2(const std::int16_t* spatial, std::int32_t* freq) {
+  Block4 r;
+  Block4 t;
+  for (int y = 0; y < 8; ++y) {
+    const __m128i v =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(spatial + 8 * y));
+    r[0][y] = _mm_srai_epi32(_mm_unpacklo_epi16(v, v), 16);
+    r[1][y] = _mm_srai_epi32(_mm_unpackhi_epi16(v, v), 16);
   }
-  for (int i = 0; i < 64; ++i) zigzagOut[i] = q[detail::kZigzag[i]];
+  transpose8x8(r, t);
+  for (int h = 0; h < 2; ++h) {
+    detail::fdctPass<Sse2Ops>(t[h], r[h], detail::kFdctRowDc,
+                              detail::kFdctRowAc);
+  }
+  transpose8x8(r, t);
+  for (int h = 0; h < 2; ++h) {
+    detail::fdctPass<Sse2Ops>(t[h], r[h], detail::kFdctColDc,
+                              detail::kFdctColAc);
+  }
+  for (int j = 0; j < 8; ++j) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(freq + 8 * j), r[0][j]);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(freq + 8 * j + 4), r[1][j]);
+  }
 }
 
-void rgbToYcbcrPlanesSse2(const Rgb8* px, std::size_t n, double* y,
-                          double* cb, double* cr) {
-  const __m128d c128 = _mm_set1_pd(128.0);
+void idct8x8Sse2(const std::int32_t* freq, std::int16_t* spatial) {
+  Block4 r;
+  Block4 t;
+  for (int j = 0; j < 8; ++j) {
+    r[0][j] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(freq + 8 * j));
+    r[1][j] =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(freq + 8 * j + 4));
+  }
+  for (int h = 0; h < 2; ++h) {
+    detail::idctPass<Sse2Ops>(r[h], t[h], detail::kIdctColShift);
+  }
+  transpose8x8(t, r);
+  for (int h = 0; h < 2; ++h) {
+    detail::idctRowPass<Sse2Ops>(r[h], t[h]);
+  }
+  transpose8x8(t, r);
+  for (int y = 0; y < 8; ++y) {
+    // packs saturates to int16 exactly like the reference's clamp.
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(spatial + 8 * y),
+                     _mm_packs_epi32(r[0][y], r[1][y]));
+  }
+}
+
+std::uint64_t quantizeBlockSse2(const std::int32_t* freq,
+                                const QuantTable& table,
+                                std::int32_t* zigzagOut) {
+  const auto& zz = detail::kZigzag;
+  std::uint64_t zeros = 0;
+  for (int i = 0; i < 64; i += 4) {
+    // No gather before AVX2: pick the zigzag coefficients one by one.
+    const __m128i c = _mm_setr_epi32(freq[zz[i]], freq[zz[i + 1]],
+                                     freq[zz[i + 2]], freq[zz[i + 3]]);
+    const __m128i sign = _mm_srai_epi32(c, 31);
+    const __m128i n = _mm_srli_epi32(
+        _mm_add_epi32(
+            _mm_sub_epi32(_mm_xor_si128(c, sign), sign),
+            _mm_load_si128(reinterpret_cast<const __m128i*>(table.half + i))),
+        kCoefFracBits);
+    // n < 2^12 and recip <= 2^20: the unsigned product fits 32 bits.
+    const __m128i magnitude = _mm_srli_epi32(
+        mullo32(n, _mm_load_si128(
+                       reinterpret_cast<const __m128i*>(table.recip + i))),
+        QuantTable::kQuantShift);
+    const __m128i level =
+        _mm_sub_epi32(_mm_xor_si128(magnitude, sign), sign);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(zigzagOut + i), level);
+    zeros |= static_cast<std::uint64_t>(_mm_movemask_ps(
+                 _mm_castsi128_ps(_mm_cmpeq_epi32(level, _mm_setzero_si128()))))
+             << i;
+  }
+  return ~zeros;
+}
+
+/// Two int16 weights (a, b) repeated across the lanes, for madd pairs.
+inline __m128i weights(std::int32_t a, std::int32_t b) {
+  return _mm_set1_epi32(static_cast<int>(
+      static_cast<std::uint16_t>(a) |
+      (static_cast<std::uint32_t>(static_cast<std::uint16_t>(b)) << 16)));
+}
+
+void rgbToYcbcrPlanesSse2(const Rgb8* px, std::size_t n, std::int16_t* y,
+                          std::int16_t* cb, std::int16_t* cr) {
+  const std::uint8_t* bytes = reinterpret_cast<const std::uint8_t*>(px);
+  const __m128i lowBytes = _mm_set1_epi32(0x00FF00FF);
+  const __m128i lowByte = _mm_set1_epi32(0xFF);
+  const __m128i yRB = weights(detail::kYR, detail::kYB);
+  const __m128i yG = weights(detail::kYG, 0);
+  const __m128i cbRB = weights(detail::kCbR, detail::kCbB);
+  const __m128i cbG = weights(detail::kCbG, 0);
+  const __m128i crRB = weights(detail::kCrR, detail::kCrB);
+  const __m128i crG = weights(detail::kCrG, 0);
+  const __m128i lumaRound = _mm_set1_epi32(detail::kToPlaneRound);
+  const __m128i chromaRound = _mm_set1_epi32(detail::kToChromaRound);
+  const auto plane = [](__m128i rb, __m128i g, __m128i wRB, __m128i wG,
+                        __m128i round) {
+    return _mm_srai_epi32(
+        _mm_add_epi32(_mm_add_epi32(_mm_madd_epi16(rb, wRB),
+                                    _mm_madd_epi16(g, wG)),
+                      round),
+        detail::kToPlaneShift);
+  };
   std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d r = _mm_set_pd(px[i + 1].r, px[i].r);
-    const __m128d g = _mm_set_pd(px[i + 1].g, px[i].g);
-    const __m128d b = _mm_set_pd(px[i + 1].b, px[i].b);
-    _mm_storeu_pd(y + i,
-                  _mm_add_pd(_mm_add_pd(_mm_mul_pd(_mm_set1_pd(kLumaR), r),
-                                        _mm_mul_pd(_mm_set1_pd(kLumaG), g)),
-                             _mm_mul_pd(_mm_set1_pd(kLumaB), b)));
-    _mm_storeu_pd(
-        cb + i,
-        _mm_add_pd(c128,
-                   _mm_add_pd(_mm_sub_pd(_mm_mul_pd(_mm_set1_pd(-0.168736), r),
-                                         _mm_mul_pd(_mm_set1_pd(0.331264), g)),
-                              _mm_mul_pd(_mm_set1_pd(0.5), b))));
-    _mm_storeu_pd(
-        cr + i,
-        _mm_add_pd(c128,
-                   _mm_sub_pd(_mm_sub_pd(_mm_mul_pd(_mm_set1_pd(0.5), r),
-                                         _mm_mul_pd(_mm_set1_pd(0.418688), g)),
-                              _mm_mul_pd(_mm_set1_pd(0.081312), b))));
+  // Eight pixels per iteration as two 16-byte loads of 4 pixels; the
+  // second reads 4 bytes past pixel i+7, hence the i+10 guard.
+  for (; i + 10 <= n; i += 8) {
+    __m128i yv[2];
+    __m128i cbv[2];
+    __m128i crv[2];
+    for (int h = 0; h < 2; ++h) {
+      const __m128i v = _mm_loadu_si128(
+          reinterpret_cast<const __m128i*>(bytes + 3 * (i + 4 * h)));
+      // Lane k = bytes 3k..3k+3: R, G, B and the next pixel's R.
+      const __m128i p = _mm_unpacklo_epi64(
+          _mm_unpacklo_epi32(v, _mm_srli_si128(v, 3)),
+          _mm_unpacklo_epi32(_mm_srli_si128(v, 6), _mm_srli_si128(v, 9)));
+      const __m128i rb = _mm_and_si128(p, lowBytes);  // (R, B) pairs
+      const __m128i g =
+          _mm_and_si128(_mm_srli_epi32(p, 8), lowByte);  // (G, 0) pairs
+      yv[h] = plane(rb, g, yRB, yG, lumaRound);
+      cbv[h] = plane(rb, g, cbRB, cbG, chromaRound);
+      crv[h] = plane(rb, g, crRB, crG, chromaRound);
+    }
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(y + i),
+                     _mm_packs_epi32(yv[0], yv[1]));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(cb + i),
+                     _mm_packs_epi32(cbv[0], cbv[1]));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(cr + i),
+                     _mm_packs_epi32(crv[0], crv[1]));
   }
   detail::rgbToYcbcrPlanesScalar(px + i, n - i, y + i, cb + i, cr + i);
 }
 
-/// clamp8 of 2 doubles as 2 x i32 in the low lanes.
-inline __m128i clamp8x2(__m128d v) {
-  const __m128d lim = _mm_set1_pd(255.0);
-  __m128d t = _mm_add_pd(v, _mm_set1_pd(0.5));
-  const __m128d hi = _mm_cmpge_pd(v, lim);
-  t = _mm_or_pd(_mm_and_pd(hi, lim), _mm_andnot_pd(hi, t));
-  t = _mm_andnot_pd(_mm_cmple_pd(v, _mm_setzero_pd()), t);  // v <= 0 -> 0
-  return _mm_cvttpd_epi32(t);
-}
-
-void ycbcrPlanesToRgbSse2(const double* y, const double* cb,
-                          const double* cr, std::size_t n, Rgb8* out) {
-  const __m128d c128 = _mm_set1_pd(128.0);
+void ycbcrPlanesToRgbSse2(const std::int16_t* y, const std::int16_t* cb,
+                          const std::int16_t* cr, std::size_t n, Rgb8* out) {
+  const __m128i zero = _mm_setzero_si128();
+  const __m128i rW = weights(detail::kRgbY, detail::kRCr);
+  const __m128i gW = weights(detail::kRgbY, detail::kGCb);
+  const __m128i gCrW = weights(detail::kGCr, 0);
+  const __m128i bW = weights(detail::kRgbY, detail::kBCb);
+  const __m128i rBias = _mm_set1_epi32(detail::kRBias);
+  const __m128i gBias = _mm_set1_epi32(detail::kGBias);
+  const __m128i bBias = _mm_set1_epi32(detail::kBBias);
+  const __m128i pixel0 = _mm_set1_epi64x(0xFFFFFF);
+  const __m128i pixel1 = _mm_set1_epi64x(0xFFFFFF000000);
+  std::uint8_t* dst = reinterpret_cast<std::uint8_t*>(out);
   std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d yv = _mm_loadu_pd(y + i);
-    const __m128d cbm = _mm_sub_pd(_mm_loadu_pd(cb + i), c128);
-    const __m128d crm = _mm_sub_pd(_mm_loadu_pd(cr + i), c128);
-    const __m128i r =
-        clamp8x2(_mm_add_pd(yv, _mm_mul_pd(_mm_set1_pd(1.402), crm)));
-    const __m128i g = clamp8x2(
-        _mm_sub_pd(_mm_sub_pd(yv, _mm_mul_pd(_mm_set1_pd(0.344136), cbm)),
-                   _mm_mul_pd(_mm_set1_pd(0.714136), crm)));
-    const __m128i b =
-        clamp8x2(_mm_add_pd(yv, _mm_mul_pd(_mm_set1_pd(1.772), cbm)));
-    // Lane p holds r | g << 8 | b << 16 of pixel i + p.
-    const __m128i rgb = _mm_or_si128(
-        r, _mm_or_si128(_mm_slli_epi32(g, 8), _mm_slli_epi32(b, 16)));
-    const std::uint64_t two =
-        static_cast<std::uint64_t>(_mm_cvtsi128_si64(rgb));
-    out[i] = Rgb8{static_cast<std::uint8_t>(two),
-                  static_cast<std::uint8_t>(two >> 8),
-                  static_cast<std::uint8_t>(two >> 16)};
-    out[i + 1] = Rgb8{static_cast<std::uint8_t>(two >> 32),
-                      static_cast<std::uint8_t>(two >> 40),
-                      static_cast<std::uint8_t>(two >> 48)};
+  // Eight pixels per iteration, stored as four 8-byte writes of two
+  // pixels each; the last writes 2 bytes into pixel i+8, which the next
+  // iteration or the tail overwrites -- hence the i+9 guard.
+  for (; i + 9 <= n; i += 8) {
+    const __m128i yv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(y + i));
+    const __m128i cbv =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(cb + i));
+    const __m128i crv =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(cr + i));
+    __m128i r[2];
+    __m128i g[2];
+    __m128i b[2];
+    for (int h = 0; h < 2; ++h) {
+      const __m128i ycr = h == 0 ? _mm_unpacklo_epi16(yv, crv)
+                                 : _mm_unpackhi_epi16(yv, crv);
+      const __m128i ycb = h == 0 ? _mm_unpacklo_epi16(yv, cbv)
+                                 : _mm_unpackhi_epi16(yv, cbv);
+      const __m128i cr0 = h == 0 ? _mm_unpacklo_epi16(crv, zero)
+                                 : _mm_unpackhi_epi16(crv, zero);
+      r[h] = _mm_srai_epi32(_mm_add_epi32(_mm_madd_epi16(ycr, rW), rBias),
+                            detail::kToRgbShift);
+      g[h] = _mm_srai_epi32(
+          _mm_add_epi32(_mm_add_epi32(_mm_madd_epi16(ycb, gW),
+                                      _mm_madd_epi16(cr0, gCrW)),
+                        gBias),
+          detail::kToRgbShift);
+      b[h] = _mm_srai_epi32(_mm_add_epi32(_mm_madd_epi16(ycb, bW), bBias),
+                            detail::kToRgbShift);
+    }
+    // packus clamps to 0..255 exactly like the reference.
+    const __m128i rgBytes = _mm_packus_epi16(_mm_packs_epi32(r[0], r[1]),
+                                             _mm_packs_epi32(g[0], g[1]));
+    const __m128i bBytes =
+        _mm_packus_epi16(_mm_packs_epi32(b[0], b[1]), zero);
+    const __m128i rg = _mm_unpacklo_epi8(rgBytes, _mm_srli_si128(rgBytes, 8));
+    const __m128i b0 = _mm_unpacklo_epi8(bBytes, zero);
+    std::uint8_t* d = dst + 3 * i;
+    for (int h = 0; h < 2; ++h) {
+      // Lane p = R | G << 8 | B << 16 of pixel 4h + p.
+      const __m128i rgb = h == 0 ? _mm_unpacklo_epi16(rg, b0)
+                                 : _mm_unpackhi_epi16(rg, b0);
+      // Close the gap in each 64-bit pair: 6 packed bytes per qword.
+      const __m128i two =
+          _mm_or_si128(_mm_and_si128(rgb, pixel0),
+                       _mm_and_si128(_mm_srli_epi64(rgb, 8), pixel1));
+      _mm_storel_epi64(reinterpret_cast<__m128i*>(d + 12 * h), two);
+      _mm_storel_epi64(reinterpret_cast<__m128i*>(d + 12 * h + 6),
+                       _mm_unpackhi_epi64(two, two));
+    }
   }
   detail::ycbcrPlanesToRgbScalar(y + i, cb + i, cr + i, n - i, out + i);
 }
@@ -368,8 +461,11 @@ void ycbcrPlanesToRgbSse2(const double* y, const double* cb,
 
 const KernelTable& sse2Table() noexcept {
   static constexpr KernelTable kTable{
-      Level::kSse2,        profileRgbSse2,    profileGraySse2,
-      maxChannelHistogramSse2, lumaPlaneSse2, histAccumulateSse2,
+      // profileRgb and lumaPlane: the RGB deinterleave costs baseline SSE2
+      // (no pshufb, no widening loads) more than two-wide double math
+      // saves; the measured variants tied scalar, so scalar it is.
+      Level::kSse2,        detail::profileRgbScalar, profileGraySse2,
+      maxChannelHistogramSse2, detail::lumaPlaneScalar, histAccumulateSse2,
       emdNumeratorSse2,    scalePixelsSse2,   countClippedSse2,
       tailBudgetLevelSse2, lowPointSse2,      highPointSse2,
       fdct8x8Sse2,         idct8x8Sse2,       quantizeBlockSse2,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/annotate.h"
+#include "media/bitstream.h"
 #include "media/clipgen.h"
 #include "media/rng.h"
 
@@ -77,6 +78,28 @@ TEST(SketchTrack, CompactForSimilarScenes) {
 TEST(SketchTrack, DecodeRejectsGarbage) {
   std::vector<std::uint8_t> junk = {200, 1, 2, 3};
   EXPECT_ANY_THROW((void)SketchTrack::decode(junk));
+}
+
+TEST(SketchTrack, DecodeRejectsHugeCountsBeforeAllocating) {
+  // Both nasties fit in under 32 bytes and must throw before any large
+  // allocation (bad_alloc, or an ASan abort, would mean they did not).
+  media::ByteWriter overflow;
+  overflow.varint(std::uint64_t{1} << 60);  // scenes * 16 wraps 64 bits
+  overflow.varint(2);
+  overflow.varint(16);
+  overflow.u8(7);
+  ASSERT_LT(overflow.size(), 32u);
+  EXPECT_THROW((void)SketchTrack::decode(overflow.data()), std::runtime_error);
+
+  media::ByteWriter balloon;
+  balloon.varint(1);  // one scene: 16 bytes expected
+  media::ByteWriter rle;
+  rle.varint(std::uint64_t{1} << 32);  // ... but a 4 GiB run
+  rle.u8(9);
+  balloon.varint(rle.size());
+  balloon.bytes(rle.data());
+  ASSERT_LT(balloon.size(), 32u);
+  EXPECT_THROW((void)SketchTrack::decode(balloon.data()), std::runtime_error);
 }
 
 TEST(SketchTrack, BuildFromClipMatchesScenes) {

@@ -8,9 +8,12 @@
 // Each golden is the CRC-32 of serializeClip(encodeClip(clip, cfg)) and the
 // CRC-32 of the RGB bytes of every frame decodeClip returns, so one row
 // pins every encoded byte AND every decoded pixel of its configuration.
+// rateDistortion() reduces the same round trip to the two numbers the
+// rate/distortion table (codec_rd_test.cpp) compares across formats.
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -85,6 +88,39 @@ inline Digest digest(const media::VideoClip& clip, const Config& cfg) {
         pixelCrc);
   }
   return {clip.frames.size(), stream.size(), media::crc32(stream), pixelCrc};
+}
+
+struct RateDistortion {
+  std::size_t streamBytes;
+  /// PSNR of every decoded RGB channel sample against the source, over
+  /// the whole clip (one pooled mean squared error).
+  double psnrDb;
+};
+
+inline RateDistortion rateDistortion(const media::VideoClip& clip,
+                                     const Config& cfg) {
+  media::CodecConfig codec;
+  codec.quality = cfg.quality;
+  codec.gopLength = cfg.gop;
+  const media::EncodedClip enc = media::encodeClip(clip, codec);
+  const media::VideoClip dec = media::decodeClip(enc);
+  double sse = 0.0;
+  std::size_t samples = 0;
+  for (std::size_t f = 0; f < clip.frames.size(); ++f) {
+    const auto a = clip.frames[f].pixels();
+    const auto b = dec.frames[f].pixels();
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      for (const auto ch :
+           {&media::Rgb8::r, &media::Rgb8::g, &media::Rgb8::b}) {
+        const double d = static_cast<double>(a[i].*ch) - (b[i].*ch);
+        sse += d * d;
+      }
+    }
+    samples += 3 * a.size();
+  }
+  const double mse = sse / static_cast<double>(samples);
+  return {media::serializeClip(enc).size(),
+          mse == 0.0 ? 99.0 : 10.0 * std::log10(255.0 * 255.0 / mse)};
 }
 
 }  // namespace anno::codec_golden

@@ -1,8 +1,7 @@
 // Codec stream goldens: every encoded byte and every decoded pixel of the
 // codec_golden_matrix.h configurations must match the CRCs captured by
-// tools/capture_codec_goldens.cpp before the codec's DCT, quantisation and
-// colour conversion moved into the SIMD kernel table -- at every available
-// dispatch level.
+// tools/capture_codec_goldens.cpp when the AV1 format was introduced -- at
+// every available dispatch level.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -1,0 +1,97 @@
+// Rate/distortion of the AV1 codec against the AV0 format it replaced, on
+// the codec golden matrix (ten paper clips x GOP {1, 12} x quality
+// {30, 75, 95} x {32x24, 44x30}, 20 frames each).  AV0's serialized bytes
+// and pooled PSNR per configuration are pinned in codec_rd_table.inc.
+//
+// Intra-only configurations are compared one by one: each frame is coded
+// independently, so AV1 must keep every clip's PSNR within 0.05 dB of
+// AV0.  GOP-12 configurations are compared as the mean over the ten clips
+// of each size and quality: a P block is skipped when its mean absolute
+// difference is under a threshold, and any change to the decoded
+// reference -- even a 1e-7 change to one AV0 colour weight -- flips some
+// near-threshold skips, which moves a single 20-frame clip by up to
+// 0.05 dB in AV0 itself and by up to 0.3 dB here.  Bytes are compared as
+// totals over the ten clips of each size, GOP and quality.
+#include <gtest/gtest.h>
+
+#include <map>
+#include <string>
+#include <tuple>
+
+#include "codec_golden_matrix.h"
+
+namespace anno::codec_golden {
+namespace {
+
+struct CodecRd {
+  const char* name;
+  std::size_t streamBytes;
+  double psnrDb;
+};
+
+#include "codec_rd_table.inc"
+
+constexpr double kPsnrSlackDb = 0.05;
+/// GOP-12 at quality 95 only: the mean over ten clips of a format with
+/// different rounding sits 0.06-0.08 dB below AV0 (skip-decision chaos; the
+/// intra loss is under 0.003 dB), so it is held to 0.1 dB.
+constexpr double kGopQ95PsnrSlackDb = 0.1;
+
+TEST(CodecRd, Av1HoldsAv0RateDistortion) {
+  const std::vector<Config> configs = matrix();
+  ASSERT_EQ(configs.size(), std::size(kCodecRdReference));
+  struct Group {
+    std::size_t av0Bytes = 0;
+    std::size_t av1Bytes = 0;
+    double psnrDelta = 0.0;
+    int clips = 0;
+  };
+  // (width, gop, quality) -> totals over the ten clips.
+  std::map<std::tuple<int, int, int>, Group> groups;
+  std::map<std::pair<media::PaperClip, int>, media::VideoClip> clips;
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const Config& cfg = configs[i];
+    const CodecRd& av0 = kCodecRdReference[i];
+    ASSERT_EQ(cfg.name(), av0.name);
+    auto it = clips.find({cfg.clip, cfg.width});
+    if (it == clips.end()) {
+      it = clips
+               .emplace(std::pair{cfg.clip, cfg.width},
+                        clipFor(cfg.clip, cfg.width, cfg.height))
+               .first;
+    }
+    const RateDistortion av1 = rateDistortion(it->second, cfg);
+    if (cfg.gop == 1) {
+      EXPECT_GE(av1.psnrDb, av0.psnrDb - kPsnrSlackDb) << av0.name;
+      if (cfg.quality == 95) {
+        EXPECT_LE(av1.streamBytes, av0.streamBytes * 101 / 100) << av0.name;
+      }
+    }
+    Group& g = groups[{cfg.width, cfg.gop, cfg.quality}];
+    g.av0Bytes += av0.streamBytes;
+    g.av1Bytes += av1.streamBytes;
+    g.psnrDelta += av1.psnrDb - av0.psnrDb;
+    ++g.clips;
+  }
+  for (const auto& [key, g] : groups) {
+    const auto [width, gop, quality] = key;
+    const std::string name = std::to_string(width) + "/gop" +
+                             std::to_string(gop) + "/q" +
+                             std::to_string(quality);
+    ASSERT_EQ(g.clips, 10) << name;
+    const double meanDelta = g.psnrDelta / g.clips;
+    const double slack =
+        gop > 1 && quality == 95 ? kGopQ95PsnrSlackDb : kPsnrSlackDb;
+    EXPECT_GE(meanDelta, -slack) << name;
+    if (quality == 95) {
+      EXPECT_LE(g.av1Bytes * 100, g.av0Bytes * 101) << name;
+    } else {
+      EXPECT_LE(g.av1Bytes, g.av0Bytes) << name;
+    }
+    std::printf("%-14s bytes %.4f x AV0, PSNR %+.4f dB\n", name.c_str(),
+                static_cast<double>(g.av1Bytes) / g.av0Bytes, meanDelta);
+  }
+}
+
+}  // namespace
+}  // namespace anno::codec_golden

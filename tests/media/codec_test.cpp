@@ -4,6 +4,7 @@
 
 #include "media/bitstream.h"
 #include "media/clipgen.h"
+#include "media/kernels/kernels.h"
 #include "media/rng.h"
 #include "quality/metrics.h"
 
@@ -106,6 +107,90 @@ TEST(Codec, SerializeParseRoundtrip) {
 TEST(Codec, ParseRejectsBadMagic) {
   std::vector<std::uint8_t> bytes = {1, 2, 3, 4, 5, 6, 7, 8};
   EXPECT_THROW((void)parseClip(bytes), std::runtime_error);
+}
+
+TEST(Codec, ParseRejectsTheAv0Magic) {
+  // Streams of the previous format (magic "\0AV0") are not decodable.
+  std::vector<std::uint8_t> bytes = serializeClip(EncodedClip{});
+  ASSERT_EQ(bytes[0], 0x00);
+  ASSERT_EQ(bytes[1], 0x41);  // 'A'
+  ASSERT_EQ(bytes[2], 0x56);  // 'V'
+  ASSERT_EQ(bytes[3], 0x31);  // '1'
+  EXPECT_NO_THROW((void)parseClip(bytes));
+  bytes[3] = 0x30;            // '0'
+  EXPECT_THROW((void)parseClip(bytes), std::runtime_error);
+}
+
+TEST(Codec, DcOnlyBlockIsOneVarint) {
+  // A flat frame is all DC-only blocks: the DC symbol carries the
+  // end-of-block flag, so each costs one byte (small DC deltas) and
+  // decodes to a constant fill.
+  const Image flat(16, 8, Rgb8{120, 120, 120});
+  const EncodedFrame enc = encodeFrame(flat, {75});
+  EXPECT_EQ(enc.sizeBytes(), 2u + 3u * 2u);  // header + 3 planes x 2 blocks
+  const Image dec = decodeFrame(enc, 16, 8);
+  for (const Rgb8& p : dec.pixels()) {
+    EXPECT_EQ(p, (Rgb8{120, 120, 120}));
+  }
+}
+
+/// 8x8 frames at the sample-range extremes: all 0, all 255 and the full
+/// swing checkerboard, whose P residuals reach +-255.
+std::vector<Image> extremeFrames() {
+  Image board(8, 8);
+  Image inverse(8, 8);
+  for (int y = 0; y < 8; ++y) {
+    for (int x = 0; x < 8; ++x) {
+      const std::uint8_t v = (x + y) % 2 == 0 ? 255 : 0;
+      board(x, y) = Rgb8{v, v, v};
+      inverse(x, y) = Rgb8{static_cast<std::uint8_t>(255 - v),
+                           static_cast<std::uint8_t>(255 - v),
+                           static_cast<std::uint8_t>(255 - v)};
+    }
+  }
+  return {Image(8, 8, Rgb8{0, 0, 0}), Image(8, 8, Rgb8{255, 255, 255}), board,
+          inverse, Image(8, 8, Rgb8{255, 0, 0}), Image(8, 8, Rgb8{0, 0, 255})};
+}
+
+TEST(Codec, ExtremeBlocksAreIdenticalAtEveryLevel) {
+  VideoClip clip;
+  clip.name = "extremes";
+  clip.fps = 15.0;
+  clip.frames = extremeFrames();
+  for (const int quality : {1, 30, 75, 95, 100}) {
+    for (const int gop : {1, 12}) {
+      const CodecConfig cfg{quality, gop, 0.0};
+      std::vector<std::uint8_t> wantBytes;
+      std::vector<Image> wantFrames;
+      {
+        const kernels::ScopedLevel scalar(kernels::Level::kScalar);
+        const EncodedClip enc = encodeClip(clip, cfg);
+        wantBytes = serializeClip(enc);
+        wantFrames = decodeClip(enc).frames;
+      }
+      // Black and white come back exact from quality 30 up (at 1 the DC
+      // divisor is 255); at 100 (divisor 1) every frame is close.
+      for (const std::size_t f : {std::size_t{0}, std::size_t{1}}) {
+        if (quality >= 30) {
+          EXPECT_EQ(wantFrames[f], clip.frames[f]) << "q" << quality;
+        }
+      }
+      if (quality == 100) {
+        for (std::size_t f = 0; f < clip.frames.size(); ++f) {
+          EXPECT_GT(quality::psnr(clip.frames[f], wantFrames[f]), 40.0)
+              << "frame " << f;
+        }
+      }
+      for (const kernels::Level level : kernels::availableLevels()) {
+        const kernels::ScopedLevel scoped(level);
+        const EncodedClip enc = encodeClip(clip, cfg);
+        EXPECT_EQ(serializeClip(enc), wantBytes)
+            << kernels::levelName(level) << " q" << quality << " gop" << gop;
+        EXPECT_EQ(decodeClip(enc).frames, wantFrames)
+            << kernels::levelName(level) << " q" << quality << " gop" << gop;
+      }
+    }
+  }
 }
 
 TEST(Codec, ParseRejectsTruncation) {

@@ -11,7 +11,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
+#include <cstdlib>
 #include <vector>
 
 #include "compensate/compensate.h"
@@ -492,169 +492,272 @@ TEST(Kernels, AnalyzeLuminanceIntegerSumMatchesReference) {
 }
 
 // ---- Codec kernels: DCT/IDCT, quantisation, colour conversion ----------
+//
+// The codec kernels are integer, so "matches scalar" is plain equality.
 
-/// Bitwise equality of doubles: tells +0.0 from -0.0 and compares NaNs by
-/// payload, which EXPECT_EQ on doubles would not.
-bool sameBits(const double* a, const double* b, std::size_t n) {
-  return n == 0 || std::memcmp(a, b, n * sizeof(double)) == 0;
-}
+using Samples = std::array<std::int16_t, 64>;
+using Coefs = std::array<std::int32_t, 64>;
 
-using Block = std::array<double, 64>;
+constexpr std::int16_t kFullScale = 255 << kPlaneFracBits;  // 8-bit 255
 
-/// Blocks that take every DCT code path the codec feeds it: random
-/// samples, integer residuals at the +-255 extremes, all-zero, all -0.0,
-/// DC-only and a full-swing checkerboard.
-std::vector<Block> dctInputs() {
-  std::vector<Block> blocks;
+/// Sample blocks that take every transform path the codec feeds it:
+/// random planes and residuals, the input-range extremes, all-zero,
+/// all-255, DC-only and the full-swing checkerboards (+-255 residual and
+/// 0/255 intra).
+std::vector<Samples> sampleInputs() {
+  std::vector<Samples> blocks;
   SplitMix64 rng(0xDC7);
   for (int i = 0; i < 200; ++i) {
-    Block b;
-    for (double& v : b) v = rng.uniform(-255.0, 255.0);
+    Samples b;
+    for (auto& v : b) v = static_cast<std::int16_t>(rng.below(kFullScale + 1));
     blocks.push_back(b);
   }
   for (int i = 0; i < 200; ++i) {
-    Block b;
-    for (double& v : b) {
+    Samples b;
+    for (auto& v : b) {
       const std::uint64_t r = rng.below(8);
-      v = r == 0 ? 255.0 : r == 1 ? -255.0 : rng.uniform(-255.0, 255.0);
-      v = std::round(v);
+      v = static_cast<std::int16_t>(
+          r == 0   ? kMaxFdctInput
+          : r == 1 ? -kMaxFdctInput
+                   : static_cast<int>(rng.below(2 * kMaxFdctInput + 1)) -
+                         kMaxFdctInput);
     }
     blocks.push_back(b);
   }
-  Block b{};
-  blocks.push_back(b);  // all +0.0
-  b.fill(-0.0);
+  Samples b{};
+  blocks.push_back(b);  // all 0
+  b.fill(kFullScale);
+  blocks.push_back(b);  // all 255
+  b.fill(static_cast<std::int16_t>(-kFullScale));
   blocks.push_back(b);
-  b.fill(0.0);
-  b[0] = -0.0;
-  b[9] = -0.0;
-  blocks.push_back(b);  // mixed signed zeros
-  b.fill(0.0);
-  b[0] = 2040.0;
-  blocks.push_back(b);  // DC only
-  for (int i = 0; i < 64; ++i) {
-    b[i] = (i / 8 + i % 8) % 2 == 0 ? 255.0 : -255.0;
+  for (const int lo : {-kFullScale, 0}) {
+    for (int i = 0; i < 64; ++i) {
+      b[i] = static_cast<std::int16_t>((i / 8 + i % 8) % 2 == 0 ? kFullScale
+                                                                : lo);
+    }
+    blocks.push_back(b);  // +-255 residual and 0/255 intra checkerboards
   }
-  blocks.push_back(b);
-  b.fill(255.0);
-  blocks.push_back(b);
-  b.fill(-255.0);
-  blocks.push_back(b);
+  return blocks;
+}
+
+/// Coefficient blocks for the inverse: random in range, the range
+/// extremes (saturating outputs), DC-only and the forward transforms of
+/// the sample inputs at integer precision.
+std::vector<Coefs> coefInputs() {
+  std::vector<Coefs> blocks;
+  SplitMix64 rng(0x1DC7);
+  for (int i = 0; i < 200; ++i) {
+    Coefs c;
+    for (auto& v : c) {
+      const std::uint64_t r = rng.below(6);
+      v = r == 0   ? kMaxIdctInput
+          : r == 1 ? -kMaxIdctInput
+          : r == 2 ? 0
+                   : static_cast<int>(rng.below(2 * kMaxIdctInput + 1)) -
+                         kMaxIdctInput;
+    }
+    blocks.push_back(c);
+  }
+  Coefs c{};
+  blocks.push_back(c);
+  c.fill(kMaxIdctInput);
+  blocks.push_back(c);
+  c.fill(-kMaxIdctInput);
+  blocks.push_back(c);
+  for (const Samples& s : sampleInputs()) {
+    tableFor(Level::kScalar)->fdct8x8(s.data(), c.data());
+    for (auto& v : c) {
+      v = std::clamp((v + (1 << (kCoefFracBits - 1))) >> kCoefFracBits,
+                     -kMaxIdctInput, kMaxIdctInput);
+    }
+    blocks.push_back(c);
+  }
   return blocks;
 }
 
 TEST(Kernels, DctMatchesScalarBitwise) {
   const KernelTable* scalar = tableFor(Level::kScalar);
-  const std::vector<Block> inputs = dctInputs();
+  const std::vector<Samples> samples = sampleInputs();
+  const std::vector<Coefs> coefs = coefInputs();
   for (Level level : availableLevels()) {
     const KernelTable* table = tableFor(level);
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      SCOPED_TRACE(testing::Message() << levelName(level) << " block " << i);
-      Block want;
-      Block got;
-      scalar->fdct8x8(inputs[i].data(), want.data());
-      table->fdct8x8(inputs[i].data(), got.data());
-      EXPECT_TRUE(sameBits(got.data(), want.data(), 64)) << "fdct8x8";
-      // The codec's inverse sees dequantised coefficients; random blocks
-      // and the forward output both stand in for them.
-      scalar->idct8x8(inputs[i].data(), want.data());
-      table->idct8x8(inputs[i].data(), got.data());
-      EXPECT_TRUE(sameBits(got.data(), want.data(), 64)) << "idct8x8";
-      Block freq;
-      scalar->fdct8x8(inputs[i].data(), freq.data());
-      scalar->idct8x8(freq.data(), want.data());
-      table->idct8x8(freq.data(), got.data());
-      EXPECT_TRUE(sameBits(got.data(), want.data(), 64)) << "round trip";
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      Coefs want;
+      Coefs got;
+      scalar->fdct8x8(samples[i].data(), want.data());
+      table->fdct8x8(samples[i].data(), got.data());
+      ASSERT_EQ(got, want) << levelName(level) << " fdct block " << i;
+    }
+    for (std::size_t i = 0; i < coefs.size(); ++i) {
+      Samples want;
+      Samples got;
+      scalar->idct8x8(coefs[i].data(), want.data());
+      table->idct8x8(coefs[i].data(), got.data());
+      ASSERT_EQ(got, want) << levelName(level) << " idct block " << i;
     }
   }
 }
 
 TEST(Kernels, DctWrappersFollowTheActiveTable) {
-  const Block in = dctInputs().front();
-  const Block want = [&] {
+  const Samples in = sampleInputs().front();
+  const auto roundTrip = [&] {
+    CoefBlock freq = forwardDct(in);
+    for (auto& v : freq) v >>= kCoefFracBits;
+    return inverseDct(freq);
+  };
+  const Samples want = [&] {
     ScopedLevel guard(Level::kScalar);
-    return inverseDct(forwardDct(in));
+    return roundTrip();
   }();
   for (Level level : availableLevels()) {
     ScopedLevel guard(level);
-    const Block got = inverseDct(forwardDct(in));
-    EXPECT_TRUE(sameBits(got.data(), want.data(), 64)) << levelName(level);
+    EXPECT_EQ(roundTrip(), want) << levelName(level);
   }
 }
 
-/// Independent round-half-away-from-zero of an exact quotient, written
-/// without lround.
-int roundHalfAway(double q) {
-  const double t = std::trunc(q);
-  if (q - t >= 0.5) return static_cast<int>(t) + 1;
-  if (q - t <= -0.5) return static_cast<int>(t) - 1;
-  return static_cast<int>(t);
+TEST(Kernels, IdctOfDcOnlyBlockIsAConstantFillAtEveryLevel) {
+  // The decoder fills DC-only blocks without the inverse transform; that
+  // is only sound because the transform returns exactly this constant.
+  const int dcSample = 1 << (kPlaneFracBits - 3);
+  for (Level level : availableLevels()) {
+    for (int dc = -kMaxIdctInput; dc <= kMaxIdctInput; dc += 7) {
+      Coefs c{};
+      c[0] = dc;
+      Samples got;
+      tableFor(level)->idct8x8(c.data(), got.data());
+      for (const std::int16_t v : got) {
+        ASSERT_EQ(v, std::clamp(dc * dcSample, -32768, 32767))
+            << levelName(level) << " dc=" << dc;
+      }
+    }
+  }
 }
 
-void expectQuantizeEq(const double* freq, const int* quant, Level level,
-                      const char* what) {
-  int want[64];
-  int got[64];
-  tableFor(Level::kScalar)->quantizeBlock(freq, quant, want);
-  tableFor(level)->quantizeBlock(freq, quant, got);
+/// Round-half-away-from-zero of c / (d << kCoefFracBits) by plain integer
+/// division, written independently of the reciprocal.
+std::int32_t divideRoundHalfAway(std::int32_t c, std::int32_t d) {
+  const std::int64_t step = std::int64_t{d} << kCoefFracBits;
+  const std::int64_t mag = (std::llabs(c) + step / 2) / step;
+  return static_cast<std::int32_t>(c < 0 ? -mag : mag);
+}
+
+void expectQuantizeEq(const std::int32_t* freq, const QuantTable& table,
+                      Level level, const char* what) {
+  std::int32_t want[64];
+  std::int32_t got[64];
+  const std::uint64_t wantMask =
+      tableFor(Level::kScalar)->quantizeBlock(freq, table, want);
+  const std::uint64_t gotMask =
+      tableFor(level)->quantizeBlock(freq, table, got);
+  ASSERT_EQ(gotMask, wantMask) << what << " " << levelName(level);
   for (int i = 0; i < 64; ++i) {
     const int z = zigzagOrder()[i];
     ASSERT_EQ(got[i], want[i])
         << what << " level=" << levelName(level) << " zigzag " << i
-        << " freq=" << freq[z] << " quant=" << quant[z];
-    ASSERT_EQ(want[i], roundHalfAway(freq[z] / quant[z]))
+        << " freq=" << freq[z] << " divisor=" << table.divisor[z];
+    ASSERT_EQ(want[i], divideRoundHalfAway(freq[z], table.divisor[z]))
         << what << " scalar reference, zigzag " << i;
+    ASSERT_EQ((wantMask >> i) & 1, want[i] != 0 ? 1u : 0u) << what;
   }
 }
 
 TEST(Kernels, QuantizeMatchesScalarOnRandomBlocks) {
   SplitMix64 rng(0x0A7);
-  const std::vector<Block> inputs = dctInputs();
   for (Level level : availableLevels()) {
-    for (const Block& spatial : inputs) {
-      Block freq;
+    for (const Samples& spatial : sampleInputs()) {
+      Coefs freq;
       tableFor(Level::kScalar)->fdct8x8(spatial.data(), freq.data());
-      int quant[64];
-      for (int& q : quant) q = 1 + static_cast<int>(rng.below(255));
-      expectQuantizeEq(freq.data(), quant, level, "dct block");
-      expectQuantizeEq(spatial.data(), quant, level, "raw block");
+      int divisors[64];
+      for (int& d : divisors) d = 1 + static_cast<int>(rng.below(255));
+      expectQuantizeEq(freq.data(), makeQuantTable(divisors), level,
+                       "dct block");
     }
   }
 }
 
 TEST(Kernels, QuantizeRoundsExactHalvesAwayFromZero) {
-  // freq / quant lands exactly on k + 0.5 and -(k + 0.5): the cases where
-  // round-half-even or floor(q + 0.5) would disagree with lround.
+  // Quotients exactly on k + 0.5 and -(k + 0.5), and one LSB either side:
+  // where round-half-even or a biased reciprocal would disagree.
   for (Level level : availableLevels()) {
-    for (const int quant : {2, 4, 10, 254}) {
-      for (int base = -512; base < 512; base += 64) {
-        Block freq;
-        int quantBlock[64];
-        for (int j = 0; j < 64; ++j) {
-          const int k = base + j;
-          freq[j] = (k + 0.5) * quant;  // exact: quant is even
-          quantBlock[j] = quant;
-        }
-        expectQuantizeEq(freq.data(), quantBlock, level, "halves");
-        int got[64];
-        tableFor(level)->quantizeBlock(freq.data(), quantBlock, got);
-        for (int i = 0; i < 64; ++i) {
-          const int k = base + zigzagOrder()[i];
-          EXPECT_EQ(got[i], k >= 0 ? k + 1 : k) << "k=" << k;
+    for (const int d : {1, 2, 3, 10, 127, 254, 255}) {
+      int divisors[64];
+      std::fill(std::begin(divisors), std::end(divisors), d);
+      const QuantTable table = makeQuantTable(divisors);
+      const std::int32_t step = d << kCoefFracBits;
+      for (int k = -3; k <= 3; ++k) {
+        for (const int nudge : {-1, 0, 1}) {
+          Coefs freq;
+          for (int j = 0; j < 64; ++j) {
+            const std::int64_t half = std::int64_t{2 * (k + j - 32) + 1} *
+                                          step / 2 +
+                                      nudge;
+            freq[j] = static_cast<std::int32_t>(std::clamp<std::int64_t>(
+                half, -kMaxQuantInput, kMaxQuantInput));
+          }
+          expectQuantizeEq(freq.data(), table, level, "halves");
         }
       }
     }
-    // Just inside and just outside a half, and signed zeros.
-    const double edge[] = {0.5,  -0.5, std::nextafter(0.5, 0.0),
-                           std::nextafter(-0.5, 0.0), 1.5, -1.5, 2.5, -2.5,
-                           0.0, -0.0, std::nextafter(2.5, 3.0), 2040.0,
-                           -2040.0};
-    Block freq{};
-    int ones[64];
-    std::fill(std::begin(ones), std::end(ones), 1);
-    std::copy(std::begin(edge), std::end(edge), freq.begin());
-    expectQuantizeEq(freq.data(), ones, level, "edges");
   }
+}
+
+TEST(Kernels, QuantizeIsExactForEveryDivisorOverTheFullRange) {
+  // Exhaustive: every divisor 1..255 against every coefficient in
+  // [-kMaxQuantInput, kMaxQuantInput], 64 consecutive values per call.
+  // The reference quotient of each magnitude is counted up step by step
+  // (one more every `step` magnitudes) and spot-checked against division.
+  std::vector<const KernelTable*> tables;
+  for (Level level : availableLevels()) tables.push_back(tableFor(level));
+  std::vector<std::int32_t> byMagnitude(kMaxQuantInput + 1);
+  for (int d = 1; d <= 255; ++d) {
+    const std::int32_t step = d << kCoefFracBits;
+    std::int32_t quotient = 0;
+    std::int32_t remainder = step / 2;
+    for (std::int32_t m = 0; m <= kMaxQuantInput; ++m) {
+      byMagnitude[m] = quotient;
+      if (++remainder == step) {
+        remainder = 0;
+        ++quotient;
+      }
+    }
+    for (std::int32_t m = 0; m <= kMaxQuantInput; m += 4093) {
+      ASSERT_EQ(byMagnitude[m], divideRoundHalfAway(m, d));
+    }
+    int divisors[64];
+    std::fill(std::begin(divisors), std::end(divisors), d);
+    const QuantTable qt = makeQuantTable(divisors);
+    const auto& zz = zigzagOrder();
+    Coefs freq;
+    std::int32_t want[64];
+    std::int32_t got[64];
+    for (std::int32_t base = -kMaxQuantInput; base <= kMaxQuantInput;
+         base += 64) {
+      for (int j = 0; j < 64; ++j) {
+        freq[j] = std::min(base + j, kMaxQuantInput);
+      }
+      for (int i = 0; i < 64; ++i) {
+        const std::int32_t c = freq[zz[i]];
+        want[i] = c < 0 ? -byMagnitude[-c] : byMagnitude[c];
+      }
+      for (const KernelTable* table : tables) {
+        table->quantizeBlock(freq.data(), qt, got);
+        if (!std::equal(got, got + 64, want)) {
+          FAIL() << levelName(table->level) << " divisor " << d
+                 << " block at coefficient " << base;
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, QuantTableRejectsDivisorsOutsideOneTo255) {
+  int divisors[64];
+  std::fill(std::begin(divisors), std::end(divisors), 1);
+  EXPECT_NO_THROW((void)makeQuantTable(divisors));
+  divisors[17] = 0;
+  EXPECT_THROW((void)makeQuantTable(divisors), std::invalid_argument);
+  divisors[17] = 256;
+  EXPECT_THROW((void)makeQuantTable(divisors), std::invalid_argument);
 }
 
 /// Random RGB with the channel extremes over-represented.
@@ -675,14 +778,14 @@ std::vector<Rgb8> colourPixels(std::size_t n, std::uint64_t seed) {
 }
 
 TEST(Kernels, RgbToYcbcrMatchesScalarOnRaggedSizes) {
-  constexpr double kCanary = 12345.678;
+  constexpr std::int16_t kCanary = 12345;
   constexpr std::size_t kPad = 5;
   for (Level level : availableLevels()) {
     const KernelTable* table = tableFor(level);
     for (std::size_t n = 0; n <= 1000; ++n) {
       const std::vector<Rgb8> px = colourPixels(n, 0xC010 + n);
-      std::vector<double> want[3];
-      std::vector<double> got[3];
+      std::vector<std::int16_t> want[3];
+      std::vector<std::int16_t> got[3];
       for (int c = 0; c < 3; ++c) {
         want[c].assign(n + kPad, kCanary);
         got[c].assign(n + kPad, kCanary);
@@ -693,60 +796,76 @@ TEST(Kernels, RgbToYcbcrMatchesScalarOnRaggedSizes) {
       table->rgbToYcbcrPlanes(px.data(), n, got[0].data(), got[1].data(),
                               got[2].data());
       for (int c = 0; c < 3; ++c) {
-        ASSERT_TRUE(sameBits(got[c].data(), want[c].data(), n))
-            << levelName(level) << " n=" << n << " plane " << c;
-        for (std::size_t i = n; i < n + kPad; ++i) {
-          ASSERT_EQ(got[c][i], kCanary)
-              << levelName(level) << " n=" << n << " wrote past the end";
-        }
+        ASSERT_EQ(got[c], want[c])
+            << levelName(level) << " n=" << n << " plane " << c
+            << " (or wrote past the end)";
       }
     }
+  }
+}
+
+TEST(Kernels, RgbToYcbcrIsWithinAQuantumOfTheRealConversion) {
+  // 2^15-scaled weights and one rounding: within half a plane unit plus
+  // 3 * 255 * 2^-16 weight rounding of the real BT.601 conversion.
+  const double unit = 1 << kPlaneFracBits;
+  const double tol = 0.5 + 3 * 255 * unit / 65536.0;
+  const std::vector<Rgb8> px = colourPixels(5000, 0xBEEF);
+  std::vector<std::int16_t> y(px.size());
+  std::vector<std::int16_t> cb(px.size());
+  std::vector<std::int16_t> cr(px.size());
+  tableFor(Level::kScalar)
+      ->rgbToYcbcrPlanes(px.data(), px.size(), y.data(), cb.data(),
+                         cr.data());
+  for (std::size_t i = 0; i < px.size(); ++i) {
+    const double r = px[i].r;
+    const double g = px[i].g;
+    const double b = px[i].b;
+    EXPECT_NEAR(y[i], unit * (0.299 * r + 0.587 * g + 0.114 * b), tol);
+    EXPECT_NEAR(cb[i],
+                unit * (128 - 0.168736 * r - 0.331264 * g + 0.5 * b), tol);
+    EXPECT_NEAR(cr[i],
+                unit * (128 + 0.5 * r - 0.418688 * g - 0.081312 * b), tol);
   }
 }
 
 TEST(Kernels, YcbcrToRgbMatchesScalarOnRaggedSizes) {
   const Rgb8 canary{0xA5, 0x5A, 0xC3};
   constexpr std::size_t kPad = 5;
-  // Exact clamp boundaries: with Cb = Cr = 128 every channel equals Y.
-  const double specials[] = {0.0,   -0.0,  255.0, 254.5, 254.49999999999997,
-                             0.5,   0.49999999999999994, -1e-300,
-                             255.00000000000003, 127.5, -300.0, 600.0};
+  // Decoded planes overshoot [0, 255] and saturated ones hit the int16
+  // limits; none of it may overflow the weighted sums.
+  const std::int16_t specials[] = {0,     -1,    kFullScale, -32768, 32767,
+                                   4096,  4095,  4097,       -4096,  8160,
+                                   8191,  -8192};
   for (Level level : availableLevels()) {
     const KernelTable* table = tableFor(level);
     for (std::size_t n = 0; n <= 1000; ++n) {
       SplitMix64 rng(0xB00 + n);
-      std::vector<double> y(n);
-      std::vector<double> cb(n);
-      std::vector<double> cr(n);
+      std::vector<std::int16_t> y(n);
+      std::vector<std::int16_t> cb(n);
+      std::vector<std::int16_t> cr(n);
       for (std::size_t i = 0; i < n; ++i) {
-        if (i % 7 == 3) {
-          y[i] = specials[rng.below(std::size(specials))];
-          cb[i] = 128.0;
-          cr[i] = 128.0;
-        } else {
-          // Decoded planes overshoot [0, 255] after quantisation noise.
-          y[i] = rng.uniform(-40.0, 300.0);
-          cb[i] = rng.uniform(-40.0, 300.0);
-          cr[i] = rng.uniform(-40.0, 300.0);
-        }
+        const auto pick = [&] {
+          return i % 3 == 0
+                     ? specials[rng.below(std::size(specials))]
+                     : static_cast<std::int16_t>(rng.next());
+        };
+        y[i] = pick();
+        cb[i] = pick();
+        cr[i] = pick();
       }
       std::vector<Rgb8> want(n + kPad, canary);
       std::vector<Rgb8> got(n + kPad, canary);
       tableFor(Level::kScalar)
           ->ycbcrPlanesToRgb(y.data(), cb.data(), cr.data(), n, want.data());
       table->ycbcrPlanesToRgb(y.data(), cb.data(), cr.data(), n, got.data());
-      ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin()))
-          << levelName(level) << " n=" << n;
-      for (std::size_t i = n; i < n + kPad; ++i) {
-        ASSERT_EQ(got[i], canary) << levelName(level) << " n=" << n;
-      }
+      ASSERT_EQ(got, want) << levelName(level) << " n=" << n
+                           << " (or wrote past the end)";
     }
   }
 }
 
 TEST(Kernels, ColourRoundTripOfGreyIsExactAtEveryLevel) {
-  // Grey pixels have Cb = Cr = 128 up to rounding and must come back
-  // unchanged through the codec's two conversions.
+  // Grey maps to exactly (32v, 4096, 4096) and back.
   std::vector<Rgb8> px;
   for (int v = 0; v < 256; ++v) {
     const auto c = static_cast<std::uint8_t>(v);
@@ -754,15 +873,43 @@ TEST(Kernels, ColourRoundTripOfGreyIsExactAtEveryLevel) {
   }
   for (Level level : availableLevels()) {
     const KernelTable* table = tableFor(level);
-    std::vector<double> y(px.size());
-    std::vector<double> cb(px.size());
-    std::vector<double> cr(px.size());
+    std::vector<std::int16_t> y(px.size());
+    std::vector<std::int16_t> cb(px.size());
+    std::vector<std::int16_t> cr(px.size());
     table->rgbToYcbcrPlanes(px.data(), px.size(), y.data(), cb.data(),
                             cr.data());
+    for (std::size_t v = 0; v < px.size(); ++v) {
+      EXPECT_EQ(y[v], static_cast<std::int16_t>(v << kPlaneFracBits));
+      EXPECT_EQ(cb[v], 128 << kPlaneFracBits);
+      EXPECT_EQ(cr[v], 128 << kPlaneFracBits);
+    }
     std::vector<Rgb8> back(px.size());
     table->ycbcrPlanesToRgb(y.data(), cb.data(), cr.data(), px.size(),
                             back.data());
     EXPECT_EQ(back, px) << levelName(level);
+  }
+}
+
+TEST(Kernels, ColourRoundTripIsExactForEveryColour) {
+  // The P-frame reference goes RGB -> planes once per frame; skipped
+  // blocks may only stay put if that round trip is the identity.
+  std::vector<Rgb8> px(std::size_t{1} << 24);
+  for (std::size_t i = 0; i < px.size(); ++i) {
+    px[i] = Rgb8{static_cast<std::uint8_t>(i),
+                 static_cast<std::uint8_t>(i >> 8),
+                 static_cast<std::uint8_t>(i >> 16)};
+  }
+  std::vector<std::int16_t> y(px.size());
+  std::vector<std::int16_t> cb(px.size());
+  std::vector<std::int16_t> cr(px.size());
+  std::vector<Rgb8> back(px.size());
+  for (Level level : availableLevels()) {
+    const KernelTable* table = tableFor(level);
+    table->rgbToYcbcrPlanes(px.data(), px.size(), y.data(), cb.data(),
+                            cr.data());
+    table->ycbcrPlanesToRgb(y.data(), cb.data(), cr.data(), px.size(),
+                            back.data());
+    EXPECT_TRUE(back == px) << levelName(level);
   }
 }
 

@@ -5,23 +5,53 @@
 // decoded RGB -- formatted as a C++ initializer to paste into
 // tests/media/codec_goldens.inc.
 //
-// The committed .inc was captured from the codec as it stood before the
-// DCT, quantisation and colour conversion moved into the SIMD kernel
-// table, so the suite proves every dispatch level still produces the same
-// bytes and pixels.  Re-running this tool captures the CURRENT code --
-// only regenerate the goldens to bless an intentional format change.
+// The committed .inc was captured when the AV1 format was introduced, and
+// the suite replays it at every dispatch level.  Re-running this tool
+// captures the CURRENT code -- only regenerate the goldens to bless an
+// intentional format change.
 //
 // Run: ./build/tools/capture_codec_goldens > tests/media/codec_goldens.inc
+//
+// With --rd it prints the rate/distortion table instead -- serialized
+// bytes and pooled PSNR per configuration -- for
+// tests/media/codec_rd_table.inc.  That table holds the figures of the
+// previous stream format, so it is captured by building this tool against
+// that format's source tree, not against the current one.
 #include <cstdio>
+#include <cstring>
 
 #include "codec_golden_matrix.h"
 #include "media/kernels/kernels.h"
 
 using namespace anno;
 
-int main() {
+namespace {
+
+int printRateDistortion() {
+  std::printf(
+      "// Codec rate/distortion reference: serialized bytes and pooled RGB\n"
+      "// PSNR per configuration, captured by\n"
+      "// `tools/capture_codec_goldens --rd` (see that file's header).\n"
+      "// clang-format off\n");
+  std::printf("inline constexpr CodecRd kCodecRdReference[] = {\n");
+  for (const codec_golden::Config& cfg : codec_golden::matrix()) {
+    const codec_golden::RateDistortion rd = codec_golden::rateDistortion(
+        codec_golden::clipFor(cfg.clip, cfg.width, cfg.height), cfg);
+    std::printf("    {\"%s\", %zuu, %.4f},\n", cfg.name().c_str(),
+                rd.streamBytes, rd.psnrDb);
+  }
+  std::printf("};\n// clang-format on\n");
+  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
   std::fprintf(stderr, "capturing with SIMD dispatch level: %s\n",
                media::kernels::levelName(media::kernels::activeLevel()));
+  if (argc > 1 && std::strcmp(argv[1], "--rd") == 0) {
+    return printRateDistortion();
+  }
   std::printf(
       "// Codec stream goldens: frames, serialized bytes, CRC-32 of the\n"
       "// serialized stream and CRC-32 of the decoded RGB per configuration,\n"
