@@ -167,6 +167,7 @@ int run(std::size_t sessions, std::size_t clips, std::size_t tenantCount,
   const double runSeconds = secondsSince(runStart);
 
   const core::TrackCacheStats cs = cache.stats();
+  const core::CacheStats ss = server.streamCache().stats();
   const stream::FleetStats fs = sched.stats();
   std::set<std::uint64_t> fingerprints;
   for (const core::AnnotatorConfig& t : tenants) {
@@ -194,6 +195,9 @@ int run(std::size_t sessions, std::size_t clips, std::size_t tenantCount,
   table.addRow({"cache fills (engine passes)", std::to_string(cs.fills)});
   table.addRow({"unique (clip, tenant) keys", std::to_string(uniqueKeys)});
   table.addRow({"cache hit rate %", bench::pct(cs.hitRate())});
+  table.addRow({"stream cache hits", std::to_string(ss.hits)});
+  table.addRow({"stream cache evictions", std::to_string(ss.evictions)});
+  table.addRow({"stream cache bytes", std::to_string(ss.bytes)});
   table.addRow({"engine seconds (fills)", bench::fmt(cs.fillSeconds, 3)});
   table.addRow({"ingest seconds", bench::fmt(ingestSeconds, 3)});
   table.addRow({"resolve seconds", bench::fmt(resolveSeconds, 3)});
@@ -245,6 +249,9 @@ int run(std::size_t sessions, std::size_t clips, std::size_t tenantCount,
                  "  \"cache_hit_rate\": %.4f,\n"
                  "  \"single_flight_waits\": %llu,\n"
                  "  \"unique_clip_tenant_keys\": %zu,\n"
+                 "  \"stream_cache_hits\": %llu,\n"
+                 "  \"stream_cache_evictions\": %llu,\n"
+                 "  \"stream_cache_bytes\": %zu,\n"
                  "  \"engine_seconds\": %.6f,\n"
                  "  \"ingest_seconds\": %.6f,\n"
                  "  \"resolve_seconds\": %.6f,\n"
@@ -261,7 +268,9 @@ int run(std::size_t sessions, std::size_t clips, std::size_t tenantCount,
                  static_cast<unsigned long long>(cs.fills),
                  cs.hitRate(),
                  static_cast<unsigned long long>(cs.singleFlightWaits),
-                 uniqueKeys, cs.fillSeconds, ingestSeconds, resolveSeconds,
+                 uniqueKeys, static_cast<unsigned long long>(ss.hits),
+                 static_cast<unsigned long long>(ss.evictions), ss.bytes,
+                 cs.fillSeconds, ingestSeconds, resolveSeconds,
                  joinSeconds, runSeconds, subLinear,
                  failures == 0 ? "true" : "false");
     std::fclose(f);

@@ -89,11 +89,8 @@ AnnotationTrack decodeLegacy(std::span<const std::uint8_t> bytes) {
     track.qualityLevels.push_back(static_cast<double>(r.varint()) / 1000.0);
   }
 
-  const std::size_t nscenes = r.varint();
   // Each scene needs at least one span byte; anything larger is corrupt.
-  if (nscenes > r.remaining()) {
-    throw std::runtime_error("decodeTrack: scene count exceeds payload");
-  }
+  const std::size_t nscenes = r.count(1);
   track.scenes.resize(nscenes);
   std::uint32_t start = 0;
   for (std::size_t i = 0; i < nscenes; ++i) {

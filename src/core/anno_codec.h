@@ -54,7 +54,8 @@ void detachCodecTelemetry() noexcept;
     const AnnotationTrack& track);
 
 /// Parses a serialized track (either framing); validates before returning.
-/// Strict: throws std::runtime_error on any malformed or damaged input.
+/// Strict: throws std::runtime_error, or std::out_of_range for a length or
+/// count the input cannot hold, on any malformed or damaged input.
 [[nodiscard]] AnnotationTrack decodeTrack(std::span<const std::uint8_t> bytes);
 
 /// What a lenient decode had to give up on.

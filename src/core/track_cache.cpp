@@ -1,26 +1,8 @@
 #include "core/track_cache.h"
 
-#include <bit>
-#include <chrono>
-#include <stdexcept>
-
-#include "telemetry/metrics.h"
-
 namespace anno::core {
 
 namespace {
-
-/// Same FNV-1a stream the config fingerprint uses; here it only spreads
-/// keys across shards, so collisions merely share a lock.
-std::uint64_t shardHash(const TrackKey& key) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : key.clipId) h = (h ^ c) * 0x100000001b3ULL;
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ static_cast<std::uint8_t>(key.fingerprint >> (8 * i))) *
-        0x100000001b3ULL;
-  }
-  return h;
-}
 
 std::size_t sceneBytes(const std::vector<SceneAnnotation>& scenes) {
   std::size_t total = scenes.capacity() * sizeof(SceneAnnotation);
@@ -38,255 +20,5 @@ std::size_t estimateTrackBytes(const CachedTrack& value) {
          sceneBytes(value.track.scenes) +
          value.sketches.scenes.capacity() * sizeof(SceneSketch);
 }
-
-TrackCache::TrackCache(TrackCacheConfig cfg) {
-  const std::size_t shards =
-      std::bit_ceil(cfg.shardCount > 0 ? cfg.shardCount : std::size_t{1});
-  shardMask_ = shards - 1;
-  shardByteBudget_ = cfg.byteBudget == 0 ? 0 : cfg.byteBudget / shards;
-  if (cfg.byteBudget != 0 && shardByteBudget_ == 0) shardByteBudget_ = 1;
-  shards_ = std::vector<Shard>(shards);
-}
-
-TrackCache::Shard& TrackCache::shardFor(const TrackKey& key) const {
-  return shards_[shardHash(key) & shardMask_];
-}
-
-CachedTrackPtr TrackCache::getOrFill(const TrackKey& key, const Filler& fill) {
-  Shard& shard = shardFor(key);
-  std::unique_lock<std::mutex> lock(shard.mu);
-  for (;;) {
-    const auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      Entry& entry = *it->second;
-      if (entry.value != nullptr) {
-        ++entry.hits;
-        ++shard.hits;
-        telemetry::inc(metrics_.hits);
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        return entry.value;
-      }
-      // A racing request is filling this key: wait for it to complete (or
-      // abandon on exception) and re-evaluate.  Sharing the in-flight pass
-      // instead of running our own is the single-flight contract.
-      ++shard.singleFlightWaits;
-      telemetry::inc(metrics_.singleFlightWaits);
-      shard.cv.wait(lock);
-      continue;
-    }
-    break;
-  }
-  // Miss: claim the key with a filling placeholder, run the filler outside
-  // the lock so other keys (and other shards) proceed.
-  ++shard.misses;
-  telemetry::inc(metrics_.misses);
-  shard.lru.push_front(Entry{key, nullptr, 0, 0, true});
-  shard.index.emplace(key, shard.lru.begin());
-  lock.unlock();
-
-  CachedTrackPtr value;
-  const auto fillStart = std::chrono::steady_clock::now();
-  try {
-    value = fill();
-  } catch (...) {
-    lock.lock();
-    const auto it = shard.index.find(key);
-    if (it != shard.index.end() && it->second->filling) {
-      shard.lru.erase(it->second);
-      shard.index.erase(it);
-    }
-    shard.cv.notify_all();  // one waiter will retry the fill
-    throw;
-  }
-  const double fillSeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    fillStart)
-          .count();
-  if (value == nullptr) {
-    // Treat a null fill like a throw: don't cache absence.
-    lock.lock();
-    const auto it = shard.index.find(key);
-    if (it != shard.index.end() && it->second->filling) {
-      shard.lru.erase(it->second);
-      shard.index.erase(it);
-    }
-    shard.cv.notify_all();
-    throw std::logic_error("TrackCache: filler returned null");
-  }
-
-  lock.lock();
-  ++shard.fills;
-  shard.fillSeconds += fillSeconds;
-  telemetry::inc(metrics_.fills);
-  telemetry::observe(metrics_.fillSeconds, fillSeconds);
-  const auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    // clear()/eraseClip() dropped our placeholder mid-fill; serve the value
-    // to this caller without caching it.
-    shard.cv.notify_all();
-    publishGauges();
-    return value;
-  }
-  Entry& entry = *it->second;
-  entry.value = value;
-  entry.filling = false;
-  entry.bytes = value->bytes != 0 ? value->bytes
-                                  : estimateTrackBytes(*value) +
-                                        key.clipId.size() + sizeof(Entry);
-  shard.bytes += entry.bytes;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  evictOverBudget(shard);
-  shard.cv.notify_all();
-  lock.unlock();
-  publishGauges();
-  return value;
-}
-
-void TrackCache::evictOverBudget(Shard& shard) {
-  if (shardByteBudget_ == 0) return;
-  // Walk from the LRU tail; skip in-flight fills (their waiters hold the
-  // key by identity).  Live references do NOT pin an entry -- the
-  // shared_ptr keeps evicted values alive for their holders, the directory
-  // just stops advertising them -- so eviction always makes progress.
-  auto it = shard.lru.end();
-  while (shard.bytes > shardByteBudget_ && it != shard.lru.begin()) {
-    --it;
-    if (it->filling) continue;
-    shard.bytes -= it->bytes;
-    shard.index.erase(it->key);
-    it = shard.lru.erase(it);
-    ++shard.evictions;
-    telemetry::inc(metrics_.evictions);
-  }
-}
-
-void TrackCache::setByteBudget(std::size_t byteBudget) {
-  const std::size_t shards = shardMask_ + 1;
-  std::size_t perShard = byteBudget == 0 ? 0 : byteBudget / shards;
-  if (byteBudget != 0 && perShard == 0) perShard = 1;
-  shardByteBudget_ = perShard;
-  for (Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mu);
-    evictOverBudget(shard);
-  }
-  publishGauges();
-}
-
-CachedTrackPtr TrackCache::peek(const TrackKey& key) const {
-  Shard& shard = shardFor(key);
-  const std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.index.find(key);
-  if (it == shard.index.end()) return nullptr;
-  return it->second->value;
-}
-
-std::size_t TrackCache::eraseClip(const std::string& clipId) {
-  std::size_t removed = 0;
-  for (Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-      if (it->key.clipId == clipId && !it->filling) {
-        shard.bytes -= it->bytes;
-        shard.index.erase(it->key);
-        it = shard.lru.erase(it);
-        ++removed;
-      } else {
-        ++it;
-      }
-    }
-  }
-  publishGauges();
-  return removed;
-}
-
-void TrackCache::clear() {
-  for (Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-      if (!it->filling) {
-        shard.bytes -= it->bytes;
-        shard.index.erase(it->key);
-        it = shard.lru.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  publishGauges();
-}
-
-TrackCacheStats TrackCache::stats() const {
-  TrackCacheStats out;
-  for (Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mu);
-    out.hits += shard.hits;
-    out.misses += shard.misses;
-    out.fills += shard.fills;
-    out.evictions += shard.evictions;
-    out.singleFlightWaits += shard.singleFlightWaits;
-    out.fillSeconds += shard.fillSeconds;
-    out.bytes += shard.bytes;
-    for (const Entry& e : shard.lru) {
-      if (e.value != nullptr) ++out.entries;
-    }
-  }
-  return out;
-}
-
-std::vector<TrackCacheEntryInfo> TrackCache::entries() const {
-  std::vector<TrackCacheEntryInfo> out;
-  for (Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mu);
-    for (const Entry& e : shard.lru) {
-      if (e.value == nullptr) continue;
-      out.push_back(TrackCacheEntryInfo{
-          e.key, e.hits, e.value.use_count() - 1, e.bytes});
-    }
-  }
-  return out;
-}
-
-void TrackCache::publishGauges() const {
-  if (metrics_.entries == nullptr && metrics_.bytes == nullptr) return;
-  std::size_t entries = 0;
-  std::size_t bytes = 0;
-  for (Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mu);
-    bytes += shard.bytes;
-    for (const Entry& e : shard.lru) {
-      if (e.value != nullptr) ++entries;
-    }
-  }
-  telemetry::set(metrics_.entries, static_cast<std::int64_t>(entries));
-  telemetry::set(metrics_.bytes, static_cast<std::int64_t>(bytes));
-}
-
-void TrackCache::attachTelemetry(telemetry::Registry& registry) {
-  metrics_.hits = &registry.counter(
-      "anno_track_cache_hits_total", {},
-      "Requests served from a completed cache entry (shared engine pass)");
-  metrics_.misses = &registry.counter(
-      "anno_track_cache_misses_total", {},
-      "Requests that found no entry and triggered a fill");
-  metrics_.fills = &registry.counter(
-      "anno_track_cache_fills_total", {},
-      "Completed fills == annotation engine passes the fleet paid for");
-  metrics_.evictions = &registry.counter(
-      "anno_track_cache_evictions_total", {},
-      "Entries dropped from the LRU tail under the byte budget");
-  metrics_.singleFlightWaits = &registry.counter(
-      "anno_track_cache_single_flight_waits_total", {},
-      "Requests that waited on a racing fill instead of running their own");
-  metrics_.fillSeconds = &registry.histogram(
-      "anno_track_cache_fill_seconds", telemetry::secondsBuckets(), {},
-      "Wall time of one cache fill (annotate + sketch for one key)");
-  metrics_.entries = &registry.gauge(
-      "anno_track_cache_entries", {}, "Completed entries currently cached");
-  metrics_.bytes = &registry.gauge(
-      "anno_track_cache_bytes", {}, "Bytes charged against the budget");
-  publishGauges();
-}
-
-void TrackCache::detachTelemetry() noexcept { metrics_ = Telemetry{}; }
 
 }  // namespace anno::core

@@ -47,6 +47,9 @@ class ByteWriter {
   /// Zigzag-mapped signed LEB128.
   void svarint(std::int64_t v) { varint(zigzagEncode(v)); }
 
+  /// Pre-sizes the sink for writers that know their output length.
+  void reserve(std::size_t n) { bytes_.reserve(n); }
+
   void bytes(std::span<const std::uint8_t> data) {
     bytes_.insert(bytes_.end(), data.begin(), data.end());
   }

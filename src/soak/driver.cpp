@@ -332,7 +332,7 @@ FleetSoakReport runSoak(const SoakConfig& cfg) {
       faultClients[plan.deviceClass] = std::make_unique<stream::ClientSession>(
           clientCfg, stream::makeReferencePath());
     }
-    // The exact bytes this session streamed (serve memo: no recompute).
+    // The exact bytes this session streamed (a stream-cache hit).
     const std::vector<std::uint8_t> bytes =
         server.serve(profiles[plan.contentProfile].name,
                      classCaps[plan.deviceClass], mix.tenants[plan.tenant]);
@@ -420,7 +420,7 @@ FleetSoakReport runSoak(const SoakConfig& cfg) {
       const SessionPlan& plan = mix.sessions[nextPlan];
       const DeviceClass& dc = classes[plan.deviceClass];
       // Per-session annotation resolution: this is the cache's hot path
-      // (the serve memo below only pays it once per stream group, but every
+      // (the stream cache only pays it once per stream group, but every
       // CLIENT joining resolves its tenant's track).
       const core::CachedTrackPtr track = server.annotationFor(
           profiles[plan.contentProfile].name, mix.tenants[plan.tenant]);

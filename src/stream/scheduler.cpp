@@ -29,43 +29,21 @@ std::uint64_t SessionScheduler::join(const FleetSessionConfig& cfg) {
   s.cfg = cfg;
   s.joinedAtSeconds = now_;
 
-  // Resolve the stream through the server's memoized, cache-backed serve
-  // path.  The scheduler's own directory keys on the same triple the server
-  // memo uses, so N sessions of one group share ONE byte vector here and
-  // the server pays one compensate+encode+mux for all of them.
-  const std::uint64_t fp = cfg.tenantCfg.has_value()
-                               ? cfg.tenantCfg->fingerprint()
-                               : server_.annotatorConfig().fingerprint();
-  const std::vector<std::uint8_t> capsBytes = encodeCapabilities(cfg.caps);
-  std::string streamKey = cfg.clipName;
-  streamKey.push_back('\0');
-  for (int i = 0; i < 8; ++i) {
-    streamKey.push_back(static_cast<char>(fp >> (8 * i)));
-  }
-  streamKey.push_back('\0');
-  streamKey.append(reinterpret_cast<const char*>(capsBytes.data()),
-                   capsBytes.size());
-  auto it = streams_.find(streamKey);
-  if (it == streams_.end()) {
-    std::vector<std::uint8_t> bytes =
-        cfg.tenantCfg.has_value()
-            ? server_.serve(cfg.clipName, cfg.caps, *cfg.tenantCfg)
-            : server_.serve(cfg.clipName, cfg.caps);
-    it = streams_
-             .emplace(std::move(streamKey),
-                      std::make_shared<const std::vector<std::uint8_t>>(
-                          std::move(bytes)))
-             .first;
-    stats_.uniqueStreams = streams_.size();
+  // Resolve the stream through the server's stream cache: N sessions of
+  // one (clip revision, fingerprint, capabilities) group share ONE byte
+  // vector, and the server pays one compensate+encode+mux for all of them.
+  ServedStream served = server_.openStream(
+      cfg.clipName, cfg.caps, cfg.tenantCfg ? &*cfg.tenantCfg : nullptr);
+  s.stream = std::move(served.bytes);
+  if (joined_.insert(std::move(served.key)).second) {
+    stats_.uniqueStreams = joined_.size();
     telemetry::set(metrics_.uniqueStreams,
-                   static_cast<std::int64_t>(streams_.size()));
+                   static_cast<std::int64_t>(joined_.size()));
   }
-  s.stream = it->second;
 
-  const CatalogEntry& entry = server_.entry(cfg.clipName);
-  const double fps = entry.original.fps > 0.0 ? entry.original.fps : 1.0;
-  s.durationSeconds =
-      static_cast<double>(entry.original.frames.size()) / fps;
+  const media::VideoClip& clip = served.entry->original;
+  const double fps = clip.fps > 0.0 ? clip.fps : 1.0;
+  s.durationSeconds = static_cast<double>(clip.frames.size()) / fps;
   if (s.durationSeconds <= 0.0) s.durationSeconds = cfg_.tickSeconds;
   s.bytesPerContentSecond =
       static_cast<double>(s.stream->size()) / s.durationSeconds;
@@ -197,6 +175,10 @@ void SessionScheduler::finishSession(Session& s) {
     const ClientSession client(clientCfg, makeReferencePath());
     s.decodeOk = client.receive(*s.stream).ok;
   }
+  reports_[s.id] = reportOf(s);
+}
+
+SessionReport SessionScheduler::reportOf(const Session& s) {
   SessionReport r;
   r.phase = s.phase;
   r.startupDelaySeconds = s.startupDelaySeconds;
@@ -206,7 +188,7 @@ void SessionScheduler::finishSession(Session& s) {
   r.streamBytes = s.stream->size();
   r.bytesDelivered = static_cast<std::size_t>(s.bytesDelivered);
   r.decodeOk = s.decodeOk;
-  reports_[s.id] = r;
+  return r;
 }
 
 void SessionScheduler::tick() {
@@ -338,17 +320,7 @@ SessionReport SessionScheduler::report(std::uint64_t sessionId) const {
     throw std::out_of_range("SessionScheduler::report: unknown session id " +
                             std::to_string(sessionId));
   }
-  const Session& s = it->second;
-  SessionReport r;
-  r.phase = s.phase;
-  r.startupDelaySeconds = s.startupDelaySeconds;
-  r.playedSeconds = s.playedSeconds;
-  r.stallSeconds = s.stallSeconds;
-  r.stalls = s.stalls;
-  r.streamBytes = s.stream->size();
-  r.bytesDelivered = static_cast<std::size_t>(s.bytesDelivered);
-  r.decodeOk = s.decodeOk;
-  return r;
+  return reportOf(it->second);
 }
 
 void SessionScheduler::attachTelemetry(telemetry::Registry& registry) {
@@ -387,7 +359,7 @@ void SessionScheduler::attachTelemetry(telemetry::Registry& registry) {
       "Summed per-session saved backlight power over the playing cohort");
   telemetry::set(metrics_.active, static_cast<std::int64_t>(active_.size()));
   telemetry::set(metrics_.uniqueStreams,
-                 static_cast<std::int64_t>(streams_.size()));
+                 static_cast<std::int64_t>(joined_.size()));
   telemetry::set(metrics_.playing, playingCount_);
   telemetry::set(metrics_.playingPowerMilliwatts, playingPowerMilliwatts_);
 }

@@ -5,24 +5,26 @@
 // The paper's economics only work at fleet scale: annotation is computed
 // once upstream so that thousands of battery-constrained clients can reuse
 // it.  This scheduler is the serving half of that claim.  Sessions join
-// (negotiate + resolve their stream through the MediaServer, hence through
-// the shared TrackCache and the per-(clip, fingerprint, capabilities)
-// stream memo), are paced by a per-tick service budget under a round-robin
-// or deadline-ordered policy, and leave cleanly mid-stream.  Concurrency
+// (negotiate + resolve their stream through the MediaServer's stream cache,
+// hence through the shared TrackCache on a miss), are paced by a per-tick
+// service budget under a round-robin or deadline-ordered policy, and leave
+// cleanly mid-stream.  Concurrency
 // here means sessions in flight, not threads: one loop owns every session,
 // so a 10k-session run is exactly reproducible.
 //
 // Engine-seconds stay sub-linear in client count because joins share:
 // every (clip, tenant fingerprint) pair costs at most one engine pass
 // (TrackCache single-flight) and every (clip, fingerprint, capability
-// bytes) group costs at most one compensate+encode+mux (serve memo).  The
-// fleet bench (bench/bench_fleet.cpp) measures exactly this.
+// bytes) group costs at most one compensate+encode+mux while its stream
+// stays cached (stream cache, bounded by its byte budget).  The fleet
+// bench (bench/bench_fleet.cpp) measures exactly this.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -95,6 +97,8 @@ struct SessionReport {
   std::size_t bytesDelivered = 0;
   /// decodeOnComplete verdict (unset when disabled or not yet completed).
   std::optional<bool> decodeOk;
+
+  friend bool operator==(const SessionReport&, const SessionReport&) = default;
 };
 
 /// Fleet-level accounting.
@@ -108,8 +112,9 @@ struct FleetStats {
   std::uint64_t stallEvents = 0;
   double stallSeconds = 0.0;
   std::uint64_t bytesDelivered = 0;
-  /// Distinct streams materialized (unique (clip, fingerprint, caps)
-  /// groups) -- the denominator of the fleet's sharing story.
+  /// Distinct streams joined (unique StreamKeys: clip revision,
+  /// fingerprint, caps) -- the denominator of the fleet's sharing story.
+  /// A re-ingested clip counts as a new stream.
   std::size_t uniqueStreams = 0;
 };
 
@@ -137,10 +142,11 @@ class SessionScheduler {
   SessionScheduler(const MediaServer& server, Config cfg);
 
   /// Negotiates and admits a session; returns its id.  The stream is
-  /// resolved immediately (server serve path -- memoized, cache-backed),
-  /// so join cost is amortized across every session sharing the same
-  /// (clip, fingerprint, capabilities).  Throws what serve() throws
-  /// (unknown clip, quality index out of range).
+  /// resolved immediately through MediaServer::openStream (one caps
+  /// encode, one catalog lookup, one stream-cache lookup), so join cost is
+  /// amortized across every session sharing the same (clip revision,
+  /// fingerprint, capabilities).  Throws what openStream() throws (unknown
+  /// clip, quality index out of range).
   std::uint64_t join(const FleetSessionConfig& cfg);
 
   /// Removes a session mid-stream (user closed the player).  Terminal:
@@ -195,7 +201,7 @@ class SessionScheduler {
     std::uint64_t id = 0;
     SessionPhase phase = SessionPhase::kBuffering;
     FleetSessionConfig cfg;
-    std::shared_ptr<const std::vector<std::uint8_t>> stream;
+    StreamPtr stream;
     double durationSeconds = 0.0;
     double bytesPerContentSecond = 0.0;
     double joinedAtSeconds = 0.0;
@@ -237,6 +243,7 @@ class SessionScheduler {
   void deliverAll(const std::vector<Session*>& serviced);
   void advancePlayback(Session& s);
   void finishSession(Session& s);
+  [[nodiscard]] static SessionReport reportOf(const Session& s);
   /// Playing-cohort accounting: a session enters the cohort when playback
   /// starts and exits when it turns terminal; the two gauges the health
   /// layer ratios (sessions playing, their summed powerWeight) move on
@@ -255,10 +262,10 @@ class SessionScheduler {
   /// reports_ so the hot loop never iterates the departed.
   std::map<std::uint64_t, Session> active_;
   std::map<std::uint64_t, SessionReport> reports_;
-  /// One materialized stream per (clip, fingerprint, capability bytes) --
-  /// sessions hold shared_ptrs, so 10k identical sessions cost one copy.
-  std::map<std::string, std::shared_ptr<const std::vector<std::uint8_t>>>
-      streams_;
+  /// Every StreamKey a session has joined (FleetStats::uniqueStreams).
+  /// The bytes live in the server's stream cache; sessions hold
+  /// shared_ptrs, so 10k identical sessions cost one copy.
+  std::set<StreamKey> joined_;
   FleetStats stats_;
   Telemetry metrics_;
   std::int64_t playingCount_ = 0;

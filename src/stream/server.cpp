@@ -1,5 +1,6 @@
 #include "stream/server.h"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <stdexcept>
@@ -37,12 +38,6 @@ void MediaServer::attachTelemetry(telemetry::Registry& registry) {
   metrics_.serves = &registry.counter(
       "anno_server_serves_total", {},
       "serve() requests (compensated + muxed streams)");
-  metrics_.cacheHits = &registry.counter(
-      "anno_server_cache_hits_total", {},
-      "serve() requests answered from the memoized stream cache");
-  metrics_.cacheMisses = &registry.counter(
-      "anno_server_cache_misses_total", {},
-      "serve() requests that had to compensate + encode + mux");
   metrics_.catalogSize = &registry.gauge(
       "anno_server_catalog_size", {}, "Clips currently in the catalog");
   metrics_.profileSeconds = &registry.histogram(
@@ -51,9 +46,13 @@ void MediaServer::attachTelemetry(telemetry::Registry& registry) {
   metrics_.serveSeconds = &registry.histogram(
       "anno_server_serve_seconds", telemetry::secondsBuckets(), {},
       "Wall time of one serve() request");
+  streamCache_.attachTelemetry(registry);
 }
 
-void MediaServer::detachTelemetry() noexcept { metrics_ = Telemetry{}; }
+void MediaServer::detachTelemetry() noexcept {
+  metrics_ = Telemetry{};
+  streamCache_.detachTelemetry();
+}
 
 void MediaServer::attachTrace(telemetry::TraceRecorder& trace) noexcept {
   trace_ = &trace;
@@ -101,19 +100,17 @@ void MediaServer::addClips(std::vector<media::VideoClip> clips) {
     entry.cacheId = "s" + std::to_string(serverId_) + "/" +
                     entry.original.name + "@" +
                     std::to_string(++ingestRevision_);
-    // Replacing content: reclaim the superseded revision's cached tracks
-    // (the new cacheId already guarantees no stale serve).
-    if (trackCache_ != nullptr) {
-      const auto old = catalog_.find(entry.original.name);
-      if (old != catalog_.end()) trackCache_->eraseClip(old->second.cacheId);
+    // Replacing content: reclaim the superseded revision's cached streams
+    // and tracks (the new cacheId already guarantees no stale serve).
+    const auto old = catalog_.find(entry.original.name);
+    if (old != catalog_.end()) {
+      streamCache_.eraseClip(old->second.cacheId);
+      if (trackCache_ != nullptr) trackCache_->eraseClip(old->second.cacheId);
     }
     catalog_.insert_or_assign(entry.original.name, std::move(entry));
   }
   telemetry::set(metrics_.catalogSize,
                  static_cast<std::int64_t>(catalog_.size()));
-  // New or replaced content invalidates every memoized stream.
-  const std::lock_guard<std::mutex> lock(serveCacheMu_);
-  serveCache_.clear();
 }
 
 std::vector<std::string> MediaServer::catalog() const {
@@ -141,14 +138,13 @@ const CatalogEntry& MediaServer::findOrThrow(const std::string& name) const {
 
 std::vector<std::uint8_t> MediaServer::serve(
     const std::string& clipName, const ClientCapabilities& caps) const {
-  return serveImpl(clipName, caps, annotatorCfg_, /*isDefaultConfig=*/true);
+  return *openStream(clipName, caps).bytes;
 }
 
 std::vector<std::uint8_t> MediaServer::serve(
     const std::string& clipName, const ClientCapabilities& caps,
     const core::AnnotatorConfig& tenantCfg) const {
-  return serveImpl(clipName, caps, tenantCfg,
-                   tenantCfg.fingerprint() == annotatorFingerprint_);
+  return *openStream(clipName, caps, &tenantCfg).bytes;
 }
 
 core::CachedTrackPtr MediaServer::annotationFor(
@@ -175,81 +171,63 @@ core::CachedTrackPtr MediaServer::annotationFor(
   return trackCache_->getOrFill(core::TrackKey{e.cacheId, fp}, compute);
 }
 
-std::vector<std::uint8_t> MediaServer::serveImpl(
+ServedStream MediaServer::openStream(
     const std::string& clipName, const ClientCapabilities& caps,
-    const core::AnnotatorConfig& tenantCfg, bool isDefaultConfig) const {
+    const core::AnnotatorConfig* tenantCfg) const {
   telemetry::inc(metrics_.serves);
   telemetry::Span serveSpan(metrics_.serveSeconds);
   telemetry::TraceSpan traceSpan(trace_, "serve", "server");
   const char* const tracedClip =
       trace_ != nullptr ? trace_->intern(clipName) : nullptr;
   const CatalogEntry& e = findOrThrow(clipName);
+  const std::uint64_t fp =
+      tenantCfg != nullptr ? tenantCfg->fingerprint() : annotatorFingerprint_;
+  const bool isDefaultConfig = fp == annotatorFingerprint_;
   const std::size_t offered = isDefaultConfig
                                   ? e.track.qualityLevels.size()
-                                  : tenantCfg.qualityLevels.size();
+                                  : tenantCfg->qualityLevels.size();
   if (caps.qualityIndex >= offered) {
     throw std::out_of_range(
         qualityRangeMessage("MediaServer::serve", caps.qualityIndex, offered));
   }
-  // Exact memoization key: clip name + annotator fingerprint + the
-  // negotiation message verbatim.  Identical devices negotiate identical
-  // bytes, so a device fleet shares one cached stream; any capability or
-  // plan difference changes the key.
-  const std::uint64_t fp =
-      isDefaultConfig ? annotatorFingerprint_ : tenantCfg.fingerprint();
-  const std::vector<std::uint8_t> capsBytes = encodeCapabilities(caps);
-  std::string cacheKey = clipName;
-  cacheKey.push_back('\0');
-  for (int i = 0; i < 8; ++i) {
-    cacheKey.push_back(static_cast<char>(fp >> (8 * i)));
-  }
-  cacheKey.push_back('\0');
-  cacheKey.append(reinterpret_cast<const char*>(capsBytes.data()),
-                  capsBytes.size());
-  {
-    const std::lock_guard<std::mutex> lock(serveCacheMu_);
-    const auto it = serveCache_.find(cacheKey);
-    if (it != serveCache_.end()) {
-      telemetry::inc(metrics_.cacheHits);
-      traceSpan.end({{"cache_hit", 1.0},
-                     {"bytes", static_cast<double>(it->second.size())}},
-                    "clip", tracedClip);
-      return it->second;
-    }
-  }
-  telemetry::inc(metrics_.cacheMisses);
-  // The default config's track/sketches live in the entry; tenant configs
-  // resolve through the shared TrackCache (one engine pass per fingerprint).
-  core::CachedTrackPtr tenantTrack;
-  if (!isDefaultConfig) tenantTrack = annotationFor(clipName, tenantCfg);
-  const core::AnnotationTrack& track =
-      isDefaultConfig ? e.track : tenantTrack->track;
-  const core::SketchTrack& sketches =
-      isDefaultConfig ? e.sketches : tenantTrack->sketches;
-  // Emissive panels must not receive brightened pixels (compensation would
-  // RAISE their power); they get the original stream plus the annotations.
-  const bool compensate =
-      caps.technology == DisplayTechnology::kBacklitLcd;
-  const display::DeviceModel device = deviceFromCapabilities(caps);
-  const media::VideoClip compensated =
-      compensate
-          ? core::compensateClip(e.original, track, caps.qualityIndex,
-                                 device, caps.minBacklightLevel)
-          : e.original;
-  const media::EncodedClip encoded = media::encodeClip(compensated, codecCfg_);
-  // Decode-workload annotations come for free once the clip is encoded
-  // (sizes are known before any client decodes a byte) -- Sec. 3's "more
-  // optimizations" rider.
-  const power::ComplexityTrack complexity =
-      power::ComplexityTrack::fromEncodedClip(encoded);
-  std::vector<std::uint8_t> bytes =
-      mux(encoded, &track, &complexity, &sketches);
-  const std::lock_guard<std::mutex> lock(serveCacheMu_);
-  serveCache_.emplace(std::move(cacheKey), bytes);
-  traceSpan.end(
-      {{"cache_hit", 0.0}, {"bytes", static_cast<double>(bytes.size())}},
-      "clip", tracedClip);
-  return bytes;
+  ServedStream out{&e, StreamKey{e.cacheId, fp, encodeCapabilities(caps)},
+                   nullptr};
+  bool filled = false;
+  out.bytes = streamCache_.getOrFill(out.key, [&] {
+    filled = true;
+    // The default config's track/sketches live in the entry; tenant configs
+    // resolve through the shared TrackCache (one engine pass per
+    // fingerprint).
+    core::CachedTrackPtr tenantTrack;
+    if (!isDefaultConfig) tenantTrack = annotationFor(clipName, *tenantCfg);
+    const core::AnnotationTrack& track =
+        isDefaultConfig ? e.track : tenantTrack->track;
+    const core::SketchTrack& sketches =
+        isDefaultConfig ? e.sketches : tenantTrack->sketches;
+    // Emissive panels must not receive brightened pixels (compensation
+    // would RAISE their power); they get the original stream plus the
+    // annotations.
+    const media::VideoClip compensated =
+        caps.technology == DisplayTechnology::kBacklitLcd
+            ? core::compensateClip(e.original, track, caps.qualityIndex,
+                                   deviceFromCapabilities(caps),
+                                   caps.minBacklightLevel)
+            : e.original;
+    const media::EncodedClip encoded =
+        media::encodeClip(compensated, codecCfg_);
+    // Decode-workload annotations come for free once the clip is encoded
+    // (sizes are known before any client decodes a byte) -- Sec. 3's "more
+    // optimizations" rider.
+    const power::ComplexityTrack complexity =
+        power::ComplexityTrack::fromEncodedClip(encoded);
+    StreamBytes bytes = mux(encoded, &track, &complexity, &sketches);
+    bytes.shrink_to_fit();  // resident for as long as the cache keeps it
+    return std::make_shared<const StreamBytes>(std::move(bytes));
+  });
+  traceSpan.end({{"cache_hit", filled ? 0.0 : 1.0},
+                 {"bytes", static_cast<double>(out.bytes->size())}},
+                "clip", tracedClip);
+  return out;
 }
 
 std::vector<std::uint8_t> MediaServer::serveRaw(
@@ -272,6 +250,9 @@ constexpr std::uint32_t kCapsMagic = 0x43415030;  // "CAP0"
 
 std::vector<std::uint8_t> encodeCapabilities(const ClientCapabilities& caps) {
   media::ByteWriter w;
+  // Magic, two varints (<= 10 bytes each), name, two u8s, the LUT: one
+  // allocation per encode (it runs on every join).
+  w.reserve(4 + 10 + caps.deviceName.size() + 10 + 2 + 2 * 256);
   w.u32(kCapsMagic);
   w.varint(caps.deviceName.size());
   w.bytes(std::span(
@@ -281,8 +262,7 @@ std::vector<std::uint8_t> encodeCapabilities(const ClientCapabilities& caps) {
   w.u8(static_cast<std::uint8_t>(caps.technology));
   w.u8(static_cast<std::uint8_t>(caps.minBacklightLevel));
   // Transfer LUT as 16-bit fixed point in [0,1].
-  for (int level = 0; level < 256; ++level) {
-    const double v = caps.transfer.relLuminance(level);
+  for (const double v : caps.transfer.lut()) {
     w.u16(static_cast<std::uint16_t>(v * 65535.0 + 0.5));
   }
   return w.take();
@@ -310,6 +290,14 @@ ClientCapabilities decodeCapabilities(std::span<const std::uint8_t> bytes) {
     lut[level] = r.u16() / 65535.0;
   }
   caps.transfer = display::TransferFunction::fromLut(lut);
+  // The encoded form is the stream cache key, so accept only the one
+  // encoding of these caps: no overlong varints, and a LUT that fromLut
+  // keeps as sent (already monotone, top at 1).
+  const std::vector<std::uint8_t> canonical = encodeCapabilities(caps);
+  if (!std::equal(canonical.begin(), canonical.end(), bytes.begin(),
+                  bytes.end() - static_cast<std::ptrdiff_t>(r.remaining()))) {
+    throw std::runtime_error("decodeCapabilities: non-canonical message");
+  }
   return caps;
 }
 

@@ -6,14 +6,16 @@
 // levels during various scenes."  Compensation itself is device-specific
 // (the gain depends on the chosen backlight level, hence on the device's
 // transfer function), so the client's characteristics arrive "during the
-// initial negotiation phase".
+// initial negotiation phase".  Served streams are memoized in ONE place,
+// the server's stream cache (DESIGN.md §13).
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <mutex>
+#include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/annotate.h"
@@ -70,6 +72,56 @@ struct CatalogEntry {
   std::string cacheId;
 };
 
+/// Stream-cache key: the catalog entry's cacheId (unique per server, clip
+/// and ingest revision), the annotator fingerprint, and the negotiation
+/// message verbatim.  Identical devices share one cached stream; any
+/// content, plan or capability difference changes the key.
+struct StreamKey {
+  std::string cacheId;
+  std::uint64_t fingerprint = 0;
+  std::vector<std::uint8_t> capsBytes;
+
+  friend bool operator==(const StreamKey&, const StreamKey&) = default;
+  friend auto operator<=>(const StreamKey&, const StreamKey&) = default;
+};
+
+using StreamBytes = std::vector<std::uint8_t>;
+using StreamPtr = std::shared_ptr<const StreamBytes>;
+
+struct StreamCacheTraits {
+  static constexpr const char* kMetricPrefix = "anno_stream_cache";
+  /// Shards by (cacheId, fingerprint); keyHash adds the negotiation bytes
+  /// for the lookup within a shard.
+  static std::uint64_t shardHash(const StreamKey& k) noexcept {
+    return core::clipShardHash(k.cacheId, k.fingerprint);
+  }
+  static std::size_t keyHash(const StreamKey& k) {
+    return shardHash(k) ^ std::hash<std::string_view>{}(std::string_view(
+                              reinterpret_cast<const char*>(k.capsBytes.data()),
+                              k.capsBytes.size()));
+  }
+  static const std::string& clipId(const StreamKey& k) noexcept {
+    return k.cacheId;
+  }
+  static std::size_t chargeBytes(const StreamKey& k, const StreamBytes& v) {
+    return v.capacity() + k.capsBytes.capacity() + k.cacheId.capacity();
+  }
+};
+
+using StreamCache =
+    core::ShardedCache<StreamKey, StreamBytes, StreamCacheTraits>;
+
+inline constexpr std::size_t kStreamCacheShards = 16;
+inline constexpr std::size_t kStreamCacheBytes = 64u << 20;
+
+/// One negotiated stream, resolved through the stream cache.  `entry`
+/// points into the catalog: valid until the next addClip(s).
+struct ServedStream {
+  const CatalogEntry* entry = nullptr;
+  StreamKey key;
+  StreamPtr bytes;
+};
+
 /// The streaming server.
 class MediaServer {
  public:
@@ -91,21 +143,22 @@ class MediaServer {
   [[nodiscard]] const CatalogEntry& entry(const std::string& name) const;
 
   /// Full service path: compensate frames for the negotiated device and
-  /// quality, encode, and mux video + annotations.  Served streams are
-  /// memoized per (clip, annotator fingerprint, exact capabilities): a
-  /// repeat request for the same negotiation returns the cached bytes
-  /// (compensation + encode + mux skipped), which is what makes one catalog
-  /// entry cheap to fan out to a fleet of identical devices.  The cache is
-  /// invalidated by addClip(s).
+  /// quality, encode, and mux video + annotations -- once per StreamKey
+  /// while the stream cache holds it, which is what makes one catalog entry
+  /// cheap to fan out to a fleet of identical devices.  `tenantCfg` (null =
+  /// the server's default config) selects the plan; tenant tracks resolve
+  /// through the attached TrackCache (see annotationFor), so M tenants
+  /// across N clips cost at most M-fingerprints x N engine passes.  Throws
+  /// std::out_of_range for an unknown clip or an unoffered quality index.
+  [[nodiscard]] ServedStream openStream(
+      const std::string& clipName, const ClientCapabilities& caps,
+      const core::AnnotatorConfig* tenantCfg = nullptr) const;
+
+  /// openStream's bytes, copied out (default config).
   [[nodiscard]] std::vector<std::uint8_t> serve(
       const std::string& clipName, const ClientCapabilities& caps) const;
 
-  /// Tenant-aware service path: like serve(clip, caps) but annotated under
-  /// `tenantCfg` instead of the server's default config.  The annotation
-  /// track is resolved through the attached TrackCache (see annotationFor),
-  /// so M tenants across N clips cost at most M-fingerprints x N engine
-  /// passes regardless of how many sessions request them; the compensated
-  /// stream itself is memoized per (clip, fingerprint, capabilities).
+  /// openStream's bytes, copied out, annotated under `tenantCfg`.
   [[nodiscard]] std::vector<std::uint8_t> serve(
       const std::string& clipName, const ClientCapabilities& caps,
       const core::AnnotatorConfig& tenantCfg) const;
@@ -131,11 +184,17 @@ class MediaServer {
     return trackCache_;
   }
 
+  /// The server's stream cache (kStreamCacheShards, kStreamCacheBytes):
+  /// stats, entries, and setByteBudget for squeeze drills.
+  [[nodiscard]] StreamCache& streamCache() const noexcept {
+    return streamCache_;
+  }
+
   /// Registers server instruments in `registry` and starts recording:
   ///   anno_server_clips_annotated_total, anno_server_serves_total,
-  ///   anno_server_cache_hits_total / anno_server_cache_misses_total,
   ///   anno_server_catalog_size, anno_server_profile_seconds,
-  ///   anno_server_serve_seconds.
+  ///   anno_server_serve_seconds, plus the stream cache's
+  ///   anno_stream_cache_* instruments.
   /// Detached by default (null handles, zero recording cost).  Pair with an
   /// EngineObserver on the annotator config for engine-level counters.
   void attachTelemetry(telemetry::Registry& registry);
@@ -163,17 +222,12 @@ class MediaServer {
   struct Telemetry {
     telemetry::Counter* clipsAnnotated = nullptr;
     telemetry::Counter* serves = nullptr;
-    telemetry::Counter* cacheHits = nullptr;
-    telemetry::Counter* cacheMisses = nullptr;
     telemetry::Gauge* catalogSize = nullptr;
     telemetry::Histogram* profileSeconds = nullptr;
     telemetry::Histogram* serveSeconds = nullptr;
   };
 
   const CatalogEntry& findOrThrow(const std::string& name) const;
-  [[nodiscard]] std::vector<std::uint8_t> serveImpl(
-      const std::string& clipName, const ClientCapabilities& caps,
-      const core::AnnotatorConfig& tenantCfg, bool isDefaultConfig) const;
 
   core::AnnotatorConfig annotatorCfg_;
   std::uint64_t annotatorFingerprint_ = 0;  ///< annotatorCfg_.fingerprint()
@@ -184,12 +238,8 @@ class MediaServer {
   core::TrackCache* trackCache_ = nullptr;  ///< shared, not owned
   std::uint64_t serverId_ = 0;   ///< process-unique, part of cacheId
   std::uint64_t ingestRevision_ = 0;  ///< bumped per stored clip
-  /// Memoized serve() results keyed by clip name + annotator fingerprint +
-  /// exact negotiation bytes (no collisions by construction).  Mutable +
-  /// mutex: serving is logically const and must stay thread-safe for
-  /// concurrent sessions.
-  mutable std::mutex serveCacheMu_;
-  mutable std::map<std::string, std::vector<std::uint8_t>> serveCache_;
+  /// Mutable: serving is logically const; the cache is thread-safe.
+  mutable StreamCache streamCache_{{kStreamCacheShards, kStreamCacheBytes}};
 };
 
 /// Builds a minimal device model from negotiated capabilities (name +
@@ -204,9 +254,12 @@ class MediaServer {
 [[nodiscard]] std::vector<std::uint8_t> encodeCapabilities(
     const ClientCapabilities& caps);
 
-/// Parses a negotiation message; throws std::runtime_error on malformed
-/// input.  The decoded transfer reproduces the original to within the
-/// 16-bit quantization (< 2e-5 absolute).
+/// Parses a negotiation message; throws std::runtime_error (or
+/// std::out_of_range on truncation) on malformed input.  Decoding is
+/// canonical: it accepts only bytes that encodeCapabilities reproduces, so
+/// equal caps always mean equal cache keys.  The decoded transfer
+/// reproduces the original to within the 16-bit quantization (< 2e-5
+/// absolute).
 [[nodiscard]] ClientCapabilities decodeCapabilities(
     std::span<const std::uint8_t> bytes);
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "core/track_cache.h"
@@ -260,6 +261,113 @@ TEST_F(SchedulerTest, TenantSessionsResolveThroughTrackCache) {
   sched.run();
   EXPECT_EQ(sched.stats().sessionsCompleted, 8u);
   server_.detachTrackCache();
+}
+
+TEST_F(SchedulerTest, ReingestedClipServesTheNewContent) {
+  // Streams are keyed on the catalog entry's cacheId (one per ingest
+  // revision), not the clip name: a session joined after a re-ingest must
+  // stream the new content.
+  SessionScheduler sched(server_);
+  const std::uint64_t before = sched.join(fastSession());
+  server_.addClip(
+      media::generatePaperClip(media::PaperClip::kCatwoman, 0.04, 32, 24));
+  const std::uint64_t after = sched.join(fastSession());
+  const std::size_t freshBytes = server_.serve("catwoman", ipaqCaps()).size();
+  EXPECT_NE(sched.report(before).streamBytes, freshBytes)
+      << "the replacement must change the stream for this test to bite";
+  EXPECT_EQ(sched.report(after).streamBytes, freshBytes)
+      << "a session joined after re-ingest must stream the new content";
+  EXPECT_EQ(sched.stats().uniqueStreams, 2u)
+      << "a re-ingested clip is a new stream";
+  sched.run();
+  EXPECT_EQ(sched.report(before).bytesDelivered,
+            sched.report(before).streamBytes)
+      << "the earlier session keeps streaming the bytes it joined with";
+}
+
+TEST_F(SchedulerTest, UnrelatedIngestKeepsCachedStreams) {
+  SessionScheduler sched(server_);
+  (void)sched.join(fastSession());
+  const core::CacheStats first = server_.streamCache().stats();
+  server_.addClip(
+      media::generatePaperClip(media::PaperClip::kShrek2, 0.02, 32, 24));
+  (void)sched.join(fastSession());
+  const core::CacheStats second = server_.streamCache().stats();
+  EXPECT_EQ(second.hits, first.hits + 1)
+      << "ingesting another clip must not evict catwoman's stream";
+  EXPECT_EQ(second.misses, first.misses);
+}
+
+/// A fleet over 4 clips x 4 annotation plans x 3 qualities = 48 distinct
+/// streams, each joined by two back-to-back sessions, in two waves so the
+/// second wave re-requests streams the first wave lost to eviction.
+/// Returns every session's final report; `budget` (0 = the server default)
+/// is applied to the stream cache before the first join and checked after
+/// every tick.
+std::vector<SessionReport> runBudgetedFleet(std::size_t budget) {
+  MediaServer server;
+  for (media::PaperClip clip :
+       {media::PaperClip::kCatwoman, media::PaperClip::kOfficeXp,
+        media::PaperClip::kShrek2, media::PaperClip::kIRobot}) {
+    server.addClip(media::generatePaperClip(clip, 0.02, 32, 24));
+  }
+  if (budget != 0) server.streamCache().setByteBudget(budget);
+  std::vector<std::optional<core::AnnotatorConfig>> plans(4);
+  plans[1].emplace().granularity = core::Granularity::kPerFrame;
+  plans[2].emplace().qualityLevels = {0.0, 0.1, 0.2};
+  plans[3].emplace().protectCredits = true;
+  SessionScheduler sched(server);
+  std::vector<std::uint64_t> ids;
+  const auto checkBudget = [&] {
+    if (budget != 0) {
+      ASSERT_LE(server.streamCache().stats().bytes, budget);
+    }
+  };
+  for (int wave = 0; wave < 2; ++wave) {
+    for (const std::string& clip : server.catalog()) {
+      for (const auto& plan : plans) {
+        for (std::size_t quality = 0; quality < 3; ++quality) {
+          FleetSessionConfig s;
+          s.clipName = clip;
+          s.caps = ipaqCaps(quality);
+          s.tenantCfg = plan;
+          s.bandwidth = BandwidthTrace::constant(2e5);
+          ids.push_back(sched.join(s));
+          ids.push_back(sched.join(s));
+        }
+      }
+    }
+    for (int i = 0; i < 3; ++i) {
+      sched.tick();
+      checkBudget();
+    }
+  }
+  while (!sched.allSessionsTerminal()) {
+    sched.tick();
+    checkBudget();
+  }
+  EXPECT_EQ(sched.stats().uniqueStreams, 48u);
+  if (budget != 0) {
+    const core::CacheStats cs = server.streamCache().stats();
+    EXPECT_GT(cs.evictions, 0u) << "the budget must actually bind";
+    EXPECT_GT(cs.misses, 48u) << "evicted streams are re-served on demand";
+    EXPECT_GE(cs.hits, 96u) << "a fresh fill survives its shard's eviction";
+  }
+  std::vector<SessionReport> reports;
+  for (std::uint64_t id : ids) reports.push_back(sched.report(id));
+  return reports;
+}
+
+TEST(SchedulerStreamCache, BoundedBudgetKeepsReportsIdentical) {
+  const std::vector<SessionReport> unbounded = runBudgetedFleet(0);
+  // The 48 streams total ~790 KB, more than 640 KiB, so some shard must
+  // evict whatever the shard spread; each 40 KiB shard slice still holds
+  // the largest (~26 KB) stream, so the back-to-back second join hits.
+  const std::vector<SessionReport> squeezed = runBudgetedFleet(640u << 10);
+  ASSERT_EQ(unbounded.size(), squeezed.size());
+  for (std::size_t i = 0; i < unbounded.size(); ++i) {
+    EXPECT_EQ(unbounded[i], squeezed[i]) << "session index " << i;
+  }
 }
 
 TEST_F(SchedulerTest, UnknownClipAndBadQualityThrowAtJoin) {
