@@ -13,7 +13,7 @@ namespace {
 /// YCbCr-domain op: transform luma with `f`, keep chroma.
 template <typename F>
 media::Image lumaDomainOp(const media::Image& img, F&& f) {
-  media::Image out(img.width(), img.height());
+  media::Image out(img.width(), img.height(), media::kForOverwrite);
   auto src = img.pixels();
   auto dst = out.pixels();
   for (std::size_t i = 0; i < src.size(); ++i) {
@@ -42,7 +42,7 @@ media::Image contrastEnhance(const media::Image& img, double k,
   if (domain == Domain::kLuminance) {
     return lumaDomainOp(img, [k](double y) { return y * k; });
   }
-  media::Image out(img.width(), img.height());
+  media::Image out(img.width(), img.height(), media::kForOverwrite);
   media::kernels::active().scalePixels(img.pixels().data(), img.pixelCount(),
                                        k, out.pixels().data());
   return out;
@@ -59,7 +59,7 @@ media::Image brightnessCompensate(const media::Image& img, double delta,
   if (domain == Domain::kLuminance) {
     return lumaDomainOp(img, [delta](double y) { return y + delta; });
   }
-  media::Image out(img.width(), img.height());
+  media::Image out(img.width(), img.height(), media::kForOverwrite);
   auto src = img.pixels();
   auto dst = out.pixels();
   for (std::size_t i = 0; i < src.size(); ++i) {

@@ -38,7 +38,7 @@ media::Image dimContent(const media::Image& frame, double factor) {
   if (frame.empty()) {
     throw std::invalid_argument("dimContent: empty frame");
   }
-  media::Image out(frame.width(), frame.height());
+  media::Image out(frame.width(), frame.height(), media::kForOverwrite);
   auto src = frame.pixels();
   auto dst = out.pixels();
   for (std::size_t i = 0; i < src.size(); ++i) {

@@ -36,7 +36,7 @@ media::Image quantizeRgb565(const media::Image& img, bool dither) {
   if (img.empty()) {
     throw std::invalid_argument("quantizeRgb565: empty image");
   }
-  media::Image out(img.width(), img.height());
+  media::Image out(img.width(), img.height(), media::kForOverwrite);
   for (int y = 0; y < img.height(); ++y) {
     for (int x = 0; x < img.width(); ++x) {
       if (!dither) {

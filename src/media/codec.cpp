@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 
 #include "media/bitstream.h"
@@ -81,24 +80,42 @@ Quantizer makeQuantizer(int quality) {
   return q;
 }
 
+/// The quantizer of the last quality byte decoded.  A clip's frames share
+/// one quality, so decoding a clip builds its quantizer once.
+class QuantizerCache {
+ public:
+  const Quantizer& get(int quality) {
+    if (quality != quality_) {
+      quant_ = makeQuantizer(quality);
+      quality_ = quality;
+    }
+    return quant_;
+  }
+
+ private:
+  int quality_ = 0;  // none yet: a quality byte of 0 decodes as 1
+  Quantizer quant_{};
+};
+
 int blocksAcross(int dim) { return (dim + 7) / 8; }
 
-/// Y, Cb, Cr as Q5 int16 planes (see codec.h) in one allocation, left
-/// uninitialised: every sample is written before it is read.
+/// Y, Cb, Cr as Q5 int16 planes (see codec.h) in one write-once frame
+/// buffer: every sample is written before it is read.
 class Planes {
  public:
   Planes() = default;
-  explicit Planes(std::size_t samples)
-      : samples_(samples), data_(new std::int16_t[3 * samples]) {}
+  explicit Planes(std::size_t samples) : samples_(samples) {
+    data_.resize(3 * samples);
+  }
 
-  std::int16_t* operator[](int p) { return data_.get() + p * samples_; }
+  std::int16_t* operator[](int p) { return data_.data() + p * samples_; }
   const std::int16_t* operator[](int p) const {
-    return data_.get() + p * samples_;
+    return data_.data() + p * samples_;
   }
 
  private:
   std::size_t samples_ = 0;
-  std::unique_ptr<std::int16_t[]> data_;
+  FrameBuffer<std::int16_t> data_;
 };
 
 Planes toPlanes(const Image& frame) {
@@ -110,7 +127,7 @@ Planes toPlanes(const Image& frame) {
 }
 
 Image fromPlanes(const Planes& planes, int width, int height) {
-  Image img(width, height);
+  Image img(width, height, kForOverwrite);
   auto dst = img.pixels();
   kernels::active().ycbcrPlanesToRgb(planes[0], planes[1], planes[2],
                                      dst.size(), dst.data());
@@ -368,11 +385,11 @@ bool isInterFrame(const EncodedFrame& frame) {
 /// Decodes a frame into colour planes.  `ref` holds the reference planes
 /// and must be non-null for a P frame.
 Planes decodePlanes(const EncodedFrame& frame, int width, int height,
-                    const Planes* ref) {
+                    const Planes* ref, QuantizerCache& quants) {
   ByteReader r(frame.bytes);
   const int quality = r.u8();
   const std::uint8_t frameType = r.u8();
-  const Quantizer quant = makeQuantizer(quality == 0 ? 1 : quality);
+  const Quantizer& quant = quants.get(quality == 0 ? 1 : quality);
 
   const bool inter = frameType == kFrameInter;
   if (frameType != kFrameIntra && !inter) {
@@ -425,6 +442,25 @@ Planes decodePlanes(const EncodedFrame& frame, int width, int height,
   return planes;
 }
 
+/// decodeFrame with the caller's quantizer cache.
+Image decodeImage(const EncodedFrame& frame, int width, int height,
+                  const Image* reference, QuantizerCache& quants) {
+  if (width <= 0 || height <= 0) {
+    throw std::invalid_argument("decodeFrame: bad dimensions");
+  }
+  Planes ref;
+  const bool useRef = reference != nullptr && isInterFrame(frame);
+  if (useRef) {
+    if (reference->width() != width || reference->height() != height) {
+      throw std::invalid_argument("decodeFrame: reference geometry mismatch");
+    }
+    ref = toPlanes(*reference);
+  }
+  return fromPlanes(
+      decodePlanes(frame, width, height, useRef ? &ref : nullptr, quants),
+      width, height);
+}
+
 }  // namespace
 
 EncodedFrame encodeFrame(const Image& frame, const CodecConfig& cfg) {
@@ -446,20 +482,8 @@ EncodedFrame encodePFrame(const Image& frame, const Image& reference,
 
 Image decodeFrame(const EncodedFrame& frame, int width, int height,
                   const Image* reference) {
-  if (width <= 0 || height <= 0) {
-    throw std::invalid_argument("decodeFrame: bad dimensions");
-  }
-  Planes ref;
-  const bool useRef = reference != nullptr && isInterFrame(frame);
-  if (useRef) {
-    if (reference->width() != width || reference->height() != height) {
-      throw std::invalid_argument("decodeFrame: reference geometry mismatch");
-    }
-    ref = toPlanes(*reference);
-  }
-  return fromPlanes(
-      decodePlanes(frame, width, height, useRef ? &ref : nullptr), width,
-      height);
+  QuantizerCache quants;
+  return decodeImage(frame, width, height, reference, quants);
 }
 
 EncodedClip encodeClip(const VideoClip& clip, const CodecConfig& cfg) {
@@ -482,6 +506,7 @@ EncodedClip encodeClip(const VideoClip& clip, const CodecConfig& cfg) {
   // RGB and back to planes, exactly as decodeClip sees it) is only made
   // when the next frame is a P frame; with gopLength 1 it never is.
   const auto gop = static_cast<std::size_t>(cfg.gopLength);
+  QuantizerCache decodeQuants;
   Planes refPlanes;
   for (std::size_t i = 0; i < clip.frames.size(); ++i) {
     const bool intra = i % gop == 0;
@@ -494,7 +519,7 @@ EncodedClip encodeClip(const VideoClip& clip, const CodecConfig& cfg) {
     if (nextIsP) {
       refPlanes = toPlanes(fromPlanes(
           decodePlanes(enc, out.width, out.height,
-                       intra ? nullptr : &refPlanes),
+                       intra ? nullptr : &refPlanes, decodeQuants),
           out.width, out.height));
     }
     out.frames.push_back(std::move(enc));
@@ -507,9 +532,11 @@ VideoClip decodeClip(const EncodedClip& clip) {
   out.name = clip.name;
   out.fps = clip.fps;
   out.frames.reserve(clip.frames.size());
+  QuantizerCache quants;
   for (const EncodedFrame& f : clip.frames) {
     const Image* ref = out.frames.empty() ? nullptr : &out.frames.back();
-    out.frames.push_back(decodeFrame(f, clip.width, clip.height, ref));
+    out.frames.push_back(
+        decodeImage(f, clip.width, clip.height, ref, quants));
   }
   return out;
 }

@@ -249,6 +249,31 @@ TEST(Codec, PFrameNeedsReference) {
                std::invalid_argument);
 }
 
+TEST(Codec, ClipOfMixedQualitiesDecodesFrameByFrame) {
+  // decodeClip reuses one quantizer while the quality byte repeats; every
+  // change of quality (I and P frames alike) must rebuild it.
+  const Image a = testFrame(48, 32, 8);
+  const Image b = testFrame(48, 32, 9);
+  EncodedClip clip;
+  clip.width = 48;
+  clip.height = 32;
+  clip.fps = 12.0;
+  clip.frames.push_back(encodeFrame(a, {30}));
+  clip.frames.push_back(encodeFrame(b, {30}));
+  clip.frames.push_back(encodeFrame(a, {95}));
+  const Image ref = decodeFrame(clip.frames.back(), 48, 32);
+  clip.frames.push_back(encodePFrame(b, ref, {60}));
+  clip.frames.push_back(encodeFrame(b, {60}));
+  const VideoClip decoded = decodeClip(clip);
+  ASSERT_EQ(decoded.frames.size(), clip.frames.size());
+  const Image* prev = nullptr;
+  for (std::size_t i = 0; i < clip.frames.size(); ++i) {
+    EXPECT_EQ(decoded.frames[i], decodeFrame(clip.frames[i], 48, 32, prev))
+        << "frame " << i;
+    prev = &decoded.frames[i];
+  }
+}
+
 TEST(Codec, GopEncodingShrinksStaticContent) {
   // A mostly static synthetic scene: P frames should be far smaller than
   // I frames, so a GOP-coded clip beats intra-only substantially.
