@@ -85,7 +85,7 @@ int main() {
                [&] {
                  const core::AnnotationTrack t =
                      core::annotateClip(clip, cfg);
-                 g_sink += t.scenes.size();
+                 g_sink = g_sink + t.scenes.size();
                }) /
         static_cast<double>(clip.frames.size());
 
@@ -101,7 +101,8 @@ int main() {
                  for (std::size_t s = 0; s < track.scenes.size(); ++s) {
                    const compensate::CompensationDecision d =
                        core::decideForScene(*backend, track, s, 2, device);
-                   g_sink += static_cast<std::uint64_t>(d.plan.backlightLevel);
+                   g_sink = g_sink + static_cast<std::uint64_t>(
+                                         d.plan.backlightLevel);
                  }
                }) /
         static_cast<double>(track.scenes.size());
@@ -118,7 +119,7 @@ int main() {
     row.applyNsPerFrame = 1e9 * timeOp(30, [&] {
                             const media::Image out =
                                 backend->apply(frame, deepest);
-                            g_sink += out.pixels().size();
+                            g_sink = g_sink + out.pixels().size();
                           });
 
     rows.push_back(row);

@@ -111,7 +111,8 @@ int run(std::size_t sessions, std::size_t clips, std::size_t tenantCount,
     for (std::size_t c = 0; c < clips; ++c) {
       media::VideoClip clip = media::generatePaperClip(
           kSources[c % (sizeof kSources / sizeof kSources[0])], 0.01, 32, 24);
-      clip.name += "-" + std::to_string(c);
+      clip.name += '-';
+      clip.name += std::to_string(c);
       batch.push_back(std::move(clip));
     }
     server.addClips(std::move(batch));

@@ -140,7 +140,7 @@ int main() {
         return [table, pxA, n] {
           FrameProfile out;
           table->profileRgb(pxA, n, out);
-          g_sink += out.lumaSum;
+          g_sink = g_sink + out.lumaSum;
         };
       },
       40);
@@ -155,8 +155,9 @@ int main() {
             identical && table->emdNumerator(profA.hist.data(), n,
                                              profB.hist.data(), n) == wantEmd;
         return [table, &profA, &profB, n] {
-          g_sink += static_cast<std::uint64_t>(table->emdNumerator(
-              profA.hist.data(), n, profB.hist.data(), n));
+          g_sink = g_sink +
+                   static_cast<std::uint64_t>(table->emdNumerator(
+                       profA.hist.data(), n, profB.hist.data(), n));
         };
       },
       20000);
@@ -176,7 +177,7 @@ int main() {
         return [table, pxA, n, kGain] {
           static std::vector<media::Rgb8> dst(n);
           table->scalePixels(pxA, n, kGain, dst.data());
-          g_sink += dst[0].r;
+          g_sink = g_sink + dst[0].r;
         };
       },
       40);
@@ -188,7 +189,7 @@ int main() {
         identical =
             identical && table->countClipped(pxA, n, kGain) == wantClipped;
         return [table, pxA, n, kGain] {
-          g_sink += table->countClipped(pxA, n, kGain);
+          g_sink = g_sink + table->countClipped(pxA, n, kGain);
         };
       },
       100);
@@ -206,7 +207,7 @@ int main() {
         return [table, pxA, n] {
           std::uint64_t hist[256] = {};
           table->maxChannelHistogram(pxA, n, hist);
-          g_sink += hist[128];
+          g_sink = g_sink + hist[128];
         };
       },
       100);
@@ -225,7 +226,7 @@ int main() {
         return [table, &profA] {
           static std::uint64_t dst[256] = {};
           table->histAccumulate(dst, profA.hist.data());
-          g_sink += dst[0];
+          g_sink = g_sink + dst[0];
         };
       },
       50000);
@@ -243,7 +244,7 @@ int main() {
         return [table, pxA, n] {
           static std::vector<std::uint8_t> dst(n);
           table->lumaPlane(pxA, n, dst.data());
-          g_sink += dst[0];
+          g_sink = g_sink + dst[0];
         };
       },
       40);

@@ -169,7 +169,7 @@ struct ChunkBatch {
       const std::lock_guard<std::mutex> lock(mu);
       if (err && i < errorChunk) {
         errorChunk = i;
-        error = err;
+        error = std::move(err);  // no worker-held copy outlives the lock
       }
       if (++done == chunks) doneCv.notify_all();
     }
@@ -220,9 +220,15 @@ void ThreadPool::runChunked(std::size_t chunks,
     cv_.notify_all();
   }
   batch->run(/*isCaller=*/true);  // caller participates; progress when nested
-  std::unique_lock<std::mutex> lock(batch->mu);
-  batch->doneCv.wait(lock, [&] { return batch->done == batch->chunks; });
-  if (batch->error) std::rethrow_exception(batch->error);
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(batch->mu);
+    batch->doneCv.wait(lock, [&] { return batch->done == batch->chunks; });
+    // Take sole ownership under the lock: a worker may still drop the last
+    // batch reference, and must not release an exception being handled.
+    error = std::move(batch->error);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace anno::concurrency

@@ -14,8 +14,7 @@
 namespace anno::core {
 namespace {
 
-constexpr std::uint32_t kTrackMagicLegacy = 0x414E4E30;  // "ANN0"
-constexpr std::uint32_t kTrackMagic = 0x414E4E31;        // "ANN1"
+constexpr std::uint32_t kTrackMagic = 0x414E4E31;  // "ANN1"
 constexpr std::uint8_t kFormatVersion = 1;
 
 constexpr std::uint8_t kChunkHeader = 1;
@@ -41,89 +40,6 @@ constexpr std::size_t kMaxNameBytes = 4096;
 constexpr std::size_t kMaxQualityLevels = 256;
 
 std::uint8_t repairLuma() { return 255; }  // full backlight: always safe
-
-// ---------------------------------------------------------------------------
-// Legacy ANN0 framing.
-// ---------------------------------------------------------------------------
-
-media::ByteWriter encodeHeaderLegacy(const AnnotationTrack& track) {
-  media::ByteWriter w;
-  w.u32(kTrackMagicLegacy);
-  w.varint(track.clipName.size());
-  w.bytes(std::span(
-      reinterpret_cast<const std::uint8_t*>(track.clipName.data()),
-      track.clipName.size()));
-  w.varint(static_cast<std::uint64_t>(std::llround(track.fps * 1000.0)));
-  w.varint(track.frameCount);
-  w.u8(static_cast<std::uint8_t>(track.granularity));
-  w.varint(track.qualityLevels.size());
-  for (double q : track.qualityLevels) {
-    // Quality levels as per-mille (0..999), exact for the paper's 5% grid.
-    w.varint(static_cast<std::uint64_t>(std::llround(q * 1000.0)));
-  }
-  return w;
-}
-
-AnnotationTrack decodeLegacy(std::span<const std::uint8_t> bytes) {
-  media::ByteReader r(bytes);
-  if (r.u32() != kTrackMagicLegacy) {
-    throw std::runtime_error("decodeTrack: bad magic");
-  }
-  AnnotationTrack track;
-  const std::size_t nameLen = r.varint();
-  if (nameLen > kMaxNameBytes) {
-    throw std::runtime_error("decodeTrack: clip name too long");
-  }
-  auto nameBytes = r.bytes(nameLen);
-  track.clipName.assign(reinterpret_cast<const char*>(nameBytes.data()),
-                        nameLen);
-  track.fps = static_cast<double>(r.varint()) / 1000.0;
-  track.frameCount = static_cast<std::uint32_t>(r.varint());
-  track.granularity = static_cast<Granularity>(r.u8());
-  const std::size_t nq = r.varint();
-  if (nq > kMaxQualityLevels) {
-    throw std::runtime_error("decodeTrack: too many quality levels");
-  }
-  track.qualityLevels.reserve(nq);
-  for (std::size_t i = 0; i < nq; ++i) {
-    track.qualityLevels.push_back(static_cast<double>(r.varint()) / 1000.0);
-  }
-
-  // Each scene needs at least one span byte; anything larger is corrupt.
-  const std::size_t nscenes = r.count(1);
-  track.scenes.resize(nscenes);
-  std::uint32_t start = 0;
-  for (std::size_t i = 0; i < nscenes; ++i) {
-    const auto len = static_cast<std::uint32_t>(r.varint());
-    track.scenes[i].span = SceneSpan{start, len};
-    start += len;
-  }
-
-  const std::size_t rleLen = r.varint();
-  auto rleBytes = r.bytes(rleLen);
-  const std::vector<std::uint8_t> raw =
-      media::rleDecode(rleBytes, nscenes * nq);
-  if (raw.size() != nscenes * nq) {
-    throw std::runtime_error("decodeTrack: safeLuma matrix size mismatch");
-  }
-  for (std::size_t i = 0; i < nscenes; ++i) {
-    track.scenes[i].safeLuma.resize(nq);
-    for (std::size_t q = 0; q < nq; ++q) {
-      track.scenes[i].safeLuma[q] = raw[q * nscenes + i];
-    }
-  }
-  try {
-    validateTrack(track);
-  } catch (const std::invalid_argument& e) {
-    throw std::runtime_error(std::string("decodeTrack: invalid track: ") +
-                             e.what());
-  }
-  return track;
-}
-
-// ---------------------------------------------------------------------------
-// Resilient ANN1 framing.
-// ---------------------------------------------------------------------------
 
 void writeChunk(media::ByteWriter& w, std::uint8_t type,
                 std::span<const std::uint8_t> payload) {
@@ -574,36 +490,7 @@ std::vector<std::uint8_t> encodeTrack(const AnnotationTrack& track) {
   return w.take();
 }
 
-std::vector<std::uint8_t> encodeTrackLegacy(const AnnotationTrack& track) {
-  validateTrack(track);
-  media::ByteWriter w = encodeHeaderLegacy(track);
-
-  // Scene spans: only lengths are needed (spans are contiguous from 0).
-  w.varint(track.scenes.size());
-  for (const SceneAnnotation& s : track.scenes) {
-    w.varint(s.span.frameCount);
-  }
-
-  // safeLuma matrix, QUALITY-major, RLE compressed: consecutive scenes at
-  // the same quality level often share ceilings (e.g. repeated dark scenes),
-  // so runs form along the scene axis, not across quality levels.
-  std::vector<std::uint8_t> raw;
-  raw.reserve(track.scenes.size() * track.qualityLevels.size());
-  for (std::size_t q = 0; q < track.qualityLevels.size(); ++q) {
-    for (const SceneAnnotation& s : track.scenes) {
-      raw.push_back(s.safeLuma[q]);
-    }
-  }
-  const std::vector<std::uint8_t> rle = media::rleEncode(raw);
-  w.varint(rle.size());
-  w.bytes(rle);
-  return w.take();
-}
-
 AnnotationTrack decodeTrack(std::span<const std::uint8_t> bytes) {
-  if (peekMagic(bytes) == kTrackMagicLegacy) {
-    return decodeLegacy(bytes);
-  }
   if (peekMagic(bytes) != kTrackMagic) {
     throw std::runtime_error("decodeTrack: bad magic");
   }
@@ -634,20 +521,6 @@ std::atomic<const CodecTelemetry*> g_codecTelemetry{nullptr};
 LenientDecodeResult decodeTrackLenientImpl(
     std::span<const std::uint8_t> bytes) noexcept {
   try {
-    if (peekMagic(bytes) == kTrackMagicLegacy) {
-      // Legacy framing has no per-chunk checksums: all-or-nothing.
-      LenientDecodeResult out;
-      out.damage.legacyFormat = true;
-      out.damage.totalChunks = 1;
-      try {
-        out.track = decodeLegacy(bytes);
-        out.damage.headerIntact = true;
-        out.usable = true;
-      } catch (const std::exception&) {
-        out.damage.damagedChunks = 1;
-      }
-      return out;
-    }
     if (peekMagic(bytes) != kTrackMagic) {
       return {};  // unrecognized framing: unusable, zero chunks seen
     }

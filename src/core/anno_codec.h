@@ -4,22 +4,17 @@
 // minimal, in the order of hundreds of bytes for our video clips which are
 // on the order of a few megabytes."
 //
-// Two wire formats:
-//
-//  - ANN0 (legacy): one monolithic blob -- varint header, scene-length
-//    varints, RLE'd safeLuma matrix.  A single corrupted byte kills the
-//    whole track.  Still decodable for back-compat.
-//
-//  - ANN1 (resilient, the default): versioned, CRC32-checksummed chunks.
-//    After the magic and a version byte, the stream is a sequence of
-//    self-describing chunks [type u8 | payload-length varint | crc32 u32 |
-//    payload].  Chunk 1 is the header (clip metadata, quality levels, scene
-//    count); chunks of type 2 each carry a *group* of up to 16 scenes
-//    (first scene index, first frame, span lengths, RLE'd safeLuma,
-//    quality-major within the group) and are self-locating, so damage to
-//    one chunk loses only its scene-spans.  decodeTrackLenient repairs the
-//    gap with conservative full-backlight scenes and reports exactly what
-//    was lost; the strict decodeTrack still throws on any damage.
+// Wire format ANN1: versioned, CRC32-checksummed chunks.  After the magic
+// and a version byte, the stream is a sequence of self-describing chunks
+// [type u8 | payload-length varint | crc32 u32 | payload].  Chunk 1 is the
+// header (clip metadata, quality levels, scene count); chunks of type 2 each
+// carry a *group* of up to 16 scenes (first scene index, first frame, span
+// lengths, RLE'd safeLuma, quality-major within the group) and are
+// self-locating, so damage to one chunk loses only its scene-spans.
+// decodeTrackLenient repairs the gap with conservative full-backlight scenes
+// and reports exactly what was lost; the strict decodeTrack still throws on
+// any damage.  Any other magic -- including the retired, checksum-free ANN0
+// blob -- is unrecognized: strict decode throws, lenient decode is unusable.
 #pragma once
 
 #include <cstdint>
@@ -48,12 +43,7 @@ void detachCodecTelemetry() noexcept;
 [[nodiscard]] std::vector<std::uint8_t> encodeTrack(
     const AnnotationTrack& track);
 
-/// Serializes in the legacy ANN0 framing (no per-chunk checksums); kept so
-/// old streams remain producible for compatibility tests and old consumers.
-[[nodiscard]] std::vector<std::uint8_t> encodeTrackLegacy(
-    const AnnotationTrack& track);
-
-/// Parses a serialized track (either framing); validates before returning.
+/// Parses a serialized ANN1 track; validates before returning.
 /// Strict: throws std::runtime_error, or std::out_of_range for a length or
 /// count the input cannot hold, on any malformed or damaged input.
 [[nodiscard]] AnnotationTrack decodeTrack(std::span<const std::uint8_t> bytes);
@@ -61,7 +51,6 @@ void detachCodecTelemetry() noexcept;
 /// What a lenient decode had to give up on.
 struct TrackDamageReport {
   bool headerIntact = false;   ///< clip metadata chunk survived
-  bool legacyFormat = false;   ///< input was ANN0 (all-or-nothing decode)
   std::size_t totalChunks = 0;
   std::size_t damagedChunks = 0;  ///< CRC mismatch, short, or unparsable
   std::uint32_t damagedFrames = 0;  ///< frames whose annotations were lost

@@ -96,7 +96,7 @@ BacklightSchedule fullBacklightSchedule(std::uint32_t frameCount) {
   BacklightSchedule schedule;
   schedule.frameCount = frameCount;
   if (frameCount > 0) {
-    schedule.commands.push_back({0, 255, 1.0});
+    schedule.commands.push_back(BacklightCommand{});  // full, unit gain
   }
   return schedule;
 }

@@ -56,7 +56,7 @@ struct BacklightSchedule {
     const AnnotationTrack& track);
 
 /// The single decision routine every consumer of a decoded track shares
-/// (buildSchedule, compensateClip, the proxy render, the adaptive player):
+/// (buildSchedule, compensateClip, the adaptive player):
 /// resolves scene `sceneIndex` at `qualityIndex` on `device` through the
 /// track's backend.  Curve-carrying backends receive the scene's perceived
 /// curve when present; when absent (legacy track, damaged curve chunk) they

@@ -115,7 +115,7 @@ class ByteReader {
   [[nodiscard]] std::int64_t svarint() { return zigzagDecode(varint()); }
 
   [[nodiscard]] std::span<const std::uint8_t> bytes(std::size_t n) {
-    if (pos_ + n > data_.size()) {
+    if (n > remaining()) {  // not pos_ + n: a corrupt n near 2^64 wraps
       throw std::out_of_range("ByteReader: underrun");
     }
     auto s = data_.subspan(pos_, n);

@@ -20,43 +20,28 @@ Level bestLevel() noexcept {
     return Level::kAvx2;
   }
   return Level::kSse2;  // x86-64 baseline
-#elif defined(__aarch64__)
-  return Level::kNeon;  // Advanced SIMD is mandatory on aarch64
 #else
   return Level::kScalar;
 #endif
 }
 
-/// Resolves the startup table: ANNO_SIMD env var beats the CMake default
-/// beats CPU detection.  Unknown or unavailable requests warn once on
-/// stderr and fall back to the best available level.
+/// Resolves the startup table: the ANNO_SIMD env var beats CPU detection.
+/// Unknown or unavailable requests warn once on stderr and fall back to the
+/// best available level.
 const KernelTable* select() {
-  std::string_view requested;
-  const char* source = nullptr;
-  if (const char* env = std::getenv("ANNO_SIMD"); env != nullptr && *env) {
-    requested = env;
-    source = "ANNO_SIMD";
-  }
-#ifdef ANNO_SIMD_DEFAULT
-  else {
-    requested = ANNO_SIMD_DEFAULT;
-    source = "ANNO_SIMD cmake default";
-  }
-#endif
-  if (!requested.empty()) {
-    if (const std::optional<Level> level = parseLevel(requested)) {
+  const char* env = std::getenv("ANNO_SIMD");
+  if (env != nullptr && *env) {
+    if (const std::optional<Level> level = parseLevel(env)) {
       if (const KernelTable* table = tableFor(*level)) return table;
       std::fprintf(stderr,
-                   "[anno] %s=%.*s not available on this cpu/build; "
+                   "[anno] ANNO_SIMD=%s not available on this cpu/build; "
                    "using %s kernels\n",
-                   source, static_cast<int>(requested.size()),
-                   requested.data(), levelName(bestLevel()));
+                   env, levelName(bestLevel()));
     } else {
       std::fprintf(stderr,
-                   "[anno] %s=%.*s not recognized "
-                   "(want scalar|sse2|avx2|neon); using %s kernels\n",
-                   source, static_cast<int>(requested.size()),
-                   requested.data(), levelName(bestLevel()));
+                   "[anno] ANNO_SIMD=%s not recognized "
+                   "(want scalar|sse2|avx2); using %s kernels\n",
+                   env, levelName(bestLevel()));
     }
   }
   return tableFor(bestLevel());
@@ -72,8 +57,6 @@ const char* levelName(Level level) noexcept {
       return "sse2";
     case Level::kAvx2:
       return "avx2";
-    case Level::kNeon:
-      return "neon";
   }
   return "?";
 }
@@ -82,7 +65,6 @@ std::optional<Level> parseLevel(std::string_view name) noexcept {
   if (name == "scalar") return Level::kScalar;
   if (name == "sse2") return Level::kSse2;
   if (name == "avx2") return Level::kAvx2;
-  if (name == "neon") return Level::kNeon;
   return std::nullopt;
 }
 
@@ -111,9 +93,6 @@ const KernelTable* tableFor(Level level) noexcept {
               __builtin_cpu_supports("popcnt"))
                  ? &avx2Table()
                  : nullptr;
-#elif defined(__aarch64__)
-    case Level::kNeon:
-      return &neonTable();
 #endif
     default:
       return nullptr;

@@ -8,8 +8,9 @@
 // live here too: they are the serving hot path (every cache miss encodes a
 // clip, every client decodes one).
 // This layer provides one scalar reference implementation per kernel plus
-// SSE2/AVX2 (x86-64) and NEON (aarch64) variants behind a single dispatch
-// table selected once at startup via CPUID.
+// SSE2/AVX2 (x86-64) variants behind a single dispatch table selected once
+// at startup via CPUID.  Other architectures (aarch64 included) run the
+// scalar reference.
 //
 // THE BIT-IDENTICAL CONTRACT (DESIGN.md sec. 12): every variant of every
 // kernel produces output byte-identical to the scalar reference, on every
@@ -34,9 +35,8 @@
 //     arguments exactly, which the old incremental-double version was not).
 //
 // Dispatch is overridable for testing with the ANNO_SIMD environment
-// variable (scalar|sse2|avx2|neon) or the ANNO_SIMD CMake cache knob; an
-// unavailable or unknown request falls back to the best available level
-// with a one-line stderr warning.  The engine golden suite runs once per
+// variable (scalar|sse2|avx2); an unavailable or unknown request falls back
+// to the best available level with a one-line stderr warning.  The engine golden suite runs once per
 // available level (tests/engine) and tests/media/kernels_test.cpp
 // property-tests every variant against the scalar reference.
 #pragma once
@@ -56,9 +56,9 @@ namespace anno::media::kernels {
 using Uint128 = unsigned __int128;
 
 /// Dispatch levels, worst to best.  kSse2 and kAvx2 exist only on x86-64
-/// builds, kNeon only on aarch64; kScalar always exists.
-enum class Level : std::uint8_t { kScalar = 0, kSse2 = 1, kAvx2 = 2, kNeon = 3 };
-inline constexpr std::size_t kLevelCount = 4;
+/// builds; kScalar always exists.
+enum class Level : std::uint8_t { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+inline constexpr std::size_t kLevelCount = 3;
 
 [[nodiscard]] const char* levelName(Level level) noexcept;
 [[nodiscard]] std::optional<Level> parseLevel(std::string_view name) noexcept;

@@ -21,8 +21,6 @@ namespace anno::media::kernels {
 #if defined(__x86_64__) || defined(_M_X64)
 [[nodiscard]] const KernelTable& sse2Table() noexcept;
 [[nodiscard]] const KernelTable& avx2Table() noexcept;
-#elif defined(__aarch64__)
-[[nodiscard]] const KernelTable& neonTable() noexcept;
 #endif
 
 }  // namespace anno::media::kernels

@@ -102,9 +102,8 @@ ComplexityTrack ComplexityTrack::decode(std::span<const std::uint8_t> bytes) {
   track.frameMegacycles.reserve(n);
   std::int64_t value = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    value += r.svarint();
-    if (value < 0) {
-      throw std::runtime_error("ComplexityTrack: negative workload");
+    if (__builtin_add_overflow(value, r.svarint(), &value) || value < 0) {
+      throw std::runtime_error("ComplexityTrack: workload out of range");
     }
     track.frameMegacycles.push_back(static_cast<double>(value) / 100.0);
   }

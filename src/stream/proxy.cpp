@@ -2,12 +2,10 @@
 
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "compensate/backend.h"
-#include "compensate/compensate.h"
-#include "compensate/planner.h"
-#include "core/runtime.h"
 #include "stream/mux.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -145,29 +143,16 @@ ProxyNode::AnnotatedSource ProxyNode::annotateSource(
 
 std::vector<std::uint8_t> ProxyNode::renderForClient(
     const AnnotatedSource& source, const ClientCapabilities& caps) const {
-  const display::DeviceModel device = deviceFromCapabilities(caps);
   // Like the server: emissive clients must not receive brightened pixels.
-  const bool applyGain = caps.technology == DisplayTechnology::kBacklitLcd;
-  media::VideoClip outClip;
-  outClip.name = source.base.name;
-  outClip.fps = source.base.fps;
-  outClip.frames.reserve(source.base.frames.size());
-  const std::unique_ptr<const compensate::Backend> backend =
-      core::backendForTrack(source.track);
-  for (std::size_t si = 0; si < source.track.scenes.size(); ++si) {
-    const core::SceneAnnotation& scene = source.track.scenes[si];
-    const compensate::CompensationDecision decision = core::decideForScene(
-        *backend, source.track, si, caps.qualityIndex, device,
-        caps.minBacklightLevel);
-    for (std::uint32_t f = scene.span.firstFrame; f <= scene.span.lastFrame();
-         ++f) {
-      outClip.frames.push_back(applyGain
-                                   ? backend->apply(source.base.frames[f],
-                                                    decision)
-                                   : source.base.frames[f]);
-    }
-  }
-  const media::EncodedClip encoded = media::encodeClip(outClip, codecCfg_);
+  const media::EncodedClip encoded =
+      caps.technology == DisplayTechnology::kBacklitLcd
+          ? media::encodeClip(
+                core::compensateClip(source.base, source.track,
+                                     caps.qualityIndex,
+                                     deviceFromCapabilities(caps),
+                                     caps.minBacklightLevel),
+                codecCfg_)
+          : media::encodeClip(source.base, codecCfg_);
   return mux(encoded, &source.track);
 }
 
@@ -215,10 +200,13 @@ FanoutResult ProxyNode::transcodeFanout(
   result.scenes = source.track.scenes.size();
   // Group subscribers by their exact negotiation bytes: identical devices
   // share one rendered stream, so per-client work scales with device
-  // diversity, not audience size.
-  std::map<std::vector<std::uint8_t>, std::vector<std::size_t>> groups;
+  // diversity, not audience size.  The key holds the bytes as a
+  // std::string (same unsigned lexicographic order): a byte-vector key
+  // trips a GCC 12 -Wstringop-overread false positive at -O3.
+  std::map<std::string, std::vector<std::size_t>> groups;
   for (std::size_t i = 0; i < clients.size(); ++i) {
-    groups[encodeCapabilities(clients[i])].push_back(i);
+    const std::vector<std::uint8_t> caps = encodeCapabilities(clients[i]);
+    groups[std::string(caps.begin(), caps.end())].push_back(i);
   }
   for (const auto& [capsBytes, indices] : groups) {
     std::vector<std::uint8_t> bytes =

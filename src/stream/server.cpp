@@ -207,14 +207,14 @@ ServedStream MediaServer::openStream(
     // Emissive panels must not receive brightened pixels (compensation
     // would RAISE their power); they get the original stream plus the
     // annotations.
-    const media::VideoClip compensated =
-        caps.technology == DisplayTechnology::kBacklitLcd
-            ? core::compensateClip(e.original, track, caps.qualityIndex,
-                                   deviceFromCapabilities(caps),
-                                   caps.minBacklightLevel)
-            : e.original;
     const media::EncodedClip encoded =
-        media::encodeClip(compensated, codecCfg_);
+        caps.technology == DisplayTechnology::kBacklitLcd
+            ? media::encodeClip(
+                  core::compensateClip(e.original, track, caps.qualityIndex,
+                                       deviceFromCapabilities(caps),
+                                       caps.minBacklightLevel),
+                  codecCfg_)
+            : media::encodeClip(e.original, codecCfg_);
     // Decode-workload annotations come for free once the clip is encoded
     // (sizes are known before any client decodes a byte) -- Sec. 3's "more
     // optimizations" rider.

@@ -243,7 +243,11 @@ std::string toJson(const Snapshot& snapshot) {
     for (const auto& [k, v] : inst.labels) {
       if (!firstLabel) out += ", ";
       firstLabel = false;
-      out += "\"" + escapeJson(k) + "\": \"" + escapeJson(v) + "\"";
+      out += '"';
+      out += escapeJson(k);
+      out += "\": \"";
+      out += escapeJson(v);
+      out += '"';
     }
     out += "}";
     char num[96];

@@ -467,7 +467,10 @@ std::string serializeTraceDump(const TraceSnapshot& snapshot) {
     std::snprintf(buf, sizeof buf, "\t%zu", ev.args.size());
     out += buf;
     for (const auto& [k, v] : ev.args) {
-      out += "\t" + escapeDumpField(k) + "\t" + dumpDouble(v);
+      out += '\t';
+      out += escapeDumpField(k);
+      out += '\t';
+      out += dumpDouble(v);
     }
     out += "\n";
   }

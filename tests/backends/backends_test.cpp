@@ -100,8 +100,8 @@ TEST(BackendCodec, DamagedCurveChunkFallsBackToFullBacklight) {
 TEST(BackendCodec, DefaultLinearTracksCarryNoBackendChunks) {
   // Legacy byte-identity: a default-config track's ANN1 stream must
   // contain exactly the chunks the pre-backend encoder wrote -- one
-  // header plus one chunk per 16-scene group -- and both framings must
-  // decode to a track with the default backend fields.
+  // header plus one chunk per 16-scene group -- and decode to a track
+  // with the default backend fields.
   const AnnotationTrack track = annotateWith({});
   ASSERT_EQ(track.backendKind, compensate::BackendKind::kLinearGain);
   ASSERT_EQ(track.spatialScale, 1.0);
@@ -115,12 +115,6 @@ TEST(BackendCodec, DefaultLinearTracksCarryNoBackendChunks) {
   EXPECT_EQ(lenient.damage.totalChunks,
             1 + (track.scenes.size() + 15) / 16);
   EXPECT_EQ(lenient.track, track);
-  // ANN0 has no chunk vocabulary at all; it must still round-trip the
-  // default track exactly (backend fields land on their defaults).
-  const AnnotationTrack legacy = decodeTrack(encodeTrackLegacy(track));
-  EXPECT_EQ(legacy.backendKind, compensate::BackendKind::kLinearGain);
-  EXPECT_EQ(legacy.spatialScale, 1.0);
-  EXPECT_EQ(legacy, track);
 }
 
 TEST(BackendFingerprint, KindAlwaysFeedsTheHash) {

@@ -100,30 +100,12 @@ TEST(AnnoCodec, RejectsCorruptedLumaMatrix) {
   }
 }
 
-TEST(AnnoCodec, LegacyFormatRoundtripsAndInteroperates) {
-  // ANN0 streams must stay decodable by both the strict and the lenient
-  // decoder, and must be recognized as the legacy (all-or-nothing) framing.
-  for (int seed = 1; seed <= 8; ++seed) {
-    const AnnotationTrack track = randomTrack(seed);
-    const auto legacy = encodeTrackLegacy(track);
-    const auto resilient = encodeTrack(track);
-    EXPECT_NE(legacy, resilient);
-    EXPECT_EQ(decodeTrack(legacy), track);
-    const LenientDecodeResult lenient = decodeTrackLenient(legacy);
-    ASSERT_TRUE(lenient.usable);
-    EXPECT_TRUE(lenient.damage.legacyFormat);
-    EXPECT_TRUE(lenient.damage.intact());
-    EXPECT_EQ(lenient.track, track);
-  }
-}
-
 TEST(AnnoCodec, LenientMatchesStrictOnIntactInput) {
   const AnnotationTrack track = randomTrack(6);
   const auto bytes = encodeTrack(track);
   const LenientDecodeResult lenient = decodeTrackLenient(bytes);
   ASSERT_TRUE(lenient.usable);
   EXPECT_TRUE(lenient.damage.intact());
-  EXPECT_FALSE(lenient.damage.legacyFormat);
   EXPECT_GE(lenient.damage.totalChunks, 2u);  // header + >=1 scene group
   EXPECT_EQ(lenient.damage.damagedChunks, 0u);
   EXPECT_EQ(lenient.damage.damagedFrames, 0u);
@@ -144,22 +126,6 @@ TEST(AnnoCodec, DamageReportLocalizesCorruption) {
   EXPECT_GT(lenient.damage.damagedFrames, 0u);
   EXPECT_EQ(lenient.track.frameCount, track.frameCount);
   EXPECT_NO_THROW(validateTrack(lenient.track));
-}
-
-TEST(AnnoCodec, CorruptLegacyStreamIsAllOrNothing) {
-  const AnnotationTrack track = randomTrack(10);
-  auto bytes = encodeTrackLegacy(track);
-  bytes[bytes.size() / 2] ^= 0xFF;
-  const LenientDecodeResult lenient = decodeTrackLenient(bytes);
-  EXPECT_TRUE(lenient.damage.legacyFormat);
-  if (lenient.usable) {
-    // ANN0 has no checksums; a flip may slip through -- but then the whole
-    // track must still validate (the decoder's sanity checks held).
-    EXPECT_NO_THROW(validateTrack(lenient.track));
-  } else {
-    EXPECT_EQ(lenient.damage.damagedChunks, 1u);
-    EXPECT_TRUE(lenient.track.scenes.empty());
-  }
 }
 
 TEST(AnnoCodec, MeasureEncodingConsistent) {

@@ -6,16 +6,14 @@ namespace anno::core {
 namespace {
 
 AnnotationTrack goodTrack() {
-  AnnotationTrack t;
-  t.clipName = "x";
-  t.fps = 12.0;
-  t.frameCount = 30;
-  t.qualityLevels = {0.0, 0.05, 0.10};
-  t.scenes = {
-      {SceneSpan{0, 10}, {200, 180, 160}},
-      {SceneSpan{10, 20}, {120, 110, 100}},
-  };
-  return t;
+  return {.clipName = "x",
+          .fps = 12.0,
+          .frameCount = 30,
+          .qualityLevels = {0.0, 0.05, 0.10},
+          .scenes = {
+              {SceneSpan{0, 10}, {200, 180, 160}, {}},
+              {SceneSpan{10, 20}, {120, 110, 100}, {}},
+          }};
 }
 
 TEST(AnnotationTrack, GoodTrackValidates) {

@@ -15,9 +15,9 @@ AnnotationTrack makeTrack() {
   t.frameCount = 60;
   t.qualityLevels = {0.0, 0.10};
   t.scenes = {
-      {SceneSpan{0, 20}, {250, 240}},   // bright scene
-      {SceneSpan{20, 20}, {80, 60}},    // dark scene
-      {SceneSpan{40, 20}, {82, 61}},    // nearly identical dark scene
+      {SceneSpan{0, 20}, {250, 240}, {}},  // bright scene
+      {SceneSpan{20, 20}, {80, 60}, {}},   // dark scene
+      {SceneSpan{40, 20}, {82, 61}, {}},   // nearly identical dark scene
   };
   return t;
 }
@@ -125,7 +125,7 @@ TEST(Runtime, SlewLimiterBoundsDeltaAndNeverDims) {
   // the desired level (dimming below plan could clip compensated pixels).
   BacklightSchedule s;
   s.frameCount = 120;
-  s.commands = {{0, 250, 1.0}, {30, 60, 2.5}, {90, 250, 1.0}};
+  s.commands = {{0, 250, 1.0, {}}, {30, 60, 2.5, {}}, {90, 250, 1.0, {}}};
   const BacklightSchedule limited = limitSlewRate(s, 10);
   ASSERT_EQ(limited.frameCount, s.frameCount);
   for (std::uint32_t f = 0; f < s.frameCount; ++f) {
@@ -166,7 +166,7 @@ TEST(Runtime, SlewLimiterHandlesDegenerateSchedules) {
   EXPECT_EQ(limitSlewRate(BacklightSchedule{}, 8).commands.size(), 0u);
   BacklightSchedule one;
   one.frameCount = 1;
-  one.commands = {{0, 37, 1.0}};
+  one.commands = {{0, 37, 1.0, {}}};
   const BacklightSchedule limited = limitSlewRate(one, 8);
   EXPECT_EQ(limited.levelAt(0), 37);
 }

@@ -9,10 +9,14 @@
 #include <cstdlib>
 #include <vector>
 
+#include "core/anno_codec.h"
 #include "fault/inject.h"
+#include "media/bitstream.h"
 #include "media/clipgen.h"
+#include "media/codec.h"
 #include "media/rng.h"
 #include "stream/client.h"
+#include "stream/mux.h"
 #include "stream/server.h"
 
 namespace anno::stream {
@@ -123,6 +127,42 @@ TEST(ClientFault, AnnotationSectionCorruptionDegradesGracefully) {
             << "trial " << trial << " frame " << f;
       }
     }
+  }
+}
+
+// The Rig clip's default annotation track (one scene, five quality levels)
+// as the retired ANN0 framing wrote it: magic "ANN0", varint header,
+// scene-length varints and an RLE'd safeLuma matrix, with no checksums.
+constexpr std::uint8_t kAnn0Track[] = {
+    0x30, 0x4E, 0x4E, 0x41, 0x06, 0x73, 0x68, 0x72, 0x65, 0x6B, 0x32, 0xE0,
+    0x5D, 0x20, 0x00, 0x05, 0x00, 0x32, 0x64, 0x96, 0x01, 0xC8, 0x01, 0x01,
+    0x20, 0x0A, 0x01, 0xDF, 0x01, 0xB0, 0x01, 0xA9, 0x01, 0xA2, 0x01, 0x9C,
+};
+
+TEST(ClientFault, Ann0AnnotationSectionIsRejected) {
+  EXPECT_THROW((void)core::decodeTrack(kAnn0Track), std::runtime_error);
+  EXPECT_FALSE(core::decodeTrackLenient(kAnn0Track).usable);
+
+  // An AV1 video section followed by the ANN0 blob as the annotation
+  // section (type 2): the video plays, the annotations are dropped.
+  Rig rig;
+  const media::EncodedClip video = media::encodeClip(rig.clip);
+  media::ByteWriter w;
+  w.bytes(mux(video));
+  w.u8(2);
+  w.varint(sizeof kAnn0Track);
+  w.bytes(kAnn0Track);
+  const std::vector<std::uint8_t> stream = w.take();
+
+  const DemuxedStream demuxed = demux(stream);
+  EXPECT_FALSE(demuxed.annotations.has_value());
+
+  const ReceivedStream rx = rig.client().receive(stream);
+  ASSERT_TRUE(rx.ok) << rx.error;
+  EXPECT_TRUE(rx.annotationFallback);
+  ASSERT_EQ(rx.schedule.frameCount, rig.clip.frames.size());
+  for (std::uint32_t f = 0; f < rx.schedule.frameCount; ++f) {
+    EXPECT_EQ(rx.schedule.levelAt(f), 255) << "frame " << f;
   }
 }
 

@@ -95,16 +95,6 @@ TEST(FaultCorpus, ResilientDecoderSurvivesTenThousandMutations) {
   EXPECT_GE(stats.lenientUsable, stats.strictAccepted);
 }
 
-TEST(FaultCorpus, LegacyDecoderSurvivesTenThousandMutations) {
-  const auto base = encodeTrackLegacy(corpusBaseTrack());
-  CorpusStats stats;
-  runCodecCorpus(base, ANNO_FAULT_CORPUS_SEED ^ 0x5EEDULL, &stats);
-  EXPECT_EQ(stats.total, static_cast<std::size_t>(ANNO_FAULT_CORPUS_SIZE));
-  // ANN0 has no per-chunk protection: lenient decode is all-or-nothing, so
-  // it can never salvage more than strict accepts plus intact replays.
-  EXPECT_GT(stats.strictRejected, 0u);
-}
-
 TEST(FaultCorpus, PathologicalHeadersCannotBalloonAllocation) {
   // Hand-built nasties that historically trigger huge allocations or spins
   // in naive varint/RLE decoders.  All must return quickly and safely.

@@ -1,5 +1,5 @@
 // Round-trip and truncation properties of the resilient ANN1 annotation
-// framing, plus ANN0 back-compat.
+// framing.
 #include <gtest/gtest.h>
 
 #include "core/anno_codec.h"
@@ -73,16 +73,6 @@ TEST_P(FramingProperty, EveryTruncationDecodesLenientlyWithoutThrowing) {
     // Strict decode must refuse every proper prefix.
     EXPECT_ANY_THROW((void)decodeTrack(trunc)) << "cut=" << k;
   }
-}
-
-TEST_P(FramingProperty, LegacyFramingRoundTripsThroughBothDecoders) {
-  const AnnotationTrack track = randomTrack(GetParam());
-  const auto legacy = encodeTrackLegacy(track);
-  EXPECT_EQ(decodeTrack(legacy), track);
-  const LenientDecodeResult lenient = decodeTrackLenient(legacy);
-  ASSERT_TRUE(lenient.usable);
-  EXPECT_TRUE(lenient.damage.legacyFormat);
-  EXPECT_EQ(lenient.track, track);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTracks, FramingProperty,

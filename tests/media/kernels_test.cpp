@@ -89,8 +89,7 @@ TEST(Kernels, ScalarAlwaysAvailable) {
 }
 
 TEST(Kernels, LevelNamesRoundTrip) {
-  for (Level level : {Level::kScalar, Level::kSse2, Level::kAvx2,
-                      Level::kNeon}) {
+  for (Level level : {Level::kScalar, Level::kSse2, Level::kAvx2}) {
     EXPECT_EQ(parseLevel(levelName(level)), level);
   }
   EXPECT_EQ(parseLevel("mmx"), std::nullopt);

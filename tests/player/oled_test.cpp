@@ -39,8 +39,8 @@ TEST(OledPlan, BrighterScenesDimDeeper) {
   track.fps = 12.0;
   track.frameCount = 20;
   track.qualityLevels = {0.0};
-  track.scenes = {{core::SceneSpan{0, 10}, {80}},
-                  {core::SceneSpan{10, 10}, {240}}};
+  track.scenes = {{core::SceneSpan{0, 10}, {80}, {}},
+                  {core::SceneSpan{10, 10}, {240}, {}}};
   core::SketchTrack sketches;
   core::SceneSketch dark;
   dark.bins[2] = 255;  // mean ~40

@@ -224,7 +224,9 @@ TEST(Exporters, LabelEscapingCoversAllControlCharacters) {
   EXPECT_NE(json.find("\"path\": \"a\\tb\\rc\\u0001d\""), std::string::npos);
   for (const std::string& text : {prom, json}) {
     for (const char c : text) {
-      if (c != '\n') EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
+      if (c != '\n') {
+        EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
+      }
     }
   }
 }

@@ -191,7 +191,9 @@ TEST(ChromeTraceJson, EscapesHostileNames) {
   EXPECT_NE(json.find("a\\\"b\\\\c\\nd\\te\\rf\\u0001g"), std::string::npos);
   // No raw control bytes anywhere in the document.
   for (const char c : json) {
-    if (c != '\n') EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
+    if (c != '\n') {
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
+    }
   }
 }
 
