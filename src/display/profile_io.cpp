@@ -122,7 +122,11 @@ DeviceModel parseDeviceProfile(const std::string& text) {
                      std::to_string(level));
         }
       }
-      device.transfer = TransferFunction::fromLut(lut);
+      try {
+        device.transfer = TransferFunction::fromLut(lut);
+      } catch (const std::invalid_argument& e) {
+        throw fail(e.what());
+      }
       sawTransfer = true;
     } else {
       throw fail("unknown key '" + key + "'");

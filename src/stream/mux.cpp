@@ -14,6 +14,13 @@ constexpr std::uint8_t kSectionAnnotations = 2;
 constexpr std::uint8_t kSectionComplexity = 3;
 constexpr std::uint8_t kSectionSketches = 4;
 
+void writeSection(media::ByteWriter& w, std::uint8_t type,
+                  std::span<const std::uint8_t> payload) {
+  w.u8(type);
+  w.varint(payload.size());
+  w.bytes(payload);
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> mux(const media::EncodedClip& video,
@@ -22,29 +29,15 @@ std::vector<std::uint8_t> mux(const media::EncodedClip& video,
                               const core::SketchTrack* sketches) {
   media::ByteWriter w;
   w.u32(kMuxMagic);
-  {
-    const std::vector<std::uint8_t> payload = media::serializeClip(video);
-    w.u8(kSectionVideo);
-    w.varint(payload.size());
-    w.bytes(payload);
-  }
+  writeSection(w, kSectionVideo, media::serializeClip(video));
   if (annotations != nullptr) {
-    const std::vector<std::uint8_t> payload = core::encodeTrack(*annotations);
-    w.u8(kSectionAnnotations);
-    w.varint(payload.size());
-    w.bytes(payload);
+    writeSection(w, kSectionAnnotations, core::encodeTrack(*annotations));
   }
   if (complexity != nullptr) {
-    const std::vector<std::uint8_t> payload = complexity->encode();
-    w.u8(kSectionComplexity);
-    w.varint(payload.size());
-    w.bytes(payload);
+    writeSection(w, kSectionComplexity, complexity->encode());
   }
   if (sketches != nullptr) {
-    const std::vector<std::uint8_t> payload = sketches->encode();
-    w.u8(kSectionSketches);
-    w.varint(payload.size());
-    w.bytes(payload);
+    writeSection(w, kSectionSketches, sketches->encode());
   }
   return w.take();
 }

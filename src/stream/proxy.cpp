@@ -5,24 +5,11 @@
 #include <string>
 #include <utility>
 
-#include "compensate/backend.h"
 #include "stream/mux.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
 namespace anno::stream {
-
-namespace {
-
-std::string proxyQualityRangeMessage(const char* who, std::size_t requested,
-                                     std::size_t available) {
-  return std::string(who) + ": quality index " + std::to_string(requested) +
-         " out of range: " + std::to_string(available) +
-         " level(s) offered, valid indices [0, " +
-         std::to_string(available == 0 ? 0 : available - 1) + "]";
-}
-
-}  // namespace
 
 ProxyNode::ProxyNode(core::AnnotatorConfig annotatorCfg,
                      media::CodecConfig codecCfg)
@@ -64,96 +51,33 @@ void ProxyNode::detachTrace() noexcept {
   annotatorCfg_.trace = nullptr;
 }
 
-void ProxyNode::checkQualityIndex(const char* who,
-                                  std::size_t requested) const {
-  if (requested >= annotatorCfg_.qualityLevels.size()) {
-    throw std::out_of_range(proxyQualityRangeMessage(
-        who, requested, annotatorCfg_.qualityLevels.size()));
-  }
-}
-
 ProxyNode::AnnotatedSource ProxyNode::annotateSource(
     std::span<const std::uint8_t> rawStream, int targetWidth,
     int targetHeight) const {
-  const DemuxedStream in = demux(rawStream);
   if ((targetWidth == 0) != (targetHeight == 0)) {
     throw std::invalid_argument(
         "ProxyNode: specify both target dimensions or neither");
   }
-  const bool resize = targetWidth > 0;
-
   AnnotatedSource out;
-  out.track.clipName = in.video.name;
-  out.track.fps = in.video.fps;
-  out.track.frameCount = static_cast<std::uint32_t>(in.video.frames.size());
-  out.track.granularity = annotatorCfg_.granularity;
-  out.track.qualityLevels = annotatorCfg_.qualityLevels;
-  out.track.backendKind = annotatorCfg_.backend.kind;
-  out.track.spatialScale =
-      annotatorCfg_.backend.kind == compensate::BackendKind::kSpatialScaling
-          ? annotatorCfg_.backend.spatialScale
-          : 1.0;
-  out.base.name = in.video.name;
-  out.base.fps = in.video.fps;
-  out.base.frames.reserve(in.video.frames.size());
-
-  // Decode incrementally, annotate causally -- the client-independent half
-  // of a transcode, run exactly once no matter how many clients subscribe.
-  OnlineAnnotator annotator(annotatorCfg_);
-  std::vector<media::Image> decoded;
-  decoded.reserve(resize ? in.video.frames.size() : 0);
-  const auto emitScene = [&out](const core::SceneAnnotation& scene) {
-    out.track.scenes.push_back(scene);
-  };
-  const double frameSeconds = in.video.fps > 0.0 ? 1.0 / in.video.fps : 0.0;
-  std::size_t frameIndex = 0;
-  for (const media::EncodedFrame& ef : in.video.frames) {
-    telemetry::traceSetMediaTime(
-        trace_, static_cast<double>(frameIndex++) * frameSeconds);
-    const media::Image* ref =
-        resize ? (decoded.empty() ? nullptr : &decoded.back())
-               : (out.base.frames.empty() ? nullptr : &out.base.frames.back());
-    media::Image frame =
-        media::decodeFrame(ef, in.video.width, in.video.height, ref);
-    if (resize) {
-      // Keep the full-size frame as the P-frame reference; annotate and
-      // forward the resampled one (luminance statistics are resolution-
-      // invariant, so annotations remain valid -- tested).
-      decoded.push_back(frame);
-      media::Image scaled =
-          media::resizeBilinear(frame, targetWidth, targetHeight);
-      if (auto scene = annotator.push(media::profileFrame(scaled))) {
-        emitScene(*scene);
-      }
-      out.base.frames.push_back(std::move(scaled));
-      continue;
-    }
-    out.base.frames.push_back(std::move(frame));
-    if (auto scene = annotator.push(media::profileFrame(out.base.frames.back()))) {
-      emitScene(*scene);
+  out.base = media::decodeClip(demux(rawStream).video);
+  if (targetWidth > 0) {
+    // Luminance statistics are resolution-invariant, so the resampled
+    // frames annotate like the full-size ones (tested).
+    for (media::Image& frame : out.base.frames) {
+      frame = media::resizeBilinear(frame, targetWidth, targetHeight);
     }
   }
-  if (auto scene = annotator.flush()) emitScene(*scene);
-  telemetry::traceClearMediaTime(trace_);
+  out.track = core::annotate(out.base.name, out.base.fps,
+                             media::profileClip(out.base), annotatorCfg_);
   telemetry::inc(metrics_.framesReannotated, out.base.frames.size());
   telemetry::inc(metrics_.scenesReannotated, out.track.scenes.size());
-  core::validateTrack(out.track);
   return out;
 }
 
 std::vector<std::uint8_t> ProxyNode::renderForClient(
     const AnnotatedSource& source, const ClientCapabilities& caps) const {
-  // Like the server: emissive clients must not receive brightened pixels.
-  const media::EncodedClip encoded =
-      caps.technology == DisplayTechnology::kBacklitLcd
-          ? media::encodeClip(
-                core::compensateClip(source.base, source.track,
-                                     caps.qualityIndex,
-                                     deviceFromCapabilities(caps),
-                                     caps.minBacklightLevel),
-                codecCfg_)
-          : media::encodeClip(source.base, codecCfg_);
-  return mux(encoded, &source.track);
+  return mux(encodeForClient(source.base, source.track, caps, codecCfg_),
+             &source.track);
 }
 
 std::vector<std::uint8_t> ProxyNode::transcode(
@@ -162,7 +86,8 @@ std::vector<std::uint8_t> ProxyNode::transcode(
   telemetry::inc(metrics_.transcodes);
   telemetry::Span transcodeSpan(metrics_.transcodeSeconds);
   telemetry::TraceSpan traceSpan(trace_, "transcode", "proxy");
-  checkQualityIndex("ProxyNode::transcode", caps.qualityIndex);
+  checkQualityIndex("ProxyNode::transcode", caps.qualityIndex,
+                    annotatorCfg_.qualityLevels.size());
   const AnnotatedSource source =
       annotateSource(rawStream, targetWidth, targetHeight);
   std::vector<std::uint8_t> bytes = renderForClient(source, caps);
@@ -185,7 +110,8 @@ FanoutResult ProxyNode::transcodeFanout(
   telemetry::TraceSpan traceSpan(trace_, "fanout", "proxy");
   // Validate every subscriber before paying for the shared pass.
   for (const ClientCapabilities& caps : clients) {
-    checkQualityIndex("ProxyNode::transcodeFanout", caps.qualityIndex);
+    checkQualityIndex("ProxyNode::transcodeFanout", caps.qualityIndex,
+                      annotatorCfg_.qualityLevels.size());
   }
   FanoutResult result;
   result.streams.resize(clients.size());

@@ -1,4 +1,4 @@
-// Proxy node: on-the-fly annotation + compensation of a raw stream.
+// Proxy node: annotation + compensation of a raw stream for each client.
 //
 // Paper Fig. 1 / Sec. 3: "The communication between the handheld device and
 // the server can be routed through a proxy node -- a high-end machine with
@@ -6,12 +6,14 @@
 // in videoconferencing). Note that for our scheme either the proxy or the
 // server node suffices."
 //
-// The proxy cannot look arbitrarily far ahead, so it runs the CAUSAL
-// core::AnnotationEngine: frames are pushed until a scene cut is confirmed,
-// then the finished scene is annotated, compensated and forwarded.  For
-// stored content the causal pass produces exactly the same scene partition
-// as the server's offline pass (tested byte-for-byte in tests/engine),
-// because the offline pass IS the same engine fed in frame order.
+// So the proxy runs the server's pipeline on decoded input: demux and
+// decode the raw stream, optionally resample every frame, profile, run the
+// annotation engine once (core::annotate -- the same causal pass the
+// server's ingest runs), then per client encodeForClient + mux, exactly as
+// MediaServer::openStream does.  A transcode is whole-clip: it returns
+// once every frame is annotated and encoded.  Bounded annotation latency
+// for live input is the engine's (core::AnnotationEngine, annotateStats'
+// maxLatencyFrames), not something this node adds.
 #pragma once
 
 #include <cstdint>
@@ -33,13 +35,9 @@ class TraceRecorder;
 namespace anno::stream {
 
 /// The streaming-side causal annotator is exactly the core annotation
-/// engine -- push per-frame stats, receive finished scenes.  Historically
-/// this was a separate hand-maintained mirror of core::detectScenes (which
-/// silently ignored cfg.detector == kHistogramEmd, so a proxy could
-/// annotate with a different algorithm than the server it is supposed to
-/// be interchangeable with); the alias guarantees the two can never drift
-/// again.  See core/engine.h for the push/flush contract and the
-/// maxLatencyFrames live-video bound.
+/// engine -- push per-frame stats, receive finished scenes -- for live
+/// callers that push frames themselves.  See core/engine.h for the
+/// push/flush contract and the maxLatencyFrames live-video bound.
 using OnlineAnnotator = core::AnnotationEngine;
 
 /// Result of one fan-out run: per-client streams plus the sharing ledger
@@ -96,11 +94,11 @@ class ProxyNode {
   void attachTelemetry(telemetry::Registry& registry);
   void detachTelemetry() noexcept;
 
-  /// Starts emitting trace spans (cat "proxy"): `transcode` around each
-  /// run, carrying clip name, frame and scene counts, with the virtual
-  /// media clock advanced per decoded frame.  The causal annotator inside
-  /// transcode() additionally emits engine scene spans into the same
-  /// recorder.  Same null-object contract as attachTelemetry.
+  /// Starts emitting trace spans (cat "proxy"): `transcode` and `fanout`
+  /// around each run, carrying clip name, frame and scene counts.  The
+  /// engine pass inside additionally emits its scene spans into the same
+  /// recorder, stamped with the media clock per frame.  Same null-object
+  /// contract as attachTelemetry.
   void attachTrace(telemetry::TraceRecorder& trace) noexcept;
   void detachTrace() noexcept;
 
@@ -121,18 +119,15 @@ class ProxyNode {
     core::AnnotationTrack track;  ///< the single shared engine pass's output
   };
 
-  /// Runs the shared half of a transcode: demux, incremental decode (with
-  /// optional resampling), causal annotation.  Exactly one engine pass.
+  /// Runs the shared half of a transcode: demux, decode, optional
+  /// resampling, profile, annotate.  Exactly one engine pass.
   [[nodiscard]] AnnotatedSource annotateSource(
       std::span<const std::uint8_t> rawStream, int targetWidth,
       int targetHeight) const;
 
-  /// Runs the per-client half: scene-by-scene compensation for the client's
-  /// device (skipped for emissive panels), encode, mux.
+  /// Runs the per-client half: encodeForClient (the server's policy), mux.
   [[nodiscard]] std::vector<std::uint8_t> renderForClient(
       const AnnotatedSource& source, const ClientCapabilities& caps) const;
-
-  void checkQualityIndex(const char* who, std::size_t requested) const;
 
   core::AnnotatorConfig annotatorCfg_;
   media::CodecConfig codecCfg_;

@@ -21,15 +21,34 @@ std::uint64_t nextServerId() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-std::string qualityRangeMessage(const char* who, std::size_t requested,
-                                std::size_t available) {
-  return std::string(who) + ": quality index " + std::to_string(requested) +
-         " out of range: " + std::to_string(available) +
-         " level(s) offered, valid indices [0, " +
-         std::to_string(available == 0 ? 0 : available - 1) + "]";
+}  // namespace
+
+void checkQualityIndex(const char* who, std::size_t requested,
+                       std::size_t offered) {
+  if (requested >= offered) {
+    throw std::out_of_range(
+        std::string(who) + ": quality index " + std::to_string(requested) +
+        " out of range: " + std::to_string(offered) +
+        " level(s) offered, valid indices [0, " +
+        std::to_string(offered == 0 ? 0 : offered - 1) + "]");
+  }
 }
 
-}  // namespace
+media::EncodedClip encodeForClient(const media::VideoClip& clip,
+                                   const core::AnnotationTrack& track,
+                                   const ClientCapabilities& caps,
+                                   const media::CodecConfig& codecCfg) {
+  // Emissive panels must not receive brightened pixels (compensation would
+  // RAISE their power); they get the original pixels.
+  if (caps.technology != DisplayTechnology::kBacklitLcd) {
+    return media::encodeClip(clip, codecCfg);
+  }
+  return media::encodeClip(
+      core::compensateClip(clip, track, caps.qualityIndex,
+                           deviceFromCapabilities(caps),
+                           caps.minBacklightLevel),
+      codecCfg);
+}
 
 void MediaServer::attachTelemetry(telemetry::Registry& registry) {
   metrics_.clipsAnnotated = &registry.counter(
@@ -186,10 +205,7 @@ ServedStream MediaServer::openStream(
   const std::size_t offered = isDefaultConfig
                                   ? e.track.qualityLevels.size()
                                   : tenantCfg->qualityLevels.size();
-  if (caps.qualityIndex >= offered) {
-    throw std::out_of_range(
-        qualityRangeMessage("MediaServer::serve", caps.qualityIndex, offered));
-  }
+  checkQualityIndex("MediaServer::serve", caps.qualityIndex, offered);
   ServedStream out{&e, StreamKey{e.cacheId, fp, encodeCapabilities(caps)},
                    nullptr};
   bool filled = false;
@@ -204,17 +220,8 @@ ServedStream MediaServer::openStream(
         isDefaultConfig ? e.track : tenantTrack->track;
     const core::SketchTrack& sketches =
         isDefaultConfig ? e.sketches : tenantTrack->sketches;
-    // Emissive panels must not receive brightened pixels (compensation
-    // would RAISE their power); they get the original stream plus the
-    // annotations.
     const media::EncodedClip encoded =
-        caps.technology == DisplayTechnology::kBacklitLcd
-            ? media::encodeClip(
-                  core::compensateClip(e.original, track, caps.qualityIndex,
-                                       deviceFromCapabilities(caps),
-                                       caps.minBacklightLevel),
-                  codecCfg_)
-            : media::encodeClip(e.original, codecCfg_);
+        encodeForClient(e.original, track, caps, codecCfg_);
     // Decode-workload annotations come for free once the clip is encoded
     // (sizes are known before any client decodes a byte) -- Sec. 3's "more
     // optimizations" rider.

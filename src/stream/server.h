@@ -242,6 +242,19 @@ class MediaServer {
   mutable StreamCache streamCache_{{kStreamCacheShards, kStreamCacheBytes}};
 };
 
+/// Throws std::out_of_range naming `who` unless `requested` indexes one of
+/// the `offered` quality levels.
+void checkQualityIndex(const char* who, std::size_t requested,
+                       std::size_t offered);
+
+/// The encode-for-client policy both Fig. 1 nodes share: a backlit LCD gets
+/// `clip` compensated by `track` for its device, quality and backlight
+/// floor; an emissive panel gets the original pixels, because brightened
+/// pixels would raise its power.
+[[nodiscard]] media::EncodedClip encodeForClient(
+    const media::VideoClip& clip, const core::AnnotationTrack& track,
+    const ClientCapabilities& caps, const media::CodecConfig& codecCfg = {});
+
 /// Builds a minimal device model from negotiated capabilities (name +
 /// transfer are all the server needs to compute gains and levels).
 [[nodiscard]] display::DeviceModel deviceFromCapabilities(

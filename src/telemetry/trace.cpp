@@ -518,8 +518,9 @@ TraceSnapshot parseTraceDump(std::string_view dump) {
       ev.cat = f[7];
       ev.strKey = f[8];
       ev.strValue = f[9];
+      // Compare against the fields present: 11 + 2 * nargs can wrap.
       const std::uint64_t nargs = parseDumpU64(f[10]);
-      if (f.size() != 11 + 2 * nargs) {
+      if ((f.size() - 11) % 2 != 0 || nargs != (f.size() - 11) / 2) {
         throw std::runtime_error("trace dump: bad arg count");
       }
       for (std::uint64_t i = 0; i < nargs; ++i) {

@@ -201,5 +201,51 @@ TEST(Proxy, QualityIndexValidation) {
                std::out_of_range);
 }
 
+TEST(Proxy, FanoutIsTheServerPipeline) {
+  // The proxy is the server's pipeline applied to decoded input: decode,
+  // (resize,) profile, annotate, then per client encodeForClient + mux.
+  const media::VideoClip clip = testClip();
+  MediaServer server;
+  server.addClip(clip);
+  const auto raw = server.serveRaw(clip.name);
+  ClientCapabilities emissive = ipaqCaps(1);
+  emissive.technology = DisplayTechnology::kEmissive;
+  core::AnnotatorConfig tuned;
+  tuned.qualityLevels = {0.0, 0.05, 0.2};
+  tuned.granularity = core::Granularity::kPerFrame;
+
+  struct Case {
+    const char* name;
+    ClientCapabilities caps;
+    core::AnnotatorConfig cfg;
+    int width;
+    int height;
+  };
+  const Case cases[] = {{"lcd", ipaqCaps(2), {}, 0, 0},
+                        {"emissive", emissive, {}, 0, 0},
+                        {"tuned config", ipaqCaps(2), tuned, 0, 0},
+                        {"resized 16x12", ipaqCaps(2), {}, 16, 12}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    media::VideoClip base = media::decodeClip(demux(raw).video);
+    if (c.width > 0) {
+      for (media::Image& frame : base.frames) {
+        frame = media::resizeBilinear(frame, c.width, c.height);
+      }
+    }
+    const core::AnnotationTrack track = core::annotate(
+        base.name, base.fps, media::profileClip(base), c.cfg);
+    const std::vector<std::uint8_t> expected =
+        mux(encodeForClient(base, track, c.caps, {}), &track);
+    const ClientCapabilities clients[] = {c.caps, c.caps};
+    const FanoutResult fan =
+        ProxyNode(c.cfg).transcodeFanout(raw, clients, c.width, c.height);
+    ASSERT_EQ(fan.streams.size(), 2u);
+    for (const std::vector<std::uint8_t>& stream : fan.streams) {
+      EXPECT_EQ(stream, expected);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace anno::stream
