@@ -120,35 +120,24 @@ int main() {
                        "verified)"
                      : "");
 
-  const std::string jsonFile = bench::jsonPath("BENCH_annotate_parallel.json");
-  std::FILE* json = std::fopen(jsonFile.c_str(), "w");
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n  \"workload\": {\"clips\": %zu, \"frames\": %zu, "
-                 "\"width\": %d, \"height\": %d},\n",
-                 clips.size(), totalFrames, kWidth, kHeight);
-    std::fprintf(json, "  \"hardware_threads\": %u,\n", hw);
-    std::fprintf(json, "  \"serial_seconds\": %.6f,\n", serialSeconds);
-    std::fprintf(json, "  \"runs\": [\n");
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const Result& r = results[i];
-      std::fprintf(
-          json,
-          "    {\"threads\": %u, \"per_clip_seconds\": %.6f, "
-          "\"batch_seconds\": %.6f, \"per_clip_frames_per_sec\": %.1f, "
-          "\"batch_frames_per_sec\": %.1f, \"batch_clips_per_sec\": %.2f, "
-          "\"speedup_vs_serial\": %.3f, \"bit_identical\": %s}%s\n",
-          r.threads, r.perClipSeconds, r.batchSeconds,
-          static_cast<double>(totalFrames) / r.perClipSeconds,
-          static_cast<double>(totalFrames) / r.batchSeconds,
-          static_cast<double>(clips.size()) / r.batchSeconds,
-          serialSeconds / r.batchSeconds, r.identical ? "true" : "false",
-          i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(json, "  ]\n}\n");
-    std::fclose(json);
-    std::printf("wrote %s\n", jsonFile.c_str());
+  bench::JsonReport json;
+  json.object("workload")
+      .field("clips", clips.size()).field("frames", totalFrames)
+      .field("width", kWidth).field("height", kHeight).end();
+  json.field("hardware_threads", hw).field("serial_seconds", serialSeconds);
+  json.array("runs");
+  for (const Result& r : results) {
+    json.object()
+        .field("threads", r.threads)
+        .field("per_clip_seconds", r.perClipSeconds)
+        .field("batch_seconds", r.batchSeconds)
+        .field("per_clip_frames_per_sec", totalFrames / r.perClipSeconds)
+        .field("batch_frames_per_sec", totalFrames / r.batchSeconds)
+        .field("batch_clips_per_sec", clips.size() / r.batchSeconds)
+        .field("speedup_vs_serial", serialSeconds / r.batchSeconds)
+        .field("bit_identical", r.identical).end();
   }
+  json.write("BENCH_annotate_parallel.json");
 
   if (!allIdentical) {
     std::fprintf(stderr,

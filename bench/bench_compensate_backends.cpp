@@ -136,27 +136,20 @@ int main() {
   table.print();
   table.printCsv("compensate_backends");
 
-  const std::string jsonFile =
-      bench::jsonPath("BENCH_compensate_backends.json");
-  if (std::FILE* json = std::fopen(jsonFile.c_str(), "w")) {
-    std::fprintf(json,
-                 "{\n  \"annotate_clip\": {\"frames\": %zu, \"width\": 96, "
-                 "\"height\": 72},\n  \"apply_frame\": {\"width\": 320, "
-                 "\"height\": 240},\n  \"backends\": [\n",
-                 clip.frames.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      std::fprintf(json,
-                   "    {\"backend\": \"%s\", \"annotate_ns_per_frame\": "
-                   "%.0f, \"decide_ns_per_scene\": %.0f, "
-                   "\"apply_ns_per_frame\": %.0f, \"track_bytes\": %zu}%s\n",
-                   r.backend, r.annotateNsPerFrame, r.decideNsPerScene,
-                   r.applyNsPerFrame, r.trackBytes,
-                   i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(json, "  ]\n}\n");
-    std::fclose(json);
-    std::printf("wrote %s\n", jsonFile.c_str());
+  bench::JsonReport json;
+  json.object("annotate_clip")
+      .field("frames", clip.frames.size())
+      .field("width", 96).field("height", 72).end();
+  json.object("apply_frame").field("width", 320).field("height", 240).end();
+  json.array("backends");
+  for (const Row& r : rows) {
+    json.object()
+        .field("backend", r.backend)
+        .field("annotate_ns_per_frame", r.annotateNsPerFrame)
+        .field("decide_ns_per_scene", r.decideNsPerScene)
+        .field("apply_ns_per_frame", r.applyNsPerFrame)
+        .field("track_bytes", r.trackBytes).end();
   }
+  json.write("BENCH_compensate_backends.json");
   return EXIT_SUCCESS;
 }

@@ -126,25 +126,15 @@ int run(std::size_t sessions, double daySeconds, std::size_t iters) {
   check(!onReport.healthRules.empty(), "rules evaluated");
   check(onReport.healthEvents.empty(), "clean mix fires nothing");
 
-  const std::string path = bench::jsonPath("BENCH_health.json");
-  if (FILE* f = std::fopen(path.c_str(), "wb")) {
-    std::fprintf(f,
-                 "{\n"
-                 "  \"sessions\": %zu,\n"
-                 "  \"day_seconds\": %g,\n"
-                 "  \"observe_ns\": %.6g,\n"
-                 "  \"soak_wall_seconds_off\": %.6g,\n"
-                 "  \"soak_wall_seconds_on\": %.6g,\n"
-                 "  \"overhead_fraction\": %.6g,\n"
-                 "  \"rules\": %zu,\n"
-                 "  \"pass\": %s\n"
-                 "}\n",
-                 sessions, daySeconds, nsPerObserve, offWall, onWall,
-                 overhead, onReport.healthRules.size(),
-                 failures == 0 ? "true" : "false");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", path.c_str());
-  }
+  bench::JsonReport()
+      .field("sessions", sessions).field("day_seconds", daySeconds)
+      .field("observe_ns", nsPerObserve)
+      .field("soak_wall_seconds_off", offWall)
+      .field("soak_wall_seconds_on", onWall)
+      .field("overhead_fraction", overhead)
+      .field("rules", onReport.healthRules.size())
+      .field("pass", failures == 0)
+      .write("BENCH_health.json");
   return failures == 0 ? 0 : 1;
 }
 

@@ -66,29 +66,24 @@ int main() {
               before.asciiPlot(8, 60).c_str(), after.asciiPlot(8, 60).c_str());
   table.printCsv("fig3_histogram_properties");
 
-  const std::string jsonFile = bench::jsonPath("BENCH_histogram.json");
-  if (std::FILE* json = std::fopen(jsonFile.c_str(), "w")) {
-    std::fprintf(json, "{\n  \"frames\": [\n");
-    for (std::size_t i = 0; i < cases.size(); ++i) {
-      const media::Histogram h = media::Histogram::ofImage(cases[i].frame);
-      std::fprintf(json,
-                   "    {\"frame\": \"%s\", \"avg_point\": %.3f, "
-                   "\"dyn_range\": %d, \"low\": %d, \"high\": %d, "
-                   "\"frac_above_200\": %.6f}%s\n",
-                   cases[i].name, h.averagePoint(), h.dynamicRange(),
-                   h.lowPoint(), h.highPoint(), h.fractionAbove(200),
-                   i + 1 < cases.size() ? "," : "");
-    }
-    std::fprintf(json,
-                 "  ],\n  \"compensation\": {\"gain_k\": %.4f, "
-                 "\"backlight_level\": %d, \"avg_before\": %.3f, "
-                 "\"avg_after\": %.3f, \"range_before\": %d, "
-                 "\"range_after\": %d}\n}\n",
-                 plan.gainK, plan.backlightLevel, before.averagePoint(),
-                 after.averagePoint(), before.dynamicRange(),
-                 after.dynamicRange());
-    std::fclose(json);
-    std::printf("wrote %s\n", jsonFile.c_str());
+  bench::JsonReport json;
+  json.array("frames");
+  for (const Case& c : cases) {
+    const media::Histogram h = media::Histogram::ofImage(c.frame);
+    json.object()
+        .field("frame", c.name)
+        .field("avg_point", h.averagePoint())
+        .field("dyn_range", h.dynamicRange())
+        .field("low", h.lowPoint()).field("high", h.highPoint())
+        .field("frac_above_200", h.fractionAbove(200)).end();
   }
+  json.end().object("compensation")
+      .field("gain_k", plan.gainK)
+      .field("backlight_level", plan.backlightLevel)
+      .field("avg_before", before.averagePoint())
+      .field("avg_after", after.averagePoint())
+      .field("range_before", before.dynamicRange())
+      .field("range_after", after.dynamicRange())
+      .write("BENCH_histogram.json");
   return 0;
 }

@@ -204,26 +204,18 @@ int main() {
   std::printf("\nmax-luma partitions bit-identical to legacy: %s\n",
               identical ? "yes" : "NO");
 
-  const std::string jsonFile = bench::jsonPath("BENCH_online_annotate.json");
-  std::FILE* json = std::fopen(jsonFile.c_str(), "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n  \"workload_frames\": %zu,\n  \"runs\": [\n",
-                 stats.size());
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      const Run& r = runs[i];
-      std::fprintf(json,
-                   "    {\"path\": \"%s\", \"seconds\": %.6f, "
-                   "\"ns_per_frame\": %.1f, \"frames_per_sec\": %.0f, "
-                   "\"scenes\": %zu, \"relative_to_legacy\": %.3f}%s\n",
-                   r.name.c_str(), r.seconds, 1e9 * r.seconds / frames,
-                   frames / r.seconds, r.scenes, r.seconds / legacySeconds,
-                   i + 1 < runs.size() ? "," : "");
-    }
-    std::fprintf(json, "  ],\n  \"partitions_identical\": %s\n}\n",
-                 identical ? "true" : "false");
-    std::fclose(json);
-    std::printf("wrote %s\n", jsonFile.c_str());
+  bench::JsonReport json;
+  json.field("workload_frames", stats.size()).array("runs");
+  for (const Run& r : runs) {
+    json.object()
+        .field("path", r.name).field("seconds", r.seconds)
+        .field("ns_per_frame", 1e9 * r.seconds / frames)
+        .field("frames_per_sec", frames / r.seconds)
+        .field("scenes", r.scenes)
+        .field("relative_to_legacy", r.seconds / legacySeconds).end();
   }
+  json.end().field("partitions_identical", identical);
+  json.write("BENCH_online_annotate.json");
 
   if (!identical) {
     std::fprintf(stderr,

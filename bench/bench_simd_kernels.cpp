@@ -425,43 +425,30 @@ int main() {
               bestEmd, bestProfile,
               !targetsApply ? "n/a (non-x86)" : targetsMet ? "MET" : "MISSED");
 
-  const std::string jsonFile = bench::jsonPath("BENCH_simd_kernels.json");
-  if (std::FILE* json = std::fopen(jsonFile.c_str(), "w")) {
-    std::fprintf(json, "{\n  \"workload\": {\"width\": %d, \"height\": %d},\n",
-                 kWidth, kHeight);
-    std::fprintf(json, "  \"levels\": [");
-    for (std::size_t i = 0; i < levels.size(); ++i) {
-      std::fprintf(json, "%s\"%s\"", i ? ", " : "",
-                   media::kernels::levelName(levels[i]));
+  bench::JsonReport json;
+  json.object("workload").field("width", kWidth).field("height", kHeight).end();
+  json.array("levels");
+  for (Level level : levels) json.element(media::kernels::levelName(level));
+  json.end().array("kernels");
+  for (const KernelResult& kr : results) {
+    json.object()
+        .field("kernel", kr.kernel).field("elems_per_op", kr.opsUnit)
+        .array("levels");
+    for (const LevelResult& lr : kr.levels) {
+      json.object()
+          .field("level", media::kernels::levelName(lr.level))
+          .field("ns_per_op", lr.nsPerOp)
+          .field("speedup_vs_scalar", lr.speedup).end();
     }
-    std::fprintf(json, "],\n  \"kernels\": [\n");
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const KernelResult& kr = results[i];
-      std::fprintf(json, "    {\"kernel\": \"%s\", \"elems_per_op\": %.0f, "
-                         "\"levels\": [",
-                   kr.kernel.c_str(), kr.opsUnit);
-      for (std::size_t j = 0; j < kr.levels.size(); ++j) {
-        const LevelResult& lr = kr.levels[j];
-        std::fprintf(json,
-                     "%s{\"level\": \"%s\", \"ns_per_op\": %.1f, "
-                     "\"speedup_vs_scalar\": %.3f}",
-                     j ? ", " : "", media::kernels::levelName(lr.level),
-                     lr.nsPerOp, lr.speedup);
-      }
-      std::fprintf(json, "]}%s\n", i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(json,
-                 "  ],\n  \"bit_identical\": %s,\n"
-                 "  \"best_emd_speedup\": %.3f,\n"
-                 "  \"best_profile_speedup\": %.3f,\n"
-                 "  \"targets\": {\"emd_min\": 4.0, \"profile_min\": 2.0, "
-                 "\"apply\": %s, \"met\": %s}\n}\n",
-                 identical ? "true" : "false", bestEmd, bestProfile,
-                 targetsApply ? "true" : "false",
-                 targetsMet ? "true" : "false");
-    std::fclose(json);
-    std::printf("wrote %s\n", jsonFile.c_str());
+    json.end().end();
   }
+  json.end().field("bit_identical", identical)
+      .field("best_emd_speedup", bestEmd)
+      .field("best_profile_speedup", bestProfile)
+      .object("targets")
+      .field("emd_min", 4.0).field("profile_min", 2.0)
+      .field("apply", targetsApply).field("met", targetsMet)
+      .write("BENCH_simd_kernels.json");
 
   if (!identical) {
     std::fprintf(stderr,

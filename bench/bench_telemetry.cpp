@@ -121,25 +121,15 @@ int main() {
               bench::pct(overhead, 2).c_str(),
               withinBudget ? "ok" : "EXCEEDED");
 
-  const std::string jsonFile = bench::jsonPath("BENCH_telemetry.json");
-  std::FILE* json = std::fopen(jsonFile.c_str(), "w");
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n  \"workload_frames\": %zu,\n"
-                 "  \"null_seconds\": %.6f,\n"
-                 "  \"instrumented_seconds\": %.6f,\n"
-                 "  \"null_ns_per_frame\": %.1f,\n"
-                 "  \"instrumented_ns_per_frame\": %.1f,\n"
-                 "  \"overhead_fraction\": %.5f,\n"
-                 "  \"budget_fraction\": 0.02,\n"
-                 "  \"within_budget\": %s\n}\n",
-                 stats.size(), nullRun.seconds, instrumented.seconds,
-                 1e9 * nullRun.seconds / frames,
-                 1e9 * instrumented.seconds / frames, overhead,
-                 withinBudget ? "true" : "false");
-    std::fclose(json);
-    std::printf("wrote %s\n", jsonFile.c_str());
-  }
+  bench::JsonReport()
+      .field("workload_frames", stats.size())
+      .field("null_seconds", nullRun.seconds)
+      .field("instrumented_seconds", instrumented.seconds)
+      .field("null_ns_per_frame", 1e9 * nullRun.seconds / frames)
+      .field("instrumented_ns_per_frame", 1e9 * instrumented.seconds / frames)
+      .field("overhead_fraction", overhead).field("budget_fraction", 0.02)
+      .field("within_budget", withinBudget)
+      .write("BENCH_telemetry.json");
 
   if (instrumented.scenes != nullRun.scenes || framesSeen == 0) {
     std::fprintf(stderr, "FATAL: instrumented run diverged or recorded "

@@ -141,30 +141,18 @@ int main() {
               bench::pct(overhead, 2).c_str(), 100.0 * kBudget,
               withinBudget ? "ok" : "EXCEEDED");
 
-  const std::string jsonFile = bench::jsonPath("BENCH_trace.json");
-  std::FILE* json = std::fopen(jsonFile.c_str(), "w");
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n  \"workload_frames\": %zu,\n"
-                 "  \"detached_seconds\": %.6f,\n"
-                 "  \"attached_seconds\": %.6f,\n"
-                 "  \"detached_ns_per_frame\": %.1f,\n"
-                 "  \"attached_ns_per_frame\": %.1f,\n"
-                 "  \"overhead_fraction\": %.5f,\n"
-                 "  \"budget_fraction\": %.2f,\n"
-                 "  \"null_helper_ns_per_op\": %.3f,\n"
-                 "  \"null_helper_budget_ns\": %.1f,\n"
-                 "  \"events_recorded_last_rep\": %llu,\n"
-                 "  \"within_budget\": %s\n}\n",
-                 stats.size(), detached.seconds, attached.seconds,
-                 1e9 * detached.seconds / frames,
-                 1e9 * attached.seconds / frames, overhead, kBudget,
-                 nsPerNullOp, kNullBudgetNs,
-                 static_cast<unsigned long long>(recordedLastRep),
-                 withinBudget && nullFree ? "true" : "false");
-    std::fclose(json);
-    std::printf("wrote %s\n", jsonFile.c_str());
-  }
+  bench::JsonReport()
+      .field("workload_frames", stats.size())
+      .field("detached_seconds", detached.seconds)
+      .field("attached_seconds", attached.seconds)
+      .field("detached_ns_per_frame", 1e9 * detached.seconds / frames)
+      .field("attached_ns_per_frame", 1e9 * attached.seconds / frames)
+      .field("overhead_fraction", overhead).field("budget_fraction", kBudget)
+      .field("null_helper_ns_per_op", nsPerNullOp)
+      .field("null_helper_budget_ns", kNullBudgetNs)
+      .field("events_recorded_last_rep", recordedLastRep)
+      .field("within_budget", withinBudget && nullFree)
+      .write("BENCH_trace.json");
 
   if (attached.scenes != detached.scenes || recordedLastRep == 0 ||
       droppedTotal != 0) {

@@ -1,5 +1,6 @@
 // Shared helpers for the figure-regeneration benches: fixed-width table
-// printing and the standard experiment configuration.
+// printing, the standard experiment configuration and the JSON artifact
+// writer.
 //
 // Every bench prints (a) a header naming the paper figure it regenerates,
 // (b) the rows/series of that figure, and (c) a CSV block that can be piped
@@ -8,10 +9,14 @@
 // in seconds; savings percentages are resolution-independent.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <type_traits>
 #include <vector>
+
+#include "telemetry/export.h"
 
 namespace anno::bench {
 
@@ -105,5 +110,85 @@ inline std::string jsonPath(const std::string& filename) {
   if (!path.empty() && path.back() != '/') path += '/';
   return path + filename;
 }
+
+/// The one writer of the bench JSON artifacts (BENCH_*.json,
+/// PARETO_backends.json): a root object filled in order.  field() adds an
+/// object member, element() an array element; object()/array() open a
+/// container (named inside an object, unnamed inside an array) and end()
+/// closes the innermost one.  Two-space indent, strings through
+/// telemetry::escapeJson, every double "%.6g" (non-finite as null).
+class JsonReport {
+ public:
+  JsonReport& object(const std::string& key = {}) { return open(key, '{'); }
+  JsonReport& array(const std::string& key = {}) { return open(key, '['); }
+  JsonReport& end() {
+    const char close = closers_.back();
+    closers_.pop_back();
+    if (!empty_) newline();
+    out_ += close;
+    empty_ = false;
+    return *this;
+  }
+  template <typename T>
+  JsonReport& field(const std::string& key, const T& value) {
+    return put(key, render(value));
+  }
+  template <typename T>
+  JsonReport& element(const T& value) { return put({}, render(value)); }
+
+  /// Closes whatever is still open, writes the document to
+  /// jsonPath(filename) and prints "wrote <path>".
+  void write(const std::string& filename) {
+    while (!closers_.empty()) end();
+    const std::string path = jsonPath(filename);
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    bool ok = f != nullptr && std::fprintf(f, "%s\n", out_.c_str()) > 0;
+    if (f != nullptr) ok = std::fclose(f) == 0 && ok;
+    std::fprintf(ok ? stdout : stderr, "%s %s\n",
+                 ok ? "wrote" : "cannot write", path.c_str());
+  }
+
+ private:
+  template <typename T>
+  static std::string render(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      return v ? "true" : "false";
+    } else if constexpr (std::is_integral_v<T>) {
+      return std::to_string(v);
+    } else if constexpr (std::is_floating_point_v<T>) {
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%.6g", static_cast<double>(v));
+      return std::isfinite(v) ? buf : "null";
+    } else {
+      return '"' + telemetry::escapeJson(v) + '"';  // any string type
+    }
+  }
+
+  /// Appends one member (`key` non-empty) or element (`key` empty).
+  JsonReport& put(const std::string& key, const std::string& text) {
+    if (!empty_) out_ += ',';
+    newline();
+    if (!key.empty()) out_ += render(key) + ": ";
+    out_ += text;
+    empty_ = false;
+    return *this;
+  }
+
+  JsonReport& open(const std::string& key, char bracket) {
+    put(key, std::string(1, bracket));
+    closers_ += static_cast<char>(bracket + 2);  // '{' -> '}', '[' -> ']'
+    empty_ = true;
+    return *this;
+  }
+
+  void newline() {
+    out_ += '\n';
+    out_.append(2 * closers_.size(), ' ');
+  }
+
+  std::string out_ = "{";
+  std::string closers_ = "}";  ///< one closing bracket per open container
+  bool empty_ = true;          ///< innermost container has no entry yet
+};
 
 }  // namespace anno::bench

@@ -361,7 +361,16 @@ FleetSoakReport runSoak(const SoakConfig& cfg) {
   std::size_t nextPlan = 0;
   std::uint64_t prevCacheHits = 0, prevCacheMisses = 0;
   std::uint64_t prevStalls = 0, prevBytes = 0;
+  std::uint64_t prevStreamHits = 0, prevStreamEvictions = 0;
   std::size_t prevCompleted = 0, prevHour = 0;
+  const auto rollStreamCache = [&](SoakHourBucket& bucket) {
+    const core::CacheStats ss = server.streamCache().stats();
+    bucket.streamCacheHits += ss.hits - prevStreamHits;
+    bucket.streamCacheEvictions += ss.evictions - prevStreamEvictions;
+    bucket.streamCacheBytes = ss.bytes;
+    prevStreamHits = ss.hits;
+    prevStreamEvictions = ss.evictions;
+  };
   const auto hourOfTick = [&](std::uint64_t t) {
     const double frac = static_cast<double>(t) * mix.config.tickSeconds /
                         mix.config.daySeconds;
@@ -502,6 +511,7 @@ FleetSoakReport runSoak(const SoakConfig& cfg) {
     prevStalls = fs.stallEvents;
     prevBytes = fs.bytesDelivered;
     prevCompleted = fs.sessionsCompleted;
+    rollStreamCache(bucket);
     // Trace context for the flight recorder: a few fleet counters per tick
     // so an anomaly capture shows the shape of the minutes around it.
     if (flight) {
@@ -539,6 +549,7 @@ FleetSoakReport runSoak(const SoakConfig& cfg) {
     runFaultArm(live.plan, live.faultSeed);
   }
   report.hours[prevHour].activeAtEnd = sched.stats().activeSessions;
+  rollStreamCache(report.hours[prevHour]);  // the fault arm's last serves
 
   // --- Health verdicts ----------------------------------------------------
   if (monitor) {
@@ -583,6 +594,10 @@ FleetSoakReport runSoak(const SoakConfig& cfg) {
     report.cacheEvictions = cs.evictions;
     report.cacheHitRate = cs.hitRate();
     report.engineSecondsTotal = cs.fillSeconds;
+    const core::CacheStats ss = server.streamCache().stats();
+    report.streamCacheHits = ss.hits;
+    report.streamCacheEvictions = ss.evictions;
+    report.streamCacheBytes = ss.bytes;
   }
 
   // --- Per-session aggregation + the power roll-up ------------------------
@@ -679,6 +694,9 @@ std::string deterministicJson(const FleetSoakReport& r) {
   appendKv(out, "cache_fills", r.cacheFills, false);
   appendKv(out, "cache_evictions", r.cacheEvictions, false);
   appendKv(out, "cache_hit_rate", r.cacheHitRate, false);
+  appendKv(out, "stream_cache_hits", r.streamCacheHits, false);
+  appendKv(out, "stream_cache_evictions", r.streamCacheEvictions, false);
+  appendKv(out, "stream_cache_bytes", static_cast<std::uint64_t>(r.streamCacheBytes), false);
   appendKv(out, "served_hours", r.servedHours, false);
   appendKv(out, "joules_saved", r.joulesSaved, false);
   appendKv(out, "watts_saved_per_million_sessions", r.wattsSavedPerMillionSessions, false);
@@ -710,7 +728,12 @@ std::string deterministicJson(const FleetSoakReport& r) {
            ", \"stall_events\": " + std::to_string(b.stallEvents) +
            ", \"bytes_delivered\": " + std::to_string(b.bytesDelivered) +
            ", \"joules_saved\": " + num(b.joulesSaved) +
-           ", \"served_seconds\": " + num(b.servedSeconds) + "}";
+           ", \"served_seconds\": " + num(b.servedSeconds) +
+           ", \"stream_cache_hits\": " + std::to_string(b.streamCacheHits) +
+           ", \"stream_cache_evictions\": " +
+           std::to_string(b.streamCacheEvictions) +
+           ", \"stream_cache_bytes\": " + std::to_string(b.streamCacheBytes) +
+           "}";
     out += h + 1 < r.hours.size() ? ",\n" : "\n";
   }
   out += "  ],\n";

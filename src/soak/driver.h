@@ -113,6 +113,9 @@ struct SoakHourBucket {
   /// arrival keeps the number deterministic and single-counted).
   double joulesSaved = 0.0;
   double servedSeconds = 0.0;
+  std::uint64_t streamCacheHits = 0;
+  std::uint64_t streamCacheEvictions = 0;
+  std::size_t streamCacheBytes = 0;  ///< resident at the bucket's last tick
 
   [[nodiscard]] double hitRate() const noexcept {
     const std::uint64_t total = cacheHits + cacheMisses;
@@ -199,6 +202,11 @@ struct FleetSoakReport {
   std::uint64_t cacheFills = 0;       ///< == engine passes
   std::uint64_t cacheEvictions = 0;
   double cacheHitRate = 0.0;
+  // The server's stream cache: looked up only at join and in the serial
+  // fault arm, so deterministic like the annotation-cache counters.
+  std::uint64_t streamCacheHits = 0;
+  std::uint64_t streamCacheEvictions = 0;
+  std::size_t streamCacheBytes = 0;   ///< resident at the end of the run
   double servedHours = 0.0;           ///< sum of played content time
   double joulesSaved = 0.0;           ///< backlight joules vs full backlight
   /// Mean backlight watts saved per active session, scaled to a fleet of

@@ -16,8 +16,8 @@
 // every (clip, tenant fingerprint) pair costs at most one engine pass
 // (TrackCache single-flight) and every (clip, fingerprint, capability
 // bytes) group costs at most one compensate+encode+mux while its stream
-// stays cached (stream cache, bounded by its byte budget).  The fleet
-// bench (bench/bench_fleet.cpp) measures exactly this.
+// stays cached (stream cache, bounded by its byte budget).  servebench's
+// fleet_join workload measures exactly this and gates fills == unique keys.
 #pragma once
 
 #include <cstdint>

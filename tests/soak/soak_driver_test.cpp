@@ -58,12 +58,21 @@ TEST(SoakDriver, HourBucketsAndCellsSumToTotals) {
   ASSERT_EQ(r.hours.size(), 24u);
   std::size_t arrivals = 0;
   std::size_t completions = 0;
+  std::uint64_t streamHits = 0;
+  std::uint64_t streamEvictions = 0;
   for (const SoakHourBucket& h : r.hours) {
     arrivals += h.arrivals;
     completions += h.completions;
+    streamHits += h.streamCacheHits;
+    streamEvictions += h.streamCacheEvictions;
   }
   EXPECT_EQ(arrivals, r.sessionsJoined);
   EXPECT_EQ(completions, r.sessionsCompleted);
+  EXPECT_EQ(streamHits, r.streamCacheHits);
+  EXPECT_EQ(streamEvictions, r.streamCacheEvictions);
+  EXPECT_GT(r.streamCacheHits, 0u);
+  EXPECT_GT(r.streamCacheBytes, 0u);
+  EXPECT_EQ(r.hours.back().streamCacheBytes, r.streamCacheBytes);
   std::uint64_t cellSessions = 0;
   double cellServed = 0.0;
   for (const SoakCell& c : r.cells) {

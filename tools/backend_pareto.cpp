@@ -10,7 +10,7 @@
 //   quality retained -- camera-capture histogram distance to the reference
 //   compute cost     -- measured client apply ns/frame + pixels shipped
 //
-// Emits PARETO_backends.json (repo root, override $ANNO_BENCH_JSON_DIR) and
+// Emits PARETO_backends.json (bench::jsonPath: the repo root by default) and
 // exits non-zero unless every non-default backend beats LinearGain on at
 // least one axis -- the PR's acceptance gate, enforced where CI can see it.
 #include <chrono>
@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "compensate/backend.h"
 #include "core/annotate.h"
 #include "core/engine.h"
@@ -37,17 +38,6 @@ namespace {
 
 using namespace anno;
 using Clock = std::chrono::steady_clock;
-
-std::string jsonPath(const std::string& filename) {
-  const char* dir = std::getenv("ANNO_BENCH_JSON_DIR");
-#ifdef ANNO_BENCH_JSON_DEFAULT_DIR
-  if (dir == nullptr || *dir == '\0') dir = ANNO_BENCH_JSON_DEFAULT_DIR;
-#endif
-  if (dir == nullptr || *dir == '\0') return filename;
-  std::string path = dir;
-  if (path.back() != '/') path += '/';
-  return path + filename;
-}
 
 /// Per-(clip, backend) scores, meaned over frames x quality levels.
 struct Score {
@@ -234,45 +224,35 @@ int main() {
     std::printf("\n");
   }
 
-  const std::string jsonFile = jsonPath("PARETO_backends.json");
-  if (std::FILE* json = std::fopen(jsonFile.c_str(), "w")) {
-    std::fprintf(json,
-                 "{\n  \"device\": \"%s\",\n  \"quality_indices\": [1, 2, 3, "
-                 "4],\n  \"backends\": [\n",
-                 device.name.c_str());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Aggregate& agg = rows[i];
-      std::fprintf(json, "    {\"backend\": \"%s\", \"clips\": [\n",
-                   compensate::backendName(agg.kind));
-      for (std::size_t c = 0; c < agg.perClip.size(); ++c) {
-        const Score& s = agg.perClip[c];
-        std::fprintf(json,
-                     "      {\"clip\": \"%s\", \"power_saved_pct\": %.3f, "
-                     "\"avg_point_shift\": %.3f, \"dynamic_range_change\": "
-                     "%.3f, \"perceived_emd\": %.3f, \"intersection\": %.4f, "
-                     "\"apply_ns_per_frame\": %.0f, \"kpix_per_frame\": "
-                     "%.2f}%s\n",
-                     s.clip.c_str(), s.powerSavedPct, s.avgPointShift,
-                     s.dynamicRangeChange, s.perceivedEmd, s.intersection,
-                     s.applyNsPerFrame, s.kpixPerFrame,
-                     c + 1 < agg.perClip.size() ? "," : "");
-      }
-      std::fprintf(json,
-                   "    ], \"mean\": {\"power_saved_pct\": %.3f, "
-                   "\"perceived_emd\": %.3f, \"apply_ns_per_frame\": %.0f, "
-                   "\"kpix_per_frame\": %.2f}, \"beats_linear_on\": [",
-                   agg.mean.powerSavedPct, agg.mean.perceivedEmd,
-                   agg.mean.applyNsPerFrame, agg.mean.kpixPerFrame);
-      for (std::size_t a = 0; a < wins[i].size(); ++a) {
-        std::fprintf(json, "%s\"%s\"", a ? ", " : "", wins[i][a].c_str());
-      }
-      std::fprintf(json, "]}%s\n", i + 1 < rows.size() ? "," : "");
+  bench::JsonReport json;
+  json.field("device", device.name).array("quality_indices");
+  for (int q = 1; q <= 4; ++q) json.element(q);
+  json.end().array("backends");
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Aggregate& agg = rows[i];
+    json.object()
+        .field("backend", compensate::backendName(agg.kind))
+        .array("clips");
+    for (const Score& s : agg.perClip) {
+      json.object()
+          .field("clip", s.clip).field("power_saved_pct", s.powerSavedPct)
+          .field("avg_point_shift", s.avgPointShift)
+          .field("dynamic_range_change", s.dynamicRangeChange)
+          .field("perceived_emd", s.perceivedEmd)
+          .field("intersection", s.intersection)
+          .field("apply_ns_per_frame", s.applyNsPerFrame)
+          .field("kpix_per_frame", s.kpixPerFrame).end();
     }
-    std::fprintf(json, "  ],\n  \"accepted\": %s\n}\n",
-                 accepted ? "true" : "false");
-    std::fclose(json);
-    std::printf("\nwrote %s\n", jsonFile.c_str());
+    json.end().object("mean")
+        .field("power_saved_pct", agg.mean.powerSavedPct)
+        .field("perceived_emd", agg.mean.perceivedEmd)
+        .field("apply_ns_per_frame", agg.mean.applyNsPerFrame)
+        .field("kpix_per_frame", agg.mean.kpixPerFrame).end()
+        .array("beats_linear_on");
+    for (const std::string& axis : wins[i]) json.element(axis);
+    json.end().end();
   }
+  json.end().field("accepted", accepted).write("PARETO_backends.json");
 
   if (!accepted) {
     std::fprintf(stderr,
