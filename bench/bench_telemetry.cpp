@@ -3,7 +3,7 @@
 // the same loop with an EngineTelemetry observer recording into a live
 // telemetry::Registry.  The subsystem's contract is "zero-cost when
 // unattached, cheap when attached": this bench quantifies both halves on
-// the bench_online_annotate workload and enforces the attached budget --
+// the ten paper trailers and enforces the attached budget --
 // instrumented must stay within 2% of the null-observer baseline
 // (EXIT_FAILURE otherwise, so CI catches a fattened hot path).
 //
@@ -63,8 +63,8 @@ int main() {
   bench::printHeader(
       "Telemetry overhead: engine push loop, null vs attached observer");
 
-  // Same workload as bench_online_annotate: the ten synthetic paper
-  // trailers profiled once up front, so only the push loop is timed.
+  // The ten synthetic paper trailers, profiled once up front, so only the
+  // push loop is timed.
   const double kScale = 0.25;
   const int kWidth = 160, kHeight = 120;
   std::vector<media::FrameStats> stats;

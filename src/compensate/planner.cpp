@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "compensate/compensate.h"
 #include "media/kernels/kernels.h"
 
 namespace anno::compensate {
@@ -45,80 +44,6 @@ CompensationPlan planForHistogram(const display::DeviceModel& device,
       media::kernels::active().tailBudgetLevel(sceneHistogram.counts().data(),
                                                budget));
   return planForLuma(device, safe, minBacklightLevel);
-}
-
-CompensationPlan planForQualityThreshold(const display::DeviceModel& device,
-                                         const media::Histogram& sceneHistogram,
-                                         double maxPerceivedEmd,
-                                         int minBacklightLevel) {
-  if (maxPerceivedEmd < 0.0) {
-    throw std::invalid_argument(
-        "planForQualityThreshold: maxPerceivedEmd must be >= 0");
-  }
-  if (sceneHistogram.total() == 0) {
-    throw std::invalid_argument("planForQualityThreshold: empty histogram");
-  }
-  // Candidate ceilings are the occupied luminance levels, highest first;
-  // walk down while the predicted quality stays inside the contract.
-  CompensationPlan best = planForLuma(
-      device, static_cast<std::uint8_t>(sceneHistogram.highPoint()),
-      minBacklightLevel);
-  for (int ceiling = sceneHistogram.highPoint(); ceiling >= 1; --ceiling) {
-    if (sceneHistogram.count(ceiling) == 0 &&
-        ceiling != sceneHistogram.highPoint()) {
-      continue;  // ceilings between occupied bins change nothing
-    }
-    const CompensationPlan plan = planForLuma(
-        device, static_cast<std::uint8_t>(ceiling), minBacklightLevel);
-    if (predictPerceivedEmd(sceneHistogram, plan) > maxPerceivedEmd) break;
-    best = plan;
-    if (plan.backlightLevel <= minBacklightLevel) break;  // floor reached
-  }
-  return best;
-}
-
-CompensationPlan planForChannelClipBudget(const display::DeviceModel& device,
-                                          const media::Histogram& maxChannelHist,
-                                          double maxClipFraction,
-                                          int minBacklightLevel) {
-  if (maxClipFraction < 0.0 || maxClipFraction >= 1.0) {
-    throw std::invalid_argument(
-        "planForChannelClipBudget: maxClipFraction in [0,1)");
-  }
-  if (maxChannelHist.total() == 0) {
-    throw std::invalid_argument("planForChannelClipBudget: empty histogram");
-  }
-  // Walk candidate ceilings from brightest down; each step's gain is
-  // checked against the clip budget in O(256) via the max-channel
-  // histogram, so the whole sweep costs no pixel passes.
-  CompensationPlan best = planForLuma(device, 255, minBacklightLevel);
-  for (int ceiling = 255; ceiling >= 1; --ceiling) {
-    const CompensationPlan plan = planForLuma(
-        device, static_cast<std::uint8_t>(ceiling), minBacklightLevel);
-    if (clippedFraction(maxChannelHist, plan.gainK) > maxClipFraction) break;
-    best = plan;
-    if (plan.backlightLevel <= minBacklightLevel) break;  // floor reached
-  }
-  return best;
-}
-
-media::Histogram predictCompensatedHistogram(const media::Histogram& original,
-                                             double gainK) {
-  if (gainK < 1.0) {
-    throw std::invalid_argument(
-        "predictCompensatedHistogram: gainK must be >= 1");
-  }
-  media::Histogram predicted;
-  for (int y = 0; y < 256; ++y) {
-    const std::uint64_t mass = original.count(y);
-    if (mass == 0) continue;
-    const double scaled = y * gainK;
-    predicted.add(scaled >= 255.0
-                      ? std::uint8_t{255}
-                      : static_cast<std::uint8_t>(scaled + 0.5),
-                  mass);
-  }
-  return predicted;
 }
 
 media::Histogram predictPerceivedHistogram(const media::Histogram& original,

@@ -50,13 +50,6 @@ inline constexpr int kPaperQualityLevelCount = 5;
 [[nodiscard]] double plannedClipFraction(const CompensationPlan& plan,
                                          const media::Histogram& sceneHistogram);
 
-/// Predicted histogram of the COMPENSATED frame: every luminance bin y maps
-/// to min(255, y*k).  Exact for gray content; approximate for colour (per-
-/// channel saturation perturbs luma slightly).  Lets the server reason
-/// about post-compensation statistics without re-profiling pixels.
-[[nodiscard]] media::Histogram predictCompensatedHistogram(
-    const media::Histogram& original, double gainK);
-
 /// Predicted histogram of the PERCEIVED image under a plan: with gain
 /// k = 1/T(b), a pixel of luminance y displays at min(y, lumaCeiling) --
 /// unclipped pixels are exactly preserved, clipped ones pin at the ceiling.
@@ -68,30 +61,6 @@ inline constexpr int kPaperQualityLevelCount = 5;
 /// camera and no pixel pass.
 [[nodiscard]] double predictPerceivedEmd(const media::Histogram& original,
                                          const CompensationPlan& plan);
-
-/// QoS-threshold planning (paper Sec. 4.2: "the system tries to maximize
-/// power savings while maintaining the quality of service above the given
-/// threshold"): finds the DIMMEST plan whose predicted perceived-EMD stays
-/// within `maxPerceivedEmd`, by scanning the scene histogram's clip-safe
-/// levels.  This replaces the fixed clip-percent grid with a direct quality
-/// contract.
-[[nodiscard]] CompensationPlan planForQualityThreshold(
-    const display::DeviceModel& device, const media::Histogram& sceneHistogram,
-    double maxPerceivedEmd, int minBacklightLevel = 10);
-
-/// Channel-clip-budget planning: finds the DIMMEST plan whose fraction of
-/// pixels saturating in at least one RGB channel under the plan's gain
-/// stays within `maxClipFraction`.  Unlike planForHistogram (which budgets
-/// on luma), this bounds the per-channel saturation the compensation
-/// transform actually applies -- colourful pixels can clip a channel well
-/// below their luma ceiling.  `maxChannelHist` is
-/// media::Histogram::ofMaxChannel of a representative frame; each candidate
-/// gain in the walk is evaluated in O(256) from it
-/// (compensate::clippedFraction histogram overload), so the sweep costs no
-/// pixel passes.
-[[nodiscard]] CompensationPlan planForChannelClipBudget(
-    const display::DeviceModel& device, const media::Histogram& maxChannelHist,
-    double maxClipFraction, int minBacklightLevel = 10);
 
 /// Ambient-aware planning for reflective/transflective panels.
 ///

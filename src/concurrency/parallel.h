@@ -1,22 +1,14 @@
 // Deterministic data-parallel loops over a ThreadPool.
 //
 // The determinism contract: chunk boundaries depend ONLY on (n, grain) --
-// never on the thread count or on scheduling -- and parallelReduce merges
-// per-chunk shards on the calling thread in ascending chunk order.  Shards
-// are chunk-local (no atomics, no shared mutable bins), so a reduction is
-// bit-identical to the serial left fold over the same chunking for ANY
-// thread count, including non-commutative merge operations.  Callers that
-// additionally want thread-count-invariant results (the annotation pipeline
-// does) must therefore pick `grain` independently of the pool size whenever
-// the merge is not associative-exact -- for exact merges (integer histogram
-// bins, slot writes) any grain gives identical output anyway.
+// never on the thread count or on scheduling.  A body that writes only its
+// own chunk's slots (no atomics, no shared mutable bins) therefore produces
+// the same output for ANY thread count; callers that fold per-chunk results
+// do so on the calling thread in ascending chunk order, after the loop.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <optional>
-#include <utility>
-#include <vector>
 
 #include "concurrency/thread_pool.h"
 
@@ -46,38 +38,6 @@ void parallelFor(ThreadPool* pool, std::size_t n, std::size_t grain,
     const std::size_t begin = c * g;
     body(begin, std::min(n, begin + g));
   });
-}
-
-/// Deterministic sharded reduction: map(begin, end) produces one shard per
-/// chunk in parallel; merge(acc, std::move(shard)) folds the shards into
-/// `init` in ascending chunk order on the calling thread.  The chunking is
-/// ALWAYS the (n, grain) decomposition -- the serial path walks the very
-/// same chunks -- so the result is identical for any pool (including none),
-/// even when map's output depends on its chunk boundaries or merge is
-/// non-commutative.  T must be movable.
-template <typename T, typename Map, typename Merge>
-[[nodiscard]] T parallelReduce(ThreadPool* pool, std::size_t n,
-                               std::size_t grain, T init, Map&& map,
-                               Merge&& merge) {
-  if (n == 0) return init;
-  const std::size_t g = grain == 0 ? 1 : grain;
-  const std::size_t chunks = chunkCount(n, g);
-  if (pool == nullptr || pool->concurrency() <= 1 || chunks == 1) {
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t begin = c * g;
-      merge(init, map(begin, std::min(n, begin + g)));
-    }
-    return init;
-  }
-  std::vector<std::optional<T>> shards(chunks);
-  pool->runChunked(chunks, [&](std::size_t c) {
-    const std::size_t begin = c * g;
-    shards[c].emplace(map(begin, std::min(n, begin + g)));
-  });
-  for (std::optional<T>& shard : shards) {
-    merge(init, std::move(*shard));
-  }
-  return init;
 }
 
 }  // namespace anno::concurrency

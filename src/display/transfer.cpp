@@ -72,24 +72,6 @@ TransferFunction TransferFunction::ccfl(double threshold, double g) {
   return tf;
 }
 
-TransferFunction TransferFunction::sCurve(double midpoint, double steepness) {
-  if (midpoint <= 0.0 || midpoint >= 1.0 || steepness <= 0.0) {
-    throw std::invalid_argument("TransferFunction::sCurve: bad parameters");
-  }
-  std::array<double, 256> lut{};
-  const auto logistic = [&](double x) {
-    return 1.0 / (1.0 + std::exp(-steepness * (x - midpoint)));
-  };
-  const double lo = logistic(0.0);
-  const double hi = logistic(1.0);
-  for (int i = 0; i < 256; ++i) {
-    lut[i] = (logistic(i / 255.0) - lo) / (hi - lo);
-  }
-  TransferFunction tf;
-  tf.lut_ = normalizeMonotone(lut);
-  return tf;
-}
-
 TransferFunction TransferFunction::fitFromSamples(
     std::span<const std::pair<int, double>> samples) {
   std::vector<std::pair<int, double>> pts(samples.begin(), samples.end());

@@ -45,9 +45,6 @@ class TransferFunction {
   /// lamp inverter will not strike), then a slightly convex rise.
   static TransferFunction ccfl(double threshold = 0.12, double g = 1.15);
 
-  /// Logistic s-curve, another measured shape seen on cheap panels.
-  static TransferFunction sCurve(double midpoint = 0.5, double steepness = 6.0);
-
   /// Least-squares-free monotone fit from (level, measuredLuminance) sample
   /// pairs (camera characterization): samples are sorted, linearly
   /// interpolated onto the 256-entry grid, then normalized.  At least two

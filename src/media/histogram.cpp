@@ -126,20 +126,6 @@ double Histogram::intersection(const Histogram& a, const Histogram& b) {
   return sum;
 }
 
-double Histogram::chiSquared(const Histogram& a, const Histogram& b) {
-  if (a.total_ == 0 || b.total_ == 0) return a.total_ == b.total_ ? 0.0 : 1.0;
-  double sum = 0.0;
-  for (int v = 0; v < 256; ++v) {
-    const double pa =
-        static_cast<double>(a.counts_[v]) / static_cast<double>(a.total_);
-    const double pb =
-        static_cast<double>(b.counts_[v]) / static_cast<double>(b.total_);
-    const double denom = pa + pb;
-    if (denom > 0.0) sum += (pa - pb) * (pa - pb) / denom;
-  }
-  return 0.5 * sum;
-}
-
 double Histogram::earthMovers(const Histogram& a, const Histogram& b) {
   if (a.total_ == 0 || b.total_ == 0) return 0.0;
   // EMD in 1-D equals the L1 distance between CDFs.  Clearing the two

@@ -71,10 +71,6 @@ class Histogram {
   [[nodiscard]] static double intersection(const Histogram& a,
                                            const Histogram& b);
 
-  /// Symmetric chi-squared distance on normalized bins; 0 means identical.
-  [[nodiscard]] static double chiSquared(const Histogram& a,
-                                         const Histogram& b);
-
   /// 1-D earth mover's distance on normalized bins, in code-value units.
   /// This is the primary "how far did the picture move" metric in our
   /// camera-based validation, since it is sensitive to both the average

@@ -16,23 +16,6 @@ void writeFile(const std::string& path, const std::string& header,
   if (!f) throw std::runtime_error("write failed: " + path);
 }
 
-struct PnmHeader {
-  std::string magic;
-  int width = 0;
-  int height = 0;
-  int maxval = 0;
-};
-
-PnmHeader readPnmHeader(std::ifstream& f, const std::string& path) {
-  PnmHeader h;
-  f >> h.magic >> h.width >> h.height >> h.maxval;
-  if (!f || h.width <= 0 || h.height <= 0 || h.maxval != 255) {
-    throw std::runtime_error("malformed PNM header: " + path);
-  }
-  f.get();  // single whitespace after maxval
-  return h;
-}
-
 }  // namespace
 
 void writePpm(const Image& img, const std::string& path) {
@@ -49,155 +32,6 @@ void writePgm(const GrayImage& img, const std::string& path) {
   std::ostringstream header;
   header << "P5\n" << img.width() << ' ' << img.height() << "\n255\n";
   writeFile(path, header.str(), img.pixels().data(), img.pixelCount());
-}
-
-Image readPpm(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("cannot open: " + path);
-  const PnmHeader h = readPnmHeader(f, path);
-  if (h.magic != "P6") throw std::runtime_error("not a P6 PPM: " + path);
-  Image img(h.width, h.height);
-  f.read(reinterpret_cast<char*>(img.pixels().data()),
-         static_cast<std::streamsize>(img.pixelCount() * sizeof(Rgb8)));
-  if (!f) throw std::runtime_error("truncated PPM: " + path);
-  return img;
-}
-
-GrayImage readPgm(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("cannot open: " + path);
-  const PnmHeader h = readPnmHeader(f, path);
-  if (h.magic != "P5") throw std::runtime_error("not a P5 PGM: " + path);
-  GrayImage img(h.width, h.height);
-  f.read(reinterpret_cast<char*>(img.pixels().data()),
-         static_cast<std::streamsize>(img.pixelCount()));
-  if (!f) throw std::runtime_error("truncated PGM: " + path);
-  return img;
-}
-
-namespace {
-
-struct YcbcrPlanes {
-  std::vector<std::uint8_t> y, cb, cr;
-};
-
-YcbcrPlanes frameToPlanes(const Image& frame) {
-  YcbcrPlanes p;
-  const std::size_t n = frame.pixelCount();
-  p.y.resize(n);
-  p.cb.resize(n);
-  p.cr.resize(n);
-  auto src = frame.pixels();
-  for (std::size_t i = 0; i < n; ++i) {
-    const Rgb8& px = src[i];
-    p.y[i] = clamp8(kLumaR * px.r + kLumaG * px.g + kLumaB * px.b);
-    p.cb[i] = clamp8(128.0 - 0.168736 * px.r - 0.331264 * px.g + 0.5 * px.b);
-    p.cr[i] = clamp8(128.0 + 0.5 * px.r - 0.418688 * px.g - 0.081312 * px.b);
-  }
-  return p;
-}
-
-Image planesToFrame(const YcbcrPlanes& p, int width, int height) {
-  Image frame(width, height);
-  auto dst = frame.pixels();
-  for (std::size_t i = 0; i < dst.size(); ++i) {
-    const double y = p.y[i];
-    const double cb = p.cb[i] - 128.0;
-    const double cr = p.cr[i] - 128.0;
-    dst[i] = Rgb8{clamp8(y + 1.402 * cr),
-                  clamp8(y - 0.344136 * cb - 0.714136 * cr),
-                  clamp8(y + 1.772 * cb)};
-  }
-  return frame;
-}
-
-}  // namespace
-
-void writeY4m(const VideoClip& clip, const std::string& path) {
-  validateClip(clip);
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("cannot open for writing: " + path);
-  // Frame rate as a rational: millifps over 1000.
-  const auto fpsNum = static_cast<long>(clip.fps * 1000.0 + 0.5);
-  f << "YUV4MPEG2 W" << clip.width() << " H" << clip.height() << " F"
-    << fpsNum << ":1000 Ip A1:1 C444\n";
-  for (const Image& frame : clip.frames) {
-    f << "FRAME\n";
-    const YcbcrPlanes p = frameToPlanes(frame);
-    f.write(reinterpret_cast<const char*>(p.y.data()),
-            static_cast<std::streamsize>(p.y.size()));
-    f.write(reinterpret_cast<const char*>(p.cb.data()),
-            static_cast<std::streamsize>(p.cb.size()));
-    f.write(reinterpret_cast<const char*>(p.cr.data()),
-            static_cast<std::streamsize>(p.cr.size()));
-  }
-  if (!f) throw std::runtime_error("write failed: " + path);
-}
-
-VideoClip readY4m(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("cannot open: " + path);
-  std::string header;
-  std::getline(f, header);
-  if (header.rfind("YUV4MPEG2", 0) != 0) {
-    throw std::runtime_error("not a Y4M file: " + path);
-  }
-  int width = 0, height = 0;
-  long fpsNum = 0, fpsDen = 1;
-  bool c444 = false;
-  std::istringstream hs(header);
-  std::string token;
-  while (hs >> token) {
-    if (token.size() < 2) continue;
-    switch (token[0]) {
-      case 'W': width = std::stoi(token.substr(1)); break;
-      case 'H': height = std::stoi(token.substr(1)); break;
-      case 'F': {
-        const auto colon = token.find(':');
-        if (colon != std::string::npos) {
-          fpsNum = std::stol(token.substr(1, colon - 1));
-          fpsDen = std::stol(token.substr(colon + 1));
-        }
-        break;
-      }
-      case 'C':
-        c444 = token == "C444";
-        break;
-      default: break;
-    }
-  }
-  if (width <= 0 || height <= 0 || fpsNum <= 0 || fpsDen <= 0) {
-    throw std::runtime_error("malformed Y4M header: " + path);
-  }
-  if (!c444) {
-    throw std::runtime_error("readY4m: only C444 is supported: " + path);
-  }
-  VideoClip clip;
-  clip.fps = static_cast<double>(fpsNum) / static_cast<double>(fpsDen);
-  const std::size_t planeBytes =
-      static_cast<std::size_t>(width) * static_cast<std::size_t>(height);
-  std::string frameLine;
-  while (std::getline(f, frameLine)) {
-    if (frameLine.rfind("FRAME", 0) != 0) {
-      throw std::runtime_error("malformed Y4M frame marker: " + path);
-    }
-    YcbcrPlanes p;
-    p.y.resize(planeBytes);
-    p.cb.resize(planeBytes);
-    p.cr.resize(planeBytes);
-    f.read(reinterpret_cast<char*>(p.y.data()),
-           static_cast<std::streamsize>(planeBytes));
-    f.read(reinterpret_cast<char*>(p.cb.data()),
-           static_cast<std::streamsize>(planeBytes));
-    f.read(reinterpret_cast<char*>(p.cr.data()),
-           static_cast<std::streamsize>(planeBytes));
-    if (!f) throw std::runtime_error("truncated Y4M frame: " + path);
-    clip.frames.push_back(planesToFrame(p, width, height));
-  }
-  if (clip.frames.empty()) {
-    throw std::runtime_error("Y4M file has no frames: " + path);
-  }
-  return clip;
 }
 
 CsvWriter::CsvWriter(std::vector<std::string> header)

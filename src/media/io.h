@@ -1,13 +1,12 @@
-// Minimal image/file I/O: binary PPM/PGM (for eyeballing frames and camera
-// snapshots) and CSV table writing (for regenerating the paper's figures in
-// any plotting tool).
+// Minimal file output: binary PPM/PGM writers (for eyeballing frames and
+// camera snapshots) and CSV table writing (for regenerating the paper's
+// figures in any plotting tool).
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "media/image.h"
-#include "media/video.h"
 
 namespace anno::media {
 
@@ -16,19 +15,6 @@ void writePpm(const Image& img, const std::string& path);
 
 /// Writes a binary PGM (P5).
 void writePgm(const GrayImage& img, const std::string& path);
-
-/// Reads a binary PPM (P6) written by writePpm (8-bit maxval only).
-[[nodiscard]] Image readPpm(const std::string& path);
-
-/// Reads a binary PGM (P5) written by writePgm.
-[[nodiscard]] GrayImage readPgm(const std::string& path);
-
-/// Writes a clip as YUV4MPEG2 (4:4:4, 8-bit) -- playable/inspectable with
-/// standard tools (mpv, ffplay, ffmpeg).  Throws on I/O failure.
-void writeY4m(const VideoClip& clip, const std::string& path);
-
-/// Reads a YUV4MPEG2 file written by writeY4m (C444, 8-bit only).
-[[nodiscard]] VideoClip readY4m(const std::string& path);
 
 /// Simple CSV writer: header row then data rows; values are rendered with
 /// full precision.  Used by every bench to dump figure data.

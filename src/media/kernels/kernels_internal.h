@@ -50,6 +50,7 @@ inline constexpr std::array<int, 64> kZigzag = [] {
 // version that beats it.
 void profileRgbScalar(const Rgb8* px, std::size_t n, FrameProfile& out);
 void lumaPlaneScalar(const Rgb8* px, std::size_t n, std::uint8_t* out);
+void histAccumulateScalar(std::uint64_t* dst, const std::uint64_t* src);
 void fdct8x8Scalar(const std::int16_t* spatial, std::int32_t* freq);
 void idct8x8Scalar(const std::int32_t* freq, std::int16_t* spatial);
 std::uint64_t quantizeBlockScalar(const std::int32_t* freq,
@@ -378,10 +379,6 @@ inline int highPointRange(const std::uint64_t* counts, std::uint64_t budget) {
     if (seen > budget) return v;
   }
   return 0;
-}
-
-inline void histAccumulateRange(std::uint64_t* dst, const std::uint64_t* src) {
-  for (int v = 0; v < 256; ++v) dst[v] += src[v];
 }
 
 }  // namespace anno::media::kernels::detail

@@ -26,10 +26,6 @@ void maxChannelHistogramScalar(const Rgb8* px, std::size_t n,
   detail::maxChannelRange(px, n, hist);
 }
 
-void histAccumulateScalar(std::uint64_t* dst, const std::uint64_t* src) {
-  detail::histAccumulateRange(dst, src);
-}
-
 Uint128 emdNumeratorScalar(const std::uint64_t* a, std::uint64_t totalA,
                            const std::uint64_t* b, std::uint64_t totalB) {
   return detail::emdNumeratorExact(a, totalA, b, totalB);
@@ -69,6 +65,10 @@ void profileRgbScalar(const Rgb8* px, std::size_t n, FrameProfile& out) {
 
 void lumaPlaneScalar(const Rgb8* px, std::size_t n, std::uint8_t* out) {
   lumaPlaneRange(px, n, out);
+}
+
+void histAccumulateScalar(std::uint64_t* dst, const std::uint64_t* src) {
+  for (int v = 0; v < 256; ++v) dst[v] += src[v];
 }
 
 namespace {
@@ -197,7 +197,7 @@ const KernelTable& scalarTable() noexcept {
   static constexpr KernelTable kTable{
       Level::kScalar,        detail::profileRgbScalar, profileGrayScalar,
       maxChannelHistogramScalar, detail::lumaPlaneScalar,
-      histAccumulateScalar,
+      detail::histAccumulateScalar,
       emdNumeratorScalar,    scalePixelsScalar,   countClippedScalar,
       tailBudgetLevelScalar, lowPointScalar,      highPointScalar,
       detail::fdct8x8Scalar, detail::idct8x8Scalar,

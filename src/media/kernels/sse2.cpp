@@ -91,17 +91,6 @@ void maxChannelHistogramSse2(const Rgb8* px, std::size_t n,
   detail::maxChannelRange(px + i, n - i, hist);
 }
 
-void histAccumulateSse2(std::uint64_t* dst, const std::uint64_t* src) {
-  for (int v = 0; v < 256; v += 2) {
-    const __m128i d =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + v));
-    const __m128i s =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + v));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + v),
-                     _mm_add_epi64(d, s));
-  }
-}
-
 Uint128 emdNumeratorSse2(const std::uint64_t* a, std::uint64_t totalA,
                          const std::uint64_t* b, std::uint64_t totalB) {
   if (totalA > detail::kEmdFastMaxTotal || totalB > detail::kEmdFastMaxTotal) {
@@ -464,8 +453,11 @@ const KernelTable& sse2Table() noexcept {
       // profileRgb and lumaPlane: the RGB deinterleave costs baseline SSE2
       // (no pshufb, no widening loads) more than two-wide double math
       // saves; the measured variants tied scalar, so scalar it is.
+      // histAccumulate: at -O3 the compiler turns the scalar loop into the
+      // same paddq loop the hand-written variant was, so it bought nothing.
       Level::kSse2,        detail::profileRgbScalar, profileGraySse2,
-      maxChannelHistogramSse2, detail::lumaPlaneScalar, histAccumulateSse2,
+      maxChannelHistogramSse2, detail::lumaPlaneScalar,
+      detail::histAccumulateScalar,
       emdNumeratorSse2,    scalePixelsSse2,   countClippedSse2,
       tailBudgetLevelSse2, lowPointSse2,      highPointSse2,
       fdct8x8Sse2,         idct8x8Sse2,       quantizeBlockSse2,

@@ -5,14 +5,12 @@
 // MPEG-1/2 era players the paper built on (Berkeley MPEG tools).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 
 namespace anno::media {
 
 /// 8-bit interleaved RGB pixel (the 64K-colour PDA panels of the paper are
-/// RGB565; we keep full 8-bit channels and model panel quantization in the
-/// display layer where it belongs).
+/// RGB565; we keep full 8-bit channels).
 struct Rgb8 {
   std::uint8_t r = 0;
   std::uint8_t g = 0;
@@ -61,14 +59,6 @@ inline constexpr double kLumaB = 0.114;
 /// True if any channel would clip when scaled by k.
 [[nodiscard]] constexpr bool clipsWhenScaled(const Rgb8& p, double k) noexcept {
   return p.r * k > 255.0 || p.g * k > 255.0 || p.b * k > 255.0;
-}
-
-/// Largest scale factor that keeps this pixel unclipped (>= 1.0 result means
-/// the pixel tolerates at least that much contrast enhancement).
-[[nodiscard]] constexpr double maxScaleWithoutClip(const Rgb8& p) noexcept {
-  const int m = std::max({p.r, p.g, p.b});
-  if (m == 0) return 1e9;  // black pixels never clip
-  return 255.0 / static_cast<double>(m);
 }
 
 }  // namespace anno::media

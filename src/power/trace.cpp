@@ -35,14 +35,4 @@ double PowerTrace::minWatts() const noexcept {
   return *std::min_element(samples_.begin(), samples_.end());
 }
 
-double energySavings(const PowerTrace& baseline, const PowerTrace& optimized) {
-  if (baseline.sampleCount() == 0 || optimized.sampleCount() == 0) {
-    throw std::invalid_argument("energySavings: empty trace");
-  }
-  // Compare average power, not raw energy, so traces of slightly different
-  // length (dropped last frame etc.) remain comparable.
-  const double base = baseline.averageWatts();
-  return base > 0.0 ? 1.0 - optimized.averageWatts() / base : 0.0;
-}
-
 }  // namespace anno::power

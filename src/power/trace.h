@@ -44,9 +44,4 @@ class PowerTrace {
   std::vector<double> samples_;
 };
 
-/// Relative energy savings of `optimized` vs `baseline`; both traces must be
-/// non-empty.  Positive means `optimized` used less energy.
-[[nodiscard]] double energySavings(const PowerTrace& baseline,
-                                   const PowerTrace& optimized);
-
 }  // namespace anno::power

@@ -57,75 +57,6 @@ double CameraModel::linearize(std::uint8_t code) const {
   return std::pow(response, cfg_.responseGamma) / cfg_.exposure;
 }
 
-ResponseRecovery recoverResponse(const CameraModel& camera,
-                                 const media::GrayImage& patch,
-                                 const std::vector<double>& exposureRatios) {
-  if (exposureRatios.size() < 2) {
-    throw std::invalid_argument("recoverResponse: need >= 2 exposures");
-  }
-  if (patch.empty()) {
-    throw std::invalid_argument("recoverResponse: empty patch");
-  }
-  // Least squares on log(code) = (1/gamma) * log(radiance) + c, over the
-  // centre crop (dodging vignetting) of every exposure.
-  double sx = 0.0, sy = 0.0, sxx = 0.0, sxy = 0.0;
-  int n = 0;
-  std::vector<std::pair<double, double>> points;
-  for (double ratio : exposureRatios) {
-    if (ratio <= 0.0) {
-      throw std::invalid_argument("recoverResponse: exposure ratio <= 0");
-    }
-    CameraConfig cfg = camera.config();
-    cfg.exposure *= ratio;
-    CameraModel exposed(cfg);
-    const media::GrayImage shot = exposed.capture(patch);
-    const int x0 = patch.width() / 4;
-    const int x1 = patch.width() - patch.width() / 4;
-    const int y0 = patch.height() / 4;
-    const int y1 = patch.height() - patch.height() / 4;
-    for (int y = y0; y < y1; ++y) {
-      for (int x = x0; x < x1; ++x) {
-        const std::uint8_t code = shot(x, y);
-        const double radiance =
-            patch(x, y) / 255.0 * camera.config().exposure * ratio;
-        // Skip the saturated/noisy extremes, as Debevec-Malik do with
-        // their weighting function.
-        if (code < 10 || code > 245 || radiance <= 1e-6 || radiance > 1.0) {
-          continue;
-        }
-        const double lx = std::log(radiance);
-        const double ly = std::log(code / 255.0);
-        sx += lx;
-        sy += ly;
-        sxx += lx * lx;
-        sxy += lx * ly;
-        points.emplace_back(lx, ly);
-        ++n;
-      }
-    }
-  }
-  if (n < 8) {
-    throw std::runtime_error(
-        "recoverResponse: not enough usable samples (patch too dark/bright)");
-  }
-  const double denom = n * sxx - sx * sx;
-  if (std::abs(denom) < 1e-12) {
-    throw std::runtime_error("recoverResponse: degenerate exposures");
-  }
-  const double slope = (n * sxy - sx * sy) / denom;
-  const double intercept = (sy - slope * sx) / n;
-  ResponseRecovery result;
-  result.gamma = slope > 1e-9 ? 1.0 / slope : 0.0;
-  result.samplesUsed = n;
-  double sse = 0.0;
-  for (const auto& [lx, ly] : points) {
-    const double e = ly - (slope * lx + intercept);
-    sse += e * e;
-  }
-  result.rmsResidual = std::sqrt(sse / n);
-  return result;
-}
-
 CameraMeter::CameraMeter(CameraConfig cfg, int patchSize)
     : camera_(cfg), patchSize_(patchSize) {
   if (patchSize_ < 8) {

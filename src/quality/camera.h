@@ -9,12 +9,11 @@
 //
 // The model: scene radiance (panel output) -> exposure scaling -> optical
 // vignetting -> monotonic non-linear response curve -> sensor noise -> 8-bit
-// quantization.  The response curve is invertible (linearize()), mirroring
-// Debevec-Malik response recovery, which the characterization flow uses.
+// quantization.  The response curve is invertible (linearize()), which the
+// characterization flow uses.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "display/characterize.h"
 #include "display/device.h"
@@ -59,26 +58,6 @@ class CameraModel {
   CameraConfig cfg_;
   media::SplitMix64 rng_;
 };
-
-/// Recovered camera response (Debevec & Malik, SIGGRAPH'97 -- the paper's
-/// citation [8] for why a digital camera permits objective comparison).
-/// Given snapshots of the same static patch at several known exposure
-/// ratios, fits the monotone power-law response the camera applies, WITHOUT
-/// access to the camera's configuration.  The recovered gamma lets any
-/// third-party validate panels with an uncalibrated camera.
-struct ResponseRecovery {
-  double gamma = 2.2;          ///< fitted response exponent
-  double rmsResidual = 0.0;    ///< fit quality (log-domain)
-  int samplesUsed = 0;
-};
-
-/// Runs the recovery: photographs `patch` (an 8-bit radiance map) through
-/// `camera` at each exposure in `exposureRatios` (relative to the camera's
-/// base exposure) and least-squares fits log(code) vs log(radiance).
-/// Throws std::invalid_argument on fewer than two exposures.
-[[nodiscard]] ResponseRecovery recoverResponse(
-    const CameraModel& camera, const media::GrayImage& patch,
-    const std::vector<double>& exposureRatios);
 
 /// Adapts the camera to the display-characterization LuminanceMeter
 /// interface: photographs a solid patch and averages the linearized centre

@@ -13,6 +13,7 @@
 #include "core/track_cache.h"
 #include "fault/inject.h"
 #include "media/clipgen.h"
+#include "media/rng.h"
 #include "stream/client.h"
 #include "stream/net.h"
 #include "telemetry/metrics.h"
@@ -79,16 +80,6 @@ std::string num(double value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.10g", value);
   return buf;
-}
-
-/// SplitMix64 finalizer: the forced-fault draw for degradation drills must
-/// be a pure function of (mix seed, session id) so the drilled run is as
-/// reproducible as the clean one.
-std::uint64_t splitmix64(std::uint64_t x) noexcept {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
 }
 
 }  // namespace
@@ -455,10 +446,13 @@ FleetSoakReport runSoak(const SoakConfig& cfg) {
       std::uint64_t faultSeed = plan.faultSeed;
       if (cfg.faultInjection && faultSeed == 0 &&
           forcedFaultFraction > 0.0) {
-        // Fault-rate-step drill: a deterministic per-session draw forces
-        // extra arrivals into the fault arm.
+        // Fault-rate-step drill: a deterministic per-session draw -- a pure
+        // function of (mix seed, session id), so the drilled run is as
+        // reproducible as the clean one -- forces extra arrivals into the
+        // fault arm.
         const std::uint64_t draw =
-            splitmix64(mix.config.seed ^ (id * 0x9E3779B97F4A7C15ULL));
+            media::SplitMix64(mix.config.seed ^ (id * 0x9E3779B97F4A7C15ULL))
+                .next();
         if (static_cast<double>(draw >> 11) * 0x1.0p-53 <
             forcedFaultFraction) {
           faultSeed = draw | 1;  // nonzero by construction

@@ -26,6 +26,7 @@
 namespace anno::soak {
 
 void runCannedWorkload(const HarnessOptions& opts) {
+  const bool allArms = !opts.singleSession;
   if (opts.registry != nullptr) {
     core::attachCodecTelemetry(*opts.registry);
     concurrency::attachPoolTelemetry(*opts.registry);
@@ -58,7 +59,7 @@ void runCannedWorkload(const HarnessOptions& opts) {
   std::vector<media::VideoClip> ingest;
   ingest.push_back(std::move(movie));
   std::string proxyClipName = movieName;
-  if (opts.proxySecondClip) {
+  if (allArms) {
     media::VideoClip cartoon =
         media::generatePaperClip(media::PaperClip::kShrek2, 0.06, 64, 48);
     proxyClipName = cartoon.name;
@@ -84,13 +85,13 @@ void runCannedWorkload(const HarnessOptions& opts) {
   if (opts.trace != nullptr) proxy.attachTrace(*opts.trace);
   const auto transcoded =
       proxy.transcode(server.serveRaw(proxyClipName), client.capabilities());
-  if (opts.clientReceivesProxy) (void)client.receive(transcoded);
+  if (allArms) (void)client.receive(transcoded);
 
   // The track the lossy annotation hop carries: per-frame granularity spans
   // dozens of tiny-MTU packets (the interesting erasure case); the default
   // per-scene track keeps single-clip traces lean.
   const std::vector<std::uint8_t> hopTrackBytes = [&] {
-    if (!opts.perFrameLossyTrack) {
+    if (!allArms) {
       return core::encodeTrack(server.entry(movieName).track);
     }
     core::AnnotatorConfig perFrameCfg = annotatorCfg;
@@ -100,7 +101,7 @@ void runCannedWorkload(const HarnessOptions& opts) {
 
   fault::InjectorConfig faultCfg;
   faultCfg.maxMutations = 6;
-  if (opts.faultCorpus) {
+  if (allArms) {
     // Damaged streams: every mutated buffer into the client, which must
     // degrade (fallback, repairs, slew clamps, or ok == false), never throw.
     fault::runCorpus(served, /*masterSeed=*/0x51, /*count=*/8, faultCfg,
@@ -139,9 +140,7 @@ void runCannedWorkload(const HarnessOptions& opts) {
       bytes = fault::applyPlan(bytes, annoPlan);
     }
     (void)client.receive(bytes);
-  }
 
-  if (opts.negotiationMismatch) {
     // A client asking for a quality level the track does not carry must
     // fall back (annotations present but unusable).
     stream::ClientConfig mismatchCfg = clientCfg;
@@ -150,9 +149,7 @@ void runCannedWorkload(const HarnessOptions& opts) {
                                          stream::makeReferencePath());
     if (opts.registry != nullptr) mismatchClient.attachTelemetry(*opts.registry);
     (void)mismatchClient.receive(served);
-  }
 
-  if (opts.lossyVideoHop) {
     // Packetized video delivery + concealment over a lossy 802.11b hop.
     const media::EncodedClip encoded = media::encodeClip(original);
     const stream::Link wireless{"802.11b", 11e6, 0.002, 1500};
@@ -168,7 +165,7 @@ void runCannedWorkload(const HarnessOptions& opts) {
                              /*mtuBytes=*/stream::kPacketHeaderBytes + 24};
   stream::AnnotationDeliveryConfig lossyCfg;
   lossyCfg.channel = {/*packetLossProbability=*/0.30, /*seed=*/0x11};
-  if (opts.annotationHopNoNack) {
+  if (allArms) {
     const auto erased =
         stream::deliverAnnotationTrack(hopTrackBytes, tinyMtu, lossyCfg);
     (void)core::decodeTrackLenient(erased.bytes);
@@ -176,7 +173,7 @@ void runCannedWorkload(const HarnessOptions& opts) {
   lossyCfg.nackEnabled = true;
   (void)stream::deliverAnnotationTrack(hopTrackBytes, tinyMtu, lossyCfg);
 
-  if (opts.faultCorpus) {
+  if (allArms) {
     // Corpus over the encoded track: every mutated buffer must decode
     // leniently (the fault suite's contract).
     fault::runCorpus(hopTrackBytes, /*masterSeed=*/0xC0FFEE, /*count=*/8,
@@ -188,21 +185,18 @@ void runCannedWorkload(const HarnessOptions& opts) {
                      });
   }
 
-  if (opts.sessionSim) {
-    // Playback over a link carrying ~60% of the stream bitrate, so the
-    // session provably stalls (rebuffer spans + buffer_seconds samples).
-    const media::EncodedClip encoded = media::encodeClip(original);
-    const stream::Link wifi = stream::makeReferencePath().lastHop();
-    const double bitrate = static_cast<double>(encoded.totalBytes()) * 8.0 /
-                           original.durationSeconds();
-    stream::SessionSimConfig simCfg;
-    simCfg.startupBufferSeconds = 0.25;
-    simCfg.bufferCapacitySeconds = 1.0;
-    simCfg.trace = opts.trace;
-    (void)stream::simulateSession(
-        encoded, wifi, stream::BandwidthTrace::constant(bitrate * 0.6),
-        simCfg);
-  }
+  // Playback over a link carrying ~60% of the stream bitrate, so the
+  // session provably stalls (rebuffer spans + buffer_seconds samples).
+  const media::EncodedClip encoded = media::encodeClip(original);
+  const stream::Link wifi = stream::makeReferencePath().lastHop();
+  const double bitrate = static_cast<double>(encoded.totalBytes()) * 8.0 /
+                         original.durationSeconds();
+  stream::SessionSimConfig simCfg;
+  simCfg.startupBufferSeconds = 0.25;
+  simCfg.bufferCapacitySeconds = 1.0;
+  simCfg.trace = opts.trace;
+  (void)stream::simulateSession(
+      encoded, wifi, stream::BandwidthTrace::constant(bitrate * 0.6), simCfg);
 
   if (opts.registry != nullptr) {
     core::detachCodecTelemetry();

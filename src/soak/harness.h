@@ -1,8 +1,7 @@
 // The canned server -> proxy -> client -> loss workload shared by the
 // observability tools (tools/metrics_dump, tools/trace_report) and the soak
 // tool's smoke pass.  One end-to-end pass over every layer of the paper's
-// Fig. 1, parameterized by which arms run -- previously duplicated per tool,
-// now one implementation with per-tool flag sets.
+// Fig. 1, either with every arm or narrowed to a single session.
 #pragma once
 
 namespace anno::telemetry {
@@ -12,8 +11,7 @@ class TraceRecorder;
 
 namespace anno::soak {
 
-/// Which arms of the canned workload run.  The defaults are the superset;
-/// each tool narrows to the arms whose events/counters it reports on.
+/// Who observes the canned workload, and whether it runs every arm.
 struct HarnessOptions {
   /// Annotator worker threads (cosmetic: all outputs bit-identical).
   unsigned threads = 1;
@@ -23,32 +21,15 @@ struct HarnessOptions {
   /// When set, every layer's trace hooks attach here (engine scene spans,
   /// server/proxy/client spans, pool + loss events).
   telemetry::TraceRecorder* trace = nullptr;
-  /// Ingest a second clip and run the proxy transcode over its raw bytes
-  /// (false: the proxy re-annotates the primary clip instead, keeping a
-  /// single-clip session timeline).
-  bool proxySecondClip = true;
-  /// Feed the proxy's transcoded stream through the client (false: the
-  /// transcode still runs and is traced, but the client receives only the
-  /// server stream -- keeps single-session timelines reconstructable).
-  bool clientReceivesProxy = true;
-  /// Deterministic fault corpora: mutated served streams into the client,
-  /// annotation-targeted bit flips (partial-repair path), and a corpus over
-  /// the encoded per-frame track through the lenient decoder.
-  bool faultCorpus = true;
-  /// A client negotiating a quality level the track does not carry
-  /// (annotation fallback without damage).
-  bool negotiationMismatch = true;
-  /// Packetized video over a lossy 802.11b hop + concealment decode.
-  bool lossyVideoHop = true;
-  /// Annotation track over a tiny-MTU lossy hop WITHOUT NACK first (erasure
-  /// + lenient decode); the NACK-recovered pass always runs.
-  bool annotationHopNoNack = true;
-  /// Use the per-frame-granularity track for the lossy annotation hop
-  /// (spans dozens of packets); false uses the server's default track.
-  bool perFrameLossyTrack = true;
-  /// Simulated playback over a constrained link (provably stalls once, for
-  /// rebuffer spans in the trace).
-  bool sessionSim = false;
+  /// false: every arm runs -- a second clip for the proxy transcode, the
+  /// proxy's stream into the client, the fault corpora, a negotiation
+  /// mismatch, a lossy video hop and a per-frame track over the lossy
+  /// annotation hop with and without NACK.  true: one clip, one session --
+  /// the proxy re-annotates the primary clip, the client receives only the
+  /// server stream and the per-scene track crosses the hop with NACK only,
+  /// so a single-session timeline stays reconstructable.  The server path
+  /// and the stalling playback simulation run either way.
+  bool singleSession = false;
 };
 
 /// Runs the workload.  Attach/detach of module-level hooks (codec, pool,

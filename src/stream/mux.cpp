@@ -91,14 +91,4 @@ DemuxedStream demux(std::span<const std::uint8_t> bytes) {
   return out;
 }
 
-MuxSizeReport measureMux(const media::EncodedClip& video,
-                         const core::AnnotationTrack* annotations) {
-  MuxSizeReport report;
-  report.videoBytes = media::serializeClip(video).size();
-  report.annotationBytes =
-      annotations != nullptr ? core::encodeTrack(*annotations).size() : 0;
-  report.totalBytes = mux(video, annotations).size();
-  return report;
-}
-
 }  // namespace anno::stream

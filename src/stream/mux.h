@@ -50,23 +50,4 @@ struct DemuxedStream {
 /// throws std::runtime_error if the video section is missing or malformed.
 [[nodiscard]] DemuxedStream demux(std::span<const std::uint8_t> bytes);
 
-/// Section-level size report: how much of the stream is video vs annotation
-/// (the Sec. 4.3 overhead claim, "hundreds of bytes" vs "a few megabytes").
-struct MuxSizeReport {
-  std::size_t totalBytes = 0;
-  std::size_t videoBytes = 0;
-  std::size_t annotationBytes = 0;
-
-  [[nodiscard]] double annotationOverhead() const noexcept {
-    return totalBytes > 0
-               ? static_cast<double>(annotationBytes) /
-                     static_cast<double>(totalBytes)
-               : 0.0;
-  }
-};
-
-[[nodiscard]] MuxSizeReport measureMux(
-    const media::EncodedClip& video,
-    const core::AnnotationTrack* annotations = nullptr);
-
 }  // namespace anno::stream

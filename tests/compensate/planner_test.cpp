@@ -1,4 +1,3 @@
-#include "compensate/compensate.h"
 #include "compensate/planner.h"
 
 #include <gtest/gtest.h>
@@ -122,24 +121,6 @@ TEST(Planner, HistogramValidation) {
   EXPECT_THROW((void)planForHistogram(ipaq(), h, 1.0), std::invalid_argument);
 }
 
-TEST(Prediction, CompensatedHistogramMatchesActualOnGray) {
-  // Gray content: luma scales exactly, so prediction == measurement.
-  media::Image img(16, 16);
-  media::SplitMix64 rng(9);
-  for (media::Rgb8& p : img.pixels()) {
-    const auto v = static_cast<std::uint8_t>(rng.below(200));
-    p = media::Rgb8{v, v, v};
-  }
-  const double k = 1.6;
-  const media::Histogram predicted =
-      predictCompensatedHistogram(media::Histogram::ofImage(img), k);
-  const media::Histogram actual =
-      media::Histogram::ofImage(contrastEnhance(img, k));
-  // Rounding can shift single codes; EMD must be tiny.
-  EXPECT_LT(media::Histogram::earthMovers(predicted, actual), 0.6);
-  EXPECT_EQ(predicted.total(), actual.total());
-}
-
 TEST(Prediction, PerceivedHistogramClampsAtCeiling) {
   media::Histogram hist;
   hist.add(50, 80);
@@ -173,63 +154,6 @@ TEST(Prediction, EmdGrowsWithAggressiveDimming) {
     EXPECT_GE(emd, prev - 1e-9) << "q=" << q;
     prev = emd;
   }
-}
-
-TEST(QualityThreshold, ContractIsRespected) {
-  media::SplitMix64 rng(11);
-  for (int trial = 0; trial < 8; ++trial) {
-    media::Histogram hist;
-    for (int i = 0; i < 3000; ++i) {
-      hist.add(static_cast<std::uint8_t>(rng.below(256)));
-    }
-    for (double maxEmd : {0.0, 1.0, 5.0, 20.0}) {
-      const CompensationPlan plan =
-          planForQualityThreshold(ipaq(), hist, maxEmd);
-      EXPECT_LE(predictPerceivedEmd(hist, plan), maxEmd + 1e-9)
-          << "trial=" << trial << " maxEmd=" << maxEmd;
-    }
-  }
-}
-
-TEST(QualityThreshold, LooserContractDimsDeeper) {
-  media::SplitMix64 rng(12);
-  media::Histogram hist;
-  for (int i = 0; i < 3000; ++i) {
-    hist.add(static_cast<std::uint8_t>(rng.below(256)));
-  }
-  int prev = 256;
-  for (double maxEmd : {0.0, 2.0, 8.0, 30.0}) {
-    const CompensationPlan plan =
-        planForQualityThreshold(ipaq(), hist, maxEmd);
-    EXPECT_LE(plan.backlightLevel, prev) << "maxEmd=" << maxEmd;
-    prev = plan.backlightLevel;
-  }
-}
-
-TEST(QualityThreshold, ZeroThresholdClipsNothing) {
-  media::Histogram hist;
-  hist.add(60, 500);
-  hist.add(210, 20);
-  const CompensationPlan plan = planForQualityThreshold(ipaq(), hist, 0.0);
-  EXPECT_GE(plan.lumaCeiling + 1e-9, 210.0);
-  EXPECT_DOUBLE_EQ(plannedClipFraction(plan, hist), 0.0);
-}
-
-TEST(QualityThreshold, Validation) {
-  media::Histogram h;
-  h.add(1, 1);
-  EXPECT_THROW((void)planForQualityThreshold(ipaq(), h, -1.0),
-               std::invalid_argument);
-  media::Histogram empty;
-  EXPECT_THROW((void)planForQualityThreshold(ipaq(), empty, 1.0),
-               std::invalid_argument);
-}
-
-TEST(Prediction, Validation) {
-  media::Histogram h;
-  h.add(1, 1);
-  EXPECT_THROW((void)predictCompensatedHistogram(h, 0.5),
-               std::invalid_argument);
 }
 
 TEST(PlannerAmbient, ZeroAmbientMatchesBasePlanner) {

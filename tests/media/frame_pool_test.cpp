@@ -12,7 +12,6 @@
 
 #include "compensate/compensate.h"
 #include "display/emissive.h"
-#include "display/quantize.h"
 #include "media/clipgen.h"
 #include "media/codec.h"
 #include "media/image.h"
@@ -222,8 +221,6 @@ TEST(FramePoolNoStalePixels, ResizeAndDisplayWriters) {
   expectNoStalePixels([&] { return resizeBilinear(frame, 120, 90); });
   expectNoStalePixels([&] { return resizeBilinear(frame, 200, 150); });
   expectNoStalePixels([&] { return display::dimContent(frame, 0.6); });
-  expectNoStalePixels([&] { return display::quantizeRgb565(frame, false); });
-  expectNoStalePixels([&] { return display::quantizeRgb565(frame, true); });
 }
 
 #ifdef ANNO_TEST_ASAN

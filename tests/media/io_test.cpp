@@ -2,13 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <random>
 
-#include <fstream>
-
-#include "media/luminance.h"
 #include "media/rng.h"
 
 namespace anno::media {
@@ -26,6 +25,11 @@ class IoTest : public ::testing::Test {
 
   std::string path(const std::string& name) { return (dir_ / name).string(); }
 
+  static std::string readAll(const std::string& file) {
+    std::ifstream f(file, std::ios::binary);
+    return {std::istreambuf_iterator<char>(f), {}};
+  }
+
   std::filesystem::path dir_;
 };
 
@@ -38,7 +42,13 @@ TEST_F(IoTest, PpmRoundtrip) {
              static_cast<std::uint8_t>(rng.below(256))};
   }
   writePpm(img, path("a.ppm"));
-  EXPECT_EQ(readPpm(path("a.ppm")), img);
+  const std::string header = "P6\n13 7\n255\n";
+  const std::string bytes = readAll(path("a.ppm"));
+  ASSERT_EQ(bytes.size(), header.size() + img.pixelCount() * 3);
+  EXPECT_EQ(bytes.substr(0, header.size()), header);
+  EXPECT_EQ(std::memcmp(bytes.data() + header.size(), img.pixels().data(),
+                        img.pixelCount() * 3),
+            0);
 }
 
 TEST_F(IoTest, PgmRoundtrip) {
@@ -48,74 +58,18 @@ TEST_F(IoTest, PgmRoundtrip) {
     p = static_cast<std::uint8_t>(rng.below(256));
   }
   writePgm(img, path("a.pgm"));
-  EXPECT_EQ(readPgm(path("a.pgm")), img);
+  const std::string header = "P5\n9 11\n255\n";
+  const std::string bytes = readAll(path("a.pgm"));
+  ASSERT_EQ(bytes.size(), header.size() + img.pixelCount());
+  EXPECT_EQ(bytes.substr(0, header.size()), header);
+  EXPECT_EQ(std::memcmp(bytes.data() + header.size(), img.pixels().data(),
+                        img.pixelCount()),
+            0);
 }
 
 TEST_F(IoTest, WriteEmptyThrows) {
   EXPECT_THROW(writePpm(Image{}, path("x.ppm")), std::invalid_argument);
   EXPECT_THROW(writePgm(GrayImage{}, path("x.pgm")), std::invalid_argument);
-}
-
-TEST_F(IoTest, ReadMissingFileThrows) {
-  EXPECT_THROW((void)readPpm(path("missing.ppm")), std::runtime_error);
-  EXPECT_THROW((void)readPgm(path("missing.pgm")), std::runtime_error);
-}
-
-TEST_F(IoTest, ReadWrongMagicThrows) {
-  GrayImage g(2, 2, 7);
-  writePgm(g, path("g.pgm"));
-  EXPECT_THROW((void)readPpm(path("g.pgm")), std::runtime_error);
-}
-
-TEST_F(IoTest, Y4mRoundtripLosslessInYcbcr) {
-  // RGB<->YCbCr is lossy in the last bit, so compare luma planes, which
-  // round-trip within a code value.
-  SplitMix64 rng(3);
-  VideoClip clip;
-  clip.name = "t";
-  clip.fps = 12.5;
-  for (int i = 0; i < 3; ++i) {
-    Image frame(16, 8);
-    for (Rgb8& p : frame.pixels()) {
-      p = Rgb8{static_cast<std::uint8_t>(rng.below(256)),
-               static_cast<std::uint8_t>(rng.below(256)),
-               static_cast<std::uint8_t>(rng.below(256))};
-    }
-    clip.frames.push_back(std::move(frame));
-  }
-  writeY4m(clip, path("t.y4m"));
-  const VideoClip back = readY4m(path("t.y4m"));
-  ASSERT_EQ(back.frames.size(), 3u);
-  EXPECT_NEAR(back.fps, 12.5, 1e-9);
-  EXPECT_EQ(back.width(), 16);
-  EXPECT_EQ(back.height(), 8);
-  for (std::size_t i = 0; i < 3; ++i) {
-    const GrayImage a = lumaPlane(clip.frames[i]);
-    const GrayImage b = lumaPlane(back.frames[i]);
-    for (std::size_t px = 0; px < a.pixelCount(); ++px) {
-      EXPECT_NEAR(a.pixels()[px], b.pixels()[px], 2.0);
-    }
-  }
-}
-
-TEST_F(IoTest, Y4mHeaderIsStandard) {
-  VideoClip clip;
-  clip.fps = 12.0;
-  clip.frames.assign(1, Image(4, 4));
-  writeY4m(clip, path("h.y4m"));
-  std::ifstream f(path("h.y4m"));
-  std::string header;
-  std::getline(f, header);
-  EXPECT_EQ(header, "YUV4MPEG2 W4 H4 F12000:1000 Ip A1:1 C444");
-}
-
-TEST_F(IoTest, Y4mValidation) {
-  EXPECT_THROW((void)readY4m(path("missing.y4m")), std::runtime_error);
-  VideoClip empty;
-  EXPECT_THROW(writeY4m(empty, path("x.y4m")), std::invalid_argument);
-  // A PGM is not a Y4M.
-  writePgm(GrayImage(2, 2, 1), path("not.y4m"));
-  EXPECT_THROW((void)readY4m(path("not.y4m")), std::runtime_error);
 }
 
 TEST_F(IoTest, CsvRendering) {

@@ -64,17 +64,5 @@ TEST(Pixel, ClipsWhenScaledMatchesScaleSaturation) {
   EXPECT_TRUE(clipsWhenScaled(p, 2.1));    // 128*2.1 = 268.8
 }
 
-TEST(Pixel, MaxScaleWithoutClipExact) {
-  const Rgb8 p{100, 200, 50};
-  const double k = maxScaleWithoutClip(p);
-  EXPECT_NEAR(k, 255.0 / 200.0, 1e-12);
-  EXPECT_FALSE(clipsWhenScaled(p, k));
-  EXPECT_TRUE(clipsWhenScaled(p, k * 1.001));
-}
-
-TEST(Pixel, MaxScaleOfBlackIsHuge) {
-  EXPECT_GT(maxScaleWithoutClip(Rgb8{0, 0, 0}), 1e8);
-}
-
 }  // namespace
 }  // namespace anno::media

@@ -44,29 +44,5 @@ TEST(PowerTrace, AppendMismatchedRateThrows) {
   EXPECT_THROW(a.append(b), std::invalid_argument);
 }
 
-TEST(EnergySavings, ComputesRelativeReduction) {
-  PowerTrace base(1.0), opt(1.0);
-  base.append(10.0);
-  base.append(10.0);
-  opt.append(8.0);
-  opt.append(8.0);
-  EXPECT_NEAR(energySavings(base, opt), 0.2, 1e-12);
-}
-
-TEST(EnergySavings, LengthRobust) {
-  // Compares average power, so a dropped trailing sample barely matters.
-  PowerTrace base(1.0), opt(1.0);
-  for (int i = 0; i < 100; ++i) base.append(10.0);
-  for (int i = 0; i < 99; ++i) opt.append(5.0);
-  EXPECT_NEAR(energySavings(base, opt), 0.5, 1e-9);
-}
-
-TEST(EnergySavings, EmptyThrows) {
-  PowerTrace base(1.0), opt(1.0);
-  base.append(1.0);
-  EXPECT_THROW((void)energySavings(base, opt), std::invalid_argument);
-  EXPECT_THROW((void)energySavings(opt, base), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace anno::power

@@ -117,45 +117,6 @@ TEST(CameraMeter, TracksIdealMeterClosely) {
   EXPECT_NEAR(camRatio, idealRatio, 0.05);
 }
 
-TEST(ResponseRecovery, RecoversConfiguredGamma) {
-  // Debevec-Malik-style multi-exposure recovery should find the camera's
-  // response exponent without reading its configuration.
-  for (double trueGamma : {1.8, 2.2, 2.6}) {
-    CameraConfig cfg;
-    cfg.responseGamma = trueGamma;
-    cfg.noiseRms = 0.4;
-    cfg.vignetting = 0.1;
-    CameraModel cam(cfg);
-    // Mid-gray gradient patch.
-    media::GrayImage patch(48, 48);
-    for (int y = 0; y < 48; ++y) {
-      for (int x = 0; x < 48; ++x) {
-        patch(x, y) = static_cast<std::uint8_t>(60 + 3 * x);
-      }
-    }
-    const ResponseRecovery r =
-        recoverResponse(cam, patch, {0.25, 0.5, 1.0});
-    EXPECT_NEAR(r.gamma, trueGamma, 0.12) << "true gamma " << trueGamma;
-    EXPECT_GT(r.samplesUsed, 100);
-    EXPECT_LT(r.rmsResidual, 0.2);
-  }
-}
-
-TEST(ResponseRecovery, Validation) {
-  CameraModel cam;
-  media::GrayImage patch(16, 16, 128);
-  EXPECT_THROW((void)recoverResponse(cam, patch, {1.0}),
-               std::invalid_argument);
-  EXPECT_THROW((void)recoverResponse(cam, media::GrayImage{}, {0.5, 1.0}),
-               std::invalid_argument);
-  EXPECT_THROW((void)recoverResponse(cam, patch, {0.0, 1.0}),
-               std::invalid_argument);
-  // All-black patch: no usable samples.
-  media::GrayImage black(16, 16, 0);
-  EXPECT_THROW((void)recoverResponse(cam, black, {0.5, 1.0}),
-               std::runtime_error);
-}
-
 TEST(CameraMeter, PatchSizeValidation) {
   EXPECT_THROW(CameraMeter(CameraConfig{}, 4), std::invalid_argument);
 }

@@ -102,12 +102,13 @@ TEST(Mux, AnnotationOverheadTiny) {
   // The paper's headline overhead claim: annotations are a vanishing
   // fraction of the stream.
   Fixture f;
-  const MuxSizeReport report = measureMux(f.encoded, &f.track);
-  EXPECT_GT(report.videoBytes, 0u);
-  EXPECT_GT(report.annotationBytes, 0u);
-  EXPECT_LT(report.annotationOverhead(), 0.01);
-  EXPECT_EQ(report.totalBytes,
-            mux(f.encoded, &f.track).size());
+  const std::size_t annotationBytes = core::encodeTrack(f.track).size();
+  const std::size_t totalBytes = mux(f.encoded, &f.track).size();
+  EXPECT_GT(annotationBytes, 0u);
+  EXPECT_GT(totalBytes, annotationBytes);
+  EXPECT_LT(static_cast<double>(annotationBytes) /
+                static_cast<double>(totalBytes),
+            0.01);
 }
 
 }  // namespace

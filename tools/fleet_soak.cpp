@@ -129,9 +129,7 @@ int main(int argc, char** argv) {
     bool smokeOk = true;
     std::string detail = "server->proxy->client->loss, fault corpora live";
     try {
-      soak::HarnessOptions smoke;
-      smoke.sessionSim = true;
-      soak::runCannedWorkload(smoke);
+      soak::runCannedWorkload({});
     } catch (const std::exception& e) {
       smokeOk = false;
       detail = fmt("threw: %s", e.what());

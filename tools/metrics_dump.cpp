@@ -32,8 +32,7 @@ namespace {
 /// and annotation delivery with and without NACK, and a fault corpus over
 /// the encoded annotation track.  Everything records into `registry`.
 /// The workload itself is the shared canned harness (soak/harness.h) with
-/// every metrics-relevant arm enabled -- the same pass tools/trace_report
-/// traces and tools/fleet_soak smoke-tests.
+/// every arm -- the same pass tools/fleet_soak smoke-tests.
 void runWorkload(telemetry::Registry& registry, unsigned threads) {
   soak::HarnessOptions opts;
   opts.threads = threads;

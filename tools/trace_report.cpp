@@ -50,14 +50,7 @@ void runTracedWorkload(telemetry::TraceRecorder& trace, unsigned threads) {
   soak::HarnessOptions opts;
   opts.threads = threads;
   opts.trace = &trace;
-  opts.proxySecondClip = false;
-  opts.clientReceivesProxy = false;
-  opts.faultCorpus = false;
-  opts.negotiationMismatch = false;
-  opts.lossyVideoHop = false;
-  opts.annotationHopNoNack = false;
-  opts.perFrameLossyTrack = false;
-  opts.sessionSim = true;
+  opts.singleSession = true;
   soak::runCannedWorkload(opts);
 }
 
