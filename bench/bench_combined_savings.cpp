@@ -50,7 +50,7 @@ int main() {
         bl.reports[kQ].backlightEnergyJ / duration;
 
     // --- CPU: DVFS from the complexity annotation. ------------------------
-    const media::EncodedClip enc = media::encodeClip(clip, {75, 12, 1.5});
+    const media::EncodedClip enc = media::encodeClip(clip, {75, 12});
     const power::ComplexityTrack complexity =
         power::ComplexityTrack::fromEncodedClip(enc, work);
     const double cpuBase =

@@ -33,7 +33,7 @@ int main() {
         media::PaperClip::kOfficeXp}) {
     const media::VideoClip clip =
         media::generatePaperClip(clipId, 0.10, 96, 72);
-    const media::EncodedClip enc = media::encodeClip(clip, {75, 12, 1.5});
+    const media::EncodedClip enc = media::encodeClip(clip, {75, 12});
     const power::ComplexityTrack track =
         power::ComplexityTrack::fromEncodedClip(enc, work);
 

@@ -19,7 +19,7 @@ int main() {
   bench::Table table({"gop", "stream_KB", "loss_pct", "concealed_frames",
                       "mean_psnr_db"});
   for (int gop : {1, 6, 12, 24}) {
-    const media::EncodedClip enc = media::encodeClip(clip, {75, gop, 1.5});
+    const media::EncodedClip enc = media::encodeClip(clip, {75, gop});
     for (double loss : {0.0, 0.01, 0.05}) {
       const stream::ConcealedPlayback out = stream::decodeWithConcealment(
           enc, stream::deliverFrames(enc, wifi, {loss, 11}));

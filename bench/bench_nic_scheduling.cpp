@@ -21,7 +21,7 @@ int main() {
        {media::PaperClip::kTheMovie, media::PaperClip::kIceAge}) {
     const media::VideoClip clip =
         media::generatePaperClip(clipId, 0.15, 96, 72);
-    const media::EncodedClip enc = media::encodeClip(clip, {75, 12, 1.5});
+    const media::EncodedClip enc = media::encodeClip(clip, {75, 12});
     std::vector<std::size_t> wireBytes;
     wireBytes.reserve(enc.frames.size());
     for (const media::EncodedFrame& f : enc.frames) {

@@ -15,7 +15,7 @@ int main() {
       "Streaming-session dynamics: startup & stalls over 802.11b");
   const media::VideoClip clip =
       media::generatePaperClip(media::PaperClip::kSpiderman2, 0.12, 96, 72);
-  const media::EncodedClip encoded = media::encodeClip(clip, {75, 12, 1.5});
+  const media::EncodedClip encoded = media::encodeClip(clip, {75, 12});
   const core::AnnotationTrack track = core::annotateClip(clip);
   const std::size_t annoBytes = core::encodeTrack(track).size();
   const stream::Link wifi = stream::makeReferencePath().lastHop();

@@ -54,16 +54,14 @@ void detachFaultTelemetry() noexcept {
 
 namespace {
 
-std::vector<MutationKind> enabledKinds(const InjectorConfig& cfg) {
-  std::vector<MutationKind> kinds;
-  if (cfg.bitFlips) kinds.push_back(MutationKind::kBitFlip);
-  if (cfg.byteSets) kinds.push_back(MutationKind::kByteSet);
-  if (cfg.truncations) kinds.push_back(MutationKind::kTruncate);
-  if (cfg.duplications) kinds.push_back(MutationKind::kDuplicate);
-  if (cfg.chunkDrops) kinds.push_back(MutationKind::kChunkDrop);
-  if (cfg.reorders) kinds.push_back(MutationKind::kReorder);
-  return kinds;
-}
+/// Every real mutation kind, in the order plans draw them.
+constexpr std::array<MutationKind, 6> kKinds = {
+    MutationKind::kBitFlip,   MutationKind::kByteSet,
+    MutationKind::kTruncate,  MutationKind::kDuplicate,
+    MutationKind::kChunkDrop, MutationKind::kReorder};
+
+/// Cap on a duplicate/drop/reorder chunk's size.
+constexpr std::size_t kMaxChunkBytes = 64;
 
 /// Applies one mutation in place; returns the as-applied (clamped) mutation,
 /// or kIdentity if the buffer state made it a no-op.
@@ -155,10 +153,6 @@ InjectionPlan planInjections(std::uint64_t seed, std::size_t bufferSize,
   if (cfg.maxMutations == 0) {
     throw std::invalid_argument("planInjections: maxMutations must be > 0");
   }
-  const std::vector<MutationKind> kinds = enabledKinds(cfg);
-  if (kinds.empty()) {
-    throw std::invalid_argument("planInjections: no mutation kinds enabled");
-  }
   media::SplitMix64 rng(seed);
   InjectionPlan plan;
   plan.seed = seed;
@@ -167,9 +161,9 @@ InjectionPlan planInjections(std::uint64_t seed, std::size_t bufferSize,
   plan.mutations.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     Mutation m;
-    m.kind = kinds[rng.below(kinds.size())];
+    m.kind = kKinds[rng.below(kKinds.size())];
     m.offset = rng.below(span);
-    m.length = 1 + rng.below(std::max<std::size_t>(1, cfg.maxChunkBytes));
+    m.length = 1 + rng.below(kMaxChunkBytes);
     m.target = rng.below(span + 1);
     m.value = static_cast<std::uint8_t>(rng.below(256));
     plan.mutations.push_back(m);

@@ -79,22 +79,15 @@ struct InjectionReport {
   [[nodiscard]] bool identity() const noexcept { return mutationsApplied == 0; }
 };
 
-/// Which mutation kinds a plan may draw from and how hard it hits.
+/// How hard a plan hits.  Plans draw from all six real mutation kinds, with
+/// duplicate/drop/reorder chunks of at most 64 bytes.
 struct InjectorConfig {
   std::size_t maxMutations = 4;    ///< plan length is 1..maxMutations
-  std::size_t maxChunkBytes = 64;  ///< cap on duplicate/drop/reorder chunk size
-  bool bitFlips = true;
-  bool byteSets = true;
-  bool truncations = true;
-  bool duplications = true;
-  bool chunkDrops = true;
-  bool reorders = true;
 };
 
 /// Expands `seed` into a mutation plan sized for a `bufferSize`-byte buffer.
 /// Deterministic: same (seed, bufferSize, cfg) -> same plan, on every
-/// platform.  Throws std::invalid_argument if cfg enables nothing or
-/// maxMutations == 0.
+/// platform.  Throws std::invalid_argument if maxMutations == 0.
 [[nodiscard]] InjectionPlan planInjections(std::uint64_t seed,
                                            std::size_t bufferSize,
                                            const InjectorConfig& cfg = {});

@@ -31,6 +31,8 @@ constexpr std::uint8_t kFrameIntra = 0;
 constexpr std::uint8_t kFrameInter = 1;
 constexpr std::uint8_t kBlockSkip = 0;
 constexpr std::uint8_t kBlockDelta = 1;
+/// Mean-abs-difference (per pixel) below which a P block is SKIPped.
+constexpr double kSkipThreshold = 1.5;
 
 /// JPEG-style quality scaling of the base matrix.
 std::array<int, 64> quantMatrix(int quality) {
@@ -360,7 +362,7 @@ EncodedFrame encodeInter(const Planes& cur, const Planes& ref, int w, int h,
     for (int by = 0; by < bh; ++by) {
       for (int bx = 0; bx < bw; ++bx) {
         const double mad = blockMad(cur[p], ref[p], w, h, bx, by);
-        if (mad < cfg.skipThreshold) {
+        if (mad < kSkipThreshold) {
           out.u8(kBlockSkip);
           continue;
         }

@@ -49,8 +49,6 @@ namespace anno::media {
 struct CodecConfig {
   int quality = 75;
   int gopLength = 1;
-  /// Mean-abs-difference (per pixel) below which a P block is SKIPped.
-  double skipThreshold = 1.5;
 };
 
 /// One compressed frame.

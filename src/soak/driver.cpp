@@ -265,10 +265,8 @@ FleetSoakReport runSoak(const SoakConfig& cfg) {
         "Terminal sessions routed through the fault-injection arm");
     monitor = std::make_unique<telemetry::HealthMonitor>(cfg.health.config,
                                                          &registry);
-    if (cfg.health.flightRecorder) {
-      flight = std::make_unique<telemetry::FlightRecorder>(cfg.health.flight);
-      monitor->attachFlightRecorder(flight.get());
-    }
+    flight = std::make_unique<telemetry::FlightRecorder>();
+    monitor->attachFlightRecorder(flight.get());
     sched.attachHealth(monitor.get());
   }
 
@@ -347,8 +345,8 @@ FleetSoakReport runSoak(const SoakConfig& cfg) {
     }
   };
 
-  const std::uint64_t maxTicks =
-      cfg.maxTicks != 0 ? cfg.maxTicks : mix.ticks + 1'000'000;
+  // Safety valve: the drain after the last arrival is bounded.
+  const std::uint64_t maxTicks = mix.ticks + 1'000'000;
   std::size_t nextPlan = 0;
   std::uint64_t prevCacheHits = 0, prevCacheMisses = 0;
   std::uint64_t prevStalls = 0, prevBytes = 0;
@@ -444,8 +442,7 @@ FleetSoakReport runSoak(const SoakConfig& cfg) {
         leavesAt.emplace(t + plan.leaveAfterTicks, id);
       }
       std::uint64_t faultSeed = plan.faultSeed;
-      if (cfg.faultInjection && faultSeed == 0 &&
-          forcedFaultFraction > 0.0) {
+      if (faultSeed == 0 && forcedFaultFraction > 0.0) {
         // Fault-rate-step drill: a deterministic per-session draw -- a pure
         // function of (mix seed, session id), so the drilled run is as
         // reproducible as the clean one -- forces extra arrivals into the
@@ -458,7 +455,7 @@ FleetSoakReport runSoak(const SoakConfig& cfg) {
           faultSeed = draw | 1;  // nonzero by construction
         }
       }
-      if (cfg.faultInjection && faultSeed != 0) {
+      if (faultSeed != 0) {
         faultPending.push_back(
             {id, static_cast<std::uint32_t>(nextPlan), faultSeed});
       }

@@ -35,7 +35,7 @@ namespace anno::soak {
 struct Degradation {
   enum class Kind : std::uint8_t {
     /// Force `magnitude` of arrivals (fraction, 0..1) into the
-    /// fault-injection arm regardless of the mix's faultFraction.
+    /// fault-injection arm regardless of kFaultFraction.
     kFaultRateStep = 0,
     /// Multiply the TrackCache byte budget by `magnitude` (e.g. 1/1024).
     kCacheSqueeze = 1,
@@ -56,13 +56,11 @@ struct Degradation {
 };
 
 /// The soak's live-health arm: when enabled, the serving stack runs with a
-/// registry attached, a HealthMonitor observing every tick, and (optionally)
-/// a FlightRecorder freezing a trace capture on each firing.
+/// registry attached, a HealthMonitor observing every tick, and a
+/// FlightRecorder (default config) freezing a trace capture on each firing.
 struct HealthOptions {
   bool enabled = false;
   telemetry::HealthConfig config;
-  bool flightRecorder = true;
-  telemetry::FlightRecorder::Config flight;
 };
 
 /// Signals + rules tuned to this mix's scale: stall rate < 0.5% of
@@ -88,11 +86,6 @@ struct SoakConfig {
   /// TrackCache byte budget.  The default is generous: the soak measures
   /// sharing; eviction churn has its own suite (tests/soak).
   std::size_t cacheByteBudget = 256u << 20;
-  /// Master switch for the fault-injection arm (mix.faultFraction picks
-  /// the sessions; this gates whether their plans run at all).
-  bool faultInjection = true;
-  /// Safety valve for the tick loop (0 = derived from the mix horizon).
-  std::uint64_t maxTicks = 0;
   /// Live-health arm (off by default: a plain soak pays nothing).
   HealthOptions health;
   /// Deterministic mid-run faults for the health layer to catch.

@@ -137,11 +137,11 @@ std::vector<core::AnnotatorConfig> makeTenantConfigs(std::size_t count) {
   return tenants;
 }
 
-double diurnalWeight(const DiurnalShape& shape, double hourOfDay) {
+double diurnalWeight(double hourOfDay) {
   const double phase =
-      2.0 * std::numbers::pi * (hourOfDay - shape.peakHour) / 24.0;
+      2.0 * std::numbers::pi * (hourOfDay - kDiurnalPeakHour) / 24.0;
   const double raised = 0.5 * (1.0 + std::cos(phase));
-  return shape.troughFraction + (1.0 - shape.troughFraction) * raised;
+  return kDiurnalTroughFraction + (1.0 - kDiurnalTroughFraction) * raised;
 }
 
 std::size_t TrafficMix::uniqueAnnotationKeys() const {
@@ -182,7 +182,7 @@ TrafficMix generateTrafficMix(TrafficMixConfig cfg) {
   for (std::uint64_t t = 0; t < mix.ticks; ++t) {
     const double hour = (static_cast<double>(t) * cfg.tickSeconds /
                          cfg.daySeconds) * 24.0;
-    tickWeight[t] = diurnalWeight(cfg.diurnal, hour);
+    tickWeight[t] = diurnalWeight(hour);
     totalWeight += tickWeight[t];
   }
 
@@ -205,10 +205,10 @@ TrafficMix generateTrafficMix(TrafficMixConfig cfg) {
       const DeviceClass& dc = cfg.deviceClasses[plan.deviceClass];
       plan.bandwidthScale =
           rng.uniform(1.0 - dc.bandwidthJitter, 1.0 + dc.bandwidthJitter);
-      if (rng.uniform() < cfg.faultFraction) {
+      if (rng.uniform() < kFaultFraction) {
         plan.faultSeed = rng.next() | 1;  // nonzero by construction
       }
-      if (rng.uniform() < cfg.leaveFraction) {
+      if (rng.uniform() < kLeaveFraction) {
         // Leave somewhere inside a typical lifetime (a few virtual seconds).
         plan.leaveAfterTicks = 2 + rng.below(40);
       }

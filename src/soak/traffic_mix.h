@@ -63,10 +63,14 @@ struct ContentProfile {
 /// Diurnal arrival-rate shape: a raised cosine over the 24h day.  The rate
 /// at hour h is trough + (peak - trough) * (1 + cos(2*pi*(h - peakHour)/24))/2,
 /// normalized so the schedule lands exactly `sessions` arrivals.
-struct DiurnalShape {
-  double troughFraction = 0.15;  ///< trough rate relative to peak
-  double peakHour = 20.0;        ///< prime time
-};
+inline constexpr double kDiurnalTroughFraction = 0.15;  ///< relative to peak
+inline constexpr double kDiurnalPeakHour = 20.0;        ///< prime time
+
+/// Fraction of sessions that close the player mid-stream.
+inline constexpr double kLeaveFraction = 0.02;
+/// Fraction of sessions whose served bytes additionally run the fault
+/// injector + a real client decode (the soak's live fault-injection arm).
+inline constexpr double kFaultFraction = 0.02;
 
 /// The full mix recipe.  Empty deviceClasses/contentProfiles are filled
 /// with the defaults below at generation time.
@@ -78,15 +82,9 @@ struct TrafficMixConfig {
   /// daySeconds / 24 simulated seconds).
   double daySeconds = 600.0;
   double tickSeconds = 0.1;
-  DiurnalShape diurnal;
   std::vector<DeviceClass> deviceClasses;
   std::vector<ContentProfile> contentProfiles;
   std::size_t tenantCount = 8;
-  /// Fraction of sessions that close the player mid-stream.
-  double leaveFraction = 0.02;
-  /// Fraction of sessions whose served bytes additionally run the fault
-  /// injector + a real client decode (the soak's live fault-injection arm).
-  double faultFraction = 0.02;
 };
 
 /// One planned session: where on the day it arrives and which cell of the
@@ -136,8 +134,7 @@ struct TrafficMix {
     std::size_t count);
 
 /// Relative arrival rate at `hourOfDay` in [0, 24).
-[[nodiscard]] double diurnalWeight(const DiurnalShape& shape,
-                                   double hourOfDay);
+[[nodiscard]] double diurnalWeight(double hourOfDay);
 
 /// Expands a config into the full deterministic schedule.  Throws
 /// std::invalid_argument on a degenerate config (no sessions, bad tick or

@@ -111,8 +111,8 @@ ReceivedStream ClientSession::receive(
   if (out.annotationFallback) {
     // Repair/fallback transitions are not scene-merged like an intact
     // schedule; bound the per-frame delta so they cannot flicker.
-    out.schedule = core::limitSlewRate(
-        out.schedule, cfg_.maxBacklightDeltaPerFrame, &out.slewClampedFrames);
+    out.schedule = core::limitSlewRate(out.schedule, kMaxBacklightDeltaPerFrame,
+                                       &out.slewClampedFrames);
     telemetry::inc(metrics_.annotationFallbacks);
     telemetry::traceInstant(trace_, "annotation_fallback", "client");
     if (out.slewClampedFrames > 0) {

@@ -33,16 +33,17 @@ class TraceRecorder;
 
 namespace anno::stream {
 
+/// Flicker bound applied when the schedule contains repair/fallback
+/// transitions: backlight level moves at most this much per frame across
+/// damage boundaries.  Intact streams are untouched -- their schedules
+/// already merge scenes to minimize switches.
+inline constexpr std::uint8_t kMaxBacklightDeltaPerFrame = 8;
+
 /// Client configuration.
 struct ClientConfig {
   display::DeviceModel device;  ///< the PDA (with characterized transfer)
   std::size_t qualityIndex = 0;
   int minBacklightLevel = 10;
-  /// Flicker bound applied when the schedule contains repair/fallback
-  /// transitions: backlight level moves at most this much per frame across
-  /// damage boundaries (0 = no limiting).  Intact streams are untouched --
-  /// their schedules already merge scenes to minimize switches.
-  std::uint8_t maxBacklightDeltaPerFrame = 8;
 };
 
 /// Everything the client ends up with after one streaming session.

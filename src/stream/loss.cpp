@@ -158,10 +158,6 @@ AnnotationDelivery deliverAnnotationTrack(
     throw std::invalid_argument(
         "deliverAnnotationTrack: loss probability in [0,1)");
   }
-  if (cfg.maxRetransmits < 0 || cfg.rttSeconds < 0.0) {
-    throw std::invalid_argument(
-        "deliverAnnotationTrack: bad NACK parameters");
-  }
   AnnotationDelivery out;
   out.bytes.assign(trackBytes.begin(), trackBytes.end());
   if (trackBytes.empty()) {
@@ -190,8 +186,7 @@ AnnotationDelivery deliverAnnotationTrack(
     bool arrived = rng.uniform() >= cfg.channel.packetLossProbability;
     if (!arrived) ++out.packetsLost;
     std::size_t rounds = 0;
-    while (!arrived && cfg.nackEnabled &&
-           rounds < static_cast<std::size_t>(cfg.maxRetransmits)) {
+    while (!arrived && cfg.nackEnabled && rounds < kMaxAnnotationRetransmits) {
       ++rounds;
       ++out.packetsSent;
       ++out.retransmits;
@@ -220,7 +215,7 @@ AnnotationDelivery deliverAnnotationTrack(
   // sequence number at once), so recovery costs max-rounds RTTs, not
   // per-packet RTTs.
   out.nackRounds = maxRoundsUsed;
-  out.deliverySeconds += static_cast<double>(maxRoundsUsed) * cfg.rttSeconds;
+  out.deliverySeconds += static_cast<double>(maxRoundsUsed) * kNackRttSeconds;
   out.complete = out.erasedSpans.empty();
   if (const LossTelemetry* m = lossTelemetry()) {
     telemetry::inc(m->annoPacketsLost, out.packetsLost);

@@ -89,12 +89,15 @@ struct ConcealedPlayback {
 // damage that decodeTrackLenient repairs with full-backlight spans.
 // ---------------------------------------------------------------------------
 
+/// Per-packet NACK retry budget.
+inline constexpr std::size_t kMaxAnnotationRetransmits = 8;
+/// One NACK round trip (detect + resend).
+inline constexpr double kNackRttSeconds = 0.05;
+
 /// Delivery policy for the annotation track.
 struct AnnotationDeliveryConfig {
   LossyChannel channel;       ///< loss process for annotation packets
   bool nackEnabled = false;   ///< retransmit lost packets
-  int maxRetransmits = 8;     ///< per-packet retry budget
-  double rttSeconds = 0.05;   ///< one NACK round trip (detect + resend)
 };
 
 /// Outcome of delivering one serialized annotation track.

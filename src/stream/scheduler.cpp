@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "concurrency/parallel.h"
-#include "stream/client.h"
 #include "telemetry/health.h"
 #include "telemetry/metrics.h"
 
@@ -26,7 +25,10 @@ SessionScheduler::SessionScheduler(const MediaServer& server, Config cfg)
 std::uint64_t SessionScheduler::join(const FleetSessionConfig& cfg) {
   Session s;
   s.id = nextId_++;
-  s.cfg = cfg;
+  s.bandwidth = cfg.bandwidth;
+  s.startupBufferSeconds = cfg.startupBufferSeconds;
+  s.bufferCapacitySeconds = cfg.bufferCapacitySeconds;
+  s.powerWeight = cfg.powerWeight;
   s.joinedAtSeconds = now_;
 
   // Resolve the stream through the server's stream cache: N sessions of
@@ -76,18 +78,18 @@ bool SessionScheduler::leave(std::uint64_t sessionId) {
 
 bool SessionScheduler::wantsService(const Session& s) const {
   return s.bytesDelivered < static_cast<double>(s.stream->size()) &&
-         s.bufferedSeconds < s.cfg.bufferCapacitySeconds;
+         s.bufferedSeconds < s.bufferCapacitySeconds;
 }
 
 double SessionScheduler::deliverTo(Session& s) const {
   const double elapsed = now_ - s.joinedAtSeconds;
-  const double rate = s.cfg.bandwidth.at(elapsed);  // bits/sec
+  const double rate = s.bandwidth.at(elapsed);  // bits/sec
   double bytes = rate / 8.0 * cfg_.tickSeconds;
   const double remaining =
       static_cast<double>(s.stream->size()) - s.bytesDelivered;
   bytes = std::min(bytes, remaining);
   // Flow control: never deliver past the buffer cap.
-  const double capBytes = (s.cfg.bufferCapacitySeconds - s.bufferedSeconds) *
+  const double capBytes = (s.bufferCapacitySeconds - s.bufferedSeconds) *
                           s.bytesPerContentSecond;
   bytes = std::min(bytes, std::max(0.0, capBytes));
   s.bytesDelivered += bytes;
@@ -131,7 +133,7 @@ void SessionScheduler::advancePlayback(Session& s) {
   const bool fullyDelivered =
       s.bytesDelivered >= static_cast<double>(s.stream->size()) - 1e-6;
   if (!s.started) {
-    if (s.bufferedSeconds >= s.cfg.startupBufferSeconds || fullyDelivered) {
+    if (s.bufferedSeconds >= s.startupBufferSeconds || fullyDelivered) {
       s.started = true;
       s.startupDelaySeconds = now_ + cfg_.tickSeconds - s.joinedAtSeconds;
       s.phase = SessionPhase::kPlaying;
@@ -165,16 +167,6 @@ void SessionScheduler::advancePlayback(Session& s) {
 }
 
 void SessionScheduler::finishSession(Session& s) {
-  if (s.phase == SessionPhase::kCompleted && s.cfg.decodeOnComplete) {
-    // Full end-to-end validation: a real client decodes the exact bytes the
-    // fleet session streamed.
-    ClientConfig clientCfg;
-    clientCfg.device = deviceFromCapabilities(s.cfg.caps);
-    clientCfg.qualityIndex = s.cfg.caps.qualityIndex;
-    clientCfg.minBacklightLevel = s.cfg.caps.minBacklightLevel;
-    const ClientSession client(clientCfg, makeReferencePath());
-    s.decodeOk = client.receive(*s.stream).ok;
-  }
   reports_[s.id] = reportOf(s);
 }
 
@@ -187,7 +179,6 @@ SessionReport SessionScheduler::reportOf(const Session& s) {
   r.stalls = s.stalls;
   r.streamBytes = s.stream->size();
   r.bytesDelivered = static_cast<std::size_t>(s.bytesDelivered);
-  r.decodeOk = s.decodeOk;
   return r;
 }
 
@@ -211,10 +202,10 @@ void SessionScheduler::tick() {
       const auto moreUrgent = [](const Session* a, const Session* b) {
         const double ua = a->started ? a->bufferedSeconds
                                      : a->bufferedSeconds -
-                                           a->cfg.startupBufferSeconds;
+                                           a->startupBufferSeconds;
         const double ub = b->started ? b->bufferedSeconds
                                      : b->bufferedSeconds -
-                                           b->cfg.startupBufferSeconds;
+                                           b->startupBufferSeconds;
         if (ua != ub) return ua < ub;
         return a->id < b->id;
       };
@@ -286,7 +277,7 @@ void SessionScheduler::tick() {
 void SessionScheduler::enterPlaying(const Session& s) {
   ++playingCount_;
   playingPowerMilliwatts_ +=
-      static_cast<std::int64_t>(std::llround(s.cfg.powerWeight * 1000.0));
+      static_cast<std::int64_t>(std::llround(s.powerWeight * 1000.0));
   telemetry::set(metrics_.playing, playingCount_);
   telemetry::set(metrics_.playingPowerMilliwatts, playingPowerMilliwatts_);
 }
@@ -294,7 +285,7 @@ void SessionScheduler::enterPlaying(const Session& s) {
 void SessionScheduler::exitPlaying(const Session& s) {
   --playingCount_;
   playingPowerMilliwatts_ -=
-      static_cast<std::int64_t>(std::llround(s.cfg.powerWeight * 1000.0));
+      static_cast<std::int64_t>(std::llround(s.powerWeight * 1000.0));
   telemetry::set(metrics_.playing, playingCount_);
   telemetry::set(metrics_.playingPowerMilliwatts, playingPowerMilliwatts_);
 }

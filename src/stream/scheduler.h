@@ -75,10 +75,6 @@ struct FleetSessionConfig {
   BandwidthTrace bandwidth = BandwidthTrace::constant(4e6);
   double startupBufferSeconds = 1.0;
   double bufferCapacitySeconds = 8.0;
-  /// When true, the muxed stream is decoded through a real ClientSession on
-  /// completion and the result recorded in the report (full end-to-end
-  /// validation -- intended for small fleets, not 10k-session benches).
-  bool decodeOnComplete = false;
   /// Mean backlight watts this session's annotation schedule saves while it
   /// plays.  Purely observational: it feeds the playing-power gauges the
   /// health layer watches (watts-saved-per-session SLO) and changes no
@@ -95,8 +91,6 @@ struct SessionReport {
   std::size_t stalls = 0;
   std::size_t streamBytes = 0;
   std::size_t bytesDelivered = 0;
-  /// decodeOnComplete verdict (unset when disabled or not yet completed).
-  std::optional<bool> decodeOk;
 
   friend bool operator==(const SessionReport&, const SessionReport&) = default;
 };
@@ -197,10 +191,16 @@ class SessionScheduler {
   }
 
  private:
+  /// What tick() reads of a session: its playback inputs and clock.  The
+  /// join request's clip name, capabilities and tenant config are spent in
+  /// join() and not kept.
   struct Session {
     std::uint64_t id = 0;
     SessionPhase phase = SessionPhase::kBuffering;
-    FleetSessionConfig cfg;
+    BandwidthTrace bandwidth;
+    double startupBufferSeconds = 0.0;
+    double bufferCapacitySeconds = 0.0;
+    double powerWeight = 0.0;
     StreamPtr stream;
     double durationSeconds = 0.0;
     double bytesPerContentSecond = 0.0;
@@ -214,7 +214,6 @@ class SessionScheduler {
     double stallSeconds = 0.0;
     std::size_t stalls = 0;
     bool started = false;
-    std::optional<bool> decodeOk;
   };
 
   struct Telemetry {

@@ -27,18 +27,17 @@ BandwidthTrace BandwidthTrace::periodicDip(double bitsPerSec,
     throw std::invalid_argument("BandwidthTrace::periodicDip: bad parameters");
   }
   BandwidthTrace t;
-  // One period at 10 ms resolution; at() wraps via modulo below, so we bake
-  // repetition by generating a long trace (100 periods covers any clip we
-  // simulate; flat extrapolation beyond is the steady rate).
+  // One period at 10 ms resolution, which at() repeats kDipPeriods times
+  // (covers any clip we simulate); past that it holds the period's last
+  // rate.
   t.stepSeconds_ = 0.01;
   const int stepsPerPeriod =
       std::max(1, static_cast<int>(periodSeconds / t.stepSeconds_));
   const int dipSteps = static_cast<int>(dipSeconds / t.stepSeconds_);
-  for (int period = 0; period < 100; ++period) {
-    for (int s = 0; s < stepsPerPeriod; ++s) {
-      t.rates_.push_back(s < dipSteps ? dipBitsPerSec : bitsPerSec);
-    }
-  }
+  t.rates_.resize(static_cast<std::size_t>(stepsPerPeriod), bitsPerSec);
+  std::fill_n(t.rates_.begin(), std::min(dipSteps, stepsPerPeriod),
+              dipBitsPerSec);
+  t.repeats_ = kDipPeriods;
   return t;
 }
 
@@ -71,7 +70,8 @@ double BandwidthTrace::at(double tSeconds) const {
   if (rates_.empty()) return 0.0;
   if (tSeconds < 0.0) return rates_.front();
   const auto idx = static_cast<std::size_t>(tSeconds / stepSeconds_);
-  return idx < rates_.size() ? rates_[idx] : rates_.back();
+  return idx / rates_.size() < repeats_ ? rates_[idx % rates_.size()]
+                                        : rates_.back();
 }
 
 SessionSimResult simulateSession(const media::EncodedClip& clip,
@@ -99,33 +99,10 @@ SessionSimResult simulateSession(const media::EncodedClip& clip,
 
   SessionSimResult result;
 
-  // Annotation-packet loss/NACK accounting (tentpole: the hundreds-of-bytes
-  // track is recoverable within a NACK round trip).  Retransmitted packets
-  // ride ahead of frame data; unrecovered losses surface to the client as
-  // erasures that decodeTrackLenient repairs.
-  double nackDelaySeconds = 0.0;
-  if (cfg.annotationBytes > 0 &&
-      cfg.annotationDelivery.channel.packetLossProbability > 0.0) {
-    const std::vector<std::uint8_t> trackStandIn(cfg.annotationBytes, 0);
-    const AnnotationDelivery delivery =
-        deliverAnnotationTrack(trackStandIn, link, cfg.annotationDelivery);
-    result.annotationPacketsLost = delivery.packetsLost;
-    result.annotationRetransmits = delivery.retransmits;
-    result.annotationNackRounds = delivery.nackRounds;
-    result.annotationDeliveredIntact = delivery.complete;
-    const std::size_t packetWireBytes =
-        link.mtuBytes > kPacketHeaderBytes ? link.mtuBytes : kPacketHeaderBytes + 1;
-    wireBytes[0] += static_cast<double>(delivery.retransmits * packetWireBytes);
-    nackDelaySeconds = static_cast<double>(delivery.nackRounds) *
-                       cfg.annotationDelivery.rttSeconds;
-  }
-
   double t = 0.0;
   double partialBytes = 0.0;       // of the frame currently in flight
   std::size_t nextDelivery = 0;    // index into wireBytes
   double bufferedSeconds = 0.0;    // content in the jitter buffer
-  double preambleBytesDoneAt = -1.0;  // when preamble bytes finished
-  bool preambleDone = false;
   bool playing = false;
   double playClock = 0.0;          // consumes buffered content
   std::size_t framesPlayed = 0;
@@ -154,15 +131,8 @@ SessionSimResult simulateSession(const media::EncodedClip& clip,
       partialBytes += bandwidth.at(t) / 8.0 * cfg.tickSeconds;
       while (nextDelivery < wireBytes.size() &&
              partialBytes >= wireBytes[nextDelivery]) {
-        if (!preambleDone) {
-          // Preamble bytes are in; NACK recovery of lost annotation
-          // packets holds the line (head-of-line) for whole RTTs.
-          if (preambleBytesDoneAt < 0.0) preambleBytesDoneAt = t;
-          if (t < preambleBytesDoneAt + nackDelaySeconds) break;
-          preambleDone = true;
-        } else {
-          bufferedSeconds += frameSeconds;
-        }
+        // Entry 0 is the preamble; every later entry is a frame.
+        if (nextDelivery > 0) bufferedSeconds += frameSeconds;
         partialBytes -= wireBytes[nextDelivery];
         ++nextDelivery;
       }

@@ -14,7 +14,6 @@
 
 #include "media/codec.h"
 #include "media/rng.h"
-#include "stream/loss.h"
 #include "stream/net.h"
 
 namespace anno::telemetry {
@@ -40,12 +39,17 @@ class BandwidthTrace {
                                    std::uint64_t seed, double stepSeconds,
                                    double durationSeconds);
 
+  /// periodicDip repeats its period this many times; past them the link
+  /// holds the period's last rate.
+  static constexpr std::size_t kDipPeriods = 100;
+
   /// Bandwidth at time t (flat extrapolation beyond the trace).
   [[nodiscard]] double at(double tSeconds) const;
 
  private:
-  std::vector<double> rates_;  ///< one entry per step
+  std::vector<double> rates_;  ///< one entry per step of one repetition
   double stepSeconds_ = 1.0;
+  std::size_t repeats_ = 1;    ///< repetitions of rates_ before flat
 };
 
 /// Client/session parameters.
@@ -59,13 +63,6 @@ struct SessionSimConfig {
   /// Extra bytes delivered before frame 0 (container header + annotation
   /// track): models the annotation overhead's effect on startup.
   std::size_t preambleBytes = 0;
-  /// How much of the preamble is the annotation track; those packets ride
-  /// the lossy channel below (0 = annotation delivery assumed reliable).
-  std::size_t annotationBytes = 0;
-  /// Loss + NACK/retransmit policy for the annotation packets.  With NACK
-  /// enabled, lost annotation packets are resent ahead of frame data
-  /// (head-of-line) and recovery stalls delivery by whole NACK RTTs.
-  AnnotationDeliveryConfig annotationDelivery;
   /// Trace recorder (telemetry/trace.h).  Null = untraced (zero cost).
   /// When attached the simulation emits (cat "session") a
   /// `startup_complete` instant, `rebuffer` spans and periodic
@@ -83,14 +80,6 @@ struct SessionSimResult {
   double sessionSeconds = 0.0;   ///< wall clock until the last frame played
   double maxBufferSeconds = 0.0;
   bool completed = false;
-  /// Annotation-packet robustness accounting (see SessionSimConfig).
-  std::size_t annotationPacketsLost = 0;
-  std::size_t annotationRetransmits = 0;
-  std::size_t annotationNackRounds = 0;
-  /// False when annotation packets stayed lost (no NACK, or retry budget
-  /// exhausted): the client will decode leniently and repair with
-  /// full-backlight spans.
-  bool annotationDeliveredIntact = true;
 
   [[nodiscard]] double stallFraction() const noexcept {
     return sessionSeconds > 0.0 ? rebufferTotalSeconds / sessionSeconds : 0.0;

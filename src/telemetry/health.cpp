@@ -316,16 +316,21 @@ SloWindowValue HealthMonitor::windowValue(const Series& s, std::uint64_t window,
     if (tick + 1 < window || s.firstResolvedTick > tick + 1 - window) {
       return out;
     }
-    double sum = 0.0;
-    double denomSum = 0.0;
-    for (std::uint64_t k = tick + 1 - window; k <= tick; ++k) {
-      const std::size_t i = k % s.cap;
-      sum += s.ring[i];
-      if (s.cfg.kind == HealthSignalKind::kGaugeRatio) {
-        denomSum += s.denomRing[i];
-      }
-    }
+    // The window is at most two contiguous runs of the ring: [start, cap)
+    // then [0, rest).  Summing them in that order adds the samples oldest
+    // first, so the floating-point sum does not depend on the wrap point.
+    const std::size_t start = (tick + 1 - window) % s.cap;
+    const std::size_t first = std::min<std::size_t>(window, s.cap - start);
+    const std::size_t rest = window - first;
+    const auto windowSum = [&](const std::vector<double>& ring) {
+      double sum = 0.0;
+      for (std::size_t i = start; i < start + first; ++i) sum += ring[i];
+      for (std::size_t i = 0; i < rest; ++i) sum += ring[i];
+      return sum;
+    };
+    const double sum = windowSum(s.ring);
     if (s.cfg.kind == HealthSignalKind::kGaugeRatio) {
+      const double denomSum = windowSum(s.denomRing);
       out.value = denomSum > 0.0 ? sum / denomSum : 0.0;
       out.weight = denomSum;
     } else {

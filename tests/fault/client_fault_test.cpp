@@ -120,10 +120,10 @@ TEST(ClientFault, AnnotationSectionCorruptionDegradesGracefully) {
       EXPECT_LE(
           rig.cfg.device.backlightPowerWatts(rx.schedule.levelAt(f)),
           rig.cfg.device.backlightPowerWatts(255) + 1e-12);
-      if (f > 0 && rig.cfg.maxBacklightDeltaPerFrame > 0) {
+      if (f > 0) {
         const int delta = std::abs(static_cast<int>(rx.schedule.levelAt(f)) -
                                    static_cast<int>(rx.schedule.levelAt(f - 1)));
-        EXPECT_LE(delta, static_cast<int>(rig.cfg.maxBacklightDeltaPerFrame))
+        EXPECT_LE(delta, static_cast<int>(kMaxBacklightDeltaPerFrame))
             << "trial " << trial << " frame " << f;
       }
     }

@@ -57,7 +57,7 @@ TEST(CodecFaultCorpus, MutatedPaperClipStreamsDecodeOrThrow) {
     clip.frames.resize(std::min<std::size_t>(clip.frames.size(), 12));
     for (const int gop : {1, 6}) {
       const std::vector<std::uint8_t> base =
-          serializeClip(encodeClip(clip, {75, gop, 1.5}));
+          serializeClip(encodeClip(clip, {75, gop}));
       fault::runCorpus(
           base, seed++, perClip / 2, {},
           [&](std::span<const std::uint8_t> mutated,

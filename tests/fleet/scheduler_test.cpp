@@ -9,6 +9,7 @@
 
 #include "core/track_cache.h"
 #include "media/clipgen.h"
+#include "stream/client.h"
 #include "telemetry/metrics.h"
 
 namespace anno::stream {
@@ -222,14 +223,22 @@ TEST_F(SchedulerTest, RunsAreDeterministic) {
 
 TEST_F(SchedulerTest, DecodeOnCompleteValidatesEndToEnd) {
   SessionScheduler sched(server_);
-  FleetSessionConfig session = fastSession();
-  session.decodeOnComplete = true;
+  const FleetSessionConfig session = fastSession();
   const std::uint64_t id = sched.join(session);
   sched.run();
   const SessionReport r = sched.report(id);
   ASSERT_EQ(r.phase, SessionPhase::kCompleted);
-  ASSERT_TRUE(r.decodeOk.has_value());
-  EXPECT_TRUE(*r.decodeOk) << "fleet-streamed bytes must decode cleanly";
+  // A real client decodes the bytes the fleet session streamed.
+  const std::vector<std::uint8_t> served =
+      server_.serve(session.clipName, session.caps);
+  EXPECT_EQ(r.streamBytes, served.size());
+  ClientConfig clientCfg;
+  clientCfg.device = deviceFromCapabilities(session.caps);
+  clientCfg.qualityIndex = session.caps.qualityIndex;
+  clientCfg.minBacklightLevel = session.caps.minBacklightLevel;
+  const ClientSession client(clientCfg, makeReferencePath());
+  EXPECT_TRUE(client.receive(served).ok)
+      << "fleet-streamed bytes must decode cleanly";
 }
 
 TEST_F(SchedulerTest, IdenticalSessionsShareOneStream) {

@@ -159,7 +159,7 @@ TEST(Codec, ExtremeBlocksAreIdenticalAtEveryLevel) {
   clip.frames = extremeFrames();
   for (const int quality : {1, 30, 75, 95, 100}) {
     for (const int gop : {1, 12}) {
-      const CodecConfig cfg{quality, gop, 0.0};
+      const CodecConfig cfg{quality, gop};
       std::vector<std::uint8_t> wantBytes;
       std::vector<Image> wantFrames;
       {
@@ -278,8 +278,8 @@ TEST(Codec, GopEncodingShrinksStaticContent) {
   // A mostly static synthetic scene: P frames should be far smaller than
   // I frames, so a GOP-coded clip beats intra-only substantially.
   const VideoClip clip = generatePaperClip(PaperClip::kTheMovie, 0.02, 48, 32);
-  CodecConfig intraOnly{75, 1, 1.5};
-  CodecConfig gop{75, 12, 1.5};
+  CodecConfig intraOnly{75, 1};
+  CodecConfig gop{75, 12};
   const EncodedClip a = encodeClip(clip, intraOnly);
   const EncodedClip b = encodeClip(clip, gop);
   EXPECT_LT(b.totalBytes() * 3, a.totalBytes() * 2)
@@ -294,16 +294,16 @@ TEST(Codec, GopEncodingShrinksStaticContent) {
 
 TEST(Codec, GopPatternIsPeriodic) {
   const VideoClip clip = generatePaperClip(PaperClip::kOfficeXp, 0.02, 32, 24);
-  const EncodedClip enc = encodeClip(clip, {75, 6, 1.5});
+  const EncodedClip enc = encodeClip(clip, {75, 6});
   for (std::size_t i = 0; i < enc.frames.size(); ++i) {
     EXPECT_EQ(enc.frames[i].intra, i % 6 == 0) << "frame " << i;
   }
-  EXPECT_THROW((void)encodeClip(clip, {75, 0, 1.5}), std::invalid_argument);
+  EXPECT_THROW((void)encodeClip(clip, {75, 0}), std::invalid_argument);
 }
 
 TEST(Codec, SerializePreservesFrameTypes) {
   const VideoClip clip = generatePaperClip(PaperClip::kOfficeXp, 0.02, 32, 24);
-  const EncodedClip enc = encodeClip(clip, {75, 4, 1.5});
+  const EncodedClip enc = encodeClip(clip, {75, 4});
   const EncodedClip parsed = parseClip(serializeClip(enc));
   ASSERT_EQ(parsed.frames.size(), enc.frames.size());
   for (std::size_t i = 0; i < enc.frames.size(); ++i) {
@@ -332,7 +332,7 @@ class CodecGopSweep : public ::testing::TestWithParam<int> {};
 TEST_P(CodecGopSweep, AnyGopLengthRoundtrips) {
   const int gop = GetParam();
   const VideoClip clip = generatePaperClip(PaperClip::kCatwoman, 0.02, 32, 24);
-  const EncodedClip enc = encodeClip(clip, {80, gop, 1.5});
+  const EncodedClip enc = encodeClip(clip, {80, gop});
   const VideoClip dec = decodeClip(enc);
   ASSERT_EQ(dec.frames.size(), clip.frames.size());
   for (std::size_t i = 0; i < clip.frames.size(); i += 6) {

@@ -63,7 +63,7 @@ TEST(DvfsCpu, Validation) {
 TEST(ComplexityTrack, FromEncodedClipTracksSizes) {
   const media::VideoClip clip =
       media::generatePaperClip(media::PaperClip::kOfficeXp, 0.06, 48, 36);
-  const media::EncodedClip enc = media::encodeClip(clip, {75, 8, 1.5});
+  const media::EncodedClip enc = media::encodeClip(clip, {75, 8});
   const ComplexityTrack track = ComplexityTrack::fromEncodedClip(enc);
   ASSERT_EQ(track.frameMegacycles.size(), enc.frames.size());
   ASSERT_GT(track.frameMegacycles.size(), 9u);

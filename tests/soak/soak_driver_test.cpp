@@ -121,14 +121,6 @@ TEST(SoakDriver, FaultArmLiveAndClientNeverThrows) {
       << "ClientSession::receive must degrade, never throw";
 }
 
-TEST(SoakDriver, FaultInjectionSwitchActuallyGates) {
-  SoakConfig off = smallSoak();
-  off.faultInjection = false;
-  const FleetSoakReport r = runSoak(off);
-  EXPECT_EQ(r.faultSessions, 0u);
-  EXPECT_EQ(r.faultMutationsApplied, 0u);
-}
-
 TEST(SoakDriver, JsonCarriesDeterministicCoreAndMeasuredBlock) {
   const FleetSoakReport r = runSoak(smallSoak());
   const std::string det = deterministicJson(r);

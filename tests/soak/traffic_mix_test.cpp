@@ -62,8 +62,7 @@ TEST(TrafficMix, DiurnalShapePeaksAtPeakHour) {
   const TrafficMix mix = generateTrafficMix(smallConfig());
   // Default shape: peak at hour 20, trough 12 hours away at hour 8.
   EXPECT_GT(mix.arrivalsPerHour[20], 2 * mix.arrivalsPerHour[8]);
-  EXPECT_GT(diurnalWeight(mix.config.diurnal, 20.0),
-            diurnalWeight(mix.config.diurnal, 8.0));
+  EXPECT_GT(diurnalWeight(20.0), diurnalWeight(8.0));
 }
 
 TEST(TrafficMix, TenantFingerprintsDistinct) {
@@ -99,10 +98,8 @@ TEST(TrafficMix, LeaveAndFaultFractionsApproximatelyHonored) {
     if (plan.faultSeed != 0) ++faulted;
   }
   const auto n = static_cast<double>(mix.sessions.size());
-  EXPECT_NEAR(static_cast<double>(leavers) / n, mix.config.leaveFraction,
-              0.01);
-  EXPECT_NEAR(static_cast<double>(faulted) / n, mix.config.faultFraction,
-              0.01);
+  EXPECT_NEAR(static_cast<double>(leavers) / n, kLeaveFraction, 0.01);
+  EXPECT_NEAR(static_cast<double>(faulted) / n, kFaultFraction, 0.01);
   EXPECT_GT(faulted, 0u);
 }
 

@@ -285,9 +285,11 @@ int main(int argc, char** argv) {
     std::size_t contextCounters = 0;
     const double fireMedia =
         static_cast<double>(cap.trigger.tick) * tickSeconds;
-    const double windowStart =
-        fireMedia -
-        2.0 * static_cast<double>(cfg.health.flight.rotateTicks) * tickSeconds;
+    // The soak driver runs its flight recorder at the default config.
+    const double rotateSeconds =
+        static_cast<double>(telemetry::FlightRecorder::Config{}.rotateTicks) *
+        tickSeconds;
+    const double windowStart = fireMedia - 2.0 * rotateSeconds;
     for (const telemetry::TraceSnapshotEvent& ev : cap.snapshot.events) {
       if (ev.name == "slo_fired" && ev.strValue == cap.trigger.rule) {
         sawMarker = true;

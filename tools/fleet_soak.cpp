@@ -175,8 +175,7 @@ int main(int argc, char** argv) {
       fmt("%zu completed + %zu left == %zu joined", report.sessionsCompleted,
           report.sessionsLeft, report.sessionsJoined));
   add(checks, "fault_injection_live",
-      !cfg.faultInjection ||
-          (report.faultSessions > 0 && report.faultMutationsApplied > 0),
+      report.faultSessions > 0 && report.faultMutationsApplied > 0,
       fmt("%zu sessions fault-injected, %zu mutations, %zu undecodable",
           report.faultSessions, report.faultMutationsApplied,
           report.faultUndecodable));
