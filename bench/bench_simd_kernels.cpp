@@ -1,7 +1,9 @@
 // Per-kernel cost of the SIMD dispatch layer (src/media/kernels) at every
 // level available on this machine, against the scalar reference.  This is
-// the PR's acceptance bench: the fused frame profile must beat scalar by
-// >= 2x and the 256-bin EMD by >= 4x on x86-64.  The fixed-point codec
+// the layer's acceptance bench: the fused frame profile must beat scalar by
+// >= 2x and the 256-bin EMD by >= 4x on x86-64 (best of kReps reps).  Each
+// row also reports the reps' median and quartile spread, and whether that
+// spread separates it from scalar.  The fixed-point codec
 // kernels (8x8 DCT/IDCT, quantisation, YCbCr conversion) are timed per
 // block or per frame alongside them.  Every variant's output is
 // checked equal to scalar before its timing is reported; divergence aborts
@@ -37,25 +39,32 @@ constexpr int kWidth = 320;
 constexpr int kHeight = 240;  // the paper's clip resolution
 constexpr int kReps = 9;
 
-/// Times fn() (already iterated internally) and returns best-of-reps
-/// seconds per op.
+/// Times `iters` calls of fn() once per rep and returns the reps' ns per
+/// op, ascending.
 template <typename F>
-double timeOp(std::size_t iters, const F& fn) {
-  double best = 1e300;
-  for (int r = 0; r < kReps; ++r) {
+std::array<double, kReps> timeOp(std::size_t iters, const F& fn) {
+  std::array<double, kReps> ns{};
+  for (double& rep : ns) {
     const Clock::time_point start = Clock::now();
     for (std::size_t i = 0; i < iters; ++i) fn();
     const double s =
         std::chrono::duration<double>(Clock::now() - start).count();
-    best = std::min(best, s / static_cast<double>(iters));
+    rep = 1e9 * s / static_cast<double>(iters);
   }
-  return best;
+  std::sort(ns.begin(), ns.end());
+  return ns;
 }
 
 struct LevelResult {
   Level level;
-  double nsPerOp = 0.0;
-  double speedup = 1.0;  // scalar time / this time
+  double nsPerOp = 0.0;  // best of the reps
+  double medianNs = 0.0;
+  double q1Ns = 0.0;  // quartiles of the reps
+  double q3Ns = 0.0;
+  double speedup = 1.0;  // scalar best / this best
+  /// The level's and scalar's quartile ranges do not overlap, so the
+  /// host's run-to-run spread cannot explain the difference.
+  bool resolved = false;
 };
 
 struct KernelResult {
@@ -113,15 +122,19 @@ int main() {
     KernelResult kr;
     kr.kernel = name;
     kr.opsUnit = unit;
-    double scalarNs = 0.0;
     for (Level level : levels) {
       const KernelTable* table = media::kernels::tableFor(level);
       auto op = makeOp(table);  // returns closure; also checks correctness
+      const std::array<double, kReps> ns = timeOp(iters, op);
       LevelResult lr;
       lr.level = level;
-      lr.nsPerOp = 1e9 * timeOp(iters, op);
-      if (level == Level::kScalar) scalarNs = lr.nsPerOp;
-      lr.speedup = scalarNs > 0.0 ? scalarNs / lr.nsPerOp : 1.0;
+      lr.nsPerOp = ns.front();
+      lr.medianNs = ns[kReps / 2];
+      lr.q1Ns = ns[kReps / 4];
+      lr.q3Ns = ns[3 * kReps / 4];
+      const LevelResult& base = kr.levels.empty() ? lr : kr.levels.front();
+      lr.speedup = base.nsPerOp / lr.nsPerOp;
+      lr.resolved = lr.q3Ns < base.q1Ns || lr.q1Ns > base.q3Ns;
       kr.levels.push_back(lr);
     }
     results.push_back(std::move(kr));
@@ -388,13 +401,20 @@ int main() {
       },
       40);
 
-  bench::Table table({"kernel", "level", "ns/op", "ns/Kelem", "speedup"});
+  // ns/op and speedup are best-of-reps; median and IQR (the distance
+  // between the reps' quartiles) show how far the host moved them.
+  bench::Table table({"kernel", "level", "ns/op", "median", "IQR",
+                      "ns/Kelem", "speedup", "resolved"});
   for (const KernelResult& kr : results) {
     for (const LevelResult& lr : kr.levels) {
       table.addRow({kr.kernel, media::kernels::levelName(lr.level),
-                    bench::fmt(lr.nsPerOp, 1),
+                    bench::fmt(lr.nsPerOp, 1), bench::fmt(lr.medianNs, 1),
+                    bench::fmt(lr.q3Ns - lr.q1Ns, 1),
                     bench::fmt(1000.0 * lr.nsPerOp / kr.opsUnit, 2),
-                    bench::fmt(lr.speedup, 2) + "x"});
+                    bench::fmt(lr.speedup, 2) + "x",
+                    lr.level == Level::kScalar ? "-"
+                    : lr.resolved              ? "yes"
+                                               : "no"});
     }
   }
   table.print();
@@ -438,7 +458,11 @@ int main() {
       json.object()
           .field("level", media::kernels::levelName(lr.level))
           .field("ns_per_op", lr.nsPerOp)
-          .field("speedup_vs_scalar", lr.speedup).end();
+          .field("median_ns_per_op", lr.medianNs)
+          .field("iqr_ns_per_op", lr.q3Ns - lr.q1Ns)
+          .field("speedup_vs_scalar", lr.speedup);
+      if (lr.level != Level::kScalar) json.field("resolved", lr.resolved);
+      json.end();
     }
     json.end().end();
   }

@@ -41,8 +41,7 @@ CompensationPlan planForHistogram(const display::DeviceModel& device,
   const auto budget = static_cast<std::uint64_t>(
       clipFraction * static_cast<double>(sceneHistogram.total()));
   const auto safe = static_cast<std::uint8_t>(
-      media::kernels::active().tailBudgetLevel(sceneHistogram.counts().data(),
-                                               budget));
+      media::kernels::tailBudgetLevel(sceneHistogram.counts().data(), budget));
   return planForLuma(device, safe, minBacklightLevel);
 }
 

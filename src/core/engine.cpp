@@ -108,7 +108,7 @@ std::vector<std::uint8_t> safeLumaLevels(
     }
     const auto budget = static_cast<std::uint64_t>(
         q * static_cast<double>(sceneHistogram.total()));
-    auto safe = static_cast<std::uint8_t>(media::kernels::active().tailBudgetLevel(
+    auto safe = static_cast<std::uint8_t>(media::kernels::tailBudgetLevel(
         sceneHistogram.counts().data(), budget));
     safe = std::min(safe, prev);
     prev = safe;

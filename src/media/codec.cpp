@@ -575,8 +575,17 @@ EncodedClip parseClip(std::span<const std::uint8_t> bytes) {
   const std::size_t nameLen = r.varint();
   auto nameBytes = r.bytes(nameLen);
   clip.name.assign(reinterpret_cast<const char*>(nameBytes.data()), nameLen);
-  clip.width = static_cast<int>(r.varint());
-  clip.height = static_cast<int>(r.varint());
+  // Image's bound, checked before the cast: a larger varint would wrap, and
+  // a width near INT_MAX overflows the decoder's block arithmetic.
+  const auto dimension = [&r] {
+    const std::uint64_t v = r.varint();
+    if (v < 1 || v > static_cast<std::uint64_t>(Image::kMaxDim)) {
+      throw std::runtime_error("parseClip: frame dimension out of range");
+    }
+    return static_cast<int>(v);
+  };
+  clip.width = dimension();
+  clip.height = dimension();
   clip.fps = static_cast<double>(r.varint()) / 1000.0;
   clip.quality = static_cast<int>(r.varint());
   // A frame record is at least a type byte and a one-byte length.

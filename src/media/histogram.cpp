@@ -70,7 +70,7 @@ int Histogram::lowPoint(double trimFraction) const {
   if (total_ == 0) return 0;
   const auto budget = static_cast<std::uint64_t>(
       trimFraction * static_cast<double>(total_));
-  return kernels::active().lowPoint(counts_.data(), budget);
+  return kernels::lowPoint(counts_.data(), budget);
 }
 
 int Histogram::highPoint(double trimFraction) const {
@@ -80,7 +80,7 @@ int Histogram::highPoint(double trimFraction) const {
   if (total_ == 0) return 255;
   const auto budget = static_cast<std::uint64_t>(
       trimFraction * static_cast<double>(total_));
-  return kernels::active().highPoint(counts_.data(), budget);
+  return kernels::highPoint(counts_.data(), budget);
 }
 
 int Histogram::dynamicRange(double trimFraction) const {

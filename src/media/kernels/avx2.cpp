@@ -403,18 +403,6 @@ std::size_t countClippedAvx2(const Rgb8* px, std::size_t n, double k) {
   return clipped + detail::countClippedRange(px + i, n - i, k);
 }
 
-int tailBudgetLevelAvx2(const std::uint64_t* counts, std::uint64_t budget) {
-  return detail::tailBudgetLevelRange(counts, budget);
-}
-
-int lowPointAvx2(const std::uint64_t* counts, std::uint64_t budget) {
-  return detail::lowPointRange(counts, budget);
-}
-
-int highPointAvx2(const std::uint64_t* counts, std::uint64_t budget) {
-  return detail::highPointRange(counts, budget);
-}
-
 /// fdctPass / idctPass lane ops: eight int32 lanes.  Shifts stand in for
 /// the reference's multiplies by 2^n; both are exact (nothing overflows).
 struct Avx2Ops {
@@ -678,7 +666,6 @@ const KernelTable& avx2Table() noexcept {
       Level::kAvx2,        profileRgbAvx2,    profileGrayAvx2,
       maxChannelHistogramAvx2, lumaPlaneAvx2, histAccumulateAvx2,
       emdNumeratorAvx2,    scalePixelsAvx2,   countClippedAvx2,
-      tailBudgetLevelAvx2, lowPointAvx2,      highPointAvx2,
       fdct8x8Avx2,         idct8x8Avx2,       quantizeBlockAvx2,
       rgbToYcbcrPlanesAvx2, ycbcrPlanesToRgbAvx2,
   };

@@ -19,10 +19,8 @@ Level bestLevel() noexcept {
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("popcnt")) {
     return Level::kAvx2;
   }
-  return Level::kSse2;  // x86-64 baseline
-#else
-  return Level::kScalar;
 #endif
+  return Level::kScalar;
 }
 
 /// Resolves the startup table: the ANNO_SIMD env var beats CPU detection.
@@ -40,7 +38,7 @@ const KernelTable* select() {
     } else {
       std::fprintf(stderr,
                    "[anno] ANNO_SIMD=%s not recognized "
-                   "(want scalar|sse2|avx2); using %s kernels\n",
+                   "(want scalar|avx2); using %s kernels\n",
                    env, levelName(bestLevel()));
     }
   }
@@ -53,8 +51,6 @@ const char* levelName(Level level) noexcept {
   switch (level) {
     case Level::kScalar:
       return "scalar";
-    case Level::kSse2:
-      return "sse2";
     case Level::kAvx2:
       return "avx2";
   }
@@ -63,12 +59,36 @@ const char* levelName(Level level) noexcept {
 
 std::optional<Level> parseLevel(std::string_view name) noexcept {
   if (name == "scalar") return Level::kScalar;
-  if (name == "sse2") return Level::kSse2;
   if (name == "avx2") return Level::kAvx2;
   return std::nullopt;
 }
 
 int clipThreshold(double k) noexcept { return detail::clipThreshold(k); }
+
+int tailBudgetLevel(const std::uint64_t* counts,
+                    std::uint64_t budget) noexcept {
+  std::uint64_t above = 0;
+  for (int v = 255; v >= 1; --v) {
+    above += counts[v];
+    if (above > budget) return v;
+  }
+  return 0;
+}
+
+int lowPoint(const std::uint64_t* counts, std::uint64_t budget) noexcept {
+  std::uint64_t seen = 0;
+  for (int v = 0; v < 256; ++v) {
+    seen += counts[v];
+    if (seen > budget) return v;
+  }
+  return 255;
+}
+
+// The same scan as tailBudgetLevel: bin 0 can only yield 0, the
+// not-found answer.
+int highPoint(const std::uint64_t* counts, std::uint64_t budget) noexcept {
+  return tailBudgetLevel(counts, budget);
+}
 
 bool available(Level level) noexcept { return tableFor(level) != nullptr; }
 
@@ -86,8 +106,6 @@ const KernelTable* tableFor(Level level) noexcept {
     case Level::kScalar:
       return &scalarTable();
 #if defined(__x86_64__) || defined(_M_X64)
-    case Level::kSse2:
-      return &sse2Table();
     case Level::kAvx2:
       return (__builtin_cpu_supports("avx2") &&
               __builtin_cpu_supports("popcnt"))

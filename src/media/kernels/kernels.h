@@ -8,9 +8,10 @@
 // live here too: they are the serving hot path (every cache miss encodes a
 // clip, every client decodes one).
 // This layer provides one scalar reference implementation per kernel plus
-// SSE2/AVX2 (x86-64) variants behind a single dispatch table selected once
-// at startup via CPUID.  Other architectures (aarch64 included) run the
-// scalar reference.
+// an AVX2 (x86-64) variant behind a single dispatch table selected once at
+// startup via CPUID.  Every other CPU (x86-64 without AVX2, aarch64) runs
+// the scalar reference.  The histogram tail scans are the same loop at
+// every level, so they are plain functions rather than table entries.
 //
 // THE BIT-IDENTICAL CONTRACT (DESIGN.md sec. 12): every variant of every
 // kernel produces output byte-identical to the scalar reference, on every
@@ -21,8 +22,8 @@
 //     the one the scalar code performs (same multiplies, same adds, same
 //     order, no FMA contraction).  Lanes are pixels, so vectorization
 //     cannot change any pixel's rounding.
-//   * Integer kernels (histogram build/merge, EMD numerator, tail scans,
-//     clipped counting) are exact, so accumulation order is irrelevant and
+//   * Integer kernels (histogram build/merge, EMD numerator, clipped
+//     counting) are exact, so accumulation order is irrelevant and
 //     any lane decomposition gives the same result.
 //   * The codec kernels (8x8 DCT/IDCT, quantisation, YCbCr conversion)
 //     are fixed point on int16/int32 lanes.  Every intermediate is proven
@@ -35,10 +36,11 @@
 //     arguments exactly, which the old incremental-double version was not).
 //
 // Dispatch is overridable for testing with the ANNO_SIMD environment
-// variable (scalar|sse2|avx2); an unavailable or unknown request falls back
-// to the best available level with a one-line stderr warning.  The engine golden suite runs once per
-// available level (tests/engine) and tests/media/kernels_test.cpp
-// property-tests every variant against the scalar reference.
+// variable (scalar|avx2); an unavailable or unknown request falls back to
+// the best available level with a one-line stderr warning.  The engine
+// golden suite runs once per available level (tests/engine) and
+// tests/media/kernels_test.cpp property-tests every variant against the
+// scalar reference.
 #pragma once
 
 #include <array>
@@ -55,10 +57,10 @@ namespace anno::media::kernels {
 /// Exact 128-bit unsigned integer for the EMD numerator (GCC/Clang).
 using Uint128 = unsigned __int128;
 
-/// Dispatch levels, worst to best.  kSse2 and kAvx2 exist only on x86-64
-/// builds; kScalar always exists.
-enum class Level : std::uint8_t { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
-inline constexpr std::size_t kLevelCount = 3;
+/// Dispatch levels, worst to best.  kAvx2 exists only on x86-64 builds;
+/// kScalar always exists.
+enum class Level : std::uint8_t { kScalar = 0, kAvx2 = 1 };
+inline constexpr std::size_t kLevelCount = 2;
 
 [[nodiscard]] const char* levelName(Level level) noexcept;
 [[nodiscard]] std::optional<Level> parseLevel(std::string_view name) noexcept;
@@ -139,18 +141,7 @@ struct KernelTable {
   /// Number of pixels with media::clipsWhenScaled(px[i], k).  k >= 0.
   std::size_t (*countClipped)(const Rgb8* px, std::size_t n, double k);
 
-  /// (5) Tail scans over a 256-bin histogram.
-  /// Smallest v in [1,255] with sum(counts[v..255]) > budget, else 0 --
-  /// the clip-safe luminance scan of clipSafeLuma / safeLumaLevels /
-  /// planForHistogram.
-  int (*tailBudgetLevel)(const std::uint64_t* counts, std::uint64_t budget);
-  /// First v from 0 upward with cumulative count > budget, else 255
-  /// (Histogram::lowPoint body; caller handles the empty histogram).
-  int (*lowPoint)(const std::uint64_t* counts, std::uint64_t budget);
-  /// First v from 255 downward with cumulative count > budget, else 0.
-  int (*highPoint)(const std::uint64_t* counts, std::uint64_t budget);
-
-  /// (6) Codec kernels (media/codec), all integer, so every level is
+  /// (5) Codec kernels (media/codec), all integer, so every level is
   /// byte-identical by construction.  Plane samples are Q5 int16
   /// (kPlaneFracBits).  Coefficients are orthonormal DCT coefficients of
   /// the 8-bit-scale samples, row-major int32.
@@ -171,7 +162,7 @@ struct KernelTable {
                                  const QuantTable& table,
                                  std::int32_t* zigzagOut);
 
-  /// (7) Codec colour conversion, integer BT.601 full range.  RGB to three
+  /// (6) Codec colour conversion, integer BT.601 full range.  RGB to three
   /// Q5 planes (Y, Cb, Cr; 2^15-scaled weights, rounded), and back with
   /// 2^13-scaled weights, rounding once to each 8-bit channel.  The
   /// inverse accepts any int16 sample (decoded planes overshoot).
@@ -188,9 +179,24 @@ struct KernelTable {
 /// clipped-fraction fast path (compensate::clippedFraction).
 [[nodiscard]] int clipThreshold(double k) noexcept;
 
-/// The active table.  Selected once on first use: ANNO_SIMD env var if set,
-/// else the ANNO_SIMD CMake default if non-empty, else the best level the
-/// CPU supports.  A relaxed pointer load thereafter.
+/// Tail scans over a 256-bin histogram, one loop at every level.
+/// Largest v in [1,255] with sum(counts[v..255]) > budget, else 0: the
+/// smallest level with at most `budget` counts above it, the clip-safe
+/// luminance scan of clipSafeLuma / safeLumaLevels / planForHistogram.
+[[nodiscard]] int tailBudgetLevel(const std::uint64_t* counts,
+                                  std::uint64_t budget) noexcept;
+/// Smallest v with sum(counts[0..v]) > budget, else 255
+/// (Histogram::lowPoint body; caller handles the empty histogram).
+[[nodiscard]] int lowPoint(const std::uint64_t* counts,
+                           std::uint64_t budget) noexcept;
+/// Largest v with sum(counts[v..255]) > budget, else 0
+/// (Histogram::highPoint body).
+[[nodiscard]] int highPoint(const std::uint64_t* counts,
+                            std::uint64_t budget) noexcept;
+
+/// The active table.  Selected once on first use: the level the ANNO_SIMD
+/// env var names if it is set and available, else the best level the CPU
+/// supports.  An acquire pointer load thereafter.
 [[nodiscard]] const KernelTable& active() noexcept;
 [[nodiscard]] Level activeLevel() noexcept;
 

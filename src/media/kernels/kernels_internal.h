@@ -19,7 +19,6 @@ namespace anno::media::kernels {
 // ISA flags) and registered by kernels.cpp.
 [[nodiscard]] const KernelTable& scalarTable() noexcept;
 #if defined(__x86_64__) || defined(_M_X64)
-[[nodiscard]] const KernelTable& sse2Table() noexcept;
 [[nodiscard]] const KernelTable& avx2Table() noexcept;
 #endif
 
@@ -45,17 +44,8 @@ inline constexpr std::array<int, 64> kZigzag = [] {
   return z;
 }();
 
-// Scalar kernels (scalar.cpp) that other levels install as they are: the
-// reference every variant matches, for kernels where a level has no vector
-// version that beats it.
-void profileRgbScalar(const Rgb8* px, std::size_t n, FrameProfile& out);
-void lumaPlaneScalar(const Rgb8* px, std::size_t n, std::uint8_t* out);
-void histAccumulateScalar(std::uint64_t* dst, const std::uint64_t* src);
-void fdct8x8Scalar(const std::int16_t* spatial, std::int32_t* freq);
-void idct8x8Scalar(const std::int32_t* freq, std::int16_t* spatial);
-std::uint64_t quantizeBlockScalar(const std::int32_t* freq,
-                                  const QuantTable& table,
-                                  std::int32_t* zigzagOut);
+// Scalar colour conversions (scalar.cpp) that the AVX2 variants run on
+// their ragged tails.
 void rgbToYcbcrPlanesScalar(const Rgb8* px, std::size_t n, std::int16_t* y,
                             std::int16_t* cb, std::int16_t* cr);
 void ycbcrPlanesToRgbScalar(const std::int16_t* y, const std::int16_t* cb,
@@ -352,33 +342,5 @@ inline Uint128 emdNumeratorExact(const std::uint64_t* a, std::uint64_t totalA,
 /// per-bin |cdfA*totalB - cdfB*totalA| <= totalA*totalB <= 2^54, and the
 /// 256-term sum <= 255 * 2^54 < 2^62.
 inline constexpr std::uint64_t kEmdFastMaxTotal = 1ull << 27;
-
-inline int tailBudgetLevelRange(const std::uint64_t* counts,
-                                std::uint64_t budget) {
-  std::uint64_t above = 0;
-  for (int v = 255; v >= 1; --v) {
-    above += counts[v];
-    if (above > budget) return v;
-  }
-  return 0;
-}
-
-inline int lowPointRange(const std::uint64_t* counts, std::uint64_t budget) {
-  std::uint64_t seen = 0;
-  for (int v = 0; v < 256; ++v) {
-    seen += counts[v];
-    if (seen > budget) return v;
-  }
-  return 255;
-}
-
-inline int highPointRange(const std::uint64_t* counts, std::uint64_t budget) {
-  std::uint64_t seen = 0;
-  for (int v = 255; v >= 0; --v) {
-    seen += counts[v];
-    if (seen > budget) return v;
-  }
-  return 0;
-}
 
 }  // namespace anno::media::kernels::detail

@@ -1,6 +1,6 @@
-// Scalar reference kernels: the semantic definition every SIMD variant is
-// property-tested against.  Clarity over speed -- the dispatcher never
-// selects this level on x86-64 (SSE2 is baseline) unless forced with
+// Scalar reference kernels: the semantic definition the AVX2 variants are
+// property-tested against.  Clarity over speed -- the dispatcher selects
+// this level on CPUs without AVX2 (aarch64 included), or when forced with
 // ANNO_SIMD=scalar.
 #include <algorithm>
 #include <cstdint>
@@ -39,39 +39,21 @@ std::size_t countClippedScalar(const Rgb8* px, std::size_t n, double k) {
   return detail::countClippedRange(px, n, k);
 }
 
-int tailBudgetLevelScalar(const std::uint64_t* counts, std::uint64_t budget) {
-  return detail::tailBudgetLevelRange(counts, budget);
-}
-
-int lowPointScalar(const std::uint64_t* counts, std::uint64_t budget) {
-  return detail::lowPointRange(counts, budget);
-}
-
-int highPointScalar(const std::uint64_t* counts, std::uint64_t budget) {
-  return detail::highPointRange(counts, budget);
-}
-
-}  // namespace
-
-namespace detail {
-
 void profileRgbScalar(const Rgb8* px, std::size_t n, FrameProfile& out) {
   out = FrameProfile{};
   int minAcc = 255;
   int maxAcc = 0;
-  profileRgbRange(px, n, out, minAcc, maxAcc);
-  finishProfile(out, n, minAcc, maxAcc);
+  detail::profileRgbRange(px, n, out, minAcc, maxAcc);
+  detail::finishProfile(out, n, minAcc, maxAcc);
 }
 
 void lumaPlaneScalar(const Rgb8* px, std::size_t n, std::uint8_t* out) {
-  lumaPlaneRange(px, n, out);
+  detail::lumaPlaneRange(px, n, out);
 }
 
 void histAccumulateScalar(std::uint64_t* dst, const std::uint64_t* src) {
   for (int v = 0; v < 256; ++v) dst[v] += src[v];
 }
-
-namespace {
 
 /// fdctPass / idctPass lane ops on one int32 (the reference lane).
 struct ScalarOps {
@@ -87,20 +69,20 @@ struct ScalarOps {
   }
 };
 
-}  // namespace
-
 void fdct8x8Scalar(const std::int16_t* spatial, std::int32_t* freq) {
   std::int32_t tmp[64];
   std::int32_t d[8];
   std::int32_t o[8];
   for (int y = 0; y < 8; ++y) {
     for (int x = 0; x < 8; ++x) d[x] = spatial[y * 8 + x];
-    fdctPass<ScalarOps>(d, o, kFdctRowDc, kFdctRowAc);
+    detail::fdctPass<ScalarOps>(d, o, detail::kFdctRowDc,
+                                detail::kFdctRowAc);
     for (int k = 0; k < 8; ++k) tmp[y * 8 + k] = o[k];
   }
   for (int k = 0; k < 8; ++k) {
     for (int y = 0; y < 8; ++y) d[y] = tmp[y * 8 + k];
-    fdctPass<ScalarOps>(d, o, kFdctColDc, kFdctColAc);
+    detail::fdctPass<ScalarOps>(d, o, detail::kFdctColDc,
+                                detail::kFdctColAc);
     for (int j = 0; j < 8; ++j) freq[j * 8 + k] = o[j];
   }
 }
@@ -111,11 +93,11 @@ void idct8x8Scalar(const std::int32_t* freq, std::int16_t* spatial) {
   std::int32_t o[8];
   for (int k = 0; k < 8; ++k) {
     for (int j = 0; j < 8; ++j) in[j] = freq[j * 8 + k];
-    idctPass<ScalarOps>(in, o, kIdctColShift);
+    detail::idctPass<ScalarOps>(in, o, detail::kIdctColShift);
     for (int y = 0; y < 8; ++y) tmp[y * 8 + k] = o[y];
   }
   for (int y = 0; y < 8; ++y) {
-    idctRowPass<ScalarOps>(tmp + y * 8, o);
+    detail::idctRowPass<ScalarOps>(tmp + y * 8, o);
     for (int x = 0; x < 8; ++x) {
       spatial[y * 8 + x] = static_cast<std::int16_t>(
           std::clamp<std::int32_t>(o[x], INT16_MIN, INT16_MAX));
@@ -128,12 +110,16 @@ std::uint64_t quantizeBlockScalar(const std::int32_t* freq,
                                   std::int32_t* zigzagOut) {
   std::uint64_t mask = 0;
   for (int i = 0; i < 64; ++i) {
-    const int z = kZigzag[i];
-    zigzagOut[i] = quantize(freq[z], table.half[i], table.recip[i]);
+    const int z = detail::kZigzag[i];
+    zigzagOut[i] = detail::quantize(freq[z], table.half[i], table.recip[i]);
     mask |= static_cast<std::uint64_t>(zigzagOut[i] != 0) << i;
   }
   return mask;
 }
+
+}  // namespace
+
+namespace detail {
 
 inline std::int16_t toY(int r, int g, int b) {
   return static_cast<std::int16_t>((kYR * r + kYG * g + kYB * b +
@@ -195,14 +181,11 @@ QuantTable makeQuantTable(const int* divisors) {
 
 const KernelTable& scalarTable() noexcept {
   static constexpr KernelTable kTable{
-      Level::kScalar,        detail::profileRgbScalar, profileGrayScalar,
-      maxChannelHistogramScalar, detail::lumaPlaneScalar,
-      detail::histAccumulateScalar,
-      emdNumeratorScalar,    scalePixelsScalar,   countClippedScalar,
-      tailBudgetLevelScalar, lowPointScalar,      highPointScalar,
-      detail::fdct8x8Scalar, detail::idct8x8Scalar,
-      detail::quantizeBlockScalar, detail::rgbToYcbcrPlanesScalar,
-      detail::ycbcrPlanesToRgbScalar,
+      Level::kScalar,      profileRgbScalar,   profileGrayScalar,
+      maxChannelHistogramScalar, lumaPlaneScalar, histAccumulateScalar,
+      emdNumeratorScalar,  scalePixelsScalar,  countClippedScalar,
+      fdct8x8Scalar,       idct8x8Scalar,      quantizeBlockScalar,
+      detail::rgbToYcbcrPlanesScalar, detail::ycbcrPlanesToRgbScalar,
   };
   return kTable;
 }

@@ -41,8 +41,7 @@ std::uint8_t clipSafeLuma(const std::uint64_t (&counts)[256],
   // value with at most `budget` pixels strictly above it.
   const auto budget =
       static_cast<std::uint64_t>(clipFraction * static_cast<double>(totalPixels));
-  return static_cast<std::uint8_t>(
-      kernels::active().tailBudgetLevel(counts, budget));
+  return static_cast<std::uint8_t>(kernels::tailBudgetLevel(counts, budget));
 }
 
 std::uint8_t clipSafeLuma(const Image& img, double clipFraction) {

@@ -115,7 +115,7 @@ void runGoldenMatrix() {
 
 TEST(EngineGolden, AdaptersReproducePreRefactorTracksByteForByte) {
   // Once per available SIMD dispatch level: the goldens were captured from
-  // pure scalar code, so passing here under sse2/avx2 IS the proof of
+  // pure scalar code, so passing here under avx2 IS the proof of
   // the kernel layer's bit-identical contract end-to-end (profiling,
   // accumulate, EMD detector, safe-luma scans, track encoding).
   for (const media::kernels::Level level :

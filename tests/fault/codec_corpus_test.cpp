@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <exception>
+#include <limits>
 
 #include "fault/inject.h"
 #include "media/bitstream.h"
@@ -135,6 +136,23 @@ TEST(CodecFaultCorpus, HugeDeclaredGeometryIsRejectedBeforeAllocating) {
   clip.frames.push_back({{75, 0, 1, 1, 1}, true});
   EXPECT_THROW((void)decodeClip(parseClip(serializeClip(clip))),
                std::runtime_error);
+  // Past Image::kMaxDim the header itself is rejected: a width of INT_MAX
+  // would overflow the decoder's block count.
+  clip.width = std::numeric_limits<int>::max();
+  clip.height = 8;
+  EXPECT_THROW((void)decodeClip(parseClip(serializeClip(clip))),
+               std::runtime_error);
+  // A width varint above INT_MAX, 2^32 + 8, which an int cast would read
+  // as 8.  An unnamed clip's width varint starts at byte 5, after the
+  // magic and the name length.
+  clip.width = 8;
+  const std::vector<std::uint8_t> base = serializeClip(clip);
+  ASSERT_EQ(base[5], 8);
+  ByteWriter w;
+  w.bytes(std::span(base).first(5));
+  w.varint((std::uint64_t{1} << 32) + 8);
+  w.bytes(std::span(base).subspan(6));
+  EXPECT_THROW((void)decodeClip(parseClip(w.data())), std::runtime_error);
 }
 
 }  // namespace

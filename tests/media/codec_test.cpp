@@ -111,7 +111,10 @@ TEST(Codec, ParseRejectsBadMagic) {
 
 TEST(Codec, ParseRejectsTheAv0Magic) {
   // Streams of the previous format (magic "\0AV0") are not decodable.
-  std::vector<std::uint8_t> bytes = serializeClip(EncodedClip{});
+  EncodedClip empty;
+  empty.width = 1;
+  empty.height = 1;
+  std::vector<std::uint8_t> bytes = serializeClip(empty);
   ASSERT_EQ(bytes[0], 0x00);
   ASSERT_EQ(bytes[1], 0x41);  // 'A'
   ASSERT_EQ(bytes[2], 0x56);  // 'V'
@@ -205,7 +208,10 @@ TEST(Codec, ParseRejectsFrameCountLargerThanInput) {
   // error before reserving frame records (bad_alloc, or an ASan abort).
   // An empty clip's container ends in its zero frame count; swap that
   // last byte for the forged count.
-  const std::vector<std::uint8_t> header = serializeClip(EncodedClip{});
+  EncodedClip empty;
+  empty.width = 1;
+  empty.height = 1;
+  const std::vector<std::uint8_t> header = serializeClip(empty);
   ByteWriter w;
   w.bytes(std::span(header).first(header.size() - 1));
   w.varint(std::uint64_t{1} << 40);

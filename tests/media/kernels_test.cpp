@@ -89,9 +89,10 @@ TEST(Kernels, ScalarAlwaysAvailable) {
 }
 
 TEST(Kernels, LevelNamesRoundTrip) {
-  for (Level level : {Level::kScalar, Level::kSse2, Level::kAvx2}) {
+  for (Level level : {Level::kScalar, Level::kAvx2}) {
     EXPECT_EQ(parseLevel(levelName(level)), level);
   }
+  EXPECT_EQ(parseLevel("sse2"), std::nullopt);
   EXPECT_EQ(parseLevel("mmx"), std::nullopt);
   EXPECT_EQ(parseLevel(""), std::nullopt);
 }
@@ -324,25 +325,43 @@ TEST(Kernels, ClipThresholdMatchesPredicateEverywhere) {
 }
 
 TEST(Kernels, TailScansMatchScalar) {
+  // The definitions in kernels.h, brute force: every range sum recomputed
+  // from scratch.
+  const auto sum = [](const std::uint64_t* counts, int lo, int hi) {
+    std::uint64_t s = 0;
+    for (int v = lo; v <= hi; ++v) s += counts[v];
+    return s;
+  };
   SplitMix64 rng(0x7A11);
   for (int trial = 0; trial < 8; ++trial) {
     std::uint64_t counts[256] = {};
-    std::uint64_t total = 0;
     for (std::uint64_t& c : counts) {
       c = trial == 0 ? 0 : rng.next() >> (40 + (trial % 3) * 8);
-      total += c;
     }
-    const std::uint64_t budgets[] = {0, 1, total / 100, total / 10,
-                                     total / 2, total, total + 1};
-    const KernelTable* scalar = tableFor(Level::kScalar);
-    for (Level level : availableLevels()) {
-      const KernelTable* table = tableFor(level);
-      for (std::uint64_t b : budgets) {
-        EXPECT_EQ(table->tailBudgetLevel(counts, b),
-                  scalar->tailBudgetLevel(counts, b));
-        EXPECT_EQ(table->lowPoint(counts, b), scalar->lowPoint(counts, b));
-        EXPECT_EQ(table->highPoint(counts, b), scalar->highPoint(counts, b));
+    const std::uint64_t total = sum(counts, 0, 255);
+    // Exact partial sums put the budget on a scan's boundary.
+    const std::uint64_t budgets[] = {0,         1,
+                                     total / 100, total / 10,
+                                     total / 2, total,
+                                     total + 1, sum(counts, 0, 99),
+                                     sum(counts, 200, 255)};
+    for (std::uint64_t b : budgets) {
+      SCOPED_TRACE(testing::Message() << "trial=" << trial << " budget=" << b);
+      int tail = 0;
+      for (int v = 1; v <= 255; ++v) {
+        if (sum(counts, v, 255) > b) tail = v;  // the largest such v
       }
+      int low = 255;
+      for (int v = 255; v >= 0; --v) {
+        if (sum(counts, 0, v) > b) low = v;  // the smallest such v
+      }
+      int high = 0;
+      for (int v = 0; v <= 255; ++v) {
+        if (sum(counts, v, 255) > b) high = v;  // the largest such v
+      }
+      EXPECT_EQ(tailBudgetLevel(counts, b), tail);
+      EXPECT_EQ(lowPoint(counts, b), low);
+      EXPECT_EQ(highPoint(counts, b), high);
     }
   }
 }
