@@ -175,38 +175,6 @@ int main() {
       },
       20000);
 
-  // (4) Compensation transform and clipped counting.
-  const double kGain = 1.6;
-  std::vector<media::Rgb8> scaledWant(n);
-  scalar->scalePixels(pxA, n, kGain, scaledWant.data());
-  report(
-      "scale_pixels", static_cast<double>(n),
-      [&](const KernelTable* table) {
-        std::vector<media::Rgb8> out(n);
-        table->scalePixels(pxA, n, kGain, out.data());
-        identical = identical &&
-                    std::memcmp(out.data(), scaledWant.data(),
-                                n * sizeof(media::Rgb8)) == 0;
-        return [table, pxA, n, kGain] {
-          static std::vector<media::Rgb8> dst(n);
-          table->scalePixels(pxA, n, kGain, dst.data());
-          g_sink = g_sink + dst[0].r;
-        };
-      },
-      40);
-
-  const std::size_t wantClipped = scalar->countClipped(pxA, n, kGain);
-  report(
-      "count_clipped", static_cast<double>(n),
-      [&](const KernelTable* table) {
-        identical =
-            identical && table->countClipped(pxA, n, kGain) == wantClipped;
-        return [table, pxA, n, kGain] {
-          g_sink = g_sink + table->countClipped(pxA, n, kGain);
-        };
-      },
-      100);
-
   // Max-channel histogram (clip-fraction planning; vectorized this PR).
   std::uint64_t maxHistWant[256] = {};
   scalar->maxChannelHistogram(pxA, n, maxHistWant);
@@ -262,7 +230,7 @@ int main() {
       },
       40);
 
-  // (6) Codec block kernels, one 8x8 block per op, cycling through the
+  // (4) Codec block kernels, one 8x8 block per op, cycling through the
   // blocks of frame A's Q5 luma plane.  Outputs are compared for equality
   // on every block.
   std::vector<std::int16_t> planeY(n);
@@ -356,7 +324,7 @@ int main() {
       },
       200000);
 
-  // (7) Codec colour conversion over the whole frame.
+  // (5) Codec colour conversion over the whole frame.
   report(
       "rgb_to_ycbcr", static_cast<double>(n),
       [&](const KernelTable* table) {

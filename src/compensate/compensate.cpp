@@ -29,7 +29,30 @@ media::Image lumaDomainOp(const media::Image& img, F&& f) {
   return out;
 }
 
+template <typename F>
+ChannelTable tabulate(F&& f) {
+  ChannelTable table;
+  for (int c = 0; c < 256; ++c) table[static_cast<std::size_t>(c)] = f(c);
+  return table;
+}
+
+/// Per-channel op: every channel byte looked up in `table`.
+media::Image applyChannelTable(const media::Image& img,
+                               const ChannelTable& table) {
+  media::Image out(img.width(), img.height(), media::kForOverwrite);
+  auto src = img.pixels();
+  auto dst = out.pixels();
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    dst[i] = media::Rgb8{table[src[i].r], table[src[i].g], table[src[i].b]};
+  }
+  return out;
+}
+
 }  // namespace
+
+ChannelTable gainTable(double k) {
+  return tabulate([k](int c) { return media::clamp8(c * k); });
+}
 
 media::Image contrastEnhance(const media::Image& img, double k,
                              Domain domain) {
@@ -42,10 +65,7 @@ media::Image contrastEnhance(const media::Image& img, double k,
   if (domain == Domain::kLuminance) {
     return lumaDomainOp(img, [k](double y) { return y * k; });
   }
-  media::Image out(img.width(), img.height(), media::kForOverwrite);
-  media::kernels::active().scalePixels(img.pixels().data(), img.pixelCount(),
-                                       k, out.pixels().data());
-  return out;
+  return applyChannelTable(img, gainTable(k));
 }
 
 media::Image brightnessCompensate(const media::Image& img, double delta,
@@ -59,13 +79,8 @@ media::Image brightnessCompensate(const media::Image& img, double delta,
   if (domain == Domain::kLuminance) {
     return lumaDomainOp(img, [delta](double y) { return y + delta; });
   }
-  media::Image out(img.width(), img.height(), media::kForOverwrite);
-  auto src = img.pixels();
-  auto dst = out.pixels();
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    dst[i] = media::offset(src[i], delta);
-  }
-  return out;
+  return applyChannelTable(
+      img, tabulate([delta](int c) { return media::clamp8(c + delta); }));
 }
 
 media::Image applyToneCurve(const media::Image& img, const ToneCurve& curve) {
@@ -121,15 +136,6 @@ double toneCurveMse(const media::Histogram& hist, const ToneCurve& curve,
   return sse / static_cast<double>(hist.total());
 }
 
-double clippedFraction(const media::Image& img, double k) {
-  if (img.empty()) return 0.0;
-  const std::size_t clipped =
-      media::kernels::active().countClipped(img.pixels().data(),
-                                            img.pixelCount(), k);
-  return static_cast<double>(clipped) /
-         static_cast<double>(img.pixelCount());
-}
-
 double clippedFraction(const media::Histogram& maxChannelHist, double k) {
   if (maxChannelHist.total() == 0) return 0.0;
   const int threshold = media::kernels::clipThreshold(k);
@@ -137,19 +143,6 @@ double clippedFraction(const media::Histogram& maxChannelHist, double k) {
   for (int v = threshold; v < 256; ++v) clipped += maxChannelHist.count(v);
   return static_cast<double>(clipped) /
          static_cast<double>(maxChannelHist.total());
-}
-
-double fractionAboveLuma(const media::Image& img, std::uint8_t lumaCeiling) {
-  if (img.empty()) return 0.0;
-  // The profile kernel's histogram answers any ceiling in O(256); at one
-  // fused SIMD pass this also beats the old per-pixel luma8 walk.
-  media::kernels::FrameProfile profile;
-  media::kernels::active().profileRgb(img.pixels().data(), img.pixelCount(),
-                                      profile);
-  std::uint64_t above = 0;
-  for (int v = lumaCeiling + 1; v < 256; ++v) above += profile.hist[v];
-  return static_cast<double>(above) /
-         static_cast<double>(img.pixelCount());
 }
 
 }  // namespace anno::compensate

@@ -24,7 +24,16 @@ enum class Domain {
   kLuminance,   ///< scale luma only, preserve chroma (YCbCr domain)
 };
 
-/// Contrast enhancement: multiply by `k` >= 1 with saturation.
+/// Per-channel code map: every 8-bit channel code to its compensated code.
+using ChannelTable = std::array<std::uint8_t, 256>;
+
+/// Contrast enhancement's code map, table[c] = media::clamp8(c * k): the
+/// expression media::scale evaluates per channel, so looking every channel
+/// byte up in it gives exactly media::scale of every pixel.
+[[nodiscard]] ChannelTable gainTable(double k);
+
+/// Contrast enhancement: multiply by `k` >= 1 with saturation.  Per
+/// channel this is one lookup in gainTable(k).
 [[nodiscard]] media::Image contrastEnhance(const media::Image& img, double k,
                                            Domain domain = Domain::kPerChannel);
 
@@ -54,23 +63,13 @@ using ToneCurve = std::array<std::uint8_t, 256>;
                                   const ToneCurve& curve, double k);
 
 /// Fraction of pixels that saturate in at least one channel when scaled by
-/// `k` (predicts the quality degradation of a given gain).
-[[nodiscard]] double clippedFraction(const media::Image& img, double k);
-
-/// O(256) overload over a max-channel histogram
-/// (media::Histogram::ofMaxChannel).  A pixel clips under gain k iff its
-/// max channel reaches the exact scalar clip threshold for k, so for the
-/// image the histogram was built from this returns EXACTLY the same value
-/// as the pixel-walk overload, for any k >= 0 -- at histogram cost.  Build
-/// the histogram once, then sweep k for free (planner loops, per-frame
-/// telemetry).
+/// `k` >= 0 (predicts the quality degradation of a given gain), from the
+/// image's max-channel histogram (media::Histogram::ofMaxChannel).  A pixel
+/// clips under gain k iff its max channel reaches
+/// media::kernels::clipThreshold(k), so this is exactly the per-pixel
+/// media::clipsWhenScaled count over the pixel count, in O(256).  Build the
+/// histogram once, then sweep k for free.
 [[nodiscard]] double clippedFraction(const media::Histogram& maxChannelHist,
                                      double k);
-
-/// Fraction of pixels whose *luminance* exceeds `lumaCeiling` (the pixels a
-/// plan will clip, per the paper's "fixed percent of the very bright
-/// pixels" heuristic).
-[[nodiscard]] double fractionAboveLuma(const media::Image& img,
-                                       std::uint8_t lumaCeiling);
 
 }  // namespace anno::compensate

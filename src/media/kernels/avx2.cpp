@@ -1,13 +1,14 @@
 // AVX2 kernel variants -- the fast path on every x86-64 CPU from the last
-// decade.  Compiled with -mavx2 -mpopcnt (see src/media/CMakeLists.txt);
+// decade.  Compiled with -mavx2 (see src/media/CMakeLists.txt);
 // kernels.cpp only installs this table after __builtin_cpu_supports
-// confirms both features at runtime.
+// confirms AVX2 at runtime.
 //
-// Bit-identical contract: four pixels per vector, each lane running the
-// scalar double sequence ((cR*r + cG*g) + cB*b) with explicit mul/add
-// intrinsics (no FMA contraction possible), truncating conversions
-// matching the scalar casts, and exact integer arithmetic everywhere else
-// (the codec kernels included).
+// Bit-identical contract: the two floating-point kernels (profileRgb,
+// lumaPlane) run four pixels per vector, each lane running the scalar
+// double sequence ((cR*r + cG*g) + cB*b) with explicit mul/add intrinsics
+// (no FMA contraction possible) and truncating conversions matching the
+// scalar casts; everything else (histograms, EMD, the codec kernels) is
+// exact integer arithmetic.
 // See kernels.h and DESIGN.md sec. 12.
 #if defined(__x86_64__) || defined(_M_X64)
 
@@ -322,87 +323,6 @@ Uint128 emdNumeratorAvx2(const std::uint64_t* a, std::uint64_t totalA,
   return static_cast<Uint128>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
 }
 
-void scalePixelsAvx2(const Rgb8* src, std::size_t n, double k, Rgb8* dst) {
-  if (k < 0.0) {
-    detail::scaleRange(src, n, k, dst);
-    return;
-  }
-  const __m256d kv = _mm256_set1_pd(k);
-  const __m256d half = _mm256_set1_pd(0.5);
-  const __m256d lim = _mm256_set1_pd(255.0);
-  const __m128i pack = _mm_setr_epi8(0, 4, 8, 12, -1, -1, -1, -1,  //
-                                     -1, -1, -1, -1, -1, -1, -1, -1);
-  const std::uint8_t* in = reinterpret_cast<const std::uint8_t*>(src);
-  std::uint8_t* outp = reinterpret_cast<std::uint8_t*>(dst);
-  const std::size_t channels = n * 3;
-  std::size_t c = 0;
-  for (; c + 4 <= channels; c += 4) {
-    std::uint32_t quad;
-    __builtin_memcpy(&quad, in + c, 4);
-    const __m256d v = _mm256_cvtepi32_pd(
-        _mm_cvtepu8_epi32(_mm_cvtsi32_si128(static_cast<int>(quad))));
-    // clamp8(v*k): compare the PRODUCT against 255 (clamp8's order), then
-    // truncate product + 0.5; v*k >= 0 so the low clamp cannot fire.
-    const __m256d y = _mm256_mul_pd(v, kv);
-    __m256d t = _mm256_add_pd(y, half);
-    const __m256d ge = _mm256_cmp_pd(y, lim, _CMP_GE_OQ);
-    t = _mm256_blendv_pd(t, lim, ge);
-    const __m128i yi = _mm256_cvttpd_epi32(t);
-    const std::uint32_t packed = static_cast<std::uint32_t>(
-        _mm_cvtsi128_si32(_mm_shuffle_epi8(yi, pack)));
-    __builtin_memcpy(outp + c, &packed, 4);
-  }
-  for (; c < channels; ++c) {
-    outp[c] = clamp8(static_cast<double>(in[c]) * k);
-  }
-}
-
-std::size_t countClippedAvx2(const Rgb8* px, std::size_t n, double k) {
-  if (k < 0.0) return detail::countClippedRange(px, n, k);
-  const int threshold = detail::clipThreshold(k);
-  if (threshold > 255) return 0;
-  const __m256i tv = _mm256_set1_epi8(static_cast<char>(threshold));
-  const std::uint8_t* bytes = reinterpret_cast<const std::uint8_t*>(px);
-  std::size_t clipped = 0;
-  std::size_t i = 0;
-  // 32 pixels = 96 bytes per iteration; movemask bit j maps to byte j of
-  // the load, i.e. pixel j/3 channel j%3.
-  for (; i + 32 <= n; i += 32) {
-    const std::uint8_t* blk = bytes + 3 * i;
-    std::uint64_t lo = 0;
-    std::uint64_t hi = 0;
-    for (int part = 0; part < 3; ++part) {
-      const __m256i v = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(blk + 32 * part));
-      const __m256i ge = _mm256_cmpeq_epi8(_mm256_max_epu8(v, tv), v);
-      const std::uint64_t m = static_cast<std::uint32_t>(
-          _mm256_movemask_epi8(ge));
-      if (part == 0) {
-        lo |= m;
-      } else if (part == 1) {
-        lo |= m << 32;
-      } else {
-        hi |= m;
-      }
-    }
-    // Fold the 96 channel bits into one bit per pixel (bit 3p of lo/hi
-    // after OR-ing each group of three).
-    const std::uint64_t loBits = lo | (lo >> 1) | (lo >> 2);
-    const std::uint64_t hiBits = hi | (hi >> 1) | (hi >> 2);
-    // Channel bit 64 = pixel 21 channel 1 etc.: handle the seam exactly by
-    // recombining the straddled pixel (pixel 21 spans bits 63..64).
-    // Simpler: pixels 0..20 live entirely in lo (bits 0..62), pixels
-    // 22..31 entirely in hi (bits 2..31 of hi<<?), pixel 21 spans.
-    clipped += static_cast<std::size_t>(
-        __builtin_popcountll(loBits & 0x1249249249249249ull));  // pixels 0..20
-    const bool seam = ((lo >> 63) | hi | (hi >> 1)) & 1ull;     // pixel 21
-    clipped += static_cast<std::size_t>(seam);
-    clipped += static_cast<std::size_t>(
-        __builtin_popcountll(hiBits & (0x249249249249ull << 2)));  // 22..31
-  }
-  return clipped + detail::countClippedRange(px + i, n - i, k);
-}
-
 /// fdctPass / idctPass lane ops: eight int32 lanes.  Shifts stand in for
 /// the reference's multiplies by 2^n; both are exact (nothing overflows).
 struct Avx2Ops {
@@ -665,8 +585,8 @@ const KernelTable& avx2Table() noexcept {
   static constexpr KernelTable kTable{
       Level::kAvx2,        profileRgbAvx2,    profileGrayAvx2,
       maxChannelHistogramAvx2, lumaPlaneAvx2, histAccumulateAvx2,
-      emdNumeratorAvx2,    scalePixelsAvx2,   countClippedAvx2,
-      fdct8x8Avx2,         idct8x8Avx2,       quantizeBlockAvx2,
+      emdNumeratorAvx2,    fdct8x8Avx2,       idct8x8Avx2,
+      quantizeBlockAvx2,
       rgbToYcbcrPlanesAvx2, ycbcrPlanesToRgbAvx2,
   };
   return kTable;

@@ -16,7 +16,7 @@ std::atomic<const KernelTable*> g_active{nullptr};
 /// Best level supported by this build AND this CPU.
 Level bestLevel() noexcept {
 #if defined(__x86_64__) || defined(_M_X64)
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("popcnt")) {
+  if (__builtin_cpu_supports("avx2")) {
     return Level::kAvx2;
   }
 #endif
@@ -63,7 +63,14 @@ std::optional<Level> parseLevel(std::string_view name) noexcept {
   return std::nullopt;
 }
 
-int clipThreshold(double k) noexcept { return detail::clipThreshold(k); }
+int clipThreshold(double k) noexcept {
+  // The predicate is monotone in c for k >= 0; 256 probes of one multiply
+  // are cheaper than any caller's histogram or frame walk.
+  for (int c = 0; c <= 255; ++c) {
+    if (static_cast<double>(c) * k > 255.0) return c;
+  }
+  return 256;
+}
 
 int tailBudgetLevel(const std::uint64_t* counts,
                     std::uint64_t budget) noexcept {
@@ -107,10 +114,7 @@ const KernelTable* tableFor(Level level) noexcept {
       return &scalarTable();
 #if defined(__x86_64__) || defined(_M_X64)
     case Level::kAvx2:
-      return (__builtin_cpu_supports("avx2") &&
-              __builtin_cpu_supports("popcnt"))
-                 ? &avx2Table()
-                 : nullptr;
+      return __builtin_cpu_supports("avx2") ? &avx2Table() : nullptr;
 #endif
     default:
       return nullptr;

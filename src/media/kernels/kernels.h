@@ -1,9 +1,11 @@
 // Runtime-dispatched SIMD kernels for the per-pixel / per-frame hot paths.
 //
 // Every frame served by this repo funnels through a handful of tight loops:
-// luma extraction, 256-bin histogram build, min/max/sum stats, the
-// compensation transform C' = min(1, C*k), clipped-pixel counting, and the
+// luma extraction, 256-bin histogram build, min/max/sum stats, and the
 // per-frame histogram earth-mover's distance of the EMD scene detector.
+// The compensation transform C' = min(1, C*k) is not a kernel: it maps 256
+// codes to 256 codes, so compensate/ applies it as one 256-entry lookup
+// table, and clipped pixels are counted from the max-channel histogram.
 // The codec's fixed-point block transforms, quantiser and colour conversion
 // live here too: they are the serving hot path (every cache miss encodes a
 // clip, every client decodes one).
@@ -17,14 +19,14 @@
 // kernel produces output byte-identical to the scalar reference, on every
 // input, by construction:
 //
-//   * Floating-point kernels (frame profile, pixel scale) vectorize ACROSS
-//     pixels while keeping each pixel's IEEE-754 operation sequence exactly
-//     the one the scalar code performs (same multiplies, same adds, same
-//     order, no FMA contraction).  Lanes are pixels, so vectorization
-//     cannot change any pixel's rounding.
-//   * Integer kernels (histogram build/merge, EMD numerator, clipped
-//     counting) are exact, so accumulation order is irrelevant and
-//     any lane decomposition gives the same result.
+//   * The two floating-point kernels (frame profile, luma plane) vectorize
+//     ACROSS pixels while keeping each pixel's IEEE-754 operation sequence
+//     exactly the one the scalar code performs (same multiplies, same
+//     adds, same order, no FMA contraction).  Lanes are pixels, so
+//     vectorization cannot change any pixel's rounding.
+//   * Integer kernels (histogram build/merge, max-channel histogram, EMD
+//     numerator) are exact, so accumulation order is irrelevant and any
+//     lane decomposition gives the same result.
 //   * The codec kernels (8x8 DCT/IDCT, quantisation, YCbCr conversion)
 //     are fixed point on int16/int32 lanes.  Every intermediate is proven
 //     to fit its lane for the documented input range, so they are exact
@@ -135,13 +137,7 @@ struct KernelTable {
   Uint128 (*emdNumerator)(const std::uint64_t* a, std::uint64_t totalA,
                           const std::uint64_t* b, std::uint64_t totalB);
 
-  /// (4) Compensation transform: per-channel saturating scale
-  /// dst[i] = media::scale(src[i], k).  k must be >= 0.
-  void (*scalePixels)(const Rgb8* src, std::size_t n, double k, Rgb8* dst);
-  /// Number of pixels with media::clipsWhenScaled(px[i], k).  k >= 0.
-  std::size_t (*countClipped)(const Rgb8* px, std::size_t n, double k);
-
-  /// (5) Codec kernels (media/codec), all integer, so every level is
+  /// (4) Codec kernels (media/codec), all integer, so every level is
   /// byte-identical by construction.  Plane samples are Q5 int16
   /// (kPlaneFracBits).  Coefficients are orthonormal DCT coefficients of
   /// the 8-bit-scale samples, row-major int32.
@@ -162,7 +158,7 @@ struct KernelTable {
                                  const QuantTable& table,
                                  std::int32_t* zigzagOut);
 
-  /// (6) Codec colour conversion, integer BT.601 full range.  RGB to three
+  /// (5) Codec colour conversion, integer BT.601 full range.  RGB to three
   /// Q5 planes (Y, Cb, Cr; 2^15-scaled weights, rounded), and back with
   /// 2^13-scaled weights, rounding once to each 8-bit channel.  The
   /// inverse accepts any int16 sample (decoded planes overshoot).
@@ -173,16 +169,17 @@ struct KernelTable {
 };
 
 /// Smallest 8-bit channel code whose clamp-scale by k (k >= 0) clips, or
-/// 256 if none does.  Derived by probing the EXACT scalar predicate
-/// (monotone in the code for k >= 0), so it is shared ground truth for the
-/// SIMD countClipped variants and for the O(256) histogram-based
-/// clipped-fraction fast path (compensate::clippedFraction).
+/// 256 if none does: the one definition of "a pixel clips".  Derived by
+/// probing the EXACT scalar predicate (media::clipsWhenScaled, monotone in
+/// the code for k >= 0), so a pixel clips iff its max channel reaches it;
+/// compensate::clippedFraction counts clipped pixels from a max-channel
+/// histogram that way.
 [[nodiscard]] int clipThreshold(double k) noexcept;
 
 /// Tail scans over a 256-bin histogram, one loop at every level.
 /// Largest v in [1,255] with sum(counts[v..255]) > budget, else 0: the
 /// smallest level with at most `budget` counts above it, the clip-safe
-/// luminance scan of clipSafeLuma / safeLumaLevels / planForHistogram.
+/// luminance scan of core::safeLumaLevels and planForHistogram.
 [[nodiscard]] int tailBudgetLevel(const std::uint64_t* counts,
                                   std::uint64_t budget) noexcept;
 /// Smallest v with sum(counts[0..v]) > budget, else 255

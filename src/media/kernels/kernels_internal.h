@@ -290,33 +290,6 @@ inline void lumaPlaneRange(const Rgb8* px, std::size_t n, std::uint8_t* out) {
   for (std::size_t i = 0; i < n; ++i) out[i] = luma8(px[i]);
 }
 
-inline void scaleRange(const Rgb8* src, std::size_t n, double k, Rgb8* dst) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = scale(src[i], k);
-}
-
-inline std::size_t countClippedRange(const Rgb8* px, std::size_t n,
-                                     double k) {
-  std::size_t clipped = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (clipsWhenScaled(px[i], k)) ++clipped;
-  }
-  return clipped;
-}
-
-/// Smallest 8-bit code whose scaled value clips, derived from the EXACT
-/// scalar predicate (clipsWhenScaled is monotone in the channel value for
-/// k >= 0), or 256 if no code clips.  SIMD clip counting reduces to a byte
-/// comparison against this threshold; sharing the derivation keeps every
-/// variant bit-identical to the per-pixel double predicate.
-inline int clipThreshold(double k) {
-  // Monotone predicate: binary search would work, but 256 probes of a
-  // double multiply cost nothing next to the pixel loop they replace.
-  for (int c = 0; c <= 255; ++c) {
-    if (static_cast<double>(c) * k > 255.0) return c;
-  }
-  return 256;
-}
-
 /// Exact EMD numerator via 128-bit products -- the reference for any
 /// operand size.  Each |cdfA*totalB - cdfB*totalA| is at most
 /// totalA*totalB, so the 256-term sum stays within Uint128 whenever

@@ -31,14 +31,6 @@ Uint128 emdNumeratorScalar(const std::uint64_t* a, std::uint64_t totalA,
   return detail::emdNumeratorExact(a, totalA, b, totalB);
 }
 
-void scalePixelsScalar(const Rgb8* src, std::size_t n, double k, Rgb8* dst) {
-  detail::scaleRange(src, n, k, dst);
-}
-
-std::size_t countClippedScalar(const Rgb8* px, std::size_t n, double k) {
-  return detail::countClippedRange(px, n, k);
-}
-
 void profileRgbScalar(const Rgb8* px, std::size_t n, FrameProfile& out) {
   out = FrameProfile{};
   int minAcc = 255;
@@ -183,8 +175,8 @@ const KernelTable& scalarTable() noexcept {
   static constexpr KernelTable kTable{
       Level::kScalar,      profileRgbScalar,   profileGrayScalar,
       maxChannelHistogramScalar, lumaPlaneScalar, histAccumulateScalar,
-      emdNumeratorScalar,  scalePixelsScalar,  countClippedScalar,
-      fdct8x8Scalar,       idct8x8Scalar,      quantizeBlockScalar,
+      emdNumeratorScalar,  fdct8x8Scalar,      idct8x8Scalar,
+      quantizeBlockScalar,
       detail::rgbToYcbcrPlanesScalar, detail::ycbcrPlanesToRgbScalar,
   };
   return kTable;

@@ -1,7 +1,5 @@
 #include "media/luminance.h"
 
-#include <stdexcept>
-
 #include "media/kernels/kernels.h"
 
 namespace anno::media {
@@ -29,27 +27,6 @@ FrameLuminance analyzeLuminance(const Image& img) {
   fl.meanLuma = static_cast<double>(profile.lumaSum) /
                 static_cast<double>(fl.pixelCount);
   return fl;
-}
-
-std::uint8_t clipSafeLuma(const std::uint64_t (&counts)[256],
-                          std::uint64_t totalPixels, double clipFraction) {
-  if (clipFraction < 0.0 || clipFraction >= 1.0) {
-    throw std::invalid_argument("clipSafeLuma: clipFraction must be in [0,1)");
-  }
-  if (totalPixels == 0) return 0;
-  // Largest budget of pixels we may clip; the chosen level L is the smallest
-  // value with at most `budget` pixels strictly above it.
-  const auto budget =
-      static_cast<std::uint64_t>(clipFraction * static_cast<double>(totalPixels));
-  return static_cast<std::uint8_t>(kernels::tailBudgetLevel(counts, budget));
-}
-
-std::uint8_t clipSafeLuma(const Image& img, double clipFraction) {
-  kernels::FrameProfile profile;
-  kernels::active().profileRgb(img.pixels().data(), img.pixelCount(), profile);
-  return clipSafeLuma(
-      *reinterpret_cast<const std::uint64_t(*)[256]>(profile.hist.data()),
-      img.pixelCount(), clipFraction);
 }
 
 }  // namespace anno::media

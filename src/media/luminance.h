@@ -12,8 +12,7 @@ namespace anno::media {
 [[nodiscard]] GrayImage lumaPlane(const Image& img);
 
 /// Per-frame luminance summary.  `maxLuma` drives the paper's scene
-/// detection; `clipSafeLuma(q)` -- the luminance value below which a fraction
-/// (1-q) of pixels lie -- drives the quality-level trade-off (Fig. 5).
+/// detection.
 struct FrameLuminance {
   double meanLuma = 0.0;      ///< average luminance, [0,255]
   std::uint8_t minLuma = 0;   ///< darkest pixel
@@ -26,18 +25,5 @@ struct FrameLuminance {
 
 /// Computes the frame luminance summary in one pass.
 [[nodiscard]] FrameLuminance analyzeLuminance(const Image& img);
-
-/// Luminance value L such that at most `clipFraction` of the pixels are
-/// strictly brighter than L.  clipFraction = 0 returns the true maximum.
-/// This is the paper's quality heuristic: "we allow a fixed percent of the
-/// very bright pixels to be clipped".
-[[nodiscard]] std::uint8_t clipSafeLuma(const Image& img, double clipFraction);
-
-/// As above but operating on a precomputed 256-bin luma histogram
-/// (counts[v] = number of pixels with luma v) -- the annotation pipeline
-/// computes histograms anyway, so this avoids a second pass.
-[[nodiscard]] std::uint8_t clipSafeLuma(const std::uint64_t (&counts)[256],
-                                        std::uint64_t totalPixels,
-                                        double clipFraction);
 
 }  // namespace anno::media

@@ -52,9 +52,6 @@ struct PlaybackReport {
   // why per-frame adaptation flickers visibly on CCFL devices).
   std::size_t backlightSwitches = 0;
   double transitionSeconds = 0.0;
-  [[nodiscard]] double transitionFraction() const noexcept {
-    return durationSeconds > 0.0 ? transitionSeconds / durationSeconds : 0.0;
-  }
 
   // Quality (perceived panel output vs full-backlight original).
   double meanEmd = 0.0;        ///< histogram earth-mover distance

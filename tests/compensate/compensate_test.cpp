@@ -159,21 +159,13 @@ TEST(ClippedFraction, CountsSaturatingPixels) {
   media::Image img(2, 1);
   img(0, 0) = media::Rgb8{100, 100, 100};  // clips at k > 2.55
   img(1, 0) = media::Rgb8{200, 200, 200};  // clips at k > 1.275
-  EXPECT_DOUBLE_EQ(clippedFraction(img, 1.0), 0.0);
-  EXPECT_DOUBLE_EQ(clippedFraction(img, 1.5), 0.5);
-  EXPECT_DOUBLE_EQ(clippedFraction(img, 3.0), 1.0);
-  EXPECT_DOUBLE_EQ(clippedFraction(media::Image{}, 2.0), 0.0);
-}
-
-TEST(FractionAboveLuma, MatchesHistogramTail) {
-  media::Image img(4, 1);
-  img(0, 0) = media::Rgb8{10, 10, 10};
-  img(1, 0) = media::Rgb8{100, 100, 100};
-  img(2, 0) = media::Rgb8{200, 200, 200};
-  img(3, 0) = media::Rgb8{250, 250, 250};
-  EXPECT_DOUBLE_EQ(fractionAboveLuma(img, 150), 0.5);
-  EXPECT_DOUBLE_EQ(fractionAboveLuma(img, 255), 0.0);
-  EXPECT_DOUBLE_EQ(fractionAboveLuma(img, 5), 1.0);
+  const media::Histogram maxHist = media::Histogram::ofMaxChannel(img);
+  EXPECT_DOUBLE_EQ(clippedFraction(maxHist, 1.0), 0.0);
+  EXPECT_DOUBLE_EQ(clippedFraction(maxHist, 1.5), 0.5);
+  EXPECT_DOUBLE_EQ(clippedFraction(maxHist, 3.0), 1.0);
+  EXPECT_DOUBLE_EQ(
+      clippedFraction(media::Histogram::ofMaxChannel(media::Image{}), 2.0),
+      0.0);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <stdexcept>
 #include <vector>
 
 #include "compensate/compensate.h"
@@ -271,40 +272,55 @@ TEST(Kernels, HistAccumulateMatchesScalar) {
   }
 }
 
-TEST(Kernels, ScalePixelsMatchesPerPixelScale) {
-  const double ks[] = {1.0, 1.2, 1.7320508075688772, 2.5, 8.0, 300.0};
-  for (Level level : availableLevels()) {
-    const KernelTable* table = tableFor(level);
-    for (std::size_t n : kSizes) {
-      const Image img = randomImage(n, 0x5CA1E + n);
-      for (double k : ks) {
-        std::vector<Rgb8> got(n + 1, Rgb8{9, 9, 9});  // +1 canary
-        table->scalePixels(img.pixels().data(), n, k, got.data());
-        for (std::size_t i = 0; i < n; ++i) {
-          const Rgb8 want = scale(img.pixels()[i], k);
-          ASSERT_EQ(got[i].r, want.r) << levelName(level) << " k=" << k;
-          ASSERT_EQ(got[i].g, want.g) << levelName(level) << " k=" << k;
-          ASSERT_EQ(got[i].b, want.b) << levelName(level) << " k=" << k;
-        }
-        EXPECT_EQ(got[n].r, 9) << levelName(level) << " wrote past the end";
-      }
+TEST(Kernels, CompensationTablesMatchPerPixelScaleAndOffset) {
+  // Compensation is a 256-entry lookup, not a kernel: the table entry must
+  // be media::scale's own expression at every code, including the gains
+  // whose product lands on, or one ulp beside, a half code, where clamp8's
+  // rounding decides (0.5 - ulp rounds up in clamp8's v + 0.5).
+  std::vector<double> gains = {0.0, 0.999, 1.0, 1.37, 2.0, 255.0};
+  for (int v : {1, 2, 3, 7, 51, 101, 200, 254, 255}) {
+    for (int n : {0, 1, 100, 127, 200, 254}) {
+      const double tie = (n + 0.5) / v;
+      gains.insert(gains.end(), {std::nextafter(tie, 0.0), tie,
+                                 std::nextafter(tie, 1e9)});
     }
   }
-}
-
-TEST(Kernels, CountClippedMatchesPerPixelPredicate) {
-  const double ks[] = {0.0, 1.0, 1.00001, 1.5, 2.0, 4.0, 128.0, 1e9};
-  for (Level level : availableLevels()) {
-    const KernelTable* table = tableFor(level);
-    for (std::size_t n : kSizes) {
-      const Image img = randomImage(n, 0xC11B + n);
-      for (double k : ks) {
-        std::size_t want = 0;
-        for (const Rgb8& p : img.pixels()) {
-          if (clipsWhenScaled(p, k)) ++want;
-        }
-        ASSERT_EQ(table->countClipped(img.pixels().data(), n, k), want)
-            << levelName(level) << " n=" << n << " k=" << k;
+  for (double k : gains) {
+    const compensate::ChannelTable table = compensate::gainTable(k);
+    for (int v = 0; v < 256; ++v) {
+      const auto c = static_cast<std::uint8_t>(v);
+      ASSERT_EQ(table[static_cast<std::size_t>(v)], clamp8(v * k))
+          << "k=" << k << " v=" << v;
+      ASSERT_EQ(table[static_cast<std::size_t>(v)], scale(Rgb8{c, c, c}, k).r)
+          << "k=" << k << " v=" << v;
+    }
+  }
+  // Applied to frames: every pixel equals the per-pixel primitive.
+  const double deltas[] = {0.0, 0.5, 1.37, 37.5, 100.25, 300.0};
+  for (std::size_t n : kSizes) {
+    const Image img = randomImage(n, 0x5CA1E + n);
+    if (n == 0) {
+      EXPECT_THROW((void)compensate::contrastEnhance(img, 1.5),
+                   std::invalid_argument);
+      EXPECT_THROW((void)compensate::brightnessCompensate(img, 1.5),
+                   std::invalid_argument);
+      continue;
+    }
+    for (double k : gains) {
+      if (k < 1.0) continue;  // contrastEnhance only brightens
+      const Image got = compensate::contrastEnhance(img, k);
+      ASSERT_EQ(got.pixelCount(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(got.pixels()[i], scale(img.pixels()[i], k))
+            << "n=" << n << " k=" << k << " i=" << i;
+      }
+    }
+    for (double delta : deltas) {
+      const Image got = compensate::brightnessCompensate(img, delta);
+      ASSERT_EQ(got.pixelCount(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(got.pixels()[i], offset(img.pixels()[i], delta))
+            << "n=" << n << " delta=" << delta << " i=" << i;
       }
     }
   }
@@ -458,7 +474,8 @@ TEST(Kernels, PublicApiIdenticalUnderEveryLevel) {
   auto snapshot = [&img] {
     return Snapshot{Histogram::ofImage(img), Histogram::ofMaxChannel(img),
                     analyzeLuminance(img), lumaPlane(img),
-                    compensate::clippedFraction(img, 1.9)};
+                    compensate::clippedFraction(Histogram::ofMaxChannel(img),
+                                                1.9)};
   };
   const Snapshot want = [&] {
     ScopedLevel guard(Level::kScalar);
@@ -477,21 +494,30 @@ TEST(Kernels, PublicApiIdenticalUnderEveryLevel) {
 }
 
 TEST(Kernels, ClippedFractionHistogramPathIsExact) {
-  // Satellite: the O(256) histogram overload equals the pixel walk EXACTLY
-  // (same double), for any gain, because both reduce to the same integer
-  // count.
-  const double ks[] = {0.0, 1.0, 1.0001, 1.3, 2.0, 5.5, 1e6};
-  for (std::size_t n : {1u, 17u, 48u, 1000u}) {
-    const Image img = randomImage(n, 0xFAB + n);
-    const Histogram maxHist = Histogram::ofMaxChannel(img);
-    EXPECT_EQ(maxHist.total(), n);
-    for (double k : ks) {
-      EXPECT_EQ(compensate::clippedFraction(maxHist, k),
-                compensate::clippedFraction(img, k))
-          << "n=" << n << " k=" << k;
+  // The O(256) max-channel-histogram count equals the per-pixel
+  // clipsWhenScaled count EXACTLY (same double), for any gain, at every
+  // level (the histogram is a dispatched kernel).
+  const double ks[] = {0.0, 1.0,  1.00001, 1.0001, 1.3, 1.5,
+                       2.0, 4.0, 5.5,     128.0,  1e6, 1e9};
+  for (Level level : availableLevels()) {
+    ScopedLevel guard(level);
+    for (std::size_t n : kSizes) {
+      const Image img = randomImage(n, 0xC11B + n);
+      const Histogram maxHist = Histogram::ofMaxChannel(img);
+      EXPECT_EQ(maxHist.total(), n);
+      for (double k : ks) {
+        std::size_t clipped = 0;
+        for (const Rgb8& p : img.pixels()) {
+          if (clipsWhenScaled(p, k)) ++clipped;
+        }
+        const double want = n == 0 ? 0.0
+                                   : static_cast<double>(clipped) /
+                                         static_cast<double>(n);
+        ASSERT_EQ(compensate::clippedFraction(maxHist, k), want)
+            << levelName(level) << " n=" << n << " k=" << k;
+      }
     }
   }
-  EXPECT_EQ(compensate::clippedFraction(Histogram{}, 2.0), 0.0);
 }
 
 TEST(Kernels, AnalyzeLuminanceIntegerSumMatchesReference) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <stdexcept>
 
+#include "core/engine.h"
+#include "media/histogram.h"
 #include "media/rng.h"
 
 namespace anno::media {
@@ -51,33 +54,43 @@ TEST(Luminance, AnalyzeUniform) {
   EXPECT_DOUBLE_EQ(fl.meanLuma, 80.0);
 }
 
+// The clip-safe luminance of a frame -- the level L with at most a fraction
+// q of the pixels strictly brighter, the paper's "we allow a fixed percent
+// of the very bright pixels to be clipped" -- is what the engine plans
+// from: core::safeLumaLevels over the frame's luma histogram.
+std::uint8_t clipSafeLevel(const Image& img, double q) {
+  return core::safeLumaLevels(Histogram::ofImage(img), {q}).front();
+}
+
 TEST(Luminance, ClipSafeZeroFractionIsMax) {
-  EXPECT_EQ(clipSafeLuma(gradientImage(), 0.0), 255);
+  EXPECT_EQ(clipSafeLevel(gradientImage(), 0.0), 255);
 }
 
 TEST(Luminance, ClipSafeTrimsBudget) {
   // Gradient has one pixel per value 0..255; clipping 10% (25.6 pixels)
   // admits values above 230 to clip: safe level is 230.
-  EXPECT_EQ(clipSafeLuma(gradientImage(), 0.1), 230);
+  EXPECT_EQ(clipSafeLevel(gradientImage(), 0.1), 230);
 }
 
 TEST(Luminance, ClipSafeValidatesFraction) {
-  EXPECT_THROW((void)clipSafeLuma(gradientImage(), -0.01), std::invalid_argument);
-  EXPECT_THROW((void)clipSafeLuma(gradientImage(), 1.0), std::invalid_argument);
+  EXPECT_THROW((void)clipSafeLevel(gradientImage(), -0.01), std::invalid_argument);
+  EXPECT_THROW((void)clipSafeLevel(gradientImage(), 1.0), std::invalid_argument);
 }
 
 TEST(Luminance, ClipSafeHistogramOverloadAgrees) {
+  // The kernel-built histogram and a per-pixel luma8 count give the same
+  // levels.
   SplitMix64 rng(3);
   Image img(32, 32);
   for (Rgb8& p : img.pixels()) {
     const auto v = static_cast<std::uint8_t>(rng.below(256));
     p = Rgb8{v, v, v};
   }
-  std::uint64_t counts[256] = {};
+  std::array<std::uint64_t, 256> counts{};
   for (const Rgb8& p : img.pixels()) ++counts[luma8(p)];
   for (double q : {0.0, 0.05, 0.1, 0.2}) {
-    EXPECT_EQ(clipSafeLuma(img, q),
-              clipSafeLuma(counts, img.pixelCount(), q));
+    EXPECT_EQ(clipSafeLevel(img, q),
+              core::safeLumaLevels(Histogram::fromCounts(counts), {q}).front());
   }
 }
 
@@ -91,7 +104,7 @@ TEST_P(ClipSafeProperty, BudgetNeverExceeded) {
     p = Rgb8{v, v, v};
   }
   for (double q : {0.0, 0.02, 0.05, 0.1, 0.15, 0.2, 0.5}) {
-    const std::uint8_t safe = clipSafeLuma(img, q);
+    const std::uint8_t safe = clipSafeLevel(img, q);
     // Count pixels strictly above the safe level: must be <= budget.
     std::size_t above = 0;
     for (const Rgb8& p : img.pixels()) {
