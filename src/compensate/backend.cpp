@@ -267,8 +267,13 @@ std::vector<ToneCurve> Backend::annotateScene(
   return {};
 }
 
-media::Image Backend::apply(const media::Image& frame,
-                            const CompensationDecision& decision) const {
+namespace {
+
+/// Backend::apply with the decision's gain table, when it has a linear
+/// gain, prebuilt in `gains`.
+media::Image applyDecision(const media::Image& frame,
+                           const CompensationDecision& decision,
+                           const ChannelTable& gains) {
   const media::Image* src = &frame;
   media::Image scaled;
   if (decision.spatialScale < 1.0) {
@@ -282,9 +287,32 @@ media::Image Backend::apply(const media::Image& frame,
   }
   if (decision.pixelCurve != nullptr)
     return applyToneCurve(*src, *decision.pixelCurve);
-  if (decision.plan.gainK > 1.0)
-    return contrastEnhance(*src, decision.plan.gainK);
+  if (decision.plan.gainK > 1.0) return contrastEnhance(*src, gains);
   return *src;
+}
+
+/// The channel table applyDecision reads: gainTable(k) when the decision
+/// applies a linear gain k, else unused.
+ChannelTable gainsOf(const CompensationDecision& decision) {
+  return decision.pixelCurve == nullptr && decision.plan.gainK > 1.0
+             ? gainTable(decision.plan.gainK)
+             : ChannelTable{};
+}
+
+}  // namespace
+
+media::Image Backend::apply(const media::Image& frame,
+                            const CompensationDecision& decision) const {
+  return applyDecision(frame, decision, gainsOf(decision));
+}
+
+void Backend::applyScene(std::span<const media::Image> frames,
+                         const CompensationDecision& decision,
+                         std::vector<media::Image>& out) const {
+  const ChannelTable gains = gainsOf(decision);
+  for (const media::Image& frame : frames) {
+    out.push_back(applyDecision(frame, decision, gains));
+  }
 }
 
 std::unique_ptr<const Backend> makeBackend(const BackendConfig& cfg) {

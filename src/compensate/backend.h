@@ -126,10 +126,16 @@ class Backend {
       const media::Histogram* sceneHist) const = 0;
 
   /// Executes the decision's pixel transform (spatial downscale first, then
-  /// tone curve or linear gain).  The default implementation covers all
-  /// current backends.
-  [[nodiscard]] virtual media::Image apply(
-      const media::Image& frame, const CompensationDecision& decision) const;
+  /// tone curve or linear gain).  One implementation covers every backend.
+  [[nodiscard]] media::Image apply(const media::Image& frame,
+                                   const CompensationDecision& decision) const;
+
+  /// apply() to each of one scene's frames, appended to `out`.  The linear
+  /// gain's channel table depends only on the decision, so it is built
+  /// once for the scene rather than once per frame.
+  void applyScene(std::span<const media::Image> frames,
+                  const CompensationDecision& decision,
+                  std::vector<media::Image>& out) const;
 };
 
 /// Factory.  Throws std::invalid_argument on out-of-range knobs.

@@ -65,7 +65,15 @@ media::Image contrastEnhance(const media::Image& img, double k,
   if (domain == Domain::kLuminance) {
     return lumaDomainOp(img, [k](double y) { return y * k; });
   }
-  return applyChannelTable(img, gainTable(k));
+  return contrastEnhance(img, gainTable(k));
+}
+
+media::Image contrastEnhance(const media::Image& img,
+                             const ChannelTable& gains) {
+  if (img.empty()) {
+    throw std::invalid_argument("contrastEnhance: empty image");
+  }
+  return applyChannelTable(img, gains);
 }
 
 media::Image brightnessCompensate(const media::Image& img, double delta,

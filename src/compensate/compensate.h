@@ -37,6 +37,11 @@ using ChannelTable = std::array<std::uint8_t, 256>;
 [[nodiscard]] media::Image contrastEnhance(const media::Image& img, double k,
                                            Domain domain = Domain::kPerChannel);
 
+/// Per-channel contrast enhancement with the caller's gainTable(k), for
+/// callers that apply one gain to many frames.
+[[nodiscard]] media::Image contrastEnhance(const media::Image& img,
+                                           const ChannelTable& gains);
+
 /// Brightness compensation: add `delta` (8-bit code units) with saturation.
 [[nodiscard]] media::Image brightnessCompensate(
     const media::Image& img, double delta,

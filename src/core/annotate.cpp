@@ -1,6 +1,7 @@
 #include "core/annotate.h"
 
 #include <memory>
+#include <span>
 #include <stdexcept>
 
 #include "compensate/backend.h"
@@ -78,10 +79,10 @@ media::VideoClip compensateClip(const media::VideoClip& clip,
     const SceneAnnotation& scene = track.scenes[si];
     const compensate::CompensationDecision decision = decideForScene(
         *backend, track, si, qualityIndex, device, minBacklightLevel);
-    for (std::uint32_t f = scene.span.firstFrame; f <= scene.span.lastFrame();
-         ++f) {
-      out.frames.push_back(backend->apply(clip.frames[f], decision));
-    }
+    backend->applyScene(std::span(clip.frames)
+                            .subspan(scene.span.firstFrame,
+                                     scene.span.frameCount),
+                        decision, out.frames);
   }
   return out;
 }

@@ -10,6 +10,7 @@
 
 #include "media/bitstream.h"
 #include "media/dct.h"
+#include "media/huffman.h"
 #include "media/kernels/kernels.h"
 
 namespace anno::media {
@@ -29,8 +30,9 @@ constexpr int kBaseQuant[64] = {
 
 constexpr std::uint8_t kFrameIntra = 0;
 constexpr std::uint8_t kFrameInter = 1;
-constexpr std::uint8_t kBlockSkip = 0;
-constexpr std::uint8_t kBlockDelta = 1;
+/// A P block's mode bit.
+constexpr std::uint32_t kBlockSkip = 0;
+constexpr std::uint32_t kBlockDelta = 1;
 /// Mean-abs-difference (per pixel) below which a P block is SKIPped.
 constexpr double kSkipThreshold = 1.5;
 
@@ -256,29 +258,106 @@ double blockMad(const std::int16_t* a,
                : 0.0;
 }
 
-/// Transforms, quantises and entropy-codes one block of samples.  The DC
-/// symbol is the zigzag-mapped DC delta shifted left by one, its low bit
-/// set when the block has no AC coefficient (end of block).  Otherwise the
-/// zigzagged AC coefficients follow as (run+1, level) pairs and a 0.
+/// The Annex K tables of plane p: luma for Y, chroma for Cb and Cr.
+struct PlaneTables {
+  const huffman::Table& dc;
+  const huffman::Table& ac;
+};
+
+PlaneTables tablesFor(int plane) {
+  return plane == 0 ? PlaneTables{huffman::lumaDc(), huffman::lumaAc()}
+                    : PlaneTables{huffman::chromaDc(), huffman::chromaAc()};
+}
+
+constexpr int kEob = 0x00;  ///< AC symbol: the rest of the block is zero
+constexpr int kZrl = 0xF0;  ///< AC symbol: a run of 16 zeros
+/// Largest size category the Annex K tables code directly; larger DC
+/// deltas and AC levels take the escape code.
+constexpr int kMaxDcSize = 11;
+constexpr int kMaxAcSize = 10;
+
+/// Transforms, quantises and entropy-codes one block of samples: the DC
+/// delta's size category and magnitude bits, then (run, size) symbols with
+/// the magnitude bits of the nonzero AC coefficients in zigzag order, ZRL
+/// for every 16 zeros of a longer run, and EOB unless the last coefficient
+/// is nonzero.  Values past the tables' categories follow the escape code
+/// as raw fields: AC run (4 bits), size (4 bits), magnitude bits.
 void encodeBlock(const kernels::KernelTable& kt, const SampleBlock& spatial,
                  std::int32_t dcOffset, const kernels::QuantTable& quant,
-                 std::int32_t& dcPred, ByteWriter& w) {
+                 const PlaneTables& tables, std::int32_t& dcPred,
+                 huffman::BitWriter& writer) {
+  huffman::BitWriter w = writer;  // a local copy stays in registers
   CoefBlock freq;
   kt.fdct8x8(spatial.data(), freq.data());
   freq[0] -= dcOffset << kernels::kCoefFracBits;
   std::int32_t levels[64];
   const std::uint64_t ac = kt.quantizeBlock(freq.data(), quant, levels) & ~1ull;
-  w.varint(zigzagEncode(levels[0] - dcPred) << 1 | (ac == 0 ? 1 : 0));
+  const std::int32_t delta = levels[0] - dcPred;
   dcPred = levels[0];
-  if (ac == 0) return;
+  const int dcSize = huffman::sizeOf(delta);
+  const std::uint32_t dcBits = huffman::magnitudeBits(delta, dcSize);
+  if (dcSize <= kMaxDcSize) {
+    w.put(tables.dc.code[dcSize] << dcSize | dcBits,
+          tables.dc.length[dcSize] + dcSize);
+  } else {
+    w.code(tables.dc, huffman::kEscape);
+    w.put(static_cast<std::uint32_t>(dcSize) << dcSize | dcBits, 4 + dcSize);
+  }
   int pos = 0;
   for (std::uint64_t m = ac; m != 0; m &= m - 1) {
     const int next = std::countr_zero(m);
-    w.varint(static_cast<std::uint64_t>(next - pos));  // run + 1
-    w.svarint(levels[next]);
+    int run = next - pos - 1;
+    for (; run > 15; run -= 16) w.code(tables.ac, kZrl);
+    const std::int32_t level = levels[next];
+    const int size = huffman::sizeOf(level);
+    const int symbol = run << 4 | size;
+    const std::uint32_t bits = huffman::magnitudeBits(level, size);
+    if (size <= kMaxAcSize) {
+      w.put(tables.ac.code[symbol] << size | bits,
+            tables.ac.length[symbol] + size);
+    } else {
+      w.code(tables.ac, huffman::kEscape);
+      w.put(static_cast<std::uint32_t>(symbol) << size | bits, 8 + size);
+    }
     pos = next;
   }
-  w.varint(0);  // end of block
+  if (pos != 63) w.code(tables.ac, kEob);
+  writer = w;
+}
+
+/// The next DC delta: one fast-table lookup when its code and magnitude
+/// bits fit, else the code, the escape's raw size and the magnitude bits.
+std::int32_t nextDc(huffman::BitReader& r, const huffman::Table& dc) {
+  if (const std::uint32_t entry = r.fast(dc)) {
+    return static_cast<std::int16_t>(entry >> 16);
+  }
+  int size = r.symbol(dc);
+  if (size == huffman::kEscape) {
+    size = static_cast<int>(r.bits(4));
+    if (size <= kMaxDcSize) {
+      throw std::runtime_error("codec: escape of a codable DC delta");
+    }
+  }
+  return huffman::extend(r.bits(size), size);
+}
+
+/// The next AC symbol (run << 4 | size) and, for a coefficient, its level
+/// (EOB and ZRL read as level 0), decoded like nextDc.
+int nextAc(huffman::BitReader& r, const huffman::Table& ac,
+           std::int32_t& level) {
+  if (const std::uint32_t entry = r.fast(ac)) {
+    level = static_cast<std::int16_t>(entry >> 16);
+    return static_cast<int>(entry & 0xFF);
+  }
+  int symbol = r.symbol(ac);
+  if (symbol == huffman::kEscape) {
+    symbol = static_cast<int>(r.bits(8));
+    if ((symbol & 15) <= kMaxAcSize) {
+      throw std::runtime_error("codec: escape of a codable AC symbol");
+    }
+  }
+  level = huffman::extend(r.bits(symbol & 15), symbol & 15);
+  return symbol;
 }
 
 /// Entropy-decodes and dequantises one block into `freq`, DC offset
@@ -286,39 +365,50 @@ void encodeBlock(const kernels::KernelTable& kt, const SampleBlock& spatial,
 /// constant freq[0] (the inverse transform of a DC-only block, exactly);
 /// only freq[0] is written then.  Every DC delta and level is range-checked
 /// before it is added or multiplied, so a corrupt stream throws instead of
-/// wrapping.
+/// wrapping.  A block has one valid coding: an escape of a value the table
+/// codes, a run past position 63 and a ZRL followed by EOB are rejected.
 bool decodeBlock(const Quantizer& q, std::int32_t dcOffset,
-                 std::int32_t& dcPred, ByteReader& r, CoefBlock& freq) {
-  const std::uint64_t sym = r.varint();
-  const std::int64_t delta = zigzagDecode(sym >> 1);
+                 const PlaneTables& tables, std::int32_t& dcPred,
+                 huffman::BitReader& r, CoefBlock& freq) {
+  const std::int32_t delta = nextDc(r, tables.dc);
   const std::int32_t maxDc = q.maxLevel[0];
   if (delta < -2 * maxDc || delta > 2 * maxDc ||
       std::abs(dcPred + delta) > maxDc) {
     throw std::runtime_error("codec: DC out of range");
   }
-  dcPred += static_cast<std::int32_t>(delta);
+  dcPred += delta;
   freq[0] = dcPred * q.table.divisor[0] + dcOffset;
   if (std::abs(freq[0]) > kernels::kMaxIdctInput) {
     throw std::runtime_error("codec: DC out of range");
   }
-  if ((sym & 1) != 0) return false;
-  std::fill(freq.begin() + 1, freq.end(), 0);
+  const huffman::Table& ac = tables.ac;
   const auto& zz = zigzagOrder();
   int pos = 0;
+  bool zrl = false;
   for (;;) {
-    const std::uint64_t marker = r.varint();
-    if (marker == 0) break;  // end of block
-    // Checked before the add, so a corrupt 64-bit marker cannot wrap pos.
-    if (marker > static_cast<std::uint64_t>(63 - pos)) {
-      throw std::runtime_error("codec: coefficient overrun");
+    std::int32_t level;
+    const int symbol = nextAc(r, ac, level);  // one call site: inlined
+    if (symbol == kEob) {
+      if (pos == 0 && !zrl) return false;  // DC-only
+      if (zrl) throw std::runtime_error("codec: ZRL before end of block");
+      break;
     }
-    pos += static_cast<int>(marker);
+    if (pos == 0 && !zrl) std::fill(freq.begin() + 1, freq.end(), 0);
+    if (symbol == kZrl) {
+      pos += 16;
+      if (pos >= 63) throw std::runtime_error("codec: coefficient overrun");
+      zrl = true;
+      continue;
+    }
+    pos += (symbol >> 4) + 1;
+    if (pos > 63) throw std::runtime_error("codec: coefficient overrun");
     const int z = zz[pos];
-    const std::int64_t level = r.svarint();
     if (level < -q.maxLevel[z] || level > q.maxLevel[z]) {
       throw std::runtime_error("codec: level out of range");
     }
-    freq[z] = static_cast<std::int32_t>(level) * q.table.divisor[z];
+    freq[z] = level * q.table.divisor[z];
+    if (pos == 63) break;
+    zrl = false;
   }
   return true;
 }
@@ -334,17 +424,20 @@ EncodedFrame encodeIntra(const Planes& planes, int w, int h,
   ByteWriter out;
   out.u8(static_cast<std::uint8_t>(cfg.quality));
   out.u8(kFrameIntra);
+  huffman::BitWriter bits(out);
   const int bw = blocksAcross(w);
   const int bh = blocksAcross(h);
   for (int p = 0; p < 3; ++p) {
+    const PlaneTables tables = tablesFor(p);
     std::int32_t dcPred = 0;
     for (int by = 0; by < bh; ++by) {
       for (int bx = 0; bx < bw; ++bx) {
         encodeBlock(kt, fetchBlock(planes[p], w, h, bx, by), kIntraOffset,
-                    quant.table, dcPred, out);
+                    quant.table, tables, dcPred, bits);
       }
     }
   }
+  bits.finish();
   return EncodedFrame{out.take(), /*intra=*/true};
 }
 
@@ -355,28 +448,31 @@ EncodedFrame encodeInter(const Planes& cur, const Planes& ref, int w, int h,
   ByteWriter out;
   out.u8(static_cast<std::uint8_t>(cfg.quality));
   out.u8(kFrameInter);
+  huffman::BitWriter bits(out);
   const int bw = blocksAcross(w);
   const int bh = blocksAcross(h);
   for (int p = 0; p < 3; ++p) {
+    const PlaneTables tables = tablesFor(p);
     std::int32_t dcPred = 0;
     for (int by = 0; by < bh; ++by) {
       for (int bx = 0; bx < bw; ++bx) {
         const double mad = blockMad(cur[p], ref[p], w, h, bx, by);
         if (mad < kSkipThreshold) {
-          out.u8(kBlockSkip);
+          bits.put(kBlockSkip, 1);
           continue;
         }
-        out.u8(kBlockDelta);
+        bits.put(kBlockDelta, 1);
         // Residual block: cur - ref, within kMaxFdctInput.
         SampleBlock residual = fetchBlock(cur[p], w, h, bx, by);
         const SampleBlock refBlk = fetchBlock(ref[p], w, h, bx, by);
         for (int i = 0; i < 64; ++i) {
           residual[i] = static_cast<std::int16_t>(residual[i] - refBlk[i]);
         }
-        encodeBlock(kt, residual, 0, quant.table, dcPred, out);
+        encodeBlock(kt, residual, 0, quant.table, tables, dcPred, bits);
       }
     }
   }
+  bits.finish();
   return EncodedFrame{out.take(), /*intra=*/false};
 }
 
@@ -388,9 +484,12 @@ bool isInterFrame(const EncodedFrame& frame) {
 /// and must be non-null for a P frame.
 Planes decodePlanes(const EncodedFrame& frame, int width, int height,
                     const Planes* ref, QuantizerCache& quants) {
-  ByteReader r(frame.bytes);
-  const int quality = r.u8();
-  const std::uint8_t frameType = r.u8();
+  const std::span<const std::uint8_t> payload = frame.bytes;
+  if (payload.size() < 2) {
+    throw std::runtime_error("decodeFrame: payload too short for the frame");
+  }
+  const int quality = payload[0];
+  const std::uint8_t frameType = payload[1];
   const Quantizer& quant = quants.get(quality == 0 ? 1 : quality);
 
   const bool inter = frameType == kFrameInter;
@@ -403,44 +502,49 @@ Planes decodePlanes(const EncodedFrame& frame, int width, int height,
 
   const int bw = blocksAcross(width);
   const int bh = blocksAcross(height);
-  // Every block codes at least one byte (its DC symbol or its P mode), so
-  // the payload bounds the frame size -- and what decoding allocates.
-  if (r.remaining() / 3 < static_cast<std::size_t>(bw) * bh) {
+  // Every block codes at least one bit (its DC code or its P mode), so the
+  // payload bounds the frame size -- and what decoding allocates.
+  const std::span<const std::uint8_t> coded = payload.subspan(2);
+  if (coded.size() * 8 / 3 < static_cast<std::size_t>(bw) * bh) {
     throw std::runtime_error("decodeFrame: payload too short for the frame");
   }
   const kernels::KernelTable& kt = kernels::active();
+  huffman::BitReader r(coded);
   Planes planes(static_cast<std::size_t>(width) * height);
   CoefBlock freq;
   SampleBlock spatial;
+  const std::int32_t dcOffset = inter ? 0 : kIntraOffset;
   for (int p = 0; p < 3; ++p) {
+    const PlaneTables tables = tablesFor(p);
     std::int32_t dcPred = 0;
     for (int by = 0; by < bh; ++by) {
       for (int bx = 0; bx < bw; ++bx) {
-        if (!inter) {
-          if (decodeBlock(quant, kIntraOffset, dcPred, r, freq)) {
-            kt.idct8x8(freq.data(), spatial.data());
-            storeBlock(spatial, planes[p], width, height, bx, by);
+        if (inter && r.bits(1) == kBlockSkip) {
+          copyBlock((*ref)[p], planes[p], width, height, bx, by);
+          continue;
+        }
+        // One call site, so decodeBlock inlines and the reader stays in
+        // registers across blocks.
+        if (!decodeBlock(quant, dcOffset, tables, dcPred, r, freq)) {
+          const std::int32_t dc = freq[0] * kDcSample;
+          if (inter) {
+            addConstant(dc, (*ref)[p], planes[p], width, height, bx, by);
           } else {
-            fillBlock(static_cast<std::int16_t>(freq[0] * kDcSample),
-                      planes[p], width, height, bx, by);
+            fillBlock(static_cast<std::int16_t>(dc), planes[p], width,
+                      height, bx, by);
           }
           continue;
         }
-        const std::uint8_t mode = r.u8();
-        if (mode == kBlockSkip) {
-          copyBlock((*ref)[p], planes[p], width, height, bx, by);
-        } else if (mode != kBlockDelta) {
-          throw std::runtime_error("decodeFrame: unknown block mode");
-        } else if (decodeBlock(quant, 0, dcPred, r, freq)) {
-          kt.idct8x8(freq.data(), spatial.data());
+        kt.idct8x8(freq.data(), spatial.data());
+        if (inter) {
           addBlock(spatial, (*ref)[p], planes[p], width, height, bx, by);
         } else {
-          addConstant(freq[0] * kDcSample, (*ref)[p], planes[p], width,
-                      height, bx, by);
+          storeBlock(spatial, planes[p], width, height, bx, by);
         }
       }
     }
   }
+  r.finish();
   return planes;
 }
 
@@ -544,7 +648,7 @@ VideoClip decodeClip(const EncodedClip& clip) {
 }
 
 namespace {
-constexpr std::uint32_t kClipMagic = 0x31564100;  // "\0AV1"
+constexpr std::uint32_t kClipMagic = 0x32564100;  // "\0AV2"
 }
 
 std::vector<std::uint8_t> serializeClip(const EncodedClip& clip) {
@@ -559,7 +663,6 @@ std::vector<std::uint8_t> serializeClip(const EncodedClip& clip) {
   w.varint(static_cast<std::uint64_t>(clip.quality));
   w.varint(clip.frames.size());
   for (const EncodedFrame& f : clip.frames) {
-    w.u8(f.intra ? 1 : 0);
     w.varint(f.bytes.size());
     w.bytes(f.bytes);
   }
@@ -588,14 +691,19 @@ EncodedClip parseClip(std::span<const std::uint8_t> bytes) {
   clip.height = dimension();
   clip.fps = static_cast<double>(r.varint()) / 1000.0;
   clip.quality = static_cast<int>(r.varint());
-  // A frame record is at least a type byte and a one-byte length.
-  const std::size_t nframes = r.count(2);
+  // A frame record is at least a one-byte length and the payload's quality
+  // and frame-type bytes.
+  const std::size_t nframes = r.count(3);
   clip.frames.reserve(nframes);
   for (std::size_t i = 0; i < nframes; ++i) {
-    EncodedFrame f;
-    f.intra = r.u8() != 0;
     const std::size_t len = r.varint();
     auto payload = r.bytes(len);
+    // The payload's type byte is the frame's one record of its type.
+    if (len < 2 || (payload[1] != kFrameIntra && payload[1] != kFrameInter)) {
+      throw std::runtime_error("parseClip: bad frame type");
+    }
+    EncodedFrame f;
+    f.intra = payload[1] == kFrameIntra;
     f.bytes.assign(payload.begin(), payload.end());
     clip.frames.push_back(std::move(f));
   }

@@ -1,4 +1,4 @@
-// Fixed-point block-DCT video codec ("AV1").
+// Fixed-point block-DCT video codec ("AV2").
 //
 // Substrate for the streaming experiments: the paper streams MPEG clips of
 // "a few megabytes" and embeds annotations whose RLE-compressed size is
@@ -14,23 +14,32 @@
 //   * Per-plane 8x8 JPEG "islow" DCT (13-bit constants), uniform
 //     round-half-away quantisation with a JPEG-style matrix scaled by a
 //     quality factor, zigzag scan.
-//   * Entropy coding with LEB128 varints.  A block starts with its DC
-//     symbol: the zigzag-mapped DC delta (DC predicted from the previous
-//     block of the plane) shifted left by one, with the end-of-block flag
-//     in the low bit.  A DC-only block is that one varint and decodes to a
-//     constant fill; otherwise (run+1, level) pairs of the nonzero AC
-//     coefficients follow, ended by a 0.
-//   * The clip container starts with the magic "\0AV1".  Levels and DC
-//     deltas are range-checked on decode, so corrupt streams throw rather
-//     than overflow.
+//   * JPEG baseline Huffman coding with the fixed Annex K tables (K.3/K.5
+//     for Y, K.4/K.6 for Cb and Cr; media/huffman.h), MSB first, one
+//     bitstream per frame padded to a byte with one bits.  A block is its
+//     DC delta's size category and magnitude bits (DC predicted from the
+//     previous coded block of the plane), then (zero-run, size) symbols
+//     with magnitude bits for the nonzero AC coefficients, ZRL for runs
+//     over 15 and EOB unless the last coefficient is at zigzag position
+//     63.  A DC-only block (DC, then EOB) decodes to a constant fill.
+//     Values past the tables' size categories (quality ~95-100, P
+//     residuals) follow the tables' unused all-ones code as raw fields:
+//     the run (4 bits, AC only), the size (4 bits), the magnitude bits.
+//   * A frame is its quality byte, its type byte and the bitstream.  The
+//     clip container starts with the magic "\0AV2" and stores each frame
+//     as a length and its payload; the payload's type byte sets
+//     EncodedFrame::intra.  Levels and DC deltas are range-checked on
+//     decode, and every block has exactly one valid coding, so corrupt
+//     streams throw rather than overflow.
 //
 // Two frame types, MPEG-style:
 //   I (intra):  blocks coded standalone; every GOP starts with one.
 //   P (inter):  per-block conditional replenishment against the previous
 //               decoded frame -- SKIP (copy reference) or DELTA (DCT of the
-//               residual).  Dark/static scenes produce tiny P frames, which
-//               is exactly the size variation the annotation-driven DVFS and
-//               NIC-scheduling experiments exploit.
+//               residual), one mode bit per block.  Dark/static scenes
+//               produce tiny P frames, which is exactly the size variation
+//               the annotation-driven DVFS and NIC-scheduling experiments
+//               exploit.
 #pragma once
 
 #include <cstdint>

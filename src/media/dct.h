@@ -1,4 +1,4 @@
-// 8x8 fixed-point DCT used by the AV1 block codec (media/codec).
+// 8x8 fixed-point DCT used by the AV2 block codec (media/codec).
 //
 // The paper's player is built on the Berkeley MPEG tools; our substrate
 // codec is a block-DCT codec (MJPEG-like) which exercises the same decode

@@ -143,7 +143,7 @@ TEST(ClientFault, Ann0AnnotationSectionIsRejected) {
   EXPECT_THROW((void)core::decodeTrack(kAnn0Track), std::runtime_error);
   EXPECT_FALSE(core::decodeTrackLenient(kAnn0Track).usable);
 
-  // An AV1 video section followed by the ANN0 blob as the annotation
+  // An AV2 video section followed by the ANN0 blob as the annotation
   // section (type 2): the video plays, the annotations are dropped.
   Rig rig;
   const media::EncodedClip video = media::encodeClip(rig.clip);

@@ -1,4 +1,4 @@
-// Seeded mutation corpus over AV1 clip streams: every mutant of the paper
+// Seeded mutation corpus over AV2 clip streams: every mutant of the paper
 // clips' serialized streams must either be rejected with a std::exception
 // or decode to frames of the geometry its header declares -- never crash,
 // hang, allocate beyond its size, or (under UBSan) overflow.  The corpus
@@ -13,6 +13,7 @@
 #include "media/bitstream.h"
 #include "media/clipgen.h"
 #include "media/codec.h"
+#include "media/huffman.h"
 
 #ifndef ANNO_FAULT_CORPUS_SEED
 #define ANNO_FAULT_CORPUS_SEED 0xF4017ULL
@@ -75,8 +76,15 @@ TEST(CodecFaultCorpus, MutatedPaperClipStreamsDecodeOrThrow) {
   EXPECT_GT(out.decoded, out.total / 50);
 }
 
-/// A one-frame 8x8 intra stream: the Y block `y`, then DC-only Cb and Cr.
-std::vector<std::uint8_t> oneBlockStream(const std::vector<std::uint8_t>& y) {
+/// A bit field: `n` bits of `v`, most significant first.
+struct Field {
+  std::uint32_t v;
+  int n;
+};
+
+/// A one-frame 8x8 intra stream at q75: the Y block's bit fields `y`, then
+/// DC-only Cb and Cr (K.4 size 0 "00", K.6 EOB "00").
+std::vector<std::uint8_t> oneBlockStream(const std::vector<Field>& y) {
   EncodedClip clip;
   clip.name = "nasty";
   clip.width = 8;
@@ -85,53 +93,61 @@ std::vector<std::uint8_t> oneBlockStream(const std::vector<std::uint8_t>& y) {
   ByteWriter w;
   w.u8(75);  // quality
   w.u8(0);   // intra
-  w.bytes(y);
-  w.u8(1);   // Cb: DC-only, delta 0
-  w.u8(1);   // Cr: DC-only, delta 0
+  huffman::BitWriter bits(w);
+  for (const Field& f : y) bits.put(f.v, f.n);
+  bits.put(0, 8);  // Cb and Cr
+  bits.finish();
   clip.frames.push_back({w.take(), true});
   return serializeClip(clip);
 }
 
 TEST(CodecFaultCorpus, CorruptLevelsAndDcDeltasAreRejectedNotWrapped) {
-  const auto varint = [](std::uint64_t v) {
-    ByteWriter w;
-    w.varint(v);
-    return w.take();
+  const huffman::Table& dc = huffman::lumaDc();
+  const huffman::Table& ac = huffman::lumaAc();
+  const auto code = [](const huffman::Table& t, int symbol) {
+    return Field{t.code[symbol], t.length[symbol]};
   };
-  const auto cat = [](std::vector<std::uint8_t> a,
-                      const std::vector<std::uint8_t>& b) {
-    a.insert(a.end(), b.begin(), b.end());
-    return a;
+  const Field dcZero = code(dc, 0);
+  const Field eob = code(ac, 0x00);
+  const Field zrl = code(ac, 0xF0);
+  const Field dcEscape = code(dc, huffman::kEscape);
+  const Field acEscape = code(ac, huffman::kEscape);
+  // At q75 the DC divisor is 8, so |DC level| <= (2304 + 1024) / 8 = 416,
+  // and the zigzag-1 divisor is 6, so |level| <= 2304 / 6 = 384 there.
+  const std::vector<std::vector<Field>> nasties = {
+      // DC: the largest escaped delta, a table-coded delta of 1023 and an
+      // escape of a size K.3 codes.
+      {dcEscape, {15, 4}, {0x7FFF, 15}, eob},
+      {code(dc, 10), {1023, 10}, eob},
+      {dcEscape, {3, 4}, {7, 3}, eob},
+      // AC at zigzag 1: the largest escaped level, a table-coded level of
+      // 1023, and an escape of (run 0, size 5).
+      {dcZero, acEscape, {0x0F, 8}, {0x7FFF, 15}, eob},
+      {dcZero, code(ac, 0x0A), {1023, 10}, eob},
+      {dcZero, acEscape, {0x05, 8}, {31, 5}, eob},
+      // Runs past position 63: three ZRLs then a run of 15, four ZRLs.
+      {dcZero, zrl, zrl, zrl, code(ac, 0xF1), {1, 1}},
+      {dcZero, zrl, zrl, zrl, zrl, eob},
+      // A ZRL straight before EOB: the same block as a bare EOB.
+      {dcZero, zrl, eob},
+      // A whole byte after the frame (the extra byte codes Cb and Cr).
+      {dcZero, eob, {0, 8}},
   };
-  // DC symbols: (zigzag(delta) << 1) | end-of-block.  acAt1: DC 0 with
-  // AC coefficients following, then the run marker of zigzag position 1.
-  const std::vector<std::uint8_t> acAt1 = cat(varint(0), varint(1));
-  const std::vector<std::vector<std::uint8_t>> nasties = {
-      varint(zigzagEncode(std::int64_t{1} << 61) << 1 | 1),  // huge DC delta
-      varint(zigzagEncode(-(std::int64_t{1} << 61)) << 1 | 1),
-      varint(zigzagEncode(1000) << 1 | 1),  // 1000 * 8 + 1024 > 2304
-      varint(~std::uint64_t{0}),            // all-ones symbol
-      // One AC coefficient of level 2^40, 2^31 and -2^31 at zigzag 1.
-      cat(acAt1, varint(zigzagEncode(std::int64_t{1} << 40))),
-      cat(acAt1, varint(zigzagEncode(std::int64_t{1} << 31))),
-      cat(acAt1, varint(zigzagEncode(-(std::int64_t{1} << 31)))),
-      // A run marker past the block.
-      cat(cat(varint(0), varint(64)), varint(2)),
-  };
-  for (const auto& y : nasties) {
-    const std::vector<std::uint8_t> bytes = oneBlockStream(y);
-    const EncodedClip clip = parseClip(bytes);
-    EXPECT_THROW((void)decodeClip(clip), std::runtime_error);
+  for (std::size_t i = 0; i < nasties.size(); ++i) {
+    const EncodedClip clip = parseClip(oneBlockStream(nasties[i]));
+    EXPECT_THROW((void)decodeClip(clip), std::runtime_error) << "nasty " << i;
   }
   // The same stream with an in-range DC decodes.
-  EXPECT_NO_THROW((void)decodeClip(parseClip(oneBlockStream(varint(1)))));
+  EXPECT_NO_THROW(
+      (void)decodeClip(parseClip(oneBlockStream({code(dc, 1), {1, 1}, eob}))));
 }
 
 TEST(CodecFaultCorpus, HugeDeclaredGeometryIsRejectedBeforeAllocating) {
-  // A 32768 x 32768 frame needs at least 3 x 2^24 payload bytes.
+  // A kMaxDim x kMaxDim frame (32768 x 32768) needs at least 3 x 2^24
+  // payload bits; three bytes are rejected before the planes exist.
   EncodedClip clip;
-  clip.width = 1 << 15;
-  clip.height = 1 << 15;
+  clip.width = Image::kMaxDim;
+  clip.height = Image::kMaxDim;
   clip.fps = 15.0;
   clip.frames.push_back({{75, 0, 1, 1, 1}, true});
   EXPECT_THROW((void)decodeClip(parseClip(serializeClip(clip))),

@@ -369,10 +369,10 @@ std::vector<SessionReport> runBudgetedFleet(std::size_t budget) {
 
 TEST(SchedulerStreamCache, BoundedBudgetKeepsReportsIdentical) {
   const std::vector<SessionReport> unbounded = runBudgetedFleet(0);
-  // The 48 streams total ~790 KB, more than 640 KiB, so some shard must
-  // evict whatever the shard spread; each 40 KiB shard slice still holds
-  // the largest (~26 KB) stream, so the back-to-back second join hits.
-  const std::vector<SessionReport> squeezed = runBudgetedFleet(640u << 10);
+  // The 48 streams total ~310 KB, more than 128 KiB, so some shard must
+  // evict whatever the shard spread; each 8 KiB shard slice still holds
+  // the largest (~5 KB) stream, so the back-to-back second join hits.
+  const std::vector<SessionReport> squeezed = runBudgetedFleet(128u << 10);
   ASSERT_EQ(unbounded.size(), squeezed.size());
   for (std::size_t i = 0; i < unbounded.size(); ++i) {
     EXPECT_EQ(unbounded[i], squeezed[i]) << "session index " << i;

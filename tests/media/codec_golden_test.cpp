@@ -1,6 +1,6 @@
 // Codec stream goldens: every encoded byte and every decoded pixel of the
 // codec_golden_matrix.h configurations must match the CRCs captured by
-// tools/capture_codec_goldens.cpp when the AV1 format was introduced -- at
+// tools/capture_codec_goldens.cpp when the AV2 format was introduced -- at
 // every available dispatch level.
 #include <gtest/gtest.h>
 

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <string>
+
 #include "media/bitstream.h"
 #include "media/clipgen.h"
+#include "media/dct.h"
 #include "media/kernels/kernels.h"
 #include "media/rng.h"
 #include "quality/metrics.h"
@@ -118,19 +123,36 @@ TEST(Codec, ParseRejectsTheAv0Magic) {
   ASSERT_EQ(bytes[0], 0x00);
   ASSERT_EQ(bytes[1], 0x41);  // 'A'
   ASSERT_EQ(bytes[2], 0x56);  // 'V'
-  ASSERT_EQ(bytes[3], 0x31);  // '1'
+  ASSERT_EQ(bytes[3], 0x32);  // '2'
   EXPECT_NO_THROW((void)parseClip(bytes));
   bytes[3] = 0x30;            // '0'
   EXPECT_THROW((void)parseClip(bytes), std::runtime_error);
 }
 
-TEST(Codec, DcOnlyBlockIsOneVarint) {
-  // A flat frame is all DC-only blocks: the DC symbol carries the
-  // end-of-block flag, so each costs one byte (small DC deltas) and
-  // decodes to a constant fill.
+TEST(Codec, ParseRejectsTheAv1Magic) {
+  // AV1 streams (byte-aligned varint coefficients, a frame-type byte in
+  // each frame record) are not decodable either.
+  EncodedClip empty;
+  empty.width = 1;
+  empty.height = 1;
+  std::vector<std::uint8_t> bytes = serializeClip(empty);
+  bytes[3] = 0x31;  // '1'
+  EXPECT_THROW((void)parseClip(bytes), std::runtime_error);
+}
+
+TEST(Codec, DcOnlyBlockCodesInExactBits) {
+  // A flat frame is all DC-only blocks: the DC code and magnitude bits,
+  // then EOB.  Grey 120 is Y level 8 * (120 - 128) / 8 = -8 at q75 (DC
+  // divisor 8); Cb and Cr are 128, level 0.
+  //   Y block 0: K.3 size 4 "101", magnitude -8 -> "0111", K.5 EOB "1010"
+  //   Y block 1: K.3 size 0 "00", EOB "1010"
+  //   Cb, Cr x 2 blocks: K.4 size 0 "00", K.6 EOB "00"
+  // 11 + 6 + 16 = 33 bits, padded with seven one bits to 5 bytes.
   const Image flat(16, 8, Rgb8{120, 120, 120});
   const EncodedFrame enc = encodeFrame(flat, {75});
-  EXPECT_EQ(enc.sizeBytes(), 2u + 3u * 2u);  // header + 3 planes x 2 blocks
+  EXPECT_EQ(enc.bytes, (std::vector<std::uint8_t>{75, 0, 0b10101111,
+                                                  0b01000101, 0, 0,
+                                                  0b01111111}));
   const Image dec = decodeFrame(enc, 16, 8);
   for (const Rgb8& p : dec.pixels()) {
     EXPECT_EQ(p, (Rgb8{120, 120, 120}));
@@ -193,6 +215,104 @@ TEST(Codec, ExtremeBlocksAreIdenticalAtEveryLevel) {
             << kernels::levelName(level) << " q" << quality << " gop" << gop;
       }
     }
+  }
+}
+
+TEST(Codec, EscapedValuesRoundTripAtQuality100) {
+  // At quality 100 (every divisor 1) a +-255 checkerboard P residual has
+  // an AC level past K.5's size 10, and a P frame whose two luma blocks
+  // turn black -> white and white -> black has a DC delta of -4080, past
+  // K.3's size 11: both take the escape code.
+  SampleBlock residual;
+  for (int i = 0; i < 64; ++i) {
+    residual[i] = static_cast<std::int16_t>(((i / 8 + i % 8) % 2 ? -255 : 255)
+                                            << kernels::kPlaneFracBits);
+  }
+  const CoefBlock freq = forwardDct(residual);
+  const std::int32_t peak = *std::max_element(
+      freq.begin(), freq.end(),
+      [](std::int32_t a, std::int32_t b) { return std::abs(a) < std::abs(b); });
+  ASSERT_GE(std::abs(peak) >> kernels::kCoefFracBits, 1 << 10);
+
+  // The extremes (the checkerboard and its inverse, so frame 3 is that
+  // residual at GOP 12): intra and P blocks come back within 40 dB.
+  VideoClip clip;
+  clip.name = "extremes";
+  clip.fps = 15.0;
+  clip.frames = extremeFrames();
+  for (const int gop : {1, 12}) {
+    const VideoClip dec = decodeClip(parseClip(serializeClip(
+        encodeClip(clip, {100, gop}))));
+    for (std::size_t f = 0; f < clip.frames.size(); ++f) {
+      EXPECT_GT(quality::psnr(clip.frames[f], dec.frames[f]), 40.0)
+          << "gop " << gop << " frame " << f;
+    }
+  }
+
+  // DC-only blocks at the range ends come back exact.
+  Image a(16, 8, Rgb8{0, 0, 0});
+  Image b(16, 8, Rgb8{255, 255, 255});
+  for (int y = 0; y < 8; ++y) {
+    for (int x = 8; x < 16; ++x) {
+      a(x, y) = Rgb8{255, 255, 255};
+      b(x, y) = Rgb8{0, 0, 0};
+    }
+  }
+  VideoClip swap;
+  swap.name = "swap";
+  swap.fps = 15.0;
+  swap.frames = {a, b, a};
+  const EncodedClip enc = encodeClip(swap, {100, 3});
+  ASSERT_FALSE(enc.frames[1].intra);
+  EXPECT_EQ(decodeClip(parseClip(serializeClip(enc))).frames, swap.frames);
+}
+
+TEST(Codec, EveryTruncationOfAFrameThrows) {
+  // Every proper prefix of an I frame and of a P frame (q100, so escapes
+  // included) is rejected with the documented std::runtime_error; each
+  // prefix is its own allocation, so under ASan a read past it aborts.
+  // One byte too many is rejected too: a frame ends in its padding.
+  const Image ref = testFrame(24, 16, 12);
+  Image cur = ref;
+  for (Rgb8& p : cur.pixels()) p = offset(p, 40.0);
+  for (const int quality : {75, 100}) {
+    const Image refDec = decodeFrame(encodeFrame(ref, {quality}), 24, 16);
+    for (const EncodedFrame& frame :
+         {encodeFrame(ref, {quality}), encodePFrame(cur, refDec, {quality})}) {
+      ASSERT_NO_THROW((void)decodeFrame(frame, 24, 16, &refDec));
+      for (std::size_t n = 0; n < frame.bytes.size(); ++n) {
+        EncodedFrame cut;
+        cut.bytes.assign(frame.bytes.begin(), frame.bytes.begin() + n);
+        EXPECT_THROW((void)decodeFrame(cut, 24, 16, &refDec),
+                     std::runtime_error)
+            << "q" << quality << " intra " << frame.intra << " length " << n;
+      }
+      EncodedFrame longer = frame;
+      longer.bytes.push_back(0xFF);
+      EXPECT_THROW((void)decodeFrame(longer, 24, 16, &refDec),
+                   std::runtime_error);
+    }
+  }
+}
+
+TEST(Codec, PayloadBoundIsOneBitPerBlock) {
+  // An all-SKIP P frame is one zero bit per block -- the least a frame can
+  // code, and the bound the decoder checks before allocating planes.  A
+  // 64x64 frame has 3 x 64 blocks: 24 bytes decode to the reference, 23
+  // are rejected as too short.
+  const Image ref = testFrame(64, 64, 13);
+  EncodedFrame skip;
+  skip.bytes.assign(2 + 24, 0);
+  skip.bytes[0] = 75;
+  skip.bytes[1] = 1;  // P frame
+  EXPECT_EQ(decodeFrame(skip, 64, 64, &ref), ref);
+  skip.bytes.pop_back();
+  try {
+    (void)decodeFrame(skip, 64, 64, &ref);
+    ADD_FAILURE() << "a 23-byte all-SKIP payload decoded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("too short"), std::string::npos)
+        << e.what();
   }
 }
 

@@ -5,10 +5,10 @@
 // decoded RGB -- formatted as a C++ initializer to paste into
 // tests/media/codec_goldens.inc.
 //
-// The committed .inc was captured when the AV1 format was introduced, and
-// the suite replays it at every dispatch level.  Re-running this tool
-// captures the CURRENT code -- only regenerate the goldens to bless an
-// intentional format change.
+// The committed .inc was captured when the AV2 format was introduced, and
+// the suite replays it at every dispatch level; CI checks that it is this
+// tool's exact output.  Re-running this tool captures the CURRENT code --
+// only regenerate the goldens to bless an intentional format change.
 //
 // Run: ./build/tools/capture_codec_goldens > tests/media/codec_goldens.inc
 //
