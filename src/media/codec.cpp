@@ -35,6 +35,9 @@ constexpr std::uint32_t kBlockSkip = 0;
 constexpr std::uint32_t kBlockDelta = 1;
 /// Mean-abs-difference (per pixel) below which a P block is SKIPped.
 constexpr double kSkipThreshold = 1.5;
+/// Mean absolute luma difference, in 8-bit units, between consecutive
+/// source frames above which encodeClip starts an I frame (a scene cut).
+constexpr int kSceneCutLuma = 8;
 
 /// JPEG-style quality scaling of the base matrix.
 std::array<int, 64> quantMatrix(int quality) {
@@ -103,6 +106,10 @@ class QuantizerCache {
 
 int blocksAcross(int dim) { return (dim + 7) / 8; }
 
+/// Samples per chunk of the whole-plane loops (the reference clamp and the
+/// scene-cut sum): a constant trip count the compiler unrolls into vectors.
+constexpr std::size_t kChunk = 32;
+
 /// Y, Cb, Cr as Q5 int16 planes (see codec.h) in one write-once frame
 /// buffer: every sample is written before it is read.
 class Planes {
@@ -115,6 +122,23 @@ class Planes {
   std::int16_t* operator[](int p) { return data_.data() + p * samples_; }
   const std::int16_t* operator[](int p) const {
     return data_.data() + p * samples_;
+  }
+
+  /// Clamps every sample to the 8-bit range [0, 255 * 32], which makes
+  /// decoded planes a P frame's reference (see codec.h).
+  void clampToSampleRange() {
+    const auto clamp = [](std::int16_t* v, std::size_t n) {
+      constexpr std::int16_t kMax = 255 << kernels::kPlaneFracBits;
+      for (std::size_t i = 0; i < n; ++i) {
+        v[i] = std::min(std::max(v[i], std::int16_t{0}), kMax);
+      }
+    };
+    // Fixed-length chunks, which the compiler vectorises, then the tail.
+    std::int16_t* v = data_.data();
+    const std::size_t n = data_.size();
+    std::size_t i = 0;
+    for (; i + kChunk <= n; i += kChunk) clamp(v + i, kChunk);
+    clamp(v + i, n - i);
   }
 
  private:
@@ -136,6 +160,26 @@ Image fromPlanes(const Planes& planes, int width, int height) {
   kernels::active().ycbcrPlanesToRgb(planes[0], planes[1], planes[2],
                                      dst.size(), dst.data());
   return img;
+}
+
+/// Whether the source luma of consecutive frames differs by more than
+/// kSceneCutLuma per sample on average.  The sums are integers, so the
+/// decision is the same on every build.
+bool isSceneCut(const Planes& prev, const Planes& next, std::size_t samples) {
+  const std::int16_t* a = prev[0];
+  const std::int16_t* b = next[0];
+  const auto sad = [a, b](std::size_t from, std::size_t n) {
+    std::int32_t sum = 0;
+    for (std::size_t i = from; i < from + n; ++i) sum += std::abs(a[i] - b[i]);
+    return sum;
+  };
+  // Fixed-length chunks, which the compiler vectorises, then the tail.
+  std::int64_t sum = 0;
+  std::size_t i = 0;
+  for (; i + kChunk <= samples; i += kChunk) sum += sad(i, kChunk);
+  sum += sad(i, samples - i);
+  return sum > std::int64_t{kSceneCutLuma << kernels::kPlaneFracBits} *
+                   static_cast<std::int64_t>(samples);
 }
 
 std::int16_t saturate16(std::int32_t v) {
@@ -241,6 +285,34 @@ void copyBlock(const std::int16_t* ref,
   }
 }
 
+/// Writes one coded block's samples: the inverse transform of `freq`
+/// (dequantised, DC offset included) or, when `transform` is false, the
+/// constant freq[0] * kDcSample of a DC-only block (exactly what the
+/// inverse transform returns for it).  An I block (`ref` null) is stored;
+/// a P block is added onto the reference, saturating.  The decoder and the
+/// encoder's reconstruction share it, so both produce the same planes.
+[[gnu::always_inline]] inline void writeBlock(
+    const kernels::KernelTable& kt, const CoefBlock& freq, bool transform,
+    const std::int16_t* ref, std::int16_t* plane, int width, int height,
+    int bx, int by) {
+  if (!transform) {
+    const std::int32_t dc = freq[0] * kDcSample;
+    if (ref != nullptr) {
+      addConstant(dc, ref, plane, width, height, bx, by);
+    } else {
+      fillBlock(static_cast<std::int16_t>(dc), plane, width, height, bx, by);
+    }
+    return;
+  }
+  SampleBlock spatial;
+  kt.idct8x8(freq.data(), spatial.data());
+  if (ref != nullptr) {
+    addBlock(spatial, ref, plane, width, height, bx, by);
+  } else {
+    storeBlock(spatial, plane, width, height, bx, by);
+  }
+}
+
 /// Mean absolute difference of a block position between two planes, in
 /// 8-bit units.
 double blockMad(const std::int16_t* a,
@@ -281,16 +353,18 @@ constexpr int kMaxAcSize = 10;
 /// the magnitude bits of the nonzero AC coefficients in zigzag order, ZRL
 /// for every 16 zeros of a longer run, and EOB unless the last coefficient
 /// is nonzero.  Values past the tables' categories follow the escape code
-/// as raw fields: AC run (4 bits), size (4 bits), magnitude bits.
-void encodeBlock(const kernels::KernelTable& kt, const SampleBlock& spatial,
-                 std::int32_t dcOffset, const kernels::QuantTable& quant,
-                 const PlaneTables& tables, std::int32_t& dcPred,
-                 huffman::BitWriter& writer) {
+/// as raw fields: AC run (4 bits), size (4 bits), magnitude bits.  Leaves
+/// the zigzag levels in `levels` and returns the mask of nonzero AC levels.
+std::uint64_t encodeBlock(const kernels::KernelTable& kt,
+                          const SampleBlock& spatial, std::int32_t dcOffset,
+                          const kernels::QuantTable& quant,
+                          const PlaneTables& tables, std::int32_t& dcPred,
+                          huffman::BitWriter& writer,
+                          std::int32_t (&levels)[64]) {
   huffman::BitWriter w = writer;  // a local copy stays in registers
   CoefBlock freq;
   kt.fdct8x8(spatial.data(), freq.data());
   freq[0] -= dcOffset << kernels::kCoefFracBits;
-  std::int32_t levels[64];
   const std::uint64_t ac = kt.quantizeBlock(freq.data(), quant, levels) & ~1ull;
   const std::int32_t delta = levels[0] - dcPred;
   dcPred = levels[0];
@@ -323,6 +397,24 @@ void encodeBlock(const kernels::KernelTable& kt, const SampleBlock& spatial,
   }
   if (pos != 63) w.code(tables.ac, kEob);
   writer = w;
+  return ac;
+}
+
+/// The coefficients decodeBlock reads back for the zigzag `levels` of
+/// encodeBlock (nonzero AC mask `ac`).  Returns false for a DC-only block,
+/// of which only freq[0] is written.
+bool dequantise(const std::int32_t (&levels)[64], std::uint64_t ac,
+                std::int32_t dcOffset, const kernels::QuantTable& quant,
+                CoefBlock& freq) {
+  freq[0] = levels[0] * quant.divisor[0] + dcOffset;
+  if (ac == 0) return false;
+  std::fill(freq.begin() + 1, freq.end(), 0);
+  const auto& zz = zigzagOrder();
+  for (std::uint64_t m = ac; m != 0; m &= m - 1) {
+    const int pos = std::countr_zero(m);
+    freq[zz[pos]] = levels[pos] * quant.divisor[zz[pos]];
+  }
+  return true;
 }
 
 /// The next DC delta: one fast-table lookup when its code and magnitude
@@ -417,9 +509,11 @@ void checkFrameGeometry(const Image& frame) {
   if (frame.empty()) throw std::invalid_argument("codec: empty frame");
 }
 
-/// Codes an I frame from its colour planes.
+/// Codes an I frame from its colour planes.  A non-null `recon` receives
+/// the planes the decoder will reconstruct from the frame.
 EncodedFrame encodeIntra(const Planes& planes, int w, int h,
-                         const Quantizer& quant, const CodecConfig& cfg) {
+                         const Quantizer& quant, const CodecConfig& cfg,
+                         Planes* recon) {
   const kernels::KernelTable& kt = kernels::active();
   ByteWriter out;
   out.u8(static_cast<std::uint8_t>(cfg.quality));
@@ -427,13 +521,22 @@ EncodedFrame encodeIntra(const Planes& planes, int w, int h,
   huffman::BitWriter bits(out);
   const int bw = blocksAcross(w);
   const int bh = blocksAcross(h);
+  std::int32_t levels[64];
+  CoefBlock freq;
   for (int p = 0; p < 3; ++p) {
     const PlaneTables tables = tablesFor(p);
     std::int32_t dcPred = 0;
     for (int by = 0; by < bh; ++by) {
       for (int bx = 0; bx < bw; ++bx) {
-        encodeBlock(kt, fetchBlock(planes[p], w, h, bx, by), kIntraOffset,
-                    quant.table, tables, dcPred, bits);
+        const std::uint64_t ac =
+            encodeBlock(kt, fetchBlock(planes[p], w, h, bx, by),
+                        kIntraOffset, quant.table, tables, dcPred, bits,
+                        levels);
+        if (recon != nullptr) {
+          const bool transform =
+              dequantise(levels, ac, kIntraOffset, quant.table, freq);
+          writeBlock(kt, freq, transform, nullptr, (*recon)[p], w, h, bx, by);
+        }
       }
     }
   }
@@ -441,9 +544,11 @@ EncodedFrame encodeIntra(const Planes& planes, int w, int h,
   return EncodedFrame{out.take(), /*intra=*/true};
 }
 
-/// Codes a P frame from its colour planes against the reference planes.
+/// Codes a P frame from its colour planes against the reference planes;
+/// `recon` as for encodeIntra.
 EncodedFrame encodeInter(const Planes& cur, const Planes& ref, int w, int h,
-                         const Quantizer& quant, const CodecConfig& cfg) {
+                         const Quantizer& quant, const CodecConfig& cfg,
+                         Planes* recon) {
   const kernels::KernelTable& kt = kernels::active();
   ByteWriter out;
   out.u8(static_cast<std::uint8_t>(cfg.quality));
@@ -451,6 +556,8 @@ EncodedFrame encodeInter(const Planes& cur, const Planes& ref, int w, int h,
   huffman::BitWriter bits(out);
   const int bw = blocksAcross(w);
   const int bh = blocksAcross(h);
+  std::int32_t levels[64];
+  CoefBlock freq;
   for (int p = 0; p < 3; ++p) {
     const PlaneTables tables = tablesFor(p);
     std::int32_t dcPred = 0;
@@ -459,6 +566,9 @@ EncodedFrame encodeInter(const Planes& cur, const Planes& ref, int w, int h,
         const double mad = blockMad(cur[p], ref[p], w, h, bx, by);
         if (mad < kSkipThreshold) {
           bits.put(kBlockSkip, 1);
+          if (recon != nullptr) {
+            copyBlock(ref[p], (*recon)[p], w, h, bx, by);
+          }
           continue;
         }
         bits.put(kBlockDelta, 1);
@@ -468,7 +578,12 @@ EncodedFrame encodeInter(const Planes& cur, const Planes& ref, int w, int h,
         for (int i = 0; i < 64; ++i) {
           residual[i] = static_cast<std::int16_t>(residual[i] - refBlk[i]);
         }
-        encodeBlock(kt, residual, 0, quant.table, tables, dcPred, bits);
+        const std::uint64_t ac = encodeBlock(kt, residual, 0, quant.table,
+                                             tables, dcPred, bits, levels);
+        if (recon != nullptr) {
+          const bool transform = dequantise(levels, ac, 0, quant.table, freq);
+          writeBlock(kt, freq, transform, ref[p], (*recon)[p], w, h, bx, by);
+        }
       }
     }
   }
@@ -512,7 +627,6 @@ Planes decodePlanes(const EncodedFrame& frame, int width, int height,
   huffman::BitReader r(coded);
   Planes planes(static_cast<std::size_t>(width) * height);
   CoefBlock freq;
-  SampleBlock spatial;
   const std::int32_t dcOffset = inter ? 0 : kIntraOffset;
   for (int p = 0; p < 3; ++p) {
     const PlaneTables tables = tablesFor(p);
@@ -525,22 +639,10 @@ Planes decodePlanes(const EncodedFrame& frame, int width, int height,
         }
         // One call site, so decodeBlock inlines and the reader stays in
         // registers across blocks.
-        if (!decodeBlock(quant, dcOffset, tables, dcPred, r, freq)) {
-          const std::int32_t dc = freq[0] * kDcSample;
-          if (inter) {
-            addConstant(dc, (*ref)[p], planes[p], width, height, bx, by);
-          } else {
-            fillBlock(static_cast<std::int16_t>(dc), planes[p], width,
-                      height, bx, by);
-          }
-          continue;
-        }
-        kt.idct8x8(freq.data(), spatial.data());
-        if (inter) {
-          addBlock(spatial, (*ref)[p], planes[p], width, height, bx, by);
-        } else {
-          storeBlock(spatial, planes[p], width, height, bx, by);
-        }
+        const bool transform =
+            decodeBlock(quant, dcOffset, tables, dcPred, r, freq);
+        writeBlock(kt, freq, transform, inter ? (*ref)[p] : nullptr,
+                   planes[p], width, height, bx, by);
       }
     }
   }
@@ -548,48 +650,48 @@ Planes decodePlanes(const EncodedFrame& frame, int width, int height,
   return planes;
 }
 
-/// decodeFrame with the caller's quantizer cache.
-Image decodeImage(const EncodedFrame& frame, int width, int height,
-                  const Image* reference, QuantizerCache& quants) {
-  if (width <= 0 || height <= 0) {
-    throw std::invalid_argument("decodeFrame: bad dimensions");
-  }
-  Planes ref;
-  const bool useRef = reference != nullptr && isInterFrame(frame);
-  if (useRef) {
-    if (reference->width() != width || reference->height() != height) {
-      throw std::invalid_argument("decodeFrame: reference geometry mismatch");
-    }
-    ref = toPlanes(*reference);
-  }
-  return fromPlanes(
-      decodePlanes(frame, width, height, useRef ? &ref : nullptr, quants),
-      width, height);
-}
-
 }  // namespace
 
 EncodedFrame encodeFrame(const Image& frame, const CodecConfig& cfg) {
   checkFrameGeometry(frame);
   return encodeIntra(toPlanes(frame), frame.width(), frame.height(),
-                     makeQuantizer(cfg.quality), cfg);
+                     makeQuantizer(cfg.quality), cfg, nullptr);
 }
 
-EncodedFrame encodePFrame(const Image& frame, const Image& reference,
-                          const CodecConfig& cfg) {
-  checkFrameGeometry(frame);
-  if (reference.width() != frame.width() ||
-      reference.height() != frame.height()) {
-    throw std::invalid_argument("encodePFrame: reference geometry mismatch");
-  }
-  return encodeInter(toPlanes(frame), toPlanes(reference), frame.width(),
-                     frame.height(), makeQuantizer(cfg.quality), cfg);
-}
-
-Image decodeFrame(const EncodedFrame& frame, int width, int height,
-                  const Image* reference) {
+struct FrameDecoder::State {
+  int width;
+  int height;
+  /// The last frame decoded, unclamped until a P frame predicts from it.
+  Planes reference;
+  bool haveReference = false;
   QuantizerCache quants;
-  return decodeImage(frame, width, height, reference, quants);
+};
+
+FrameDecoder::FrameDecoder(int width, int height)
+    : state_(std::make_unique<State>(State{width, height, {}, false, {}})) {}
+FrameDecoder::~FrameDecoder() = default;
+FrameDecoder::FrameDecoder(FrameDecoder&&) noexcept = default;
+FrameDecoder& FrameDecoder::operator=(FrameDecoder&&) noexcept = default;
+
+Image FrameDecoder::decode(const EncodedFrame& frame) {
+  State& s = *state_;
+  if (s.width <= 0 || s.height <= 0) {
+    throw std::invalid_argument("decodeFrame: bad dimensions");
+  }
+  if (s.haveReference && isInterFrame(frame)) {
+    s.reference.clampToSampleRange();  // idempotent, so a retry is safe
+  }
+  Planes planes = decodePlanes(frame, s.width, s.height,
+                               s.haveReference ? &s.reference : nullptr,
+                               s.quants);
+  Image image = fromPlanes(planes, s.width, s.height);
+  s.reference = std::move(planes);
+  s.haveReference = true;
+  return image;
+}
+
+Image decodeFrame(const EncodedFrame& frame, int width, int height) {
+  return FrameDecoder(width, height).decode(frame);
 }
 
 EncodedClip encodeClip(const VideoClip& clip, const CodecConfig& cfg) {
@@ -607,28 +709,38 @@ EncodedClip encodeClip(const VideoClip& clip, const CodecConfig& cfg) {
   out.quality = cfg.quality;
   out.frames.reserve(clip.frames.size());
 
-  // Closed-loop encoding: P frames reference the previous DECODED frame so
-  // the decoder never drifts.  That reconstruction (decode, then through
-  // RGB and back to planes, exactly as decodeClip sees it) is only made
-  // when the next frame is a P frame; with gopLength 1 it never is.
+  // Closed-loop encoding: a P frame's reference is the previous frame as
+  // the decoder reconstructs it, rebuilt from the levels just quantised,
+  // and only when the next frame is a P frame.  `run` counts the frames of
+  // the current GOP so far; with gopLength 1 no frame is a P frame and no
+  // scene cut is measured.
+  const std::size_t n = clip.frames.size();
+  const std::size_t samples = clip.frames.front().pixelCount();
   const auto gop = static_cast<std::size_t>(cfg.gopLength);
-  QuantizerCache decodeQuants;
-  Planes refPlanes;
-  for (std::size_t i = 0; i < clip.frames.size(); ++i) {
-    const bool intra = i % gop == 0;
-    const Planes cur = toPlanes(clip.frames[i]);
-    EncodedFrame enc =
-        intra ? encodeIntra(cur, out.width, out.height, quant, cfg)
-              : encodeInter(cur, refPlanes, out.width, out.height, quant,
-                            cfg);
-    const bool nextIsP = i + 1 < clip.frames.size() && (i + 1) % gop != 0;
-    if (nextIsP) {
-      refPlanes = toPlanes(fromPlanes(
-          decodePlanes(enc, out.width, out.height,
-                       intra ? nullptr : &refPlanes, decodeQuants),
-          out.width, out.height));
+  Planes cur = toPlanes(clip.frames.front());
+  Planes ref;
+  bool intra = true;
+  std::size_t run = 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    Planes next;
+    bool nextIsP = false;
+    if (i + 1 < n) {
+      next = toPlanes(clip.frames[i + 1]);
+      nextIsP = run < gop && !isSceneCut(cur, next, samples);
     }
-    out.frames.push_back(std::move(enc));
+    Planes recon = nextIsP ? Planes(samples) : Planes();
+    Planes* const reconOut = nextIsP ? &recon : nullptr;
+    out.frames.push_back(
+        intra ? encodeIntra(cur, out.width, out.height, quant, cfg, reconOut)
+              : encodeInter(cur, ref, out.width, out.height, quant, cfg,
+                            reconOut));
+    if (nextIsP) {
+      recon.clampToSampleRange();
+      ref = std::move(recon);
+    }
+    cur = std::move(next);
+    intra = !nextIsP;
+    run = nextIsP ? run + 1 : 1;
   }
   return out;
 }
@@ -638,11 +750,9 @@ VideoClip decodeClip(const EncodedClip& clip) {
   out.name = clip.name;
   out.fps = clip.fps;
   out.frames.reserve(clip.frames.size());
-  QuantizerCache quants;
+  FrameDecoder decoder(clip.width, clip.height);
   for (const EncodedFrame& f : clip.frames) {
-    const Image* ref = out.frames.empty() ? nullptr : &out.frames.back();
-    out.frames.push_back(
-        decodeImage(f, clip.width, clip.height, ref, quants));
+    out.frames.push_back(decoder.decode(f));
   }
   return out;
 }

@@ -33,16 +33,27 @@
 //     streams throw rather than overflow.
 //
 // Two frame types, MPEG-style:
-//   I (intra):  blocks coded standalone; every GOP starts with one.
-//   P (inter):  per-block conditional replenishment against the previous
-//               decoded frame -- SKIP (copy reference) or DELTA (DCT of the
+//   I (intra):  blocks coded standalone.  Every GOP starts with one: at
+//               the first frame, at every scene cut (the mean absolute
+//               luma difference between consecutive source frames is over
+//               8 in 8-bit units) and after gopLength - 1 P frames.
+//   P (inter):  per-block conditional replenishment against the reference
+//               planes -- SKIP (copy reference) or DELTA (DCT of the
 //               residual), one mode bit per block.  Dark/static scenes
 //               produce tiny P frames, which is exactly the size variation
 //               the annotation-driven DVFS and NIC-scheduling experiments
 //               exploit.
+// The reference of a P frame is the previous frame's decoded planes, each
+// sample clamped to [0, 255 * 32] (an unclamped residual could leave the
+// forward transform's input range).  FrameDecoder holds it on the client.
+// The encoder never decodes its own output: it rebuilds the same planes
+// from the levels it has just quantised (dequantise, inverse transform or
+// DC fill, SKIP copy, the same saturations), and only when the next frame
+// is a P frame, so encoder and decoder references are equal bit for bit.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -53,11 +64,12 @@
 namespace anno::media {
 
 /// Codec tuning.  quality in [1,100]; higher = larger, more faithful.
-/// gopLength = 1 forces intra-only (every frame independently decodable);
-/// larger values insert P frames between I frames.
+/// gopLength is the longest run of frames from one I frame to the next;
+/// scene cuts start I frames sooner.  1 forces intra-only (every frame
+/// independently decodable).
 struct CodecConfig {
   int quality = 75;
-  int gopLength = 1;
+  int gopLength = 12;
 };
 
 /// One compressed frame.
@@ -88,18 +100,33 @@ struct EncodedClip {
 [[nodiscard]] EncodedFrame encodeFrame(const Image& frame,
                                        const CodecConfig& cfg = {});
 
-/// Encodes one RGB frame as a P frame against `reference` (the previous
-/// DECODED frame, so encoder and decoder stay in sync).
-[[nodiscard]] EncodedFrame encodePFrame(const Image& frame,
-                                        const Image& reference,
-                                        const CodecConfig& cfg = {});
-
-/// Decodes one frame; dimensions must match the encoder's.  `reference`
-/// must be the previous decoded frame for P frames (may be null for I
-/// frames).  Throws std::runtime_error on malformed payloads or a missing
-/// reference.
+/// Decodes one I frame; dimensions must match the encoder's.  Throws
+/// std::runtime_error on malformed payloads and on a P frame, which needs
+/// the reference a FrameDecoder holds.
 [[nodiscard]] Image decodeFrame(const EncodedFrame& frame, int width,
-                                int height, const Image* reference = nullptr);
+                                int height);
+
+/// Decodes a clip's frames in order, holding the reference planes of the
+/// last frame decoded.  decodeClip and the client's concealing decoder
+/// share it.
+class FrameDecoder {
+ public:
+  /// Throws std::invalid_argument on non-positive dimensions.
+  FrameDecoder(int width, int height);
+  ~FrameDecoder();
+  FrameDecoder(FrameDecoder&&) noexcept;
+  FrameDecoder& operator=(FrameDecoder&&) noexcept;
+
+  /// Decodes the next frame.  A P frame predicts from the last frame this
+  /// decoder returned.  Throws std::runtime_error on a malformed payload or
+  /// a P frame before any frame has decoded; a frame that throws leaves
+  /// the reference as it was.
+  [[nodiscard]] Image decode(const EncodedFrame& frame);
+
+ private:
+  struct State;
+  std::unique_ptr<State> state_;
+};
 
 /// Encodes a whole clip.
 [[nodiscard]] EncodedClip encodeClip(const VideoClip& clip,

@@ -220,7 +220,9 @@ struct FleetSoakReport {
   std::size_t faultSessions = 0;        ///< streams mutated + decoded
   std::size_t faultMutationsApplied = 0;
   std::size_t faultDecodeOk = 0;        ///< still playable after damage
-  std::size_t faultFallbacks = 0;       ///< degraded to full backlight
+  /// Of faultDecodeOk, those degraded to full backlight (the annotation
+  /// track was lost), so decodeOk + undecodable == faultSessions.
+  std::size_t faultFallbacks = 0;
   std::size_t faultUndecodable = 0;     ///< ok == false (video destroyed)
   std::size_t faultThrows = 0;          ///< MUST stay 0: receive never throws
   std::vector<SoakHourBucket> hours;    ///< 24 diurnal buckets

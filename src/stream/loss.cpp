@@ -114,10 +114,11 @@ ConcealedPlayback decodeWithConcealment(
   out.video.fps = clip.fps;
   out.video.frames.reserve(clip.frames.size());
 
-  // `reference` is the last correctly DECODED frame (P frames chain off
-  // it); `chainBroken` marks that decoding must wait for the next intact
-  // I frame.  Concealment shows the last displayed frame meanwhile.
-  media::Image reference;
+  // The decoder holds the last correctly decoded frame's planes, which P
+  // frames chain off; `chainBroken` marks that decoding must wait for the
+  // next intact I frame (the next scene cut or GOP start).  Concealment
+  // shows the last displayed frame meanwhile.
+  media::FrameDecoder decoder(clip.width, clip.height);
   bool haveReference = false;
   bool chainBroken = false;
   for (std::size_t i = 0; i < clip.frames.size(); ++i) {
@@ -126,11 +127,9 @@ ConcealedPlayback decodeWithConcealment(
         deliveries[i].intact &&
         (f.intra || (haveReference && !chainBroken));
     if (decodable) {
-      reference = media::decodeFrame(f, clip.width, clip.height,
-                                     f.intra ? nullptr : &reference);
+      out.video.frames.push_back(decoder.decode(f));
       haveReference = true;
       chainBroken = false;
-      out.video.frames.push_back(reference);
       ++out.intactFrames;
       continue;
     }

@@ -105,7 +105,7 @@ TEST_F(SchedulerTest, LeaveMidStreamIsCleanAndTerminal) {
   SessionScheduler sched(server_);
   const std::uint64_t stayer = sched.join(fastSession());
   FleetSessionConfig slow = fastSession("officexp");
-  slow.bandwidth = BandwidthTrace::constant(1e5);  // several ticks to deliver
+  slow.bandwidth = BandwidthTrace::constant(1e4);  // several ticks to deliver
   const std::uint64_t leaver = sched.join(slow);
   sched.tick();
   EXPECT_TRUE(sched.leave(leaver));

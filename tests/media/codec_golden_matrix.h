@@ -10,9 +10,15 @@
 // pins every encoded byte AND every decoded pixel of its configuration.
 // rateDistortion() reduces the same round trip to the two numbers the
 // rate/distortion table (codec_rd_test.cpp) compares across formats.
+//
+// servedMatrix() adds the served configuration (CodecConfig{}: scene-cut
+// GOPs) on clips spliced from three paper clips, so its rows also pin where
+// the encoder cuts.  It is kept out of matrix(), whose rows the
+// rate/distortion table mirrors one for one.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <span>
@@ -41,6 +47,10 @@ struct Config {
            std::to_string(height) + "/gop" + std::to_string(gop) + "/q" +
            std::to_string(quality);
   }
+
+  [[nodiscard]] media::CodecConfig codec() const {
+    return {.quality = quality, .gopLength = gop};
+  }
 };
 
 /// Every configuration, in golden-table order.
@@ -66,6 +76,46 @@ inline media::VideoClip clipFor(media::PaperClip clip, int width,
   return out;
 }
 
+/// Frames taken from each clip of a splice: more than one maximum GOP, so
+/// a served row holds a GOP-length I frame as well as the cuts.
+inline constexpr std::size_t kSpliceFrames = 14;
+
+/// The served configuration on three paper clips played back to back.
+struct SplicedConfig {
+  std::array<media::PaperClip, 3> parts;
+  int width;
+  int height;
+
+  [[nodiscard]] std::string name() const {
+    std::string out = "served";
+    for (const media::PaperClip part : parts) {
+      out += '/';
+      out += media::paperClipName(part);
+    }
+    return out + "/" + std::to_string(width) + "x" + std::to_string(height);
+  }
+};
+
+/// Every served configuration, in golden-table order: each paper clip in
+/// one splice, at both sizes of matrix().
+inline std::vector<SplicedConfig> servedMatrix() {
+  using media::PaperClip;
+  const std::array<std::array<PaperClip, 3>, 4> splices = {{
+      {PaperClip::kTheMovie, PaperClip::kCatwoman, PaperClip::kHunterSubres},
+      {PaperClip::kIRobot, PaperClip::kIceAge, PaperClip::kOfficeXp},
+      {PaperClip::kReturnOfTheKing, PaperClip::kShrek2,
+       PaperClip::kSpiderman2},
+      {PaperClip::kIncrediblesTlr2, PaperClip::kTheMovie, PaperClip::kIceAge},
+  }};
+  std::vector<SplicedConfig> out;
+  for (const auto& parts : splices) {
+    for (const auto& [w, h] : {std::pair{32, 24}, std::pair{44, 30}}) {
+      out.push_back({parts, w, h});
+    }
+  }
+  return out;
+}
+
 struct Digest {
   std::size_t frames;
   std::size_t streamBytes;
@@ -73,10 +123,23 @@ struct Digest {
   std::uint32_t pixelCrc;
 };
 
-inline Digest digest(const media::VideoClip& clip, const Config& cfg) {
-  media::CodecConfig codec;
-  codec.quality = cfg.quality;
-  codec.gopLength = cfg.gop;
+/// The first kSpliceFrames frames of each part, back to back.
+inline media::VideoClip splicedClip(const SplicedConfig& cfg) {
+  media::VideoClip out;
+  out.name = cfg.name();
+  for (const media::PaperClip part : cfg.parts) {
+    media::VideoClip clip = clipFor(part, cfg.width, cfg.height);
+    out.fps = clip.fps;
+    const std::size_t n = std::min(clip.frames.size(), kSpliceFrames);
+    for (std::size_t i = 0; i < n; ++i) {
+      out.frames.push_back(std::move(clip.frames[i]));
+    }
+  }
+  return out;
+}
+
+inline Digest digest(const media::VideoClip& clip,
+                     const media::CodecConfig& codec) {
   const media::EncodedClip enc = media::encodeClip(clip, codec);
   const std::vector<std::uint8_t> stream = media::serializeClip(enc);
   std::uint32_t pixelCrc = 0;
@@ -99,10 +162,7 @@ struct RateDistortion {
 
 inline RateDistortion rateDistortion(const media::VideoClip& clip,
                                      const Config& cfg) {
-  media::CodecConfig codec;
-  codec.quality = cfg.quality;
-  codec.gopLength = cfg.gop;
-  const media::EncodedClip enc = media::encodeClip(clip, codec);
+  const media::EncodedClip enc = media::encodeClip(clip, cfg.codec());
   const media::VideoClip dec = media::decodeClip(enc);
   double sse = 0.0;
   std::size_t samples = 0;

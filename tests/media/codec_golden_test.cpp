@@ -1,7 +1,8 @@
 // Codec stream goldens: every encoded byte and every decoded pixel of the
 // codec_golden_matrix.h configurations must match the CRCs captured by
-// tools/capture_codec_goldens.cpp when the AV2 format was introduced -- at
-// every available dispatch level.
+// tools/capture_codec_goldens.cpp -- at every available dispatch level.
+// The GOP-1 rows date from the AV2 format; the GOP-12 and served rows from
+// the scene-cut GOPs and their clamped-plane P reference.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,6 +25,14 @@ struct CodecGolden {
 
 #include "codec_goldens.inc"
 
+void expectGolden(const Digest& d, const CodecGolden& golden,
+                  const std::string& name) {
+  EXPECT_EQ(d.frames, golden.frames) << name;
+  EXPECT_EQ(d.streamBytes, golden.streamBytes) << name;
+  EXPECT_EQ(d.streamCrc, golden.streamCrc) << name;
+  EXPECT_EQ(d.pixelCrc, golden.pixelCrc) << name;
+}
+
 void replayGoldens() {
   const std::vector<Config> configs = matrix();
   ASSERT_EQ(configs.size(), std::size(kCodecGoldens));
@@ -40,11 +49,15 @@ void replayGoldens() {
                         clipFor(cfg.clip, cfg.width, cfg.height))
                .first;
     }
-    const Digest d = digest(it->second, cfg);
-    EXPECT_EQ(d.frames, golden.frames) << name;
-    EXPECT_EQ(d.streamBytes, golden.streamBytes) << name;
-    EXPECT_EQ(d.streamCrc, golden.streamCrc) << name;
-    EXPECT_EQ(d.pixelCrc, golden.pixelCrc) << name;
+    expectGolden(digest(it->second, cfg.codec()), golden, name);
+  }
+  const std::vector<SplicedConfig> served = servedMatrix();
+  ASSERT_EQ(served.size(), std::size(kServedGoldens));
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    const std::string name = served[i].name();
+    ASSERT_EQ(name, kServedGoldens[i].name);
+    expectGolden(digest(splicedClip(served[i]), media::CodecConfig{}),
+                 kServedGoldens[i], name);
   }
 }
 

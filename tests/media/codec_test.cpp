@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstdlib>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "media/bitstream.h"
 #include "media/clipgen.h"
@@ -159,22 +161,40 @@ TEST(Codec, DcOnlyBlockCodesInExactBits) {
   }
 }
 
-/// 8x8 frames at the sample-range extremes: all 0, all 255 and the full
-/// swing checkerboard, whose P residuals reach +-255.
+/// 64x64 grey frames whose top-left block is at the sample-range
+/// extremes: all 0, all 255, the full swing checkerboard and its inverse
+/// (so their P residuals reach +-255), pure red and pure blue.  One block
+/// of 64 changes per frame, a mean luma change under the scene-cut
+/// threshold of 8, so at GOP 12 every frame after the first is a P frame.
 std::vector<Image> extremeFrames() {
-  Image board(8, 8);
-  Image inverse(8, 8);
-  for (int y = 0; y < 8; ++y) {
-    for (int x = 0; x < 8; ++x) {
-      const std::uint8_t v = (x + y) % 2 == 0 ? 255 : 0;
-      board(x, y) = Rgb8{v, v, v};
-      inverse(x, y) = Rgb8{static_cast<std::uint8_t>(255 - v),
-                           static_cast<std::uint8_t>(255 - v),
-                           static_cast<std::uint8_t>(255 - v)};
+  const auto canvas = [](auto pixel) {
+    Image img(64, 64, Rgb8{128, 128, 128});
+    for (int y = 0; y < 8; ++y) {
+      for (int x = 0; x < 8; ++x) img(x, y) = pixel(x, y);
     }
+    return img;
+  };
+  const auto solid = [&](Rgb8 c) {
+    return canvas([c](int, int) { return c; });
+  };
+  const auto board = [&](bool inverse) {
+    return canvas([inverse](int x, int y) {
+      const std::uint8_t v = ((x + y) % 2 == 0) != inverse ? 255 : 0;
+      return Rgb8{v, v, v};
+    });
+  };
+  return {solid({0, 0, 0}), solid({255, 255, 255}), board(false),
+          board(true),      solid({255, 0, 0}),     solid({0, 0, 255})};
+}
+
+/// The top-left 8x8 block of a frame: the extreme content of
+/// extremeFrames(), measured without the exact grey around it.
+Image topLeftBlock(const Image& frame) {
+  Image out(8, 8);
+  for (int y = 0; y < 8; ++y) {
+    for (int x = 0; x < 8; ++x) out(x, y) = frame(x, y);
   }
-  return {Image(8, 8, Rgb8{0, 0, 0}), Image(8, 8, Rgb8{255, 255, 255}), board,
-          inverse, Image(8, 8, Rgb8{255, 0, 0}), Image(8, 8, Rgb8{0, 0, 255})};
+  return out;
 }
 
 TEST(Codec, ExtremeBlocksAreIdenticalAtEveryLevel) {
@@ -190,6 +210,9 @@ TEST(Codec, ExtremeBlocksAreIdenticalAtEveryLevel) {
       {
         const kernels::ScopedLevel scalar(kernels::Level::kScalar);
         const EncodedClip enc = encodeClip(clip, cfg);
+        for (std::size_t f = 0; f < enc.frames.size(); ++f) {
+          ASSERT_EQ(enc.frames[f].intra, gop == 1 || f == 0) << "frame " << f;
+        }
         wantBytes = serializeClip(enc);
         wantFrames = decodeClip(enc).frames;
       }
@@ -202,7 +225,9 @@ TEST(Codec, ExtremeBlocksAreIdenticalAtEveryLevel) {
       }
       if (quality == 100) {
         for (std::size_t f = 0; f < clip.frames.size(); ++f) {
-          EXPECT_GT(quality::psnr(clip.frames[f], wantFrames[f]), 40.0)
+          EXPECT_GT(quality::psnr(topLeftBlock(clip.frames[f]),
+                                  topLeftBlock(wantFrames[f])),
+                    40.0)
               << "frame " << f;
         }
       }
@@ -216,6 +241,23 @@ TEST(Codec, ExtremeBlocksAreIdenticalAtEveryLevel) {
       }
     }
   }
+}
+
+/// Two 128x64 grey frames whose first two luma blocks swap black and
+/// white: at quality 100 the P frame between them codes a DC delta of
+/// -4080, past K.3's size 11, so it takes the escape code.  2 of 128
+/// blocks changing is no scene cut.
+std::pair<Image, Image> swapFrames() {
+  Image a(128, 64, Rgb8{128, 128, 128});
+  Image b = a;
+  for (int y = 0; y < 8; ++y) {
+    for (int x = 0; x < 16; ++x) {
+      const bool white = x >= 8;
+      a(x, y) = white ? Rgb8{255, 255, 255} : Rgb8{0, 0, 0};
+      b(x, y) = white ? Rgb8{0, 0, 0} : Rgb8{255, 255, 255};
+    }
+  }
+  return {a, b};
 }
 
 TEST(Codec, EscapedValuesRoundTripAtQuality100) {
@@ -241,56 +283,73 @@ TEST(Codec, EscapedValuesRoundTripAtQuality100) {
   clip.fps = 15.0;
   clip.frames = extremeFrames();
   for (const int gop : {1, 12}) {
-    const VideoClip dec = decodeClip(parseClip(serializeClip(
-        encodeClip(clip, {100, gop}))));
+    const EncodedClip enc = encodeClip(clip, {100, gop});
+    ASSERT_EQ(enc.frames[3].intra, gop == 1);
+    const VideoClip dec = decodeClip(parseClip(serializeClip(enc)));
     for (std::size_t f = 0; f < clip.frames.size(); ++f) {
-      EXPECT_GT(quality::psnr(clip.frames[f], dec.frames[f]), 40.0)
+      EXPECT_GT(quality::psnr(topLeftBlock(clip.frames[f]),
+                              topLeftBlock(dec.frames[f])),
+                40.0)
           << "gop " << gop << " frame " << f;
     }
   }
 
-  // DC-only blocks at the range ends come back exact.
-  Image a(16, 8, Rgb8{0, 0, 0});
-  Image b(16, 8, Rgb8{255, 255, 255});
-  for (int y = 0; y < 8; ++y) {
-    for (int x = 8; x < 16; ++x) {
-      a(x, y) = Rgb8{255, 255, 255};
-      b(x, y) = Rgb8{0, 0, 0};
-    }
-  }
+  // DC-only blocks at the range ends come back exact, through P frames.
+  const auto [a, b] = swapFrames();
   VideoClip swap;
   swap.name = "swap";
   swap.fps = 15.0;
   swap.frames = {a, b, a};
   const EncodedClip enc = encodeClip(swap, {100, 3});
   ASSERT_FALSE(enc.frames[1].intra);
+  ASSERT_FALSE(enc.frames[2].intra);
   EXPECT_EQ(decodeClip(parseClip(serializeClip(enc))).frames, swap.frames);
 }
 
+/// A two-frame clip coded as an I frame and a P frame: `cur` must differ
+/// from `ref` by less than a scene cut.
+EncodedClip iThenP(const Image& ref, const Image& cur, int quality) {
+  VideoClip clip;
+  clip.name = "pair";
+  clip.fps = 15.0;
+  clip.frames = {ref, cur};
+  EncodedClip enc = encodeClip(clip, {quality, 2});
+  EXPECT_TRUE(enc.frames[0].intra);
+  EXPECT_FALSE(enc.frames[1].intra) << "the pair is a scene cut";
+  return enc;
+}
+
+/// A decoder that has decoded `enc`'s first frame, ready for its second.
+FrameDecoder primed(const EncodedClip& enc) {
+  FrameDecoder decoder(enc.width, enc.height);
+  (void)decoder.decode(enc.frames.front());
+  return decoder;
+}
+
 TEST(Codec, EveryTruncationOfAFrameThrows) {
-  // Every proper prefix of an I frame and of a P frame (q100, so escapes
-  // included) is rejected with the documented std::runtime_error; each
-  // prefix is its own allocation, so under ASan a read past it aborts.
-  // One byte too many is rejected too: a frame ends in its padding.
+  // Every proper prefix of an I frame and of a P frame (q75 and q100, and
+  // the swap frames' escaped DC delta) is rejected with the documented
+  // std::runtime_error; each prefix is its own allocation, so under ASan a
+  // read past it aborts.  One byte too many is rejected too: a frame ends
+  // in its padding.
   const Image ref = testFrame(24, 16, 12);
   Image cur = ref;
-  for (Rgb8& p : cur.pixels()) p = offset(p, 40.0);
-  for (const int quality : {75, 100}) {
-    const Image refDec = decodeFrame(encodeFrame(ref, {quality}), 24, 16);
-    for (const EncodedFrame& frame :
-         {encodeFrame(ref, {quality}), encodePFrame(cur, refDec, {quality})}) {
-      ASSERT_NO_THROW((void)decodeFrame(frame, 24, 16, &refDec));
+  for (Rgb8& p : cur.pixels()) p = offset(p, 6.0);
+  const auto [a, b] = swapFrames();
+  for (const EncodedClip& enc :
+       {iThenP(ref, cur, 75), iThenP(ref, cur, 100), iThenP(a, b, 100)}) {
+    const int quality = enc.quality;
+    for (const EncodedFrame& frame : enc.frames) {
+      ASSERT_NO_THROW((void)primed(enc).decode(frame));
       for (std::size_t n = 0; n < frame.bytes.size(); ++n) {
         EncodedFrame cut;
         cut.bytes.assign(frame.bytes.begin(), frame.bytes.begin() + n);
-        EXPECT_THROW((void)decodeFrame(cut, 24, 16, &refDec),
-                     std::runtime_error)
+        EXPECT_THROW((void)primed(enc).decode(cut), std::runtime_error)
             << "q" << quality << " intra " << frame.intra << " length " << n;
       }
       EncodedFrame longer = frame;
       longer.bytes.push_back(0xFF);
-      EXPECT_THROW((void)decodeFrame(longer, 24, 16, &refDec),
-                   std::runtime_error);
+      EXPECT_THROW((void)primed(enc).decode(longer), std::runtime_error);
     }
   }
 }
@@ -301,14 +360,17 @@ TEST(Codec, PayloadBoundIsOneBitPerBlock) {
   // 64x64 frame has 3 x 64 blocks: 24 bytes decode to the reference, 23
   // are rejected as too short.
   const Image ref = testFrame(64, 64, 13);
+  FrameDecoder decoder(64, 64);
+  const Image refDec = decoder.decode(encodeFrame(ref));
   EncodedFrame skip;
   skip.bytes.assign(2 + 24, 0);
   skip.bytes[0] = 75;
   skip.bytes[1] = 1;  // P frame
-  EXPECT_EQ(decodeFrame(skip, 64, 64, &ref), ref);
+  skip.intra = false;
+  EXPECT_EQ(decoder.decode(skip), refDec);
   skip.bytes.pop_back();
   try {
-    (void)decodeFrame(skip, 64, 64, &ref);
+    (void)decoder.decode(skip);
     ADD_FAILURE() << "a 23-byte all-SKIP payload decoded";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("too short"), std::string::npos)
@@ -345,39 +407,45 @@ TEST(Codec, PFrameRoundtrip) {
   // A slightly moved/brightened version of the reference.
   Image cur = ref;
   for (Rgb8& p : cur.pixels()) p = offset(p, 6.0);
-  const Image refDec = decodeFrame(encodeFrame(ref, {90}), 48, 32);
-  const EncodedFrame p = encodePFrame(cur, refDec, {90});
-  EXPECT_FALSE(p.intra);
-  const Image dec = decodeFrame(p, 48, 32, &refDec);
+  const EncodedClip enc = iThenP(ref, cur, 90);
+  const Image dec = primed(enc).decode(enc.frames[1]);
   EXPECT_GT(quality::psnr(cur, dec), 32.0);
 }
 
 TEST(Codec, PFrameOfIdenticalContentIsTiny) {
   const Image frame = testFrame(48, 32, 6);
-  const Image refDec = decodeFrame(encodeFrame(frame, {90}), 48, 32);
-  const EncodedFrame p = encodePFrame(refDec, refDec, {90});
-  const EncodedFrame i = encodeFrame(refDec, {90});
-  // All blocks SKIP: one mode byte per block per plane + header.
+  const EncodedClip enc = iThenP(frame, frame, 90);
+  const EncodedFrame& i = enc.frames[0];
+  const EncodedFrame& p = enc.frames[1];
+  // All blocks SKIP: one mode bit per block per plane + header.
   EXPECT_LT(p.sizeBytes() * 5, i.sizeBytes());
-  const Image dec = decodeFrame(p, 48, 32, &refDec);
-  EXPECT_GT(quality::psnr(refDec, dec), 45.0);
+  const VideoClip dec = decodeClip(enc);
+  EXPECT_GT(quality::psnr(dec.frames[0], dec.frames[1]), 45.0);
 }
 
 TEST(Codec, PFrameNeedsReference) {
   const Image frame = testFrame(32, 24, 7);
-  const EncodedFrame p = encodePFrame(frame, frame, {80});
-  EXPECT_THROW((void)decodeFrame(p, 32, 24, nullptr), std::runtime_error);
-  const Image wrongSize(16, 16);
-  EXPECT_THROW((void)decodeFrame(p, 32, 24, &wrongSize),
-               std::invalid_argument);
-  const Image small(16, 16);
-  EXPECT_THROW((void)encodePFrame(frame, small, {80}),
-               std::invalid_argument);
+  const EncodedClip enc = iThenP(frame, frame, 80);
+  const EncodedFrame& p = enc.frames[1];
+  EXPECT_THROW((void)decodeFrame(p, 32, 24), std::runtime_error);
+  EXPECT_THROW((void)FrameDecoder(32, 24).decode(p), std::runtime_error);
+  // A decoder of another geometry misreads the bitstream and rejects it.
+  for (const auto& [w, h] : {std::pair{16, 16}, std::pair{64, 48}}) {
+    EXPECT_THROW((void)FrameDecoder(w, h).decode(enc.frames[0]),
+                 std::runtime_error)
+        << w << "x" << h;
+  }
+  VideoClip mixed;
+  mixed.name = "mixed";
+  mixed.fps = 15.0;
+  mixed.frames = {frame, Image(16, 16)};
+  EXPECT_THROW((void)encodeClip(mixed, {80}), std::invalid_argument);
 }
 
 TEST(Codec, ClipOfMixedQualitiesDecodesFrameByFrame) {
   // decodeClip reuses one quantizer while the quality byte repeats; every
-  // change of quality (I and P frames alike) must rebuild it.
+  // change of quality (I and P frames alike) must rebuild it.  The P frame
+  // is coded at q60 and decoded against the q95 frame before it.
   const Image a = testFrame(48, 32, 8);
   const Image b = testFrame(48, 32, 9);
   EncodedClip clip;
@@ -387,16 +455,17 @@ TEST(Codec, ClipOfMixedQualitiesDecodesFrameByFrame) {
   clip.frames.push_back(encodeFrame(a, {30}));
   clip.frames.push_back(encodeFrame(b, {30}));
   clip.frames.push_back(encodeFrame(a, {95}));
-  const Image ref = decodeFrame(clip.frames.back(), 48, 32);
-  clip.frames.push_back(encodePFrame(b, ref, {60}));
+  clip.frames.push_back(iThenP(a, b, 60).frames[1]);
   clip.frames.push_back(encodeFrame(b, {60}));
   const VideoClip decoded = decodeClip(clip);
   ASSERT_EQ(decoded.frames.size(), clip.frames.size());
-  const Image* prev = nullptr;
   for (std::size_t i = 0; i < clip.frames.size(); ++i) {
-    EXPECT_EQ(decoded.frames[i], decodeFrame(clip.frames[i], 48, 32, prev))
+    // Each frame on a fresh decoder (a fresh quantizer), after the frame
+    // before it for the P frame.
+    FrameDecoder fresh(48, 32);
+    if (!clip.frames[i].intra) (void)fresh.decode(clip.frames[i - 1]);
+    EXPECT_EQ(decoded.frames[i], fresh.decode(clip.frames[i]))
         << "frame " << i;
-    prev = &decoded.frames[i];
   }
 }
 
@@ -435,6 +504,82 @@ TEST(Codec, SerializePreservesFrameTypes) {
   for (std::size_t i = 0; i < enc.frames.size(); ++i) {
     EXPECT_EQ(parsed.frames[i].intra, enc.frames[i].intra);
   }
+}
+
+/// Three scenes of the clip generator back to back at 12 fps: 15 frames
+/// of a dark scene, 6 of a bright one and 26 of a mid-grey one.
+VideoClip threeSceneClip() {
+  ClipProfile profile;
+  profile.name = "three_scenes";
+  profile.width = 48;
+  profile.height = 32;
+  profile.fps = 12.0;
+  profile.seed = 24;
+  for (const auto& [luma, frames] :
+       {std::pair{40, 15}, std::pair{200, 6}, std::pair{110, 26}}) {
+    SceneSpec scene;
+    scene.durationSeconds = frames / profile.fps;
+    scene.backgroundLuma = static_cast<std::uint8_t>(luma);
+    profile.scenes.push_back(scene);
+  }
+  return generateClip(profile);
+}
+
+TEST(Codec, IFramesStartAtSceneCutsAndTheGopMaximum) {
+  // The served configuration: I frames at the two cuts (15, 21) and after
+  // every 11 P frames (12, 33, 45), P frames everywhere else.
+  const VideoClip clip = threeSceneClip();
+  ASSERT_EQ(clip.frames.size(), 47u);
+  const EncodedClip enc = encodeClip(clip);
+  std::vector<std::size_t> iFrames;
+  for (std::size_t i = 0; i < enc.frames.size(); ++i) {
+    if (enc.frames[i].intra) iFrames.push_back(i);
+  }
+  EXPECT_EQ(iFrames, (std::vector<std::size_t>{0, 12, 15, 21, 33, 45}));
+  const VideoClip dec = decodeClip(enc);
+  for (std::size_t i = 0; i < clip.frames.size(); ++i) {
+    EXPECT_GT(quality::psnr(clip.frames[i], dec.frames[i]), 30.0)
+        << "frame " << i;
+  }
+  // gopLength 1 stays intra-only whatever the content.
+  for (const EncodedFrame& f : encodeClip(clip, {75, 1}).frames) {
+    EXPECT_TRUE(f.intra);
+  }
+}
+
+TEST(Codec, ClosedLoopPFramesDoNotDrift) {
+  // One textured scene brightening by half a code per frame: no cut, and
+  // with a GOP longer than the clip every frame after the first is a P
+  // frame chained on the one before.  Each step is under the SKIP
+  // threshold, so an encoder that predicted from its source frames would
+  // skip every block while the decoder's picture stood still; the closed
+  // loop codes the difference from what the decoder has, and decoded
+  // PSNR holds along the chain.
+  const Image base = testFrame(48, 32, 21);
+  VideoClip clip;
+  clip.name = "drift";
+  clip.fps = 12.0;
+  for (int t = 0; t < 96; ++t) {
+    Image frame = base;
+    for (Rgb8& p : frame.pixels()) p = offset(p, 0.5 * t);
+    clip.frames.push_back(std::move(frame));
+  }
+  const EncodedClip enc = encodeClip(clip, {75, 1000});
+  for (std::size_t i = 1; i < enc.frames.size(); ++i) {
+    ASSERT_FALSE(enc.frames[i].intra) << "frame " << i;
+  }
+  const VideoClip dec = decodeClip(enc);
+  const auto meanPsnr = [&](std::size_t from, std::size_t to) {
+    double sum = 0.0;
+    for (std::size_t i = from; i < to; ++i) {
+      sum += quality::psnr(clip.frames[i], dec.frames[i]);
+    }
+    return sum / static_cast<double>(to - from);
+  };
+  const double early = meanPsnr(1, 25);
+  const double late = meanPsnr(72, 96);
+  EXPECT_GT(early, 30.0);
+  EXPECT_GT(late, early - 0.5) << "early " << early << " dB, late " << late;
 }
 
 class CodecQualitySweep : public ::testing::TestWithParam<int> {};

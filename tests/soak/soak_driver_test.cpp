@@ -114,9 +114,10 @@ TEST(SoakDriver, FaultArmLiveAndClientNeverThrows) {
   const FleetSoakReport r = runSoak(smallSoak());
   EXPECT_GT(r.faultSessions, 0u);
   EXPECT_GT(r.faultMutationsApplied, 0u);
-  EXPECT_EQ(r.faultSessions,
-            r.faultDecodeOk + r.faultFallbacks + r.faultUndecodable)
-      << "every damaged stream lands in exactly one outcome bucket";
+  EXPECT_EQ(r.faultSessions, r.faultDecodeOk + r.faultUndecodable)
+      << "every damaged stream either decodes or is undecodable";
+  EXPECT_LE(r.faultFallbacks, r.faultDecodeOk)
+      << "a fallback is a decoded stream that lost its annotations";
   EXPECT_EQ(r.faultThrows, 0u)
       << "ClientSession::receive must degrade, never throw";
 }

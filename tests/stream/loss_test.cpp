@@ -75,6 +75,39 @@ TEST(Loss, InterCodingPropagatesUntilNextIntra) {
       << "a lost frame must damage the P frames chained on it";
 }
 
+TEST(Loss, LostPFrameConcealsUntilTheNextSceneCut) {
+  // Two 10-frame scenes, dark then bright: the served configuration codes
+  // I frames at 0 and at the cut (10), P frames between.  Losing P frame 4
+  // freezes the picture on frame 3 until the cut's I frame resynchronises.
+  media::ClipProfile profile;
+  profile.name = "two_scenes";
+  profile.width = 48;
+  profile.height = 36;
+  profile.fps = 12.0;
+  for (const std::uint8_t luma : {40, 200}) {
+    media::SceneSpec scene;
+    scene.durationSeconds = 10 / profile.fps;
+    scene.backgroundLuma = luma;
+    profile.scenes.push_back(scene);
+  }
+  const media::EncodedClip enc = media::encodeClip(media::generateClip(profile));
+  ASSERT_EQ(enc.frames.size(), 20u);
+  for (std::size_t i = 0; i < enc.frames.size(); ++i) {
+    ASSERT_EQ(enc.frames[i].intra, i == 0 || i == 10) << "frame " << i;
+  }
+  std::vector<FrameDelivery> deliveries(enc.frames.size());
+  deliveries[4].intact = false;
+  const ConcealedPlayback out = decodeWithConcealment(enc, deliveries);
+  EXPECT_EQ(out.concealedFrames, 6u);
+  EXPECT_EQ(out.intactFrames, 14u);
+  const media::VideoClip plain = media::decodeClip(enc);
+  for (std::size_t i = 0; i < enc.frames.size(); ++i) {
+    const bool concealed = i >= 4 && i < 10;
+    EXPECT_EQ(out.video.frames[i], concealed ? plain.frames[3] : plain.frames[i])
+        << "frame " << i;
+  }
+}
+
 TEST(Loss, QualityDegradesMeasurablyWithLossRate) {
   Rig rig;
   const media::EncodedClip enc = media::encodeClip(rig.clip, {75, 8});

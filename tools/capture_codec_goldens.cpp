@@ -3,11 +3,14 @@
 // serializes and decodes the clip and prints one table row -- frame count,
 // serialized byte count, CRC-32 of the serialized stream and CRC-32 of the
 // decoded RGB -- formatted as a C++ initializer to paste into
-// tests/media/codec_goldens.inc.
+// tests/media/codec_goldens.inc.  A second table does the same for the
+// served configuration on spliced multi-scene clips (servedMatrix()), so
+// the scene-cut decisions are pinned too.
 //
-// The committed .inc was captured when the AV2 format was introduced, and
-// the suite replays it at every dispatch level; CI checks that it is this
-// tool's exact output.  Re-running this tool captures the CURRENT code --
+// The committed .inc's GOP-1 rows were captured when the AV2 format was
+// introduced, its GOP-12 and served rows with scene-cut GOPs; the suite
+// replays it at every dispatch level, and CI checks that it is this tool's
+// exact output.  Re-running this tool captures the CURRENT code --
 // only regenerate the goldens to bless an intentional format change.
 //
 // Run: ./build/tools/capture_codec_goldens > tests/media/codec_goldens.inc
@@ -26,6 +29,11 @@
 using namespace anno;
 
 namespace {
+
+void printRow(const std::string& name, const codec_golden::Digest& d) {
+  std::printf("    {\"%s\", %zuu, %zuu, 0x%08Xu, 0x%08Xu},\n", name.c_str(),
+              d.frames, d.streamBytes, d.streamCrc, d.pixelCrc);
+}
 
 int printRateDistortion() {
   std::printf(
@@ -60,11 +68,13 @@ int main(int argc, char** argv) {
       "// clang-format off\n");
   std::printf("inline constexpr CodecGolden kCodecGoldens[] = {\n");
   for (const codec_golden::Config& cfg : codec_golden::matrix()) {
-    const codec_golden::Digest d = codec_golden::digest(
-        codec_golden::clipFor(cfg.clip, cfg.width, cfg.height), cfg);
-    std::printf("    {\"%s\", %zuu, %zuu, 0x%08Xu, 0x%08Xu},\n",
-                cfg.name().c_str(), d.frames, d.streamBytes, d.streamCrc,
-                d.pixelCrc);
+    printRow(cfg.name(), codec_golden::digest(
+        codec_golden::clipFor(cfg.clip, cfg.width, cfg.height), cfg.codec()));
+  }
+  std::printf("};\ninline constexpr CodecGolden kServedGoldens[] = {\n");
+  for (const codec_golden::SplicedConfig& cfg : codec_golden::servedMatrix()) {
+    printRow(cfg.name(), codec_golden::digest(codec_golden::splicedClip(cfg),
+                                              media::CodecConfig{}));
   }
   std::printf("};\n// clang-format on\n");
   return 0;
