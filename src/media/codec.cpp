@@ -1,12 +1,14 @@
 #include "media/codec.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 #include "media/bitstream.h"
 #include "media/dct.h"
@@ -33,8 +35,6 @@ constexpr std::uint8_t kFrameInter = 1;
 /// A P block's mode bit.
 constexpr std::uint32_t kBlockSkip = 0;
 constexpr std::uint32_t kBlockDelta = 1;
-/// Mean-abs-difference (per pixel) below which a P block is SKIPped.
-constexpr double kSkipThreshold = 1.5;
 /// Mean absolute luma difference, in 8-bit units, between consecutive
 /// source frames above which encodeClip starts an I frame (a scene cut).
 constexpr int kSceneCutLuma = 8;
@@ -119,6 +119,8 @@ class Planes {
     data_.resize(3 * samples);
   }
 
+  [[nodiscard]] bool empty() const { return data_.empty(); }
+
   std::int16_t* operator[](int p) { return data_.data() + p * samples_; }
   const std::int16_t* operator[](int p) const {
     return data_.data() + p * samples_;
@@ -188,25 +190,23 @@ std::int16_t saturate16(std::int32_t v) {
       std::numeric_limits<std::int16_t>::max()));
 }
 
-/// The part of block (bx,by) inside a width x height plane: `rows` x
-/// `cols` samples starting at plane index `origin`.
-struct BlockSpan {
-  int rows;
-  int cols;
-  std::size_t origin;
-};
+/// The sample count of a full block row, as a type: row loops over it have
+/// a fixed trip count, which the compiler unrolls into vectors.
+using FullRow = std::integral_constant<int, 8>;
 
-BlockSpan spanOf(int width, int height, int bx, int by) {
-  return {std::min(8, height - by * 8), std::min(8, width - bx * 8),
-          static_cast<std::size_t>(by) * 8 * width + bx * 8};
-}
-
-/// Copies `cols` samples of a block row; a full row is one 16-byte copy.
-void copyRow(std::int16_t* dst, const std::int16_t* src, int cols) {
-  if (cols == 8) {
-    std::memcpy(dst, src, 8 * sizeof(std::int16_t));
+/// Calls row(at, y, cols) for each row y of block (bx,by) that lies inside
+/// a width x height plane: `at` is the plane index of the row's first
+/// sample and `cols` its sample count, FullRow for a full 8x8 block.
+template <typename Row>
+[[gnu::always_inline]] inline void forEachRow(int width, int height, int bx,
+                                              int by, Row row) {
+  const int rows = std::min(8, height - by * 8);
+  const int cols = std::min(8, width - bx * 8);
+  std::size_t at = static_cast<std::size_t>(by) * 8 * width + bx * 8;
+  if (rows == 8 && cols == 8) {
+    for (int y = 0; y < 8; ++y, at += width) row(at, y, FullRow{});
   } else {
-    std::copy_n(src, cols, dst);
+    for (int y = 0; y < rows; ++y, at += width) row(at, y, cols);
   }
 }
 
@@ -215,14 +215,15 @@ void copyRow(std::int16_t* dst, const std::int16_t* src, int cols) {
 SampleBlock fetchBlock(const std::int16_t* plane, int width,
                        int height, int bx, int by) {
   SampleBlock blk;
-  const BlockSpan s = spanOf(width, height, bx, by);
-  for (int y = 0; y < 8; ++y) {
-    const std::int16_t* row =
-        plane + s.origin +
-        static_cast<std::size_t>(std::min(y, s.rows - 1)) * width;
+  int rows = 0;
+  forEachRow(width, height, bx, by, [&](std::size_t at, int y, auto cols) {
     std::int16_t* out = blk.data() + y * 8;
-    copyRow(out, row, s.cols);
-    std::fill(out + s.cols, out + 8, row[s.cols - 1]);
+    std::copy_n(plane + at, cols, out);
+    std::fill(out + cols, out + 8, plane[at + cols - 1]);
+    rows = y + 1;
+  });
+  for (int y = rows; y < 8; ++y) {
+    std::copy_n(blk.data() + (rows - 1) * 8, 8, blk.data() + y * 8);
   }
   return blk;
 }
@@ -230,75 +231,55 @@ SampleBlock fetchBlock(const std::int16_t* plane, int width,
 /// Writes the block into the plane; pixels outside the image are dropped.
 void storeBlock(const SampleBlock& blk, std::int16_t* plane,
                 int width, int height, int bx, int by) {
-  const BlockSpan s = spanOf(width, height, bx, by);
-  std::int16_t* dst = plane + s.origin;
-  for (int y = 0; y < s.rows; ++y, dst += width) {
-    copyRow(dst, blk.data() + y * 8, s.cols);
-  }
+  forEachRow(width, height, bx, by, [&](std::size_t at, int y, auto cols) {
+    std::copy_n(blk.data() + y * 8, cols, plane + at);
+  });
 }
 
 /// Fills the block with one value (a DC-only intra block).
 void fillBlock(std::int16_t value, std::int16_t* plane,
                int width, int height, int bx, int by) {
-  const BlockSpan s = spanOf(width, height, bx, by);
-  std::int16_t row[8];
-  std::fill_n(row, 8, value);
-  std::int16_t* dst = plane + s.origin;
-  for (int y = 0; y < s.rows; ++y, dst += width) copyRow(dst, row, s.cols);
+  forEachRow(width, height, bx, by, [&](std::size_t at, int, auto cols) {
+    std::fill_n(plane + at, cols, value);
+  });
 }
 
-/// Adds a residual block onto the reference plane content, saturating.
-void addBlock(const SampleBlock& residual,
-              const std::int16_t* ref,
-              std::int16_t* plane, int width, int height, int bx,
-              int by) {
-  const BlockSpan s = spanOf(width, height, bx, by);
-  const std::int16_t* src = ref + s.origin;
-  std::int16_t* dst = plane + s.origin;
-  for (int y = 0; y < s.rows; ++y, src += width, dst += width) {
-    for (int x = 0; x < s.cols; ++x) {
-      dst[x] = saturate16(src[x] + residual[y * 8 + x]);
-    }
-  }
+/// Adds a residual block onto the plane's reference content, saturating.
+void addBlock(const SampleBlock& residual, std::int16_t* plane, int width,
+              int height, int bx, int by) {
+  forEachRow(width, height, bx, by, [&](std::size_t at, int y, auto cols) {
+    std::int16_t* dst = plane + at;
+    // A local copy of the residual row, which the plane cannot alias, so
+    // the full-row loop vectorises without a runtime alias check.
+    std::array<std::int16_t, 8> add;
+    std::copy_n(residual.data() + y * 8, 8, add.data());
+    for (int x = 0; x < cols; ++x) dst[x] = saturate16(dst[x] + add[x]);
+  });
 }
 
 /// Adds a constant residual (a DC-only P block), saturating.
-void addConstant(std::int32_t value, const std::int16_t* ref,
-                 std::int16_t* plane, int width, int height,
-                 int bx, int by) {
-  const BlockSpan s = spanOf(width, height, bx, by);
-  const std::int16_t* src = ref + s.origin;
-  std::int16_t* dst = plane + s.origin;
-  for (int y = 0; y < s.rows; ++y, src += width, dst += width) {
-    for (int x = 0; x < s.cols; ++x) dst[x] = saturate16(src[x] + value);
-  }
-}
-
-void copyBlock(const std::int16_t* ref,
-               std::int16_t* plane, int width, int height,
-               int bx, int by) {
-  const BlockSpan s = spanOf(width, height, bx, by);
-  const std::int16_t* src = ref + s.origin;
-  std::int16_t* dst = plane + s.origin;
-  for (int y = 0; y < s.rows; ++y, src += width, dst += width) {
-    copyRow(dst, src, s.cols);
-  }
+void addConstant(std::int32_t value, std::int16_t* plane, int width,
+                 int height, int bx, int by) {
+  forEachRow(width, height, bx, by, [&](std::size_t at, int, auto cols) {
+    std::int16_t* dst = plane + at;
+    for (int x = 0; x < cols; ++x) dst[x] = saturate16(dst[x] + value);
+  });
 }
 
 /// Writes one coded block's samples: the inverse transform of `freq`
 /// (dequantised, DC offset included) or, when `transform` is false, the
 /// constant freq[0] * kDcSample of a DC-only block (exactly what the
-/// inverse transform returns for it).  An I block (`ref` null) is stored;
-/// a P block is added onto the reference, saturating.  The decoder and the
-/// encoder's reconstruction share it, so both produce the same planes.
+/// inverse transform returns for it).  An I block is stored; an `inter`
+/// block is added onto the reference the plane holds, in place, saturating.
+/// The decoder and the encoder's reconstruction share it, so both produce
+/// the same planes.
 [[gnu::always_inline]] inline void writeBlock(
     const kernels::KernelTable& kt, const CoefBlock& freq, bool transform,
-    const std::int16_t* ref, std::int16_t* plane, int width, int height,
-    int bx, int by) {
+    bool inter, std::int16_t* plane, int width, int height, int bx, int by) {
   if (!transform) {
     const std::int32_t dc = freq[0] * kDcSample;
-    if (ref != nullptr) {
-      addConstant(dc, ref, plane, width, height, bx, by);
+    if (inter) {
+      addConstant(dc, plane, width, height, bx, by);
     } else {
       fillBlock(static_cast<std::int16_t>(dc), plane, width, height, bx, by);
     }
@@ -306,28 +287,27 @@ void copyBlock(const std::int16_t* ref,
   }
   SampleBlock spatial;
   kt.idct8x8(freq.data(), spatial.data());
-  if (ref != nullptr) {
-    addBlock(spatial, ref, plane, width, height, bx, by);
+  if (inter) {
+    addBlock(spatial, plane, width, height, bx, by);
   } else {
     storeBlock(spatial, plane, width, height, bx, by);
   }
 }
 
-/// Mean absolute difference of a block position between two planes, in
-/// 8-bit units.
-double blockMad(const std::int16_t* a,
-                const std::int16_t* b, int width, int height,
-                int bx, int by) {
-  const BlockSpan s = spanOf(width, height, bx, by);
-  const std::int16_t* pa = a + s.origin;
-  const std::int16_t* pb = b + s.origin;
-  std::int32_t sum = 0;
-  for (int y = 0; y < s.rows; ++y, pa += width, pb += width) {
-    for (int x = 0; x < s.cols; ++x) sum += std::abs(pa[x] - pb[x]);
-  }
-  const int n = s.rows * s.cols;
-  return n > 0 ? static_cast<double>(sum) / (n << kernels::kPlaneFracBits)
-               : 0.0;
+/// Whether a P block is SKIPped: its mean absolute difference from the
+/// reference is under 1.5 in 8-bit units.  In integers that is
+/// 2 * SAD < 3 * 32n over the block's n samples in the plane, exactly: 1.5
+/// is a double, and the quotient SAD / 32n (32n at most 2048) is never
+/// within a rounding of 1.5 without being equal to it.
+bool isSkipBlock(const std::int16_t* cur, const std::int16_t* ref, int width,
+                 int height, int bx, int by) {
+  std::int32_t sad = 0;
+  int n = 0;
+  forEachRow(width, height, bx, by, [&](std::size_t at, int, auto cols) {
+    for (int x = 0; x < cols; ++x) sad += std::abs(cur[at + x] - ref[at + x]);
+    n += cols;
+  });
+  return 2 * sad < (3 * n) << kernels::kPlaneFracBits;
 }
 
 /// The Annex K tables of plane p: luma for Y, chroma for Cb and Cr.
@@ -535,7 +515,7 @@ EncodedFrame encodeIntra(const Planes& planes, int w, int h,
         if (recon != nullptr) {
           const bool transform =
               dequantise(levels, ac, kIntraOffset, quant.table, freq);
-          writeBlock(kt, freq, transform, nullptr, (*recon)[p], w, h, bx, by);
+          writeBlock(kt, freq, transform, false, (*recon)[p], w, h, bx, by);
         }
       }
     }
@@ -544,11 +524,13 @@ EncodedFrame encodeIntra(const Planes& planes, int w, int h,
   return EncodedFrame{out.take(), /*intra=*/true};
 }
 
-/// Codes a P frame from its colour planes against the reference planes;
-/// `recon` as for encodeIntra.
-EncodedFrame encodeInter(const Planes& cur, const Planes& ref, int w, int h,
+/// Codes a P frame from its colour planes against the reference planes.
+/// With `rebuild`, the reference becomes the planes the decoder will
+/// reconstruct from the frame, in place: a SKIP block leaves its samples as
+/// they are and a DELTA block adds its coded residual onto them.
+EncodedFrame encodeInter(const Planes& cur, Planes& ref, int w, int h,
                          const Quantizer& quant, const CodecConfig& cfg,
-                         Planes* recon) {
+                         bool rebuild) {
   const kernels::KernelTable& kt = kernels::active();
   ByteWriter out;
   out.u8(static_cast<std::uint8_t>(cfg.quality));
@@ -563,12 +545,9 @@ EncodedFrame encodeInter(const Planes& cur, const Planes& ref, int w, int h,
     std::int32_t dcPred = 0;
     for (int by = 0; by < bh; ++by) {
       for (int bx = 0; bx < bw; ++bx) {
-        const double mad = blockMad(cur[p], ref[p], w, h, bx, by);
-        if (mad < kSkipThreshold) {
+        // A block reads and writes only its own samples of the reference.
+        if (isSkipBlock(cur[p], ref[p], w, h, bx, by)) {
           bits.put(kBlockSkip, 1);
-          if (recon != nullptr) {
-            copyBlock(ref[p], (*recon)[p], w, h, bx, by);
-          }
           continue;
         }
         bits.put(kBlockDelta, 1);
@@ -580,9 +559,9 @@ EncodedFrame encodeInter(const Planes& cur, const Planes& ref, int w, int h,
         }
         const std::uint64_t ac = encodeBlock(kt, residual, 0, quant.table,
                                              tables, dcPred, bits, levels);
-        if (recon != nullptr) {
+        if (rebuild) {
           const bool transform = dequantise(levels, ac, 0, quant.table, freq);
-          writeBlock(kt, freq, transform, ref[p], (*recon)[p], w, h, bx, by);
+          writeBlock(kt, freq, transform, true, ref[p], w, h, bx, by);
         }
       }
     }
@@ -595,10 +574,12 @@ bool isInterFrame(const EncodedFrame& frame) {
   return frame.bytes.size() >= 2 && frame.bytes[1] == kFrameInter;
 }
 
-/// Decodes a frame into colour planes.  `ref` holds the reference planes
-/// and must be non-null for a P frame.
-Planes decodePlanes(const EncodedFrame& frame, int width, int height,
-                    const Planes* ref, QuantizerCache& quants) {
+/// Decodes a frame into `planes`: an I frame writes every sample, a P frame
+/// (which needs `haveReference`) updates the reference they hold in place.
+/// Empty planes are sized once the payload has passed its bound.
+void decodePlanes(const EncodedFrame& frame, int width, int height,
+                  Planes& planes, bool haveReference,
+                  QuantizerCache& quants) {
   const std::span<const std::uint8_t> payload = frame.bytes;
   if (payload.size() < 2) {
     throw std::runtime_error("decodeFrame: payload too short for the frame");
@@ -611,7 +592,7 @@ Planes decodePlanes(const EncodedFrame& frame, int width, int height,
   if (frameType != kFrameIntra && !inter) {
     throw std::runtime_error("decodeFrame: unknown frame type");
   }
-  if (inter && ref == nullptr) {
+  if (inter && !haveReference) {
     throw std::runtime_error("decodeFrame: P frame needs a reference");
   }
 
@@ -625,7 +606,9 @@ Planes decodePlanes(const EncodedFrame& frame, int width, int height,
   }
   const kernels::KernelTable& kt = kernels::active();
   huffman::BitReader r(coded);
-  Planes planes(static_cast<std::size_t>(width) * height);
+  if (planes.empty()) {
+    planes = Planes(static_cast<std::size_t>(width) * height);
+  }
   CoefBlock freq;
   const std::int32_t dcOffset = inter ? 0 : kIntraOffset;
   for (int p = 0; p < 3; ++p) {
@@ -633,21 +616,17 @@ Planes decodePlanes(const EncodedFrame& frame, int width, int height,
     std::int32_t dcPred = 0;
     for (int by = 0; by < bh; ++by) {
       for (int bx = 0; bx < bw; ++bx) {
-        if (inter && r.bits(1) == kBlockSkip) {
-          copyBlock((*ref)[p], planes[p], width, height, bx, by);
-          continue;
-        }
+        if (inter && r.bits(1) == kBlockSkip) continue;
         // One call site, so decodeBlock inlines and the reader stays in
         // registers across blocks.
         const bool transform =
             decodeBlock(quant, dcOffset, tables, dcPred, r, freq);
-        writeBlock(kt, freq, transform, inter ? (*ref)[p] : nullptr,
-                   planes[p], width, height, bx, by);
+        writeBlock(kt, freq, transform, inter, planes[p], width, height, bx,
+                   by);
       }
     }
   }
   r.finish();
-  return planes;
 }
 
 }  // namespace
@@ -661,31 +640,36 @@ EncodedFrame encodeFrame(const Image& frame, const CodecConfig& cfg) {
 struct FrameDecoder::State {
   int width;
   int height;
-  /// The last frame decoded, unclamped until a P frame predicts from it.
+  /// The planes every frame decodes into: the last frame decoded,
+  /// unclamped until a P frame predicts from it.  Sized by the first frame
+  /// that passes the payload bound.
   Planes reference;
+  /// Whether `reference` holds a whole decoded frame.
   bool haveReference = false;
   QuantizerCache quants;
 };
 
-FrameDecoder::FrameDecoder(int width, int height)
-    : state_(std::make_unique<State>(State{width, height, {}, false, {}})) {}
+FrameDecoder::FrameDecoder(int width, int height) {
+  // Image's bound, as parseClip checks it.
+  if (width < 1 || height < 1 || width > Image::kMaxDim ||
+      height > Image::kMaxDim) {
+    throw std::invalid_argument("FrameDecoder: dimensions out of range");
+  }
+  state_ = std::make_unique<State>(State{width, height, {}, false, {}});
+}
 FrameDecoder::~FrameDecoder() = default;
 FrameDecoder::FrameDecoder(FrameDecoder&&) noexcept = default;
 FrameDecoder& FrameDecoder::operator=(FrameDecoder&&) noexcept = default;
 
 Image FrameDecoder::decode(const EncodedFrame& frame) {
   State& s = *state_;
-  if (s.width <= 0 || s.height <= 0) {
-    throw std::invalid_argument("decodeFrame: bad dimensions");
-  }
-  if (s.haveReference && isInterFrame(frame)) {
-    s.reference.clampToSampleRange();  // idempotent, so a retry is safe
-  }
-  Planes planes = decodePlanes(frame, s.width, s.height,
-                               s.haveReference ? &s.reference : nullptr,
-                               s.quants);
-  Image image = fromPlanes(planes, s.width, s.height);
-  s.reference = std::move(planes);
+  // A frame that throws may leave the planes half written, so the
+  // reference counts again only once a frame has decoded whole.
+  const bool haveReference = std::exchange(s.haveReference, false);
+  if (haveReference && isInterFrame(frame)) s.reference.clampToSampleRange();
+  decodePlanes(frame, s.width, s.height, s.reference, haveReference,
+               s.quants);
+  Image image = fromPlanes(s.reference, s.width, s.height);
   s.haveReference = true;
   return image;
 }
@@ -710,10 +694,11 @@ EncodedClip encodeClip(const VideoClip& clip, const CodecConfig& cfg) {
   out.frames.reserve(clip.frames.size());
 
   // Closed-loop encoding: a P frame's reference is the previous frame as
-  // the decoder reconstructs it, rebuilt from the levels just quantised,
-  // and only when the next frame is a P frame.  `run` counts the frames of
-  // the current GOP so far; with gopLength 1 no frame is a P frame and no
-  // scene cut is measured.
+  // the decoder reconstructs it, rebuilt in `ref` from the levels just
+  // quantised, and only when the next frame is a P frame.  An I frame
+  // writes every sample of `ref`; a P frame updates it in place.  `run`
+  // counts the frames of the current GOP so far; with gopLength 1 no frame
+  // is a P frame, no scene cut is measured and `ref` stays empty.
   const std::size_t n = clip.frames.size();
   const std::size_t samples = clip.frames.front().pixelCount();
   const auto gop = static_cast<std::size_t>(cfg.gopLength);
@@ -728,16 +713,13 @@ EncodedClip encodeClip(const VideoClip& clip, const CodecConfig& cfg) {
       next = toPlanes(clip.frames[i + 1]);
       nextIsP = run < gop && !isSceneCut(cur, next, samples);
     }
-    Planes recon = nextIsP ? Planes(samples) : Planes();
-    Planes* const reconOut = nextIsP ? &recon : nullptr;
+    if (nextIsP && ref.empty()) ref = Planes(samples);
     out.frames.push_back(
-        intra ? encodeIntra(cur, out.width, out.height, quant, cfg, reconOut)
+        intra ? encodeIntra(cur, out.width, out.height, quant, cfg,
+                            nextIsP ? &ref : nullptr)
               : encodeInter(cur, ref, out.width, out.height, quant, cfg,
-                            reconOut));
-    if (nextIsP) {
-      recon.clampToSampleRange();
-      ref = std::move(recon);
-    }
+                            nextIsP));
+    if (nextIsP) ref.clampToSampleRange();
     cur = std::move(next);
     intra = !nextIsP;
     run = nextIsP ? run + 1 : 1;

@@ -38,18 +38,24 @@
 //               luma difference between consecutive source frames is over
 //               8 in 8-bit units) and after gopLength - 1 P frames.
 //   P (inter):  per-block conditional replenishment against the reference
-//               planes -- SKIP (copy reference) or DELTA (DCT of the
-//               residual), one mode bit per block.  Dark/static scenes
-//               produce tiny P frames, which is exactly the size variation
-//               the annotation-driven DVFS and NIC-scheduling experiments
-//               exploit.
+//               planes -- SKIP (keep the reference) or DELTA (DCT of the
+//               residual), one mode bit per block.  A block is SKIPped
+//               when its mean absolute difference from the reference is
+//               under 1.5 in 8-bit units, tested in integers as
+//               2 * SAD < 3 * 32n over its n samples inside the frame.
+//               Dark/static scenes produce tiny P frames, which is exactly
+//               the size variation the annotation-driven DVFS and
+//               NIC-scheduling experiments exploit.
 // The reference of a P frame is the previous frame's decoded planes, each
 // sample clamped to [0, 255 * 32] (an unclamped residual could leave the
 // forward transform's input range).  FrameDecoder holds it on the client.
 // The encoder never decodes its own output: it rebuilds the same planes
 // from the levels it has just quantised (dequantise, inverse transform or
-// DC fill, SKIP copy, the same saturations), and only when the next frame
-// is a P frame, so encoder and decoder references are equal bit for bit.
+// DC fill, the same saturations), and only when the next frame is a P
+// frame, so encoder and decoder references are equal bit for bit.  Both
+// sides keep one set of planes: an I frame writes all of it, and a P frame
+// updates it in place, where a SKIP block costs nothing and a DELTA block
+// adds its residual onto the reference samples it replaces.
 #pragma once
 
 #include <cstdint>
@@ -101,6 +107,7 @@ struct EncodedClip {
                                        const CodecConfig& cfg = {});
 
 /// Decodes one I frame; dimensions must match the encoder's.  Throws
+/// std::invalid_argument on dimensions FrameDecoder rejects, and
 /// std::runtime_error on malformed payloads and on a P frame, which needs
 /// the reference a FrameDecoder holds.
 [[nodiscard]] Image decodeFrame(const EncodedFrame& frame, int width,
@@ -111,16 +118,17 @@ struct EncodedClip {
 /// share it.
 class FrameDecoder {
  public:
-  /// Throws std::invalid_argument on non-positive dimensions.
+  /// Throws std::invalid_argument unless both dimensions are in
+  /// [1, Image::kMaxDim].
   FrameDecoder(int width, int height);
   ~FrameDecoder();
   FrameDecoder(FrameDecoder&&) noexcept;
   FrameDecoder& operator=(FrameDecoder&&) noexcept;
 
   /// Decodes the next frame.  A P frame predicts from the last frame this
-  /// decoder returned.  Throws std::runtime_error on a malformed payload or
-  /// a P frame before any frame has decoded; a frame that throws leaves
-  /// the reference as it was.
+  /// decoder returned, decoding into its planes.  Throws std::runtime_error
+  /// on a malformed payload or a P frame without a reference.  A frame that
+  /// throws drops the reference: P frames throw until the next I frame.
   [[nodiscard]] Image decode(const EncodedFrame& frame);
 
  private:

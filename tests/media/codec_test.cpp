@@ -81,6 +81,22 @@ TEST(Codec, DecodeValidation) {
   EXPECT_ANY_THROW((void)decodeFrame(garbage, 16, 16));
 }
 
+TEST(Codec, FrameDecoderChecksDimensionsAtConstruction) {
+  // Image's bound, checked once.  The planes are sized by the first frame
+  // that passes the payload bound, so the largest geometry constructs,
+  // and a small frame is rejected as too short for it before any of its
+  // 6 GiB of planes is allocated.
+  for (const auto& [w, h] :
+       {std::pair{0, 8}, std::pair{8, 0}, std::pair{-1, 8},
+        std::pair{Image::kMaxDim + 1, 8}, std::pair{8, Image::kMaxDim + 1}}) {
+    EXPECT_THROW((void)FrameDecoder(w, h), std::invalid_argument)
+        << w << "x" << h;
+  }
+  FrameDecoder largest(Image::kMaxDim, Image::kMaxDim);
+  EXPECT_THROW((void)largest.decode(encodeFrame(testFrame(8, 8))),
+               std::runtime_error);
+}
+
 TEST(Codec, ClipRoundtrip) {
   const VideoClip clip = generatePaperClip(PaperClip::kOfficeXp, 0.02, 48, 32);
   const EncodedClip enc = encodeClip(clip, {85});
@@ -440,6 +456,146 @@ TEST(Codec, PFrameNeedsReference) {
   mixed.fps = 15.0;
   mixed.frames = {frame, Image(16, 16)};
   EXPECT_THROW((void)encodeClip(mixed, {80}), std::invalid_argument);
+}
+
+/// A P frame's mode bit for Y block `index`, when every block before it
+/// is a SKIP (one zero bit each, which this checks).
+int lumaModeBit(const EncodedFrame& p, int index) {
+  const auto bit = [&p](int i) {
+    return p.bytes[2 + i / 8] >> (7 - i % 8) & 1;
+  };
+  for (int i = 0; i < index; ++i) EXPECT_EQ(bit(i), 0) << "block " << i;
+  return bit(index);
+}
+
+/// `grey` with a change of `steps` codes spread over the samples of its
+/// 8x8 block (bx,by) inside the frame: each moves by steps / n codes or
+/// one more, up or down as `rng` picks.
+Image changeBlock(const Image& grey, int bx, int by, int steps,
+                  SplitMix64& rng) {
+  const int rows = std::min(8, grey.height() - 8 * by);
+  const int cols = std::min(8, grey.width() - 8 * bx);
+  const int n = rows * cols;
+  Image out = grey;
+  for (int i = 0; i < n; ++i) {
+    const int move = steps / n + (i < steps % n ? 1 : 0);
+    Rgb8& p = out(8 * bx + i % cols, 8 * by + i / cols);
+    const std::uint8_t v = clamp8(p.r + (rng.below(2) == 0 ? move : -move));
+    p = Rgb8{v, v, v};
+  }
+  return out;
+}
+
+TEST(Codec, SkipRuleHoldsAtItsBoundary) {
+  // At quality 100 a flat grey block reconstructs exactly and grey v is
+  // the planes (32v, 32 * 128, 32 * 128), so a change of `steps` codes to
+  // a luma block of n samples is a SAD of 32 * steps against the
+  // reference.  A block is SKIPped below a mean of 1.5 codes (2 * SAD <
+  // 3 * 32n): 3n/2 steps is a DELTA and one step fewer a SKIP, for a full
+  // block and for the right (4x8), bottom (8x6) and corner (4x6) partial
+  // blocks of a 44x30 frame.
+  const Image grey(44, 30, Rgb8{100, 100, 100});
+  SplitMix64 rng(25);
+  for (const auto& [bx, by] : {std::pair{1, 1}, std::pair{5, 1},
+                               std::pair{2, 3}, std::pair{5, 3}}) {
+    const int n = std::min(8, 44 - 8 * bx) * std::min(8, 30 - 8 * by);
+    for (const auto& [steps, mode] :
+         {std::pair{3 * n / 2, 1}, std::pair{3 * n / 2 - 1, 0}}) {
+      const EncodedClip enc =
+          iThenP(grey, changeBlock(grey, bx, by, steps, rng), 100);
+      ASSERT_EQ(decodeClip(enc).frames[0], grey);
+      EXPECT_EQ(lumaModeBit(enc.frames[1], by * 6 + bx), mode)
+          << "block (" << bx << "," << by << "), n " << n << ", steps "
+          << steps;
+    }
+  }
+}
+
+TEST(Codec, IntegerSkipRuleMatchesTheMeanAbsoluteDifference) {
+  // The rule the integer test replaced, kept here as the reference: the
+  // mean absolute difference in double, in 8-bit units, under 1.5.
+  const auto meanRuleSkips = [](std::int64_t sad, int n) {
+    return static_cast<double>(sad) / (n << 5) < 1.5;
+  };
+  // Every SAD a block of n samples can reach, for every span an edge
+  // block can have, in the integer form...
+  for (int rows = 1; rows <= 8; ++rows) {
+    for (int cols = 1; cols <= 8; ++cols) {
+      const int n = rows * cols;
+      for (std::int64_t sad = 0; sad <= 255 * 32 * n; ++sad) {
+        if ((2 * sad < (3 * n) << 5) != meanRuleSkips(sad, n)) {
+          FAIL() << "n " << n << ", SAD " << sad;
+        }
+      }
+    }
+  }
+  // ...and the encoder's mode bit for random one-block changes of a grey
+  // 44x30 frame, half of them within four steps of the boundary.
+  const Image grey(44, 30, Rgb8{100, 100, 100});
+  SplitMix64 rng(2025);
+  int skips = 0;
+  constexpr int kTrials = 300;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const int bx = static_cast<int>(rng.between(0, 5));
+    const int by = static_cast<int>(rng.between(0, 3));
+    const int n = std::min(8, 44 - 8 * bx) * std::min(8, 30 - 8 * by);
+    const int steps = static_cast<int>(
+        trial % 2 == 0 ? rng.between(0, 3 * n)
+                       : 3 * n / 2 + rng.between(-4, 4));
+    const bool skip = meanRuleSkips(32 * steps, n);
+    skips += skip ? 1 : 0;
+    const EncodedClip enc =
+        iThenP(grey, changeBlock(grey, bx, by, steps, rng), 100);
+    EXPECT_EQ(lumaModeBit(enc.frames[1], by * 6 + bx), skip ? 0 : 1)
+        << "block (" << bx << "," << by << "), n " << n << ", steps "
+        << steps;
+  }
+  EXPECT_GT(skips, kTrials / 4);
+  EXPECT_LT(skips, kTrials * 3 / 4);
+}
+
+TEST(Codec, FrameThatThrowsDropsTheReference) {
+  // I P P I P (GOP 3, each frame 6 codes brighter, no scene cut).  The
+  // first P frame cut after its first coded blocks throws part-way
+  // through the planes, so the decoder drops its reference: the next P
+  // frame throws "needs a reference", and the next I frame and the P
+  // frame after it decode as on a fresh decoder.
+  const Image base = testFrame(48, 32, 31);
+  VideoClip clip;
+  clip.name = "drop";
+  clip.fps = 12.0;
+  for (int t = 0; t < 5; ++t) {
+    Image frame = base;
+    for (Rgb8& p : frame.pixels()) p = offset(p, 6.0 * t);
+    clip.frames.push_back(std::move(frame));
+  }
+  const EncodedClip enc = encodeClip(clip, {75, 3});
+  std::vector<bool> intra;
+  for (const EncodedFrame& f : enc.frames) intra.push_back(f.intra);
+  ASSERT_EQ(intra, (std::vector<bool>{true, false, false, true, false}));
+
+  EncodedFrame cut = enc.frames[1];
+  cut.bytes.resize(cut.bytes.size() / 2);
+  FrameDecoder decoder(48, 32);
+  (void)decoder.decode(enc.frames[0]);
+  try {
+    (void)decoder.decode(cut);
+    ADD_FAILURE() << "the cut P frame decoded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).find("too short"), std::string::npos)
+        << "cut before its first block: " << e.what();
+  }
+  try {
+    (void)decoder.decode(enc.frames[2]);
+    ADD_FAILURE() << "a P frame decoded on a dropped reference";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("needs a reference"),
+              std::string::npos)
+        << e.what();
+  }
+  FrameDecoder fresh(48, 32);
+  EXPECT_EQ(decoder.decode(enc.frames[3]), fresh.decode(enc.frames[3]));
+  EXPECT_EQ(decoder.decode(enc.frames[4]), fresh.decode(enc.frames[4]));
 }
 
 TEST(Codec, ClipOfMixedQualitiesDecodesFrameByFrame) {
