@@ -81,7 +81,8 @@ struct CacheEntryInfo {
 ///   const char* kMetricPrefix                  instrument name prefix
 ///   std::uint64_t shardHash(const Key&)        spreads keys over shards
 ///   std::size_t keyHash(const Key&)            whole-key hash (shard index)
-///   const std::string& clipId(const Key&)      what eraseClip() matches
+///   ClipId                                     the type eraseClip() takes
+///   ClipId clipId(const Key&) (or a const ref)  what eraseClip() matches
 ///   std::size_t chargeBytes(const Key&, const Value&)  budget charge
 template <class Key, class Value, class Traits>
 class ShardedCache {
@@ -182,10 +183,10 @@ class ShardedCache {
   /// Drops every completed entry of `clipId` (content replaced upstream).
   /// Returns the number of entries removed.  In-flight fills for the clip
   /// are left to finish (their waiters still get a consistent value);
-  /// callers key re-ingested content by a NEW clipId (revision suffix), so
+  /// callers key re-ingested content by a NEW clipId (a new revision), so
   /// a stale fill can never serve requests for the new content -- eraseClip
   /// is reclamation, not correctness.
-  std::size_t eraseClip(const std::string& clipId) {
+  std::size_t eraseClip(const typename Traits::ClipId& clipId) {
     return eraseIf(
         [&clipId](const Key& k) { return Traits::clipId(k) == clipId; });
   }
@@ -422,7 +423,7 @@ using CachedTrackPtr = std::shared_ptr<const CachedTrack>;
 [[nodiscard]] std::size_t estimateTrackBytes(const CachedTrack& value);
 
 /// FNV-1a (the config fingerprint's stream) over a clip id and a
-/// fingerprint: the shard spread of both the track and the stream cache.
+/// fingerprint: the track cache's shard spread.
 [[nodiscard]] inline std::uint64_t clipShardHash(
     const std::string& clipId, std::uint64_t fingerprint) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -439,6 +440,7 @@ struct TrackCacheTraits {
     return clipShardHash(k.clipId, k.fingerprint);
   }
   static std::size_t keyHash(const TrackKey& k) { return shardHash(k); }
+  using ClipId = std::string;
   static const std::string& clipId(const TrackKey& k) noexcept {
     return k.clipId;
   }

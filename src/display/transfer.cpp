@@ -29,8 +29,16 @@ std::array<double, 256> normalizeMonotone(std::array<double, 256> lut) {
 }  // namespace
 
 TransferFunction::TransferFunction() {
-  for (int i = 0; i < 256; ++i) lut_[i] = i / 255.0;
+  static const std::shared_ptr<const Lut> kLinear = [] {
+    auto lut = std::make_shared<Lut>();
+    for (int i = 0; i < 256; ++i) (*lut)[i] = i / 255.0;
+    return lut;
+  }();
+  lut_ = kLinear;
 }
+
+TransferFunction::TransferFunction(const Lut& lut)
+    : lut_(std::make_shared<const Lut>(normalizeMonotone(lut))) {}
 
 TransferFunction TransferFunction::fromLut(std::span<const double> lut256) {
   if (lut256.size() != 256) {
@@ -38,9 +46,7 @@ TransferFunction TransferFunction::fromLut(std::span<const double> lut256) {
   }
   std::array<double, 256> lut{};
   std::copy(lut256.begin(), lut256.end(), lut.begin());
-  TransferFunction tf;
-  tf.lut_ = normalizeMonotone(lut);
-  return tf;
+  return TransferFunction(lut);
 }
 
 TransferFunction TransferFunction::linear() { return TransferFunction(); }
@@ -51,9 +57,7 @@ TransferFunction TransferFunction::gamma(double g) {
   }
   std::array<double, 256> lut{};
   for (int i = 0; i < 256; ++i) lut[i] = std::pow(i / 255.0, g);
-  TransferFunction tf;
-  tf.lut_ = normalizeMonotone(lut);
-  return tf;
+  return TransferFunction(lut);
 }
 
 TransferFunction TransferFunction::ccfl(double threshold, double g) {
@@ -67,9 +71,7 @@ TransferFunction TransferFunction::ccfl(double threshold, double g) {
                  ? 0.0
                  : std::pow((x - threshold) / (1.0 - threshold), g);
   }
-  TransferFunction tf;
-  tf.lut_ = normalizeMonotone(lut);
-  return tf;
+  return TransferFunction(lut);
 }
 
 TransferFunction TransferFunction::fitFromSamples(
@@ -110,25 +112,24 @@ TransferFunction TransferFunction::fitFromSamples(
     const double t = static_cast<double>(i - x0) / (x1 - x0);
     lut[i] = y0 + t * (y1 - y0);
   }
-  TransferFunction tf;
-  tf.lut_ = normalizeMonotone(lut);
-  return tf;
+  return TransferFunction(lut);
 }
 
 double TransferFunction::relLuminance(int level) const {
   if (level < 0 || level > 255) {
     throw std::invalid_argument("TransferFunction: level out of [0,255]");
   }
-  return lut_[level];
+  return (*lut_)[level];
 }
 
 std::uint8_t TransferFunction::minimumLevelFor(
     double targetRelLuminance) const {
   const double target = std::clamp(targetRelLuminance, 0.0, 1.0);
   // LUT is monotone: binary search for the first level >= target.
-  const auto it = std::lower_bound(lut_.begin(), lut_.end(), target);
-  if (it == lut_.end()) return 255;
-  return static_cast<std::uint8_t>(it - lut_.begin());
+  const Lut& lut = *lut_;
+  const auto it = std::lower_bound(lut.begin(), lut.end(), target);
+  if (it == lut.end()) return 255;
+  return static_cast<std::uint8_t>(it - lut.begin());
 }
 
 }  // namespace anno::display

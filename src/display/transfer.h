@@ -9,13 +9,17 @@
 // introduced by the compensation scheme."
 //
 // We model the transfer as a 256-entry monotone non-decreasing LUT of
-// relative luminance (T(255) == 1), with an exact inverse lookup.  Builders
+// relative luminance (T(255) == 1), with an exact inverse lookup.  The LUT
+// is immutable and shared: copies of a transfer function point at one
+// table, so copying is cheap and `sharesLut` can tell two copies apart from
+// two equal tables without reading either.  Builders
 // provide the characteristic shapes of the paper's three device classes and
 // a fit-from-samples path used by the camera characterization flow.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <utility>
 
@@ -24,8 +28,14 @@ namespace anno::display {
 /// Monotone backlight->relative-luminance map with inverse.
 class TransferFunction {
  public:
-  /// Identity default: linear with level.
+  /// Identity default: linear with level (entry i is i / 255.0).  Every
+  /// default-constructed transfer shares one process-wide table.
   TransferFunction();
+
+  // Copies share the table.  No move operations are declared, so a
+  // moved-from transfer still holds its table (moves copy the pointer).
+  TransferFunction(const TransferFunction&) = default;
+  TransferFunction& operator=(const TransferFunction&) = default;
 
   /// Builds from an explicit LUT.  Values are clamped to [0,1]; the table is
   /// made monotone non-decreasing (running max) and normalized so the top
@@ -62,11 +72,21 @@ class TransferFunction {
   [[nodiscard]] std::uint8_t minimumLevelFor(double targetRelLuminance) const;
 
   [[nodiscard]] const std::array<double, 256>& lut() const noexcept {
-    return lut_;
+    return *lut_;
+  }
+
+  /// True when both hold the same table object (one was copied from the
+  /// other, or both are default-constructed).  False says nothing about the
+  /// values: two separately built tables may still be equal.
+  [[nodiscard]] bool sharesLut(const TransferFunction& other) const noexcept {
+    return lut_ == other.lut_;
   }
 
  private:
-  std::array<double, 256> lut_{};
+  using Lut = std::array<double, 256>;
+  explicit TransferFunction(const Lut& lut);
+
+  std::shared_ptr<const Lut> lut_;  ///< never null
 };
 
 }  // namespace anno::display

@@ -2,7 +2,6 @@
 
 #include <map>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "stream/mux.h"
@@ -124,17 +123,14 @@ FanoutResult ProxyNode::transcodeFanout(
   result.enginePasses = 1;
   result.frames = source.base.frames.size();
   result.scenes = source.track.scenes.size();
-  // Group subscribers by their exact negotiation bytes: identical devices
-  // share one rendered stream, so per-client work scales with device
-  // diversity, not audience size.  The key holds the bytes as a
-  // std::string (same unsigned lexicographic order): a byte-vector key
-  // trips a GCC 12 -Wstringop-overread false positive at -O3.
-  std::map<std::string, std::vector<std::size_t>> groups;
+  // Group subscribers by interned capabilities (equal ids == equal
+  // negotiation bytes): identical devices share one rendered stream, so
+  // per-client work scales with device diversity, not audience size.
+  std::map<CapsId, std::vector<std::size_t>> groups;
   for (std::size_t i = 0; i < clients.size(); ++i) {
-    const std::vector<std::uint8_t> caps = encodeCapabilities(clients[i]);
-    groups[std::string(caps.begin(), caps.end())].push_back(i);
+    groups[capsTable_.intern(clients[i])].push_back(i);
   }
-  for (const auto& [capsBytes, indices] : groups) {
+  for (const auto& [capsId, indices] : groups) {
     std::vector<std::uint8_t> bytes =
         renderForClient(source, clients[indices.front()]);
     for (std::size_t j = 1; j < indices.size(); ++j) {

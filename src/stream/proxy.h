@@ -73,9 +73,10 @@ class ProxyNode {
   /// stream, e.g. a videoconference): decode + causal scene detection +
   /// planning run ONCE, then each client gets only its device-specific
   /// compensation + encode + mux.  Clients that negotiated identical
-  /// capability bytes share a single rendered stream (uniqueRenders counts
-  /// the distinct groups), so fleet cost scales with device diversity, not
-  /// audience size.  Each returned stream is byte-identical to a standalone
+  /// capability bytes share a single rendered stream (grouped by the
+  /// node's CapsTable; uniqueRenders counts the distinct groups), so fleet
+  /// cost scales with device diversity, not audience size.  Each returned
+  /// stream is byte-identical to a standalone
   /// transcode(rawStream, clients[i], ...) call.
   [[nodiscard]] FanoutResult transcodeFanout(
       std::span<const std::uint8_t> rawStream,
@@ -133,6 +134,7 @@ class ProxyNode {
   media::CodecConfig codecCfg_;
   Telemetry metrics_;
   telemetry::TraceRecorder* trace_ = nullptr;
+  mutable CapsTable capsTable_;  ///< thread-safe; fan-outs are const
 };
 
 }  // namespace anno::stream

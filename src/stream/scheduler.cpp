@@ -37,7 +37,7 @@ std::uint64_t SessionScheduler::join(const FleetSessionConfig& cfg) {
   ServedStream served = server_.openStream(
       cfg.clipName, cfg.caps, cfg.tenantCfg ? &*cfg.tenantCfg : nullptr);
   s.stream = std::move(served.bytes);
-  if (joined_.insert(std::move(served.key)).second) {
+  if (joined_.insert(served.key).second) {
     stats_.uniqueStreams = joined_.size();
     telemetry::set(metrics_.uniqueStreams,
                    static_cast<std::int64_t>(joined_.size()));

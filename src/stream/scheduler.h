@@ -14,9 +14,9 @@
 //
 // Engine-seconds stay sub-linear in client count because joins share:
 // every (clip, tenant fingerprint) pair costs at most one engine pass
-// (TrackCache single-flight) and every (clip, fingerprint, capability
-// bytes) group costs at most one compensate+encode+mux while its stream
-// stays cached (stream cache, bounded by its byte budget).  servebench's
+// (TrackCache single-flight) and every (clip, fingerprint, capabilities)
+// group costs at most one compensate+encode+mux while its stream stays
+// cached (stream cache, bounded by its byte budget).  servebench's
 // fleet_join workload measures exactly this and gates fills == unique keys.
 #pragma once
 
@@ -24,8 +24,8 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "concurrency/thread_pool.h"
@@ -107,8 +107,9 @@ struct FleetStats {
   double stallSeconds = 0.0;
   std::uint64_t bytesDelivered = 0;
   /// Distinct streams joined (unique StreamKeys: clip revision,
-  /// fingerprint, caps) -- the denominator of the fleet's sharing story.
-  /// A re-ingested clip counts as a new stream.
+  /// fingerprint, interned caps) -- the denominator of the fleet's sharing
+  /// story.  A re-ingested clip counts as a new stream, and so do caps the
+  /// server's CapsTable evicted and interned again.
   std::size_t uniqueStreams = 0;
 };
 
@@ -137,7 +138,7 @@ class SessionScheduler {
 
   /// Negotiates and admits a session; returns its id.  The stream is
   /// resolved immediately through MediaServer::openStream (one caps
-  /// encode, one catalog lookup, one stream-cache lookup), so join cost is
+  /// intern, one catalog lookup, one stream-cache lookup), so join cost is
   /// amortized across every session sharing the same (clip revision,
   /// fingerprint, capabilities).  Throws what openStream() throws (unknown
   /// clip, quality index out of range).
@@ -264,7 +265,7 @@ class SessionScheduler {
   /// Every StreamKey a session has joined (FleetStats::uniqueStreams).
   /// The bytes live in the server's stream cache; sessions hold
   /// shared_ptrs, so 10k identical sessions cost one copy.
-  std::set<StreamKey> joined_;
+  std::unordered_set<StreamKey, StreamKeyHash> joined_;
   FleetStats stats_;
   Telemetry metrics_;
   std::int64_t playingCount_ = 0;

@@ -116,14 +116,15 @@ void MediaServer::addClips(std::vector<media::VideoClip> clips) {
     entry.sketches = core::buildSketchTrack(entry.track, stats[i]);
     entry.stats = std::move(stats[i]);
     entry.original = std::move(clips[i]);
+    entry.revision = ++ingestRevision_;
     entry.cacheId = "s" + std::to_string(serverId_) + "/" +
                     entry.original.name + "@" +
-                    std::to_string(++ingestRevision_);
+                    std::to_string(entry.revision);
     // Replacing content: reclaim the superseded revision's cached streams
-    // and tracks (the new cacheId already guarantees no stale serve).
+    // and tracks (the new revision already guarantees no stale serve).
     const auto old = catalog_.find(entry.original.name);
     if (old != catalog_.end()) {
-      streamCache_.eraseClip(old->second.cacheId);
+      streamCache_.eraseClip(old->second.revision);
       if (trackCache_ != nullptr) trackCache_->eraseClip(old->second.cacheId);
     }
     catalog_.insert_or_assign(entry.original.name, std::move(entry));
@@ -206,7 +207,7 @@ ServedStream MediaServer::openStream(
                                   ? e.track.qualityLevels.size()
                                   : tenantCfg->qualityLevels.size();
   checkQualityIndex("MediaServer::serve", caps.qualityIndex, offered);
-  ServedStream out{&e, StreamKey{e.cacheId, fp, encodeCapabilities(caps)},
+  ServedStream out{&e, StreamKey{e.revision, fp, capsTable_.intern(caps)},
                    nullptr};
   bool filled = false;
   out.bytes = streamCache_.getOrFill(out.key, [&] {
@@ -244,6 +245,54 @@ std::vector<std::uint8_t> MediaServer::serveRaw(
   return mux(encoded, nullptr);
 }
 
+CapsId CapsTable::intern(const ClientCapabilities& caps) {
+  const auto sameScalars = [&caps](const Entry& e) {
+    return e.caps.qualityIndex == caps.qualityIndex &&
+           e.caps.technology == caps.technology &&
+           e.caps.minBacklightLevel == caps.minBacklightLevel &&
+           e.caps.deviceName == caps.deviceName;
+  };
+  const auto findEntry = [this](const auto& match) {
+    return std::find_if(entries_.begin(), entries_.end(), match);
+  };
+  const std::lock_guard<std::mutex> lock(mu_);
+  ++clock_;
+  // Hit: the same table object (a copy of an interned transfer).
+  auto it = findEntry([&](const Entry& e) {
+    return e.caps.transfer.sharesLut(caps.transfer) && sameScalars(e);
+  });
+  // Miss paths: an equal table built separately, then equal bytes (tables
+  // that differ only below the wire's 16-bit quantisation).
+  if (it == entries_.end()) {
+    it = findEntry([&](const Entry& e) {
+      return sameScalars(e) && e.caps.transfer.lut() == caps.transfer.lut();
+    });
+  }
+  std::vector<std::uint8_t> bytes;
+  if (it == entries_.end()) {
+    bytes = encodeCapabilities(caps);
+    it = findEntry([&bytes](const Entry& e) { return e.bytes == bytes; });
+  }
+  if (it != entries_.end()) {
+    it->lastUse = clock_;
+    return it->id;
+  }
+  if (entries_.size() == kMaxEntries) {
+    // Evict the least recently interned; its id retires with it.
+    const auto lru = std::min_element(
+        entries_.begin(), entries_.end(),
+        [](const Entry& a, const Entry& b) { return a.lastUse < b.lastUse; });
+    entries_.erase(lru);
+  }
+  entries_.push_back(Entry{caps, std::move(bytes), nextId_++, clock_});
+  return entries_.back().id;
+}
+
+std::size_t CapsTable::size() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return entries_.size();
+}
+
 display::DeviceModel deviceFromCapabilities(const ClientCapabilities& caps) {
   display::DeviceModel device;
   device.name = caps.deviceName;
@@ -258,7 +307,7 @@ constexpr std::uint32_t kCapsMagic = 0x43415030;  // "CAP0"
 std::vector<std::uint8_t> encodeCapabilities(const ClientCapabilities& caps) {
   media::ByteWriter w;
   // Magic, two varints (<= 10 bytes each), name, two u8s, the LUT: one
-  // allocation per encode (it runs on every join).
+  // allocation per encode.
   w.reserve(4 + 10 + caps.deviceName.size() + 10 + 2 + 2 * 256);
   w.u32(kCapsMagic);
   w.varint(caps.deviceName.size());
@@ -297,7 +346,7 @@ ClientCapabilities decodeCapabilities(std::span<const std::uint8_t> bytes) {
     lut[level] = r.u16() / 65535.0;
   }
   caps.transfer = display::TransferFunction::fromLut(lut);
-  // The encoded form is the stream cache key, so accept only the one
+  // The encoded form keys the capabilities table, so accept only the one
   // encoding of these caps: no overlong varints, and a LUT that fromLut
   // keeps as sent (already monotone, top at 1).
   const std::vector<std::uint8_t> canonical = encodeCapabilities(caps);

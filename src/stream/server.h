@@ -13,9 +13,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/annotate.h"
@@ -70,19 +70,69 @@ struct CatalogEntry {
   /// TrackCache clip identity: unique per (server instance, name, ingest
   /// revision), so replaced content can never serve a stale cached track.
   std::string cacheId;
+  /// Stream-cache clip identity: the ingest revision in `cacheId`, unique
+  /// within this server (each server owns its stream cache).
+  std::uint64_t revision = 0;
 };
 
-/// Stream-cache key: the catalog entry's cacheId (unique per server, clip
-/// and ingest revision), the annotator fingerprint, and the negotiation
-/// message verbatim.  Identical devices share one cached stream; any
-/// content, plan or capability difference changes the key.
+/// Interned negotiation messages.  `intern` maps capabilities to a CapsId,
+/// and two capabilities share an id exactly when encodeCapabilities gives
+/// them the same bytes (decodeCapabilities is canonical, so bytes and
+/// capabilities correspond one to one).  A hit encodes nothing, allocates
+/// nothing and reads no LUT value: it matches the scalar fields plus the
+/// transfer's shared table (TransferFunction::sharesLut).  A miss compares
+/// the tables' values, then the canonical bytes, before it assigns an id.
+///
+/// The table holds at most kMaxEntries capabilities.  A miss on a full
+/// table evicts the least recently interned entry and retires its id: ids
+/// are never reused, so evicted capabilities that come back get a new id
+/// (one stream-cache miss), never another device's stream.  Thread-safe.
+using CapsId = std::uint64_t;
+
+class CapsTable {
+ public:
+  static constexpr std::size_t kMaxEntries = 64;
+
+  [[nodiscard]] CapsId intern(const ClientCapabilities& caps);
+  [[nodiscard]] std::size_t size() const;
+
+ private:
+  struct Entry {
+    ClientCapabilities caps;  ///< keeps the table sharesLut matches alive
+    std::vector<std::uint8_t> bytes;  ///< encodeCapabilities(caps)
+    CapsId id = 0;
+    std::uint64_t lastUse = 0;
+  };
+
+  mutable std::mutex mu_;
+  std::vector<Entry> entries_;
+  CapsId nextId_ = 1;
+  std::uint64_t clock_ = 0;  ///< interns so far: the LRU stamp
+};
+
+/// Stream-cache key: the catalog entry's ingest revision, the annotator
+/// fingerprint and the interned capabilities, all fixed-width.  Identical
+/// devices share one cached stream; any content, plan or capability
+/// difference changes the key.
 struct StreamKey {
-  std::string cacheId;
+  std::uint64_t revision = 0;
   std::uint64_t fingerprint = 0;
-  std::vector<std::uint8_t> capsBytes;
+  CapsId caps = 0;
 
   friend bool operator==(const StreamKey&, const StreamKey&) = default;
-  friend auto operator<=>(const StreamKey&, const StreamKey&) = default;
+};
+
+/// SplitMix64's finaliser: spreads a fixed-width key over every hash bit.
+[[nodiscard]] inline std::uint64_t mixKeyBits(std::uint64_t h) noexcept {
+  h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  h = (h ^ (h >> 27)) * 0x94D049BB133111EBULL;
+  return h ^ (h >> 31);
+}
+
+struct StreamKeyHash {
+  std::size_t operator()(const StreamKey& k) const noexcept {
+    return mixKeyBits(mixKeyBits(k.revision ^ k.fingerprint) ^ k.caps);
+  }
 };
 
 using StreamBytes = std::vector<std::uint8_t>;
@@ -90,21 +140,18 @@ using StreamPtr = std::shared_ptr<const StreamBytes>;
 
 struct StreamCacheTraits {
   static constexpr const char* kMetricPrefix = "anno_stream_cache";
-  /// Shards by (cacheId, fingerprint); keyHash adds the negotiation bytes
-  /// for the lookup within a shard.
+  using ClipId = std::uint64_t;
+  /// Shards by (revision, fingerprint): every device's stream of one clip
+  /// and plan shares a shard.  keyHash adds the caps for the lookup.
   static std::uint64_t shardHash(const StreamKey& k) noexcept {
-    return core::clipShardHash(k.cacheId, k.fingerprint);
+    return mixKeyBits(k.revision ^ k.fingerprint);
   }
-  static std::size_t keyHash(const StreamKey& k) {
-    return shardHash(k) ^ std::hash<std::string_view>{}(std::string_view(
-                              reinterpret_cast<const char*>(k.capsBytes.data()),
-                              k.capsBytes.size()));
+  static std::size_t keyHash(const StreamKey& k) noexcept {
+    return StreamKeyHash{}(k);
   }
-  static const std::string& clipId(const StreamKey& k) noexcept {
-    return k.cacheId;
-  }
-  static std::size_t chargeBytes(const StreamKey& k, const StreamBytes& v) {
-    return v.capacity() + k.capsBytes.capacity() + k.cacheId.capacity();
+  static ClipId clipId(const StreamKey& k) noexcept { return k.revision; }
+  static std::size_t chargeBytes(const StreamKey&, const StreamBytes& v) {
+    return v.capacity();
   }
 };
 
@@ -238,7 +285,8 @@ class MediaServer {
   core::TrackCache* trackCache_ = nullptr;  ///< shared, not owned
   std::uint64_t serverId_ = 0;   ///< process-unique, part of cacheId
   std::uint64_t ingestRevision_ = 0;  ///< bumped per stored clip
-  /// Mutable: serving is logically const; the cache is thread-safe.
+  /// Mutable: serving is logically const; both are thread-safe.
+  mutable CapsTable capsTable_;
   mutable StreamCache streamCache_{{kStreamCacheShards, kStreamCacheBytes}};
 };
 

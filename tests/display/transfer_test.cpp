@@ -29,6 +29,25 @@ TEST(Transfer, DefaultIsLinear) {
   EXPECT_DOUBLE_EQ(tf.relLuminance(255), 1.0);
 }
 
+TEST(Transfer, DefaultAndLinearAreExactlyIOver255) {
+  const TransferFunction def;
+  const TransferFunction lin = TransferFunction::linear();
+  for (int i = 0; i < 256; ++i) {
+    EXPECT_EQ(def.lut()[i], i / 255.0) << "level " << i;
+    EXPECT_EQ(lin.lut()[i], i / 255.0) << "level " << i;
+  }
+}
+
+TEST(Transfer, CopiesShareTheirTable) {
+  const TransferFunction a = TransferFunction::gamma(0.75);
+  const TransferFunction copy = a;
+  EXPECT_TRUE(copy.sharesLut(a));
+  const TransferFunction rebuilt = TransferFunction::gamma(0.75);
+  EXPECT_EQ(rebuilt.lut(), a.lut());
+  EXPECT_FALSE(rebuilt.sharesLut(a)) << "equal values, separate tables";
+  EXPECT_TRUE(TransferFunction().sharesLut(TransferFunction::linear()));
+}
+
 struct NamedTransfer {
   const char* name;
   TransferFunction tf;

@@ -1,9 +1,10 @@
 // Seeded mutation corpus over the negotiation message.  encodeCapabilities
-// output is the stream cache key (stream/server.h StreamKey), so its decoder
-// must be canonical: every mutant either throws a std::exception or decodes
-// to capabilities that re-encode to exactly the bytes the decoder consumed.
-// Two different messages can then never stand for one device.  The base
-// messages are the soak's device classes.
+// output keys the server's capabilities table (stream/server.h CapsTable),
+// whose ids key the stream cache, so its decoder must be canonical: every
+// mutant either throws a std::exception or decodes to capabilities that
+// re-encode to exactly the bytes the decoder consumed.  Two different
+// messages can then never stand for one device.  The base messages are the
+// soak's device classes.
 #include <gtest/gtest.h>
 
 #include <algorithm>

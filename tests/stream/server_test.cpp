@@ -142,6 +142,37 @@ TEST_F(ServerTest, ReAddReplacesClip) {
   EXPECT_EQ(server_.entry("catwoman").original.frames.size(), newCount);
 }
 
+TEST_F(ServerTest, ReingestMissesAndReclaimsTheOldRevision) {
+  const ClientCapabilities caps = ipaqCaps();
+  const ServedStream before = server_.openStream("catwoman", caps);
+  const std::vector<std::uint8_t> beforeBytes = *before.bytes;
+  (void)server_.openStream("catwoman", ipaqCaps(1));
+  (void)server_.openStream("officexp", caps);
+  const core::CacheStats cached = server_.streamCache().stats();
+  ASSERT_EQ(cached.entries, 3u);
+
+  media::VideoClip replacement =
+      media::generatePaperClip(media::PaperClip::kShrek2, 0.03, 32, 24);
+  replacement.name = "catwoman";
+  MediaServer fresh;
+  fresh.addClip(replacement);
+  std::vector<media::VideoClip> batch;
+  batch.push_back(std::move(replacement));
+  server_.addClips(std::move(batch));
+  EXPECT_EQ(server_.streamCache().stats().entries, 1u)
+      << "both streams of the replaced revision are reclaimed";
+  EXPECT_EQ(server_.streamCache().eraseClip(before.key.revision), 0u);
+
+  const ServedStream after = server_.openStream("catwoman", caps);
+  EXPECT_NE(after.key.revision, before.key.revision);
+  EXPECT_EQ(after.key.caps, before.key.caps);
+  EXPECT_EQ(server_.streamCache().stats().misses, cached.misses + 1)
+      << "the same name and caps miss after a re-ingest";
+  EXPECT_EQ(*after.bytes, fresh.serve("catwoman", caps))
+      << "the new content's bytes";
+  EXPECT_NE(*after.bytes, beforeBytes);
+}
+
 TEST(Server, RejectsInvalidClip) {
   MediaServer server;
   media::VideoClip bad;
