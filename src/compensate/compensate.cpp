@@ -54,16 +54,12 @@ ChannelTable gainTable(double k) {
   return tabulate([k](int c) { return media::clamp8(c * k); });
 }
 
-media::Image contrastEnhance(const media::Image& img, double k,
-                             Domain domain) {
+media::Image contrastEnhance(const media::Image& img, double k) {
   if (k < 1.0) {
     throw std::invalid_argument("contrastEnhance: k must be >= 1");
   }
   if (img.empty()) {
     throw std::invalid_argument("contrastEnhance: empty image");
-  }
-  if (domain == Domain::kLuminance) {
-    return lumaDomainOp(img, [k](double y) { return y * k; });
   }
   return contrastEnhance(img, gainTable(k));
 }
@@ -76,16 +72,12 @@ media::Image contrastEnhance(const media::Image& img,
   return applyChannelTable(img, gains);
 }
 
-media::Image brightnessCompensate(const media::Image& img, double delta,
-                                  Domain domain) {
+media::Image brightnessCompensate(const media::Image& img, double delta) {
   if (delta < 0.0) {
     throw std::invalid_argument("brightnessCompensate: delta must be >= 0");
   }
   if (img.empty()) {
     throw std::invalid_argument("brightnessCompensate: empty image");
-  }
-  if (domain == Domain::kLuminance) {
-    return lumaDomainOp(img, [delta](double y) { return y + delta; });
   }
   return applyChannelTable(
       img, tabulate([delta](int c) { return media::clamp8(c + delta); }));

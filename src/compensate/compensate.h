@@ -7,7 +7,8 @@
 // value to maintain the same perceived intensity I (keep the product of L
 // and Y constant, i.e. k = L/L')."
 //
-// Both can operate per RGB channel or on the computed luminance Y only.
+// Both apply per RGB channel, as one lookup table per call.  Tone curves
+// act on the computed luminance Y only.
 #pragma once
 
 #include <array>
@@ -17,12 +18,6 @@
 #include "media/image.h"
 
 namespace anno::compensate {
-
-/// Which domain the transform operates in.
-enum class Domain {
-  kPerChannel,  ///< apply to R, G, B independently (preserves hue for gains)
-  kLuminance,   ///< scale luma only, preserve chroma (YCbCr domain)
-};
 
 /// Per-channel code map: every 8-bit channel code to its compensated code.
 using ChannelTable = std::array<std::uint8_t, 256>;
@@ -34,8 +29,7 @@ using ChannelTable = std::array<std::uint8_t, 256>;
 
 /// Contrast enhancement: multiply by `k` >= 1 with saturation.  Per
 /// channel this is one lookup in gainTable(k).
-[[nodiscard]] media::Image contrastEnhance(const media::Image& img, double k,
-                                           Domain domain = Domain::kPerChannel);
+[[nodiscard]] media::Image contrastEnhance(const media::Image& img, double k);
 
 /// Per-channel contrast enhancement with the caller's gainTable(k), for
 /// callers that apply one gain to many frames.
@@ -43,9 +37,8 @@ using ChannelTable = std::array<std::uint8_t, 256>;
                                            const ChannelTable& gains);
 
 /// Brightness compensation: add `delta` (8-bit code units) with saturation.
-[[nodiscard]] media::Image brightnessCompensate(
-    const media::Image& img, double delta,
-    Domain domain = Domain::kPerChannel);
+[[nodiscard]] media::Image brightnessCompensate(const media::Image& img,
+                                                double delta);
 
 /// 256-entry tone curve on luminance codes (for DTM-style baselines,
 /// cf. Iranli & Pedram, DAC'05).

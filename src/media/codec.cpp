@@ -298,15 +298,27 @@ void addConstant(std::int32_t value, std::int16_t* plane, int width,
 /// reference is under 1.5 in 8-bit units.  In integers that is
 /// 2 * SAD < 3 * 32n over the block's n samples in the plane, exactly: 1.5
 /// is a double, and the quotient SAD / 32n (32n at most 2048) is never
-/// within a rounding of 1.5 without being equal to it.
-bool isSkipBlock(const std::int16_t* cur, const std::int16_t* ref, int width,
-                 int height, int bx, int by) {
-  std::int32_t sad = 0;
+/// within a rounding of 1.5 without being equal to it.  The SAD runs on
+/// 16-bit lanes, which a full block's fixed-width loop vectorises: source
+/// samples lie in [0, 8176] (Y 0..8160, Cb and Cr 16..8176) and reference
+/// samples in [0, 8160], so a difference is within int16 and each
+/// column's eight differences sum in a uint16 lane to at most
+/// 8 * 8176 = 65,408.
+[[gnu::always_inline]] inline bool isSkipBlock(const std::int16_t* cur,
+                                               const std::int16_t* ref,
+                                               int width, int height, int bx,
+                                               int by) {
+  std::array<std::uint16_t, 8> column{};
   int n = 0;
   forEachRow(width, height, bx, by, [&](std::size_t at, int, auto cols) {
-    for (int x = 0; x < cols; ++x) sad += std::abs(cur[at + x] - ref[at + x]);
+    for (int x = 0; x < cols; ++x) {
+      const auto diff = static_cast<std::int16_t>(cur[at + x] - ref[at + x]);
+      column[x] = static_cast<std::uint16_t>(column[x] + std::abs(diff));
+    }
     n += cols;
   });
+  std::int32_t sad = 0;
+  for (const std::uint16_t s : column) sad += s;
   return 2 * sad < (3 * n) << kernels::kPlaneFracBits;
 }
 
@@ -630,6 +642,11 @@ void decodePlanes(const EncodedFrame& frame, int width, int height,
 }
 
 }  // namespace
+
+bool detail::isSkipBlock(const std::int16_t* cur, const std::int16_t* ref,
+                         int width, int height, int bx, int by) {
+  return media::isSkipBlock(cur, ref, width, height, bx, by);
+}
 
 EncodedFrame encodeFrame(const Image& frame, const CodecConfig& cfg) {
   checkFrameGeometry(frame);

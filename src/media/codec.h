@@ -148,4 +148,13 @@ class FrameDecoder {
 [[nodiscard]] std::vector<std::uint8_t> serializeClip(const EncodedClip& clip);
 [[nodiscard]] EncodedClip parseClip(std::span<const std::uint8_t> bytes);
 
+namespace detail {
+/// The SKIP rule for block (bx,by) of a width x height source plane `cur`
+/// against its reference plane `ref`, both Q5 (see the P-frame notes
+/// above): the code the encoder runs inline, for the lane-bound tests.
+[[nodiscard]] bool isSkipBlock(const std::int16_t* cur,
+                               const std::int16_t* ref, int width,
+                               int height, int bx, int by);
+}  // namespace detail
+
 }  // namespace anno::media

@@ -14,6 +14,8 @@
 
 #include <immintrin.h>
 
+#include <array>
+
 #include "media/kernels/kernels.h"
 #include "media/kernels/kernels_internal.h"
 
@@ -323,85 +325,166 @@ Uint128 emdNumeratorAvx2(const std::uint64_t* a, std::uint64_t totalA,
   return static_cast<Uint128>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
 }
 
-/// fdctPass / idctPass lane ops: eight int32 lanes.  Shifts stand in for
-/// the reference's multiplies by 2^n; both are exact (nothing overflows).
-struct Avx2Ops {
-  static __m256i add(__m256i a, __m256i b) { return _mm256_add_epi32(a, b); }
-  static __m256i sub(__m256i a, __m256i b) { return _mm256_sub_epi32(a, b); }
-  static __m256i mul(__m256i a, std::int32_t c) {
-    return _mm256_mullo_epi32(a, _mm256_set1_epi32(c));
-  }
-  static __m256i shl(__m256i a, int n) { return _mm256_slli_epi32(a, n); }
-  static __m256i sra(__m256i a, int n) { return _mm256_srai_epi32(a, n); }
-  static __m256i constant(std::int32_t c) { return _mm256_set1_epi32(c); }
-  static __m256i descale(__m256i a, int n) {
-    return _mm256_srai_epi32(
-        _mm256_add_epi32(a, _mm256_set1_epi32(1 << (n - 1))), n);
-  }
-};
-
-/// In-place transpose of an 8x8 int32 matrix held as eight row vectors.
-inline void transpose8x8(__m256i* r) {
-  const __m256i t0 = _mm256_unpacklo_epi32(r[0], r[1]);
-  const __m256i t1 = _mm256_unpackhi_epi32(r[0], r[1]);
-  const __m256i t2 = _mm256_unpacklo_epi32(r[2], r[3]);
-  const __m256i t3 = _mm256_unpackhi_epi32(r[2], r[3]);
-  const __m256i t4 = _mm256_unpacklo_epi32(r[4], r[5]);
-  const __m256i t5 = _mm256_unpackhi_epi32(r[4], r[5]);
-  const __m256i t6 = _mm256_unpacklo_epi32(r[6], r[7]);
-  const __m256i t7 = _mm256_unpackhi_epi32(r[6], r[7]);
-  const __m256i u0 = _mm256_unpacklo_epi64(t0, t2);
-  const __m256i u1 = _mm256_unpackhi_epi64(t0, t2);
-  const __m256i u2 = _mm256_unpacklo_epi64(t1, t3);
-  const __m256i u3 = _mm256_unpackhi_epi64(t1, t3);
-  const __m256i u4 = _mm256_unpacklo_epi64(t4, t6);
-  const __m256i u5 = _mm256_unpackhi_epi64(t4, t6);
-  const __m256i u6 = _mm256_unpacklo_epi64(t5, t7);
-  const __m256i u7 = _mm256_unpackhi_epi64(t5, t7);
-  r[0] = _mm256_permute2x128_si256(u0, u4, 0x20);
-  r[1] = _mm256_permute2x128_si256(u1, u5, 0x20);
-  r[2] = _mm256_permute2x128_si256(u2, u6, 0x20);
-  r[3] = _mm256_permute2x128_si256(u3, u7, 0x20);
-  r[4] = _mm256_permute2x128_si256(u0, u4, 0x31);
-  r[5] = _mm256_permute2x128_si256(u1, u5, 0x31);
-  r[6] = _mm256_permute2x128_si256(u2, u6, 0x31);
-  r[7] = _mm256_permute2x128_si256(u3, u7, 0x31);
+/// The int16 pair (a, b) as one 32-bit lane, a in the low half.
+constexpr std::int32_t int16Pair(std::int32_t a, std::int32_t b) {
+  return static_cast<std::int32_t>(
+      static_cast<std::uint16_t>(a) |
+      (static_cast<std::uint32_t>(static_cast<std::uint16_t>(b)) << 16));
 }
 
-// A vector holds one row of the block (lanes = columns).  A 1-D pass runs
-// down the vectors, so the forward row pass and the inverse row pass work
-// on the transpose.
+/// Two int16 weights (a, b) repeated across the lanes, for madd pairs.
+inline __m256i weights(std::int32_t a, std::int32_t b) {
+  return _mm256_set1_epi32(int16Pair(a, b));
+}
+
+/// Lane k of a and of b, both within int16, as the pair (a_k, b_k).
+inline __m256i pairs(__m256i a, __m256i b) {
+  return _mm256_blend_epi16(a, _mm256_slli_epi32(b, 16), 0xAA);
+}
+
+inline __m256i descale(__m256i v, int n) {
+  return _mm256_srai_epi32(
+      _mm256_add_epi32(v, _mm256_set1_epi32(1 << (n - 1))), n);
+}
+
+/// The pair (in[2p], in[2p+1]) of eight int16 inputs, in every lane.
+inline __m256i broadcastPair(const std::int16_t* in, int p) {
+  std::int32_t pair;
+  __builtin_memcpy(&pair, in + 2 * p, sizeof pair);
+  return _mm256_set1_epi32(pair);
+}
+
+using PassWeights = std::array<std::array<std::int32_t, 8>, 4>;
+
+/// A pass whose lanes are its outputs, over one broadcast input row:
+/// lane `out` of table p holds the weights of inputs 2p and 2p + 1.  The
+/// forward row pass reads kDct's rows, the inverse row pass its columns.
+template <bool kInverse>
+constexpr PassWeights laneWeights() {
+  PassWeights t{};
+  for (int p = 0; p < 4; ++p) {
+    for (int out = 0; out < 8; ++out) {
+      t[p][out] = kInverse ? int16Pair(detail::kDct[2 * p][out],
+                                       detail::kDct[2 * p + 1][out])
+                           : int16Pair(detail::kDct[out][2 * p],
+                                       detail::kDct[out][2 * p + 1]);
+    }
+  }
+  return t;
+}
+alignas(32) constexpr PassWeights kFdctRowWeights = laneWeights<false>();
+alignas(32) constexpr PassWeights kIdctRowWeights = laneWeights<true>();
+
+/// sum_p madd(pair p of `in`, table p): all eight outputs of one row.
+inline __m256i rowSums(const std::int16_t* in, const PassWeights& w) {
+  __m256i sum = _mm256_setzero_si256();
+  #pragma GCC unroll 8
+  for (int p = 0; p < 4; ++p) {
+    sum = _mm256_add_epi32(
+        sum, _mm256_madd_epi16(broadcastPair(in, p),
+                               _mm256_load_si256(
+                                   reinterpret_cast<const __m256i*>(
+                                       w[p].data()))));
+  }
+  return sum;
+}
+
+// Both transforms multiply-add int16 pairs in kDct's direct form, which
+// reproduces the reference's integers; detail:: proves every input fits
+// int16 and every sum int32.  A row pass takes its input pairs by
+// broadcast and produces a row's eight outputs in the lanes; a column pass
+// keeps lanes = columns, so neither needs a transpose.
 void fdct8x8Avx2(const std::int16_t* spatial, std::int32_t* freq) {
   __m256i r[8];
-  __m256i o[8];
+  #pragma GCC unroll 8
   for (int y = 0; y < 8; ++y) {
-    r[y] = _mm256_cvtepi16_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(spatial + 8 * y)));
+    r[y] = descale(rowSums(spatial + 8 * y, kFdctRowWeights),
+                   detail::kFdctRowAc);
   }
-  transpose8x8(r);
-  detail::fdctPass<Avx2Ops>(r, o, detail::kFdctRowDc, detail::kFdctRowAc);
-  transpose8x8(o);
-  detail::fdctPass<Avx2Ops>(o, r, detail::kFdctColDc, detail::kFdctColAc);
+  // Row k is even or odd about 3.5, so rows y and 7 - y pair up.
+  __m256i p[4];
+  #pragma GCC unroll 8
+  for (int y = 0; y < 4; ++y) p[y] = pairs(r[y], r[7 - y]);
+  #pragma GCC unroll 8
   for (int j = 0; j < 8; ++j) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(freq + 8 * j), r[j]);
+    __m256i sum = _mm256_setzero_si256();
+    #pragma GCC unroll 8
+    for (int y = 0; y < 4; ++y) {
+      sum = _mm256_add_epi32(
+          sum, _mm256_madd_epi16(p[y], weights(detail::kDct[j][y],
+                                               detail::kDct[j][7 - y])));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(freq + 8 * j),
+                        descale(sum, detail::kFdctColAc));
   }
 }
 
 void idct8x8Avx2(const std::int32_t* freq, std::int16_t* spatial) {
-  __m256i r[8];
-  __m256i o[8];
-  for (int j = 0; j < 8; ++j) {
-    r[j] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(freq + 8 * j));
+  const auto row = [freq](int j) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(freq + 8 * j));
+  };
+  const __m256i even0 = pairs(row(0), row(2));
+  const __m256i even1 = pairs(row(4), row(6));
+  const __m256i odd0 = pairs(row(1), row(3));
+  const __m256i odd1 = pairs(row(5), row(7));
+  // Column pass: outputs y and 7 - y are e + o and e - o.  The row pass
+  // takes the split v = 8h + l of its input (detail::idctRowPass) as two
+  // int16 rows each.
+  constexpr int b = detail::kIdctPass1Bits;
+  const __m256i lowMask = _mm256_set1_epi32((1 << b) - 1);
+  __m256i v[8];
+  #pragma GCC unroll 8
+  for (int y = 0; y < 4; ++y) {
+    const auto& k = detail::kDct;
+    const __m256i e = _mm256_add_epi32(
+        _mm256_madd_epi16(even0, weights(k[0][y], k[2][y])),
+        _mm256_madd_epi16(even1, weights(k[4][y], k[6][y])));
+    const __m256i o = _mm256_add_epi32(
+        _mm256_madd_epi16(odd0, weights(k[1][y], k[3][y])),
+        _mm256_madd_epi16(odd1, weights(k[5][y], k[7][y])));
+    v[y] = descale(_mm256_add_epi32(e, o), detail::kIdctColShift);
+    v[7 - y] = descale(_mm256_sub_epi32(e, o), detail::kIdctColShift);
   }
-  detail::idctPass<Avx2Ops>(r, o, detail::kIdctColShift);
-  transpose8x8(o);
-  detail::idctRowPass<Avx2Ops>(o, r);
-  transpose8x8(r);
+  alignas(32) std::int16_t hi[64];
+  alignas(32) std::int16_t lo[64];
+  #pragma GCC unroll 8
+  for (int y = 0; y < 8; y += 2) {
+    _mm256_store_si256(
+        reinterpret_cast<__m256i*>(hi + 8 * y),
+        _mm256_permute4x64_epi64(
+            _mm256_packs_epi32(_mm256_srai_epi32(v[y], b),
+                               _mm256_srai_epi32(v[y + 1], b)),
+            0xD8));
+    _mm256_store_si256(
+        reinterpret_cast<__m256i*>(lo + 8 * y),
+        _mm256_permute4x64_epi64(
+            _mm256_packs_epi32(_mm256_and_si256(v[y], lowMask),
+                               _mm256_and_si256(v[y + 1], lowMask)),
+            0xD8));
+  }
+  // The row pass broadcasts its pairs from hi and lo.  Without this
+  // barrier the compiler forwards the stores through register shuffles,
+  // which contend for one port; broadcasts from memory use the load ports
+  // (bench_simd_kernels: 34 ns against 51 per block).
+  asm volatile("" ::: "memory");
+  const __m256i round =
+      _mm256_set1_epi32(1 << (detail::kIdctRowShift - 1));
+  __m256i out[8];
+  #pragma GCC unroll 8
+  for (int y = 0; y < 8; ++y) {
+    const __m256i a = rowSums(hi + 8 * y, kIdctRowWeights);
+    const __m256i c = rowSums(lo + 8 * y, kIdctRowWeights);
+    out[y] = _mm256_srai_epi32(
+        _mm256_add_epi32(a, _mm256_srai_epi32(_mm256_add_epi32(c, round), b)),
+        detail::kIdctRowShift - b);
+  }
+  #pragma GCC unroll 8
   for (int y = 0; y < 8; y += 2) {
     // packs saturates to int16 exactly like the reference's clamp.
     _mm256_storeu_si256(
         reinterpret_cast<__m256i*>(spatial + 8 * y),
-        _mm256_permute4x64_epi64(_mm256_packs_epi32(r[y], r[y + 1]), 0xD8));
+        _mm256_permute4x64_epi64(_mm256_packs_epi32(out[y], out[y + 1]),
+                                 0xD8));
   }
 }
 
@@ -435,13 +518,6 @@ std::uint64_t quantizeBlockAvx2(const std::int32_t* freq,
              << i;
   }
   return ~zeros;
-}
-
-/// Two int16 weights (a, b) repeated across the lanes, for madd pairs.
-inline __m256i weights(std::int32_t a, std::int32_t b) {
-  return _mm256_set1_epi32(static_cast<int>(
-      static_cast<std::uint16_t>(a) |
-      (static_cast<std::uint32_t>(static_cast<std::uint16_t>(b)) << 16)));
 }
 
 void rgbToYcbcrPlanesAvx2(const Rgb8* px, std::size_t n, std::int16_t* y,

@@ -30,7 +30,14 @@
 //   * The codec kernels (8x8 DCT/IDCT, quantisation, YCbCr conversion)
 //     are fixed point on int16/int32 lanes.  Every intermediate is proven
 //     to fit its lane for the documented input range, so they are exact
-//     too, whatever the factorisation or lane layout.
+//     too, whatever the factorisation or lane layout.  The AVX2
+//     transforms multiply-add int16 pass inputs (the direct form
+//     detail::kDct): |sample| <= kMaxFdctInput, forward row outputs <=
+//     16384, |coefficient| <= kMaxIdctInput and the inverse row pass's
+//     high part within +-17217, with every sum within int32.
+//     static_asserts beside kDct derive these bounds from the weights, and
+//     Kernels.DctAtBasisSignedExtremesMatchesScalar drives every output
+//     to them at every level.
 //   * The EMD kernel computes an exact integer numerator
 //         sum_v | cdfA(v)*totalB - cdfB(v)*totalA |
 //     and performs a SINGLE final floating divide by totalA*totalB, so
@@ -84,12 +91,16 @@ inline constexpr int kPlaneFracBits = 5;
 /// Largest |sample| fdct8x8 accepts: the residual of two plane samples
 /// fits, and every intermediate of both passes stays below 2^31.
 inline constexpr std::int32_t kMaxFdctInput = 256 << kPlaneFracBits;
+/// Samples are int16 lanes of the multiply-add transforms.
+static_assert(kMaxFdctInput <= INT16_MAX);
 /// Fractional bits of the forward transform's coefficients, so the
 /// quantiser rounds once, from nearly exact coefficients.
 inline constexpr int kCoefFracBits = 8;
 /// Largest |coefficient| idct8x8 accepts without int32 overflow.  A valid
 /// stream stays below 2050 + 255 / 2 (see media/codec.cpp).
 inline constexpr std::int32_t kMaxIdctInput = 2304;
+/// Coefficients are int16 lanes of the multiply-add transforms.
+static_assert(kMaxIdctInput <= INT16_MAX);
 /// Largest |coefficient| quantizeBlock divides exactly.
 inline constexpr std::int32_t kMaxQuantInput =
     (1 << (12 + kCoefFracBits)) - (256 << (kCoefFracBits - 1));

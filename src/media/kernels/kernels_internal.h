@@ -111,8 +111,8 @@ inline constexpr std::int32_t kBBias = kToRgbRound - kChroma0 * kBCb;
 /// scalar reference).  O supplies add/sub/mul-by-constant/descale/shl on
 /// V.  DC and AC outputs are descaled by dcShift and acShift; a negative
 /// dcShift shifts the DC left instead (libjpeg's PASS1_BITS in pass 1).
-/// Every level runs this one body, so the arithmetic is the same
-/// expression tree everywhere -- only the lane width differs.
+/// The scalar reference runs this body; the AVX2 level computes the same
+/// integers in direct form (kDct below).
 template <class O, class V>
 [[gnu::always_inline]] inline void fdctPass(const V* d, V* out, int dcShift,
                                             int acShift) {
@@ -230,6 +230,99 @@ template <class O, class V>
         kIdctRowShift - b);
   }
 }
+
+/// The islow passes in direct form.  Multiplying out fdctPass's
+/// factorisation, output k of a forward pass is the raw sum
+///   sum_x kDct[k][x] * d[x]
+/// and output x of idctPass is sum_k kDct[k][x] * in[k]: the same integers
+/// (neither form overflows), so lanes that multiply-add int16 pairs
+/// reproduce the reference exactly.  Rows 0 and 4 (the DC terms) carry
+/// 2^kConstBits, so a forward pass descales every output by its AC shift:
+/// descale(2^13 v, n) is descale(v, n - 13), or v << (13 - n) when
+/// n <= 13, the reference's DC step.  Row k is even about x = 3.5 for even
+/// k and odd for odd k, which is the butterfly the factorisation uses.
+inline constexpr std::array<std::array<std::int32_t, 8>, 8> kDct = [] {
+  constexpr std::int32_t d = 1 << kConstBits;
+  constexpr std::int32_t a = kFix0_541196100 + kFix0_765366865;
+  constexpr std::int32_t b = kFix0_541196100;
+  constexpr std::int32_t c = kFix0_541196100 - kFix1_847759065;
+  constexpr std::int32_t z = kFix1_175875602;
+  // Rows 0, 2, 4, 6 on d[i] + d[7 - i] and rows 1, 3, 5, 7 on
+  // d[i] - d[7 - i], i = 0..3.
+  constexpr std::int32_t half[8][4] = {
+      {d, d, d, d},
+      {kFix1_501321110 - kFix0_899976223 - kFix0_390180644 + z, z,
+       z - kFix0_390180644, z - kFix0_899976223},
+      {a, b, -b, -a},
+      {z, kFix3_072711026 - kFix2_562915447 - kFix1_961570560 + z,
+       z - kFix2_562915447, z - kFix1_961570560},
+      {d, -d, -d, d},
+      {z - kFix0_390180644, z - kFix2_562915447,
+       kFix2_053119869 - kFix2_562915447 - kFix0_390180644 + z, z},
+      {b, c, -c, -b},
+      {z - kFix0_899976223, z - kFix1_961570560, z,
+       kFix0_298631336 - kFix0_899976223 - kFix1_961570560 + z},
+  };
+  std::array<std::array<std::int32_t, 8>, 8> m{};
+  for (int k = 0; k < 8; ++k) {
+    for (int i = 0; i < 4; ++i) {
+      m[k][i] = half[k][i];
+      m[k][7 - i] = k % 2 == 0 ? half[k][i] : -half[k][i];
+    }
+  }
+  return m;
+}();
+static_assert(kFdctRowAc - kFdctRowDc == kConstBits &&
+              kFdctColAc - kFdctColDc == kConstBits);
+
+/// Lane bounds of the direct form.  Each raw sum is at most the L1 norm
+/// of its weights times the input bound; lanes that hold pass inputs as
+/// int16 need every input within int16, and every raw sum within int32.
+inline constexpr std::int64_t kFdctMaxL1 = [] {
+  std::int64_t m = 0;
+  for (const auto& row : kDct) {
+    std::int64_t s = 0;
+    for (const std::int32_t w : row) s += w < 0 ? -w : w;
+    m = std::max(m, s);
+  }
+  return m;
+}();
+inline constexpr std::int64_t kIdctMaxL1 = [] {
+  std::int64_t m = 0;
+  for (int x = 0; x < 8; ++x) {
+    std::int64_t s = 0;
+    for (const auto& row : kDct) s += row[x] < 0 ? -row[x] : row[x];
+    m = std::max(m, s);
+  }
+  return m;
+}();
+constexpr std::int64_t descaleBound(std::int64_t raw, int shift) {
+  return (raw + (std::int64_t{1} << (shift - 1))) >> shift;
+}
+/// Largest |output| of the forward row pass: the column pass's input.
+inline constexpr std::int64_t kFdctRowOutMax =
+    descaleBound(kFdctMaxL1 * kMaxFdctInput, kFdctRowAc);
+/// Largest |column output| of the inverse, and of its high part h, the
+/// row pass's input (floor division reaches one further below zero).
+inline constexpr std::int64_t kIdctColOutMax =
+    descaleBound(kIdctMaxL1 * kMaxIdctInput, kIdctColShift);
+inline constexpr std::int64_t kIdctRowHiMax =
+    (kIdctColOutMax >> kIdctPass1Bits) + 1;
+static_assert(kFdctMaxL1 * kMaxFdctInput + (1 << (kFdctRowAc - 1)) <=
+                  INT32_MAX &&
+              kFdctRowOutMax <= INT16_MAX &&
+              kFdctMaxL1 * kFdctRowOutMax + (1 << (kFdctColAc - 1)) <=
+                  INT32_MAX,
+              "forward: row outputs fit int16 and column sums int32");
+static_assert(kIdctMaxL1 * kMaxIdctInput + (1 << (kIdctColShift - 1)) <=
+                  INT32_MAX &&
+              kIdctRowHiMax <= INT16_MAX &&
+              kIdctMaxL1 * kIdctRowHiMax +
+                      ((kIdctMaxL1 * ((1 << kIdctPass1Bits) - 1) +
+                        (1 << (kIdctRowShift - 1))) >>
+                       kIdctPass1Bits) <=
+                  INT32_MAX,
+              "inverse: column sums fit int32, h int16 and row sums int32");
 
 /// Round-half-away quantisation of coefficient c (kCoefFracBits = f) by
 /// divisor d: floor((|c| + d 2^(f-1)) / (d 2^f)) =

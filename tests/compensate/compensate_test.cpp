@@ -40,25 +40,6 @@ TEST(ContrastEnhance, Validation) {
                std::invalid_argument);
 }
 
-TEST(ContrastEnhance, LuminanceDomainScalesLuma) {
-  const media::Image img = randomImage(3);
-  const media::Image out = contrastEnhance(img, 1.5, Domain::kLuminance);
-  // For pixels whose reconstructed channels stay inside [0,255] the luma
-  // should scale by ~1.5 (channel saturation distorts luma, so skip those).
-  int checked = 0;
-  for (std::size_t i = 0; i < img.pixelCount(); ++i) {
-    const media::Rgb8& po = out.pixels()[i];
-    const bool saturated = po.r == 0 || po.r == 255 || po.g == 0 ||
-                           po.g == 255 || po.b == 0 || po.b == 255;
-    if (saturated) continue;
-    const double y0 = media::luminance(img.pixels()[i]);
-    const double y1 = media::luminance(out.pixels()[i]);
-    EXPECT_NEAR(y1, y0 * 1.5, 2.5);
-    ++checked;
-  }
-  EXPECT_GT(checked, 50);
-}
-
 TEST(ContrastEnhance, PerChannelPreservesHueOfUnclipped) {
   media::Image img(1, 1, media::Rgb8{60, 90, 120});
   const media::Image out = contrastEnhance(img, 2.0);
@@ -84,13 +65,6 @@ TEST(BrightnessCompensate, Validation) {
   EXPECT_THROW((void)brightnessCompensate(img, -1.0), std::invalid_argument);
   EXPECT_THROW((void)brightnessCompensate(media::Image{}, 1.0),
                std::invalid_argument);
-}
-
-TEST(BrightnessCompensate, LuminanceDomain) {
-  media::Image img(1, 1, media::Rgb8{100, 100, 100});
-  const media::Image out =
-      brightnessCompensate(img, 30.0, Domain::kLuminance);
-  EXPECT_NEAR(media::luminance(out(0, 0)), 130.0, 2.0);
 }
 
 TEST(ToneCurve, SoftKneeIsMonotone) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -307,13 +308,20 @@ TEST_F(SchedulerTest, UnrelatedIngestKeepsCachedStreams) {
   EXPECT_EQ(second.misses, first.misses);
 }
 
+/// What a budgeted fleet run leaves: every session's final report, and the
+/// stream cache's total and largest entry charge at the end.
+struct BudgetedFleet {
+  std::vector<SessionReport> reports;
+  std::size_t cachedBytes = 0;
+  std::size_t largestStream = 0;
+};
+
 /// A fleet over 4 clips x 4 annotation plans x 3 qualities = 48 distinct
 /// streams, each joined by two back-to-back sessions, in two waves so the
 /// second wave re-requests streams the first wave lost to eviction.
-/// Returns every session's final report; `budget` (0 = the server default)
-/// is applied to the stream cache before the first join and checked after
-/// every tick.
-std::vector<SessionReport> runBudgetedFleet(std::size_t budget) {
+/// `budget` (0 = the server default) is applied to the stream cache before
+/// the first join and checked after every tick.
+BudgetedFleet runBudgetedFleet(std::size_t budget) {
   MediaServer server;
   for (media::PaperClip clip :
        {media::PaperClip::kCatwoman, media::PaperClip::kOfficeXp,
@@ -362,20 +370,33 @@ std::vector<SessionReport> runBudgetedFleet(std::size_t budget) {
     EXPECT_GT(cs.misses, 48u) << "evicted streams are re-served on demand";
     EXPECT_GE(cs.hits, 96u) << "a fresh fill survives its shard's eviction";
   }
-  std::vector<SessionReport> reports;
-  for (std::uint64_t id : ids) reports.push_back(sched.report(id));
-  return reports;
+  BudgetedFleet out;
+  for (std::uint64_t id : ids) out.reports.push_back(sched.report(id));
+  for (const auto& e : server.streamCache().entries()) {
+    out.cachedBytes += e.bytes;
+    out.largestStream = std::max(out.largestStream, e.bytes);
+  }
+  return out;
 }
 
 TEST(SchedulerStreamCache, BoundedBudgetKeepsReportsIdentical) {
-  const std::vector<SessionReport> unbounded = runBudgetedFleet(0);
-  // The 48 streams total ~310 KB, more than 128 KiB, so some shard must
-  // evict whatever the shard spread; each 8 KiB shard slice still holds
-  // the largest (~5 KB) stream, so the back-to-back second join hits.
-  const std::vector<SessionReport> squeezed = runBudgetedFleet(128u << 10);
-  ASSERT_EQ(unbounded.size(), squeezed.size());
-  for (std::size_t i = 0; i < unbounded.size(); ++i) {
-    EXPECT_EQ(unbounded[i], squeezed[i]) << "session index " << i;
+  const BudgetedFleet unbounded = runBudgetedFleet(0);
+  // The budget is sized from the unbounded run, halfway between the
+  // smallest budget whose shard slices hold the largest stream (so a
+  // back-to-back second join hits) and the 48 streams' total (which must
+  // exceed it, so some shard evicts whatever the shard spread).
+  const std::size_t budget =
+      (kStreamCacheShards * unbounded.largestStream + unbounded.cachedBytes) /
+      2;
+  ASSERT_GE(budget / kStreamCacheShards, unbounded.largestStream)
+      << "every shard slice must hold the largest stream";
+  ASSERT_GT(unbounded.cachedBytes, budget)
+      << "the streams must not fit the budget";
+  const BudgetedFleet squeezed = runBudgetedFleet(budget);
+  ASSERT_EQ(unbounded.reports.size(), squeezed.reports.size());
+  for (std::size_t i = 0; i < unbounded.reports.size(); ++i) {
+    EXPECT_EQ(unbounded.reports[i], squeezed.reports[i])
+        << "session index " << i;
   }
 }
 

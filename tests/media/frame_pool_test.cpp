@@ -204,10 +204,6 @@ TEST(FramePoolNoStalePixels, DecodeClip) {
 TEST(FramePoolNoStalePixels, Compensation) {
   const Image frame = sourceClip().frames[2];
   expectNoStalePixels([&] { return compensate::contrastEnhance(frame, 1.4); });
-  expectNoStalePixels([&] {
-    return compensate::contrastEnhance(frame, 1.4,
-                                       compensate::Domain::kLuminance);
-  });
   expectNoStalePixels(
       [&] { return compensate::brightnessCompensate(frame, 20.0); });
   expectNoStalePixels([&] {

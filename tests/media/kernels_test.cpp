@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "compensate/compensate.h"
+#include "media/codec.h"
 #include "media/dct.h"
 #include "media/histogram.h"
 #include "media/image.h"
@@ -675,6 +676,126 @@ TEST(Kernels, IdctOfDcOnlyBlockIsAConstantFillAtEveryLevel) {
       }
     }
   }
+}
+
+/// Sign of DCT basis function k at sample x: cos((2x + 1) k pi / 16) is
+/// never zero for k < 8.
+int basisSign(int k, int x) {
+  return std::cos((2 * x + 1) * k * std::acos(-1.0) / 16) > 0 ? 1 : -1;
+}
+
+TEST(Kernels, DctAtBasisSignedExtremesMatchesScalar) {
+  // Blocks at the input bound whose signs follow basis pair (j, k), the
+  // inputs that drive output (j, k) and its pass sums to their largest
+  // magnitude: the int16 lane bounds of kernels_internal.h are reached,
+  // and every level must still match the reference.
+  const KernelTable* scalar = tableFor(Level::kScalar);
+  for (Level level : availableLevels()) {
+    const KernelTable* table = tableFor(level);
+    for (int j = 0; j < 8; ++j) {
+      for (int k = 0; k < 8; ++k) {
+        for (const int sign : {1, -1}) {
+          Samples s;
+          Coefs c;
+          for (int y = 0; y < 8; ++y) {
+            for (int x = 0; x < 8; ++x) {
+              const int v = sign * basisSign(j, y) * basisSign(k, x);
+              s[y * 8 + x] = static_cast<std::int16_t>(v * kMaxFdctInput);
+              c[y * 8 + x] = v * kMaxIdctInput;
+            }
+          }
+          Coefs wantF;
+          Coefs gotF;
+          scalar->fdct8x8(s.data(), wantF.data());
+          table->fdct8x8(s.data(), gotF.data());
+          ASSERT_EQ(gotF, wantF) << levelName(level) << " fdct basis (" << j
+                                 << "," << k << ") sign " << sign;
+          Samples wantS;
+          Samples gotS;
+          scalar->idct8x8(c.data(), wantS.data());
+          table->idct8x8(c.data(), gotS.data());
+          ASSERT_EQ(gotS, wantS) << levelName(level) << " idct basis (" << j
+                                 << "," << k << ") sign " << sign;
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, SkipRuleHoldsAtTheWidestPlaneDifferences) {
+  // The encoder's SKIP test sums block columns in uint16 lanes, sound
+  // because source samples lie in [0, 8176] and reference samples in
+  // [0, 8160].  At those extremes (cur 8176 over ref 0, and cur 16 under
+  // ref 8160), on a full block and the right (4x8), bottom (8x6) and
+  // corner (4x6) partial blocks of a 44x30 plane, it must agree with the
+  // rule summed in int64: 2 * SAD < 3 * 32n.  The SADs tried straddle the
+  // rule's boundary and every multiple of 2^15 and 2^16 a block reaches,
+  // filled column by column and row by row.
+  constexpr int kW = 44;
+  constexpr int kH = 30;
+  struct Extreme {
+    std::int16_t cur;
+    std::int16_t ref;
+  };
+  const Extreme extremes[] = {{8176, 0}, {16, 8160}};
+  int checked = 0;
+  int skips = 0;
+  for (const auto& [bx, by] : {std::pair{1, 1}, std::pair{5, 1},
+                               std::pair{2, 3}, std::pair{5, 3}}) {
+    const int rows = std::min(8, kH - 8 * by);
+    const int cols = std::min(8, kW - 8 * bx);
+    const int n = rows * cols;
+    for (const Extreme e : extremes) {
+      const int wide = std::abs(e.cur - e.ref);
+      std::vector<std::int64_t> sads = {0, 48 * n - 1, 48 * n,
+                                        static_cast<std::int64_t>(wide) * n};
+      for (std::int64_t m = 32768; m <= std::int64_t{wide} * n; m += 32768) {
+        for (const std::int64_t d : {-1, 0, 1, 48 * n - 1}) {
+          sads.push_back(m + d);
+        }
+      }
+      sads.push_back(std::int64_t{wide} * rows);  // one whole column
+      for (const std::int64_t target : sads) {
+        if (target < 0 || target > std::int64_t{wide} * n) continue;
+        for (const bool byColumn : {true, false}) {
+          // Both planes start equal at the reference extreme; samples then
+          // move to the current extreme (or part way) until the SAD is the
+          // target.
+          std::vector<std::int16_t> cur(kW * kH, e.ref);
+          std::vector<std::int16_t> ref(kW * kH, e.ref);
+          std::int64_t left = target;
+          for (int i = 0; i < n && left > 0; ++i) {
+            const int x = byColumn ? i / rows : i % cols;
+            const int y = byColumn ? i % rows : i / cols;
+            const int step =
+                static_cast<int>(std::min<std::int64_t>(left, wide));
+            cur[(8 * by + y) * kW + 8 * bx + x] = static_cast<std::int16_t>(
+                e.cur > e.ref ? e.ref + step : e.ref - step);
+            left -= step;
+          }
+          std::int64_t sad = 0;
+          for (int y = 0; y < rows; ++y) {
+            for (int x = 0; x < cols; ++x) {
+              const std::size_t at = (8 * by + y) * kW + 8 * bx + x;
+              sad += std::abs(std::int32_t{cur[at]} - ref[at]);
+            }
+          }
+          ASSERT_EQ(sad, target);
+          const bool want = 2 * sad < (3 * n) << kPlaneFracBits;
+          EXPECT_EQ(media::detail::isSkipBlock(cur.data(), ref.data(), kW, kH,
+                                               bx, by),
+                    want)
+              << "block (" << bx << "," << by << "), cur " << e.cur
+              << " ref " << e.ref << ", SAD " << sad
+              << (byColumn ? " by column" : " by row");
+          ++checked;
+          skips += want ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 200);
+  EXPECT_GT(skips, 8);
 }
 
 /// Round-half-away-from-zero of c / (d << kCoefFracBits) by plain integer
