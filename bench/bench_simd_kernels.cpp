@@ -236,7 +236,7 @@ int main() {
   std::vector<std::int16_t> planeY(n);
   std::vector<std::int16_t> planeCb(n);
   std::vector<std::int16_t> planeCr(n);
-  scalar->rgbToYcbcrPlanes(pxA, n, planeY.data(), planeCb.data(),
+  scalar->rgbToYcbcrPlanes(pxA, n, nullptr, planeY.data(), planeCb.data(),
                            planeCr.data());
   using Samples = std::array<std::int16_t, 64>;
   using Coefs = std::array<std::int32_t, 64>;
@@ -331,15 +331,46 @@ int main() {
         std::vector<std::int16_t> y(n);
         std::vector<std::int16_t> cb(n);
         std::vector<std::int16_t> cr(n);
-        table->rgbToYcbcrPlanes(pxA, n, y.data(), cb.data(), cr.data());
+        table->rgbToYcbcrPlanes(pxA, n, nullptr, y.data(), cb.data(),
+                                cr.data());
         identical = identical && y == planeY && cb == planeCb &&
                     cr == planeCr;
         return [table, pxA, n] {
           static std::vector<std::int16_t> yOut(n);
           static std::vector<std::int16_t> cbOut(n);
           static std::vector<std::int16_t> crOut(n);
-          table->rgbToYcbcrPlanes(pxA, n, yOut.data(), cbOut.data(),
-                                  crOut.data());
+          table->rgbToYcbcrPlanes(pxA, n, nullptr, yOut.data(),
+                                  cbOut.data(), crOut.data());
+          g_sink = g_sink + static_cast<std::uint64_t>(yOut[0]);
+        };
+      },
+      40);
+
+  // The same conversion with a channel table, the encoder's linear-gain
+  // compensation (k = 1.6, so bright channels saturate).
+  media::ChannelTable gain;
+  for (int v = 0; v < 256; ++v) gain[v] = media::clamp8(v * 1.6);
+  std::vector<std::int16_t> gainY(n);
+  std::vector<std::int16_t> gainCb(n);
+  std::vector<std::int16_t> gainCr(n);
+  scalar->rgbToYcbcrPlanes(pxA, n, gain.data(), gainY.data(), gainCb.data(),
+                           gainCr.data());
+  report(
+      "rgb_to_ycbcr_tabled", static_cast<double>(n),
+      [&](const KernelTable* table) {
+        std::vector<std::int16_t> y(n);
+        std::vector<std::int16_t> cb(n);
+        std::vector<std::int16_t> cr(n);
+        table->rgbToYcbcrPlanes(pxA, n, gain.data(), y.data(), cb.data(),
+                                cr.data());
+        identical =
+            identical && y == gainY && cb == gainCb && cr == gainCr;
+        return [table, pxA, n, &gain] {
+          static std::vector<std::int16_t> yOut(n);
+          static std::vector<std::int16_t> cbOut(n);
+          static std::vector<std::int16_t> crOut(n);
+          table->rgbToYcbcrPlanes(pxA, n, gain.data(), yOut.data(),
+                                  cbOut.data(), crOut.data());
           g_sink = g_sink + static_cast<std::uint64_t>(yOut[0]);
         };
       },

@@ -301,6 +301,10 @@ ChannelTable gainsOf(const CompensationDecision& decision) {
 
 }  // namespace
 
+bool appliesPerChannel(const CompensationDecision& decision) noexcept {
+  return !(decision.spatialScale < 1.0) && decision.pixelCurve == nullptr;
+}
+
 media::Image Backend::apply(const media::Image& frame,
                             const CompensationDecision& decision) const {
   return applyDecision(frame, decision, gainsOf(decision));

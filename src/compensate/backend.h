@@ -138,6 +138,13 @@ class Backend {
                   std::vector<media::Image>& out) const;
 };
 
+/// Whether Backend::apply of `decision` maps each channel byte on its own:
+/// no downscale and no tone curve.  apply() then looks every byte up in
+/// gainTable(plan.gainK) when gainK > 1 and copies the frame otherwise, so
+/// an encoder can apply that table inside its colour conversion instead.
+[[nodiscard]] bool appliesPerChannel(
+    const CompensationDecision& decision) noexcept;
+
 /// Factory.  Throws std::invalid_argument on out-of-range knobs.
 [[nodiscard]] std::unique_ptr<const Backend> makeBackend(
     const BackendConfig& cfg);

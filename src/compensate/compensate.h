@@ -16,11 +16,12 @@
 
 #include "media/histogram.h"
 #include "media/image.h"
+#include "media/pixel.h"
 
 namespace anno::compensate {
 
 /// Per-channel code map: every 8-bit channel code to its compensated code.
-using ChannelTable = std::array<std::uint8_t, 256>;
+using ChannelTable = media::ChannelTable;
 
 /// Contrast enhancement's code map, table[c] = media::clamp8(c * k): the
 /// expression media::scale evaluates per channel, so looking every channel

@@ -7,6 +7,7 @@
 // core/engine.h, the single implementation every serving context shares).
 #pragma once
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "core/engine.h"
 #include "core/scene_detect.h"
 #include "display/device.h"
+#include "media/pixel.h"
 #include "media/video.h"
 
 namespace anno::concurrency {
@@ -61,5 +63,29 @@ namespace anno::core {
                                               std::size_t qualityIndex,
                                               const display::DeviceModel& device,
                                               int minBacklightLevel = 10);
+
+/// compensateClip's pixel transform as per-frame channel tables, for an
+/// encoder that applies them inside its colour conversion
+/// (media::encodeClip).  `frames[i]` is frame i's table, or null for a
+/// frame compensateClip leaves as it is (gain <= 1); it points into
+/// `scenes`, so the tables move but do not copy.
+struct CompensationTables {
+  CompensationTables() = default;
+  CompensationTables(CompensationTables&&) = default;
+  CompensationTables& operator=(CompensationTables&&) = default;
+
+  std::vector<media::ChannelTable> scenes;  ///< one per scene with gain > 1
+  std::vector<const media::ChannelTable*> frames;
+};
+
+/// The tables of compensateClip(clip, track, ...), from the same per-scene
+/// decisions, when every scene resolves to a per-channel lookup
+/// (compensate::appliesPerChannel): the linear gain.  std::nullopt when a
+/// scene downscales or applies a tone curve.  Checks its arguments as
+/// compensateClip does.
+[[nodiscard]] std::optional<CompensationTables> compensationTables(
+    const media::VideoClip& clip, const AnnotationTrack& track,
+    std::size_t qualityIndex, const display::DeviceModel& device,
+    int minBacklightLevel = 10);
 
 }  // namespace anno::core

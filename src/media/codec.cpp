@@ -106,9 +106,15 @@ class QuantizerCache {
 
 int blocksAcross(int dim) { return (dim + 7) / 8; }
 
-/// Samples per chunk of the whole-plane loops (the reference clamp and the
-/// scene-cut sum): a constant trip count the compiler unrolls into vectors.
+/// Samples per chunk of the decoder's whole-plane reference clamp: a
+/// constant trip count the compiler unrolls into vectors.
 constexpr std::size_t kChunk = 32;
+/// A sample clamped to the 8-bit range [0, 255 * 32]: a P frame's
+/// reference sample (see codec.h).
+std::int16_t clampSample(std::int16_t v) {
+  constexpr std::int16_t kMax = 255 << kernels::kPlaneFracBits;
+  return std::min(std::max(v, std::int16_t{0}), kMax);
+}
 
 /// Y, Cb, Cr as Q5 int16 planes (see codec.h) in one write-once frame
 /// buffer: every sample is written before it is read.
@@ -130,10 +136,7 @@ class Planes {
   /// decoded planes a P frame's reference (see codec.h).
   void clampToSampleRange() {
     const auto clamp = [](std::int16_t* v, std::size_t n) {
-      constexpr std::int16_t kMax = 255 << kernels::kPlaneFracBits;
-      for (std::size_t i = 0; i < n; ++i) {
-        v[i] = std::min(std::max(v[i], std::int16_t{0}), kMax);
-      }
+      for (std::size_t i = 0; i < n; ++i) v[i] = clampSample(v[i]);
     };
     // Fixed-length chunks, which the compiler vectorises, then the tail.
     std::int16_t* v = data_.data();
@@ -148,11 +151,14 @@ class Planes {
   FrameBuffer<std::int16_t> data_;
 };
 
-Planes toPlanes(const Image& frame) {
+/// The planes of `frame`, each channel byte first looked up in `table`
+/// when it is non-null.
+Planes toPlanes(const Image& frame, const ChannelTable* table = nullptr) {
   Planes planes(frame.pixelCount());
   const auto src = frame.pixels();
-  kernels::active().rgbToYcbcrPlanes(src.data(), src.size(), planes[0],
-                                     planes[1], planes[2]);
+  kernels::active().rgbToYcbcrPlanes(
+      src.data(), src.size(), table == nullptr ? nullptr : table->data(),
+      planes[0], planes[1], planes[2]);
   return planes;
 }
 
@@ -166,20 +172,27 @@ Image fromPlanes(const Planes& planes, int width, int height) {
 
 /// Whether the source luma of consecutive frames differs by more than
 /// kSceneCutLuma per sample on average.  The sums are integers, so the
-/// decision is the same on every build.
+/// decision is the same on every build.  They run on 16-bit lanes in
+/// fixed 64-sample chunks, which the compiler vectorises: source luma lies
+/// in [0, 8160], so a difference fits int16 and a lane's eight differences
+/// per chunk sum in a uint16 to at most 8 * 8160 = 65,280.
 bool isSceneCut(const Planes& prev, const Planes& next, std::size_t samples) {
   const std::int16_t* a = prev[0];
   const std::int16_t* b = next[0];
-  const auto sad = [a, b](std::size_t from, std::size_t n) {
-    std::int32_t sum = 0;
-    for (std::size_t i = from; i < from + n; ++i) sum += std::abs(a[i] - b[i]);
-    return sum;
-  };
-  // Fixed-length chunks, which the compiler vectorises, then the tail.
   std::int64_t sum = 0;
   std::size_t i = 0;
-  for (; i + kChunk <= samples; i += kChunk) sum += sad(i, kChunk);
-  sum += sad(i, samples - i);
+  for (; i + 64 <= samples; i += 64) {
+    std::array<std::uint16_t, 8> lane{};
+    for (std::size_t j = 0; j < 64; j += 8) {
+      for (std::size_t x = 0; x < 8; ++x) {
+        const auto diff =
+            static_cast<std::int16_t>(a[i + j + x] - b[i + j + x]);
+        lane[x] = static_cast<std::uint16_t>(lane[x] + std::abs(diff));
+      }
+    }
+    for (const std::uint16_t s : lane) sum += s;
+  }
+  for (; i < samples; ++i) sum += std::abs(a[i] - b[i]);
   return sum > std::int64_t{kSceneCutLuma << kernels::kPlaneFracBits} *
                    static_cast<std::int64_t>(samples);
 }
@@ -263,6 +276,15 @@ void addConstant(std::int32_t value, std::int16_t* plane, int width,
   forEachRow(width, height, bx, by, [&](std::size_t at, int, auto cols) {
     std::int16_t* dst = plane + at;
     for (int x = 0; x < cols; ++x) dst[x] = saturate16(dst[x] + value);
+  });
+}
+
+/// Clamps the block's samples to [0, 255 * 32], which makes them reference
+/// samples of the next P frame (see codec.h).
+void clampBlock(std::int16_t* plane, int width, int height, int bx, int by) {
+  forEachRow(width, height, bx, by, [&](std::size_t at, int, auto cols) {
+    std::int16_t* v = plane + at;
+    for (int x = 0; x < cols; ++x) v[x] = clampSample(v[x]);
   });
 }
 
@@ -502,7 +524,8 @@ void checkFrameGeometry(const Image& frame) {
 }
 
 /// Codes an I frame from its colour planes.  A non-null `recon` receives
-/// the planes the decoder will reconstruct from the frame.
+/// the planes the decoder will reconstruct from the frame, each block
+/// clamped once it is written: the next P frame's reference.
 EncodedFrame encodeIntra(const Planes& planes, int w, int h,
                          const Quantizer& quant, const CodecConfig& cfg,
                          Planes* recon) {
@@ -528,6 +551,7 @@ EncodedFrame encodeIntra(const Planes& planes, int w, int h,
           const bool transform =
               dequantise(levels, ac, kIntraOffset, quant.table, freq);
           writeBlock(kt, freq, transform, false, (*recon)[p], w, h, bx, by);
+          clampBlock((*recon)[p], w, h, bx, by);
         }
       }
     }
@@ -539,7 +563,8 @@ EncodedFrame encodeIntra(const Planes& planes, int w, int h,
 /// Codes a P frame from its colour planes against the reference planes.
 /// With `rebuild`, the reference becomes the planes the decoder will
 /// reconstruct from the frame, in place: a SKIP block leaves its samples as
-/// they are and a DELTA block adds its coded residual onto them.
+/// they are (clamped already) and a DELTA block adds its coded residual
+/// onto them and is clamped.
 EncodedFrame encodeInter(const Planes& cur, Planes& ref, int w, int h,
                          const Quantizer& quant, const CodecConfig& cfg,
                          bool rebuild) {
@@ -574,6 +599,7 @@ EncodedFrame encodeInter(const Planes& cur, Planes& ref, int w, int h,
         if (rebuild) {
           const bool transform = dequantise(levels, ac, 0, quant.table, freq);
           writeBlock(kt, freq, transform, true, ref[p], w, h, bx, by);
+          clampBlock(ref[p], w, h, bx, by);
         }
       }
     }
@@ -586,12 +612,27 @@ bool isInterFrame(const EncodedFrame& frame) {
   return frame.bytes.size() >= 2 && frame.bytes[1] == kFrameInter;
 }
 
+/// Block (bx,by) of plane `plane`.
+struct BlockAt {
+  int plane;
+  int bx;
+  int by;
+};
+
+/// The blocks a decoded frame wrote: all of them for an I frame, the DELTA
+/// blocks for a P frame.
+struct WrittenBlocks {
+  bool intra = false;
+  std::vector<BlockAt> delta;
+};
+
 /// Decodes a frame into `planes`: an I frame writes every sample, a P frame
 /// (which needs `haveReference`) updates the reference they hold in place.
-/// Empty planes are sized once the payload has passed its bound.
+/// `written` receives the blocks the frame wrote.  Empty planes are sized
+/// once the payload has passed its bound.
 void decodePlanes(const EncodedFrame& frame, int width, int height,
                   Planes& planes, bool haveReference,
-                  QuantizerCache& quants) {
+                  QuantizerCache& quants, WrittenBlocks& written) {
   const std::span<const std::uint8_t> payload = frame.bytes;
   if (payload.size() < 2) {
     throw std::runtime_error("decodeFrame: payload too short for the frame");
@@ -623,12 +664,17 @@ void decodePlanes(const EncodedFrame& frame, int width, int height,
   }
   CoefBlock freq;
   const std::int32_t dcOffset = inter ? 0 : kIntraOffset;
+  written.intra = !inter;
+  written.delta.clear();
   for (int p = 0; p < 3; ++p) {
     const PlaneTables tables = tablesFor(p);
     std::int32_t dcPred = 0;
     for (int by = 0; by < bh; ++by) {
       for (int bx = 0; bx < bw; ++bx) {
-        if (inter && r.bits(1) == kBlockSkip) continue;
+        if (inter) {
+          if (r.bits(1) == kBlockSkip) continue;
+          written.delta.push_back({p, bx, by});
+        }
         // One call site, so decodeBlock inlines and the reader stays in
         // registers across blocks.
         const bool transform =
@@ -640,6 +686,52 @@ void decodePlanes(const EncodedFrame& frame, int width, int height,
   }
   r.finish();
 }
+
+/// A client's decoding state: the planes every frame decodes into, which
+/// hold the last frame decoded.  They stay unclamped, because that frame's
+/// RGB is converted from them as decoded, until a P frame is about to
+/// predict from them.  Then only the blocks the last frame wrote are
+/// clamped: every other block was clamped when an earlier P frame arrived,
+/// and a SKIP keeps it as it is.
+class ReferenceDecoder {
+ public:
+  ReferenceDecoder(int width, int height) : width_(width), height_(height) {}
+
+  Image decode(const EncodedFrame& frame) {
+    // A frame that throws may leave the planes half written, so the
+    // reference counts again only once a frame has decoded whole.
+    const bool haveReference = std::exchange(haveReference_, false);
+    if (haveReference && isInterFrame(frame)) clampWritten();
+    decodePlanes(frame, width_, height_, planes_, haveReference, quants_,
+                 written_);
+    Image image = fromPlanes(planes_, width_, height_);
+    haveReference_ = true;
+    return image;
+  }
+
+  [[nodiscard]] const Planes& planes() const { return planes_; }
+  [[nodiscard]] const WrittenBlocks& written() const { return written_; }
+
+ private:
+  void clampWritten() {
+    if (written_.intra) {
+      planes_.clampToSampleRange();
+      return;
+    }
+    for (const BlockAt& b : written_.delta) {
+      clampBlock(planes_[b.plane], width_, height_, b.bx, b.by);
+    }
+  }
+
+  int width_;
+  int height_;
+  /// Sized by the first frame that passes the payload bound.
+  Planes planes_;
+  /// Whether `planes_` holds a whole decoded frame.
+  bool haveReference_ = false;
+  WrittenBlocks written_;
+  QuantizerCache quants_;
+};
 
 }  // namespace
 
@@ -655,15 +747,7 @@ EncodedFrame encodeFrame(const Image& frame, const CodecConfig& cfg) {
 }
 
 struct FrameDecoder::State {
-  int width;
-  int height;
-  /// The planes every frame decodes into: the last frame decoded,
-  /// unclamped until a P frame predicts from it.  Sized by the first frame
-  /// that passes the payload bound.
-  Planes reference;
-  /// Whether `reference` holds a whole decoded frame.
-  bool haveReference = false;
-  QuantizerCache quants;
+  ReferenceDecoder decoder;
 };
 
 FrameDecoder::FrameDecoder(int width, int height) {
@@ -672,34 +756,68 @@ FrameDecoder::FrameDecoder(int width, int height) {
       height > Image::kMaxDim) {
     throw std::invalid_argument("FrameDecoder: dimensions out of range");
   }
-  state_ = std::make_unique<State>(State{width, height, {}, false, {}});
+  state_ = std::make_unique<State>(State{ReferenceDecoder(width, height)});
 }
 FrameDecoder::~FrameDecoder() = default;
 FrameDecoder::FrameDecoder(FrameDecoder&&) noexcept = default;
 FrameDecoder& FrameDecoder::operator=(FrameDecoder&&) noexcept = default;
 
 Image FrameDecoder::decode(const EncodedFrame& frame) {
-  State& s = *state_;
-  // A frame that throws may leave the planes half written, so the
-  // reference counts again only once a frame has decoded whole.
-  const bool haveReference = std::exchange(s.haveReference, false);
-  if (haveReference && isInterFrame(frame)) s.reference.clampToSampleRange();
-  decodePlanes(frame, s.width, s.height, s.reference, haveReference,
-               s.quants);
-  Image image = fromPlanes(s.reference, s.width, s.height);
-  s.haveReference = true;
-  return image;
+  return state_->decoder.decode(frame);
+}
+
+std::vector<detail::ReferenceBlock> detail::referenceBlocks(
+    const EncodedClip& clip, std::size_t frame) {
+  if (frame >= clip.frames.size() || !isInterFrame(clip.frames[frame])) {
+    throw std::invalid_argument("referenceBlocks: not a P frame");
+  }
+  ReferenceDecoder decoder(clip.width, clip.height);
+  for (std::size_t f = 0; f < frame; ++f) {
+    (void)decoder.decode(clip.frames[f]);
+  }
+  const int bw = blocksAcross(clip.width);
+  const int bh = blocksAcross(clip.height);
+  std::vector<ReferenceBlock> out;
+  for (int p = 0; p < 3; ++p) {
+    const std::int16_t* plane = decoder.planes()[p];
+    for (int by = 0; by < bh; ++by) {
+      for (int bx = 0; bx < bw; ++bx) {
+        bool overshoot = false;
+        forEachRow(clip.width, clip.height, bx, by,
+                   [&](std::size_t at, int, auto cols) {
+                     for (int x = 0; x < cols; ++x) {
+                       overshoot = overshoot ||
+                                   plane[at + x] != clampSample(plane[at + x]);
+                     }
+                   });
+        out.push_back({false, overshoot});
+      }
+    }
+  }
+  (void)decoder.decode(clip.frames[frame]);
+  for (const BlockAt& b : decoder.written().delta) {
+    out[static_cast<std::size_t>((b.plane * bh + b.by) * bw + b.bx)].delta =
+        true;
+  }
+  return out;
 }
 
 Image decodeFrame(const EncodedFrame& frame, int width, int height) {
   return FrameDecoder(width, height).decode(frame);
 }
 
-EncodedClip encodeClip(const VideoClip& clip, const CodecConfig& cfg) {
+EncodedClip encodeClip(const VideoClip& clip, const CodecConfig& cfg,
+                       std::span<const ChannelTable* const> tables) {
   validateClip(clip);
   if (cfg.gopLength < 1) {
     throw std::invalid_argument("encodeClip: gopLength must be >= 1");
   }
+  if (!tables.empty() && tables.size() != clip.frames.size()) {
+    throw std::invalid_argument("encodeClip: one table per frame");
+  }
+  const auto tableOf = [tables](std::size_t i) {
+    return tables.empty() ? nullptr : tables[i];
+  };
   checkFrameGeometry(clip.frames.front());
   const Quantizer quant = makeQuantizer(cfg.quality);
   EncodedClip out;
@@ -715,11 +833,12 @@ EncodedClip encodeClip(const VideoClip& clip, const CodecConfig& cfg) {
   // quantised, and only when the next frame is a P frame.  An I frame
   // writes every sample of `ref`; a P frame updates it in place.  `run`
   // counts the frames of the current GOP so far; with gopLength 1 no frame
-  // is a P frame, no scene cut is measured and `ref` stays empty.
+  // is a P frame, no scene cut is measured and `ref` stays empty.  Each
+  // reference block is clamped once, as it is written.
   const std::size_t n = clip.frames.size();
   const std::size_t samples = clip.frames.front().pixelCount();
   const auto gop = static_cast<std::size_t>(cfg.gopLength);
-  Planes cur = toPlanes(clip.frames.front());
+  Planes cur = toPlanes(clip.frames.front(), tableOf(0));
   Planes ref;
   bool intra = true;
   std::size_t run = 1;
@@ -727,7 +846,7 @@ EncodedClip encodeClip(const VideoClip& clip, const CodecConfig& cfg) {
     Planes next;
     bool nextIsP = false;
     if (i + 1 < n) {
-      next = toPlanes(clip.frames[i + 1]);
+      next = toPlanes(clip.frames[i + 1], tableOf(i + 1));
       nextIsP = run < gop && !isSceneCut(cur, next, samples);
     }
     if (nextIsP && ref.empty()) ref = Planes(samples);
@@ -736,7 +855,6 @@ EncodedClip encodeClip(const VideoClip& clip, const CodecConfig& cfg) {
                             nextIsP ? &ref : nullptr)
               : encodeInter(cur, ref, out.width, out.height, quant, cfg,
                             nextIsP));
-    if (nextIsP) ref.clampToSampleRange();
     cur = std::move(next);
     intra = !nextIsP;
     run = nextIsP ? run + 1 : 1;

@@ -49,6 +49,10 @@
 // The reference of a P frame is the previous frame's decoded planes, each
 // sample clamped to [0, 255 * 32] (an unclamped residual could leave the
 // forward transform's input range).  FrameDecoder holds it on the client.
+// Each side clamps a reference block once: the encoder right after it
+// writes the block, the decoder lazily (its RGB output converts the
+// planes as decoded) when a P frame arrives, and then only the blocks the
+// last frame wrote.
 // The encoder never decodes its own output: it rebuilds the same planes
 // from the levels it has just quantised (dequantise, inverse transform or
 // DC fill, the same saturations), and only when the next frame is a P
@@ -65,6 +69,7 @@
 #include <vector>
 
 #include "media/image.h"
+#include "media/pixel.h"
 #include "media/video.h"
 
 namespace anno::media {
@@ -136,9 +141,15 @@ class FrameDecoder {
   std::unique_ptr<State> state_;
 };
 
-/// Encodes a whole clip.
-[[nodiscard]] EncodedClip encodeClip(const VideoClip& clip,
-                                     const CodecConfig& cfg = {});
+/// Encodes a whole clip.  Non-empty `tables` hold one entry per frame: a
+/// non-null entry maps every channel byte of its frame before it is coded
+/// (inside the colour conversion), so the stream is exactly that of the
+/// clip with each frame's pixels looked up first.  A null entry codes its
+/// frame as it is.  Throws std::invalid_argument when `tables` is neither
+/// empty nor one entry per frame.
+[[nodiscard]] EncodedClip encodeClip(
+    const VideoClip& clip, const CodecConfig& cfg = {},
+    std::span<const ChannelTable* const> tables = {});
 
 /// Decodes a whole clip.
 [[nodiscard]] VideoClip decodeClip(const EncodedClip& clip);
@@ -155,6 +166,19 @@ namespace detail {
 [[nodiscard]] bool isSkipBlock(const std::int16_t* cur,
                                const std::int16_t* ref, int width,
                                int height, int bx, int by);
+
+/// A block of a P frame as the decoder meets it: whether the frame codes it
+/// as DELTA (else SKIP), and whether the reference samples it predicts from
+/// lay outside [0, 255 * 32] before the decoder clamped them.
+struct ReferenceBlock {
+  bool delta;
+  bool overshoot;
+};
+/// Decodes `clip` up to its P frame `frame` and reports each of that
+/// frame's blocks, plane by plane in raster order: for the reference clamp
+/// tests.  Throws std::invalid_argument unless `frame` is a P frame.
+[[nodiscard]] std::vector<ReferenceBlock> referenceBlocks(
+    const EncodedClip& clip, std::size_t frame);
 }  // namespace detail
 
 }  // namespace anno::media

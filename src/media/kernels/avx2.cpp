@@ -15,6 +15,7 @@
 #include <immintrin.h>
 
 #include <array>
+#include <utility>
 
 #include "media/kernels/kernels.h"
 #include "media/kernels/kernels_internal.h"
@@ -520,16 +521,16 @@ std::uint64_t quantizeBlockAvx2(const std::int32_t* freq,
   return ~zeros;
 }
 
-void rgbToYcbcrPlanesAvx2(const Rgb8* px, std::size_t n, std::int16_t* y,
+/// A shuffle control repeated in both 128-bit lanes.
+inline __m256i laneShuffle(const std::array<std::int8_t, 16>& c) {
+  return _mm256_broadcastsi128_si256(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(c.data())));
+}
+
+void rgbToYcbcrPlanesAvx2(const Rgb8* px, std::size_t n,
+                          const std::uint8_t* table, std::int16_t* y,
                           std::int16_t* cb, std::int16_t* cr) {
   const std::uint8_t* bytes = reinterpret_cast<const std::uint8_t*>(px);
-  // Per 128-bit lane of four packed pixels: (R, G) and (B, 0) int16 pairs.
-  const __m256i rgSel = _mm256_setr_epi8(
-      0, -1, 1, -1, 3, -1, 4, -1, 6, -1, 7, -1, 9, -1, 10, -1,  //
-      0, -1, 1, -1, 3, -1, 4, -1, 6, -1, 7, -1, 9, -1, 10, -1);
-  const __m256i bSel = _mm256_setr_epi8(
-      2, -1, -1, -1, 5, -1, -1, -1, 8, -1, -1, -1, 11, -1, -1, -1,  //
-      2, -1, -1, -1, 5, -1, -1, -1, 8, -1, -1, -1, 11, -1, -1, -1);
   const __m256i yRG = weights(detail::kYR, detail::kYG);
   const __m256i yB = weights(detail::kYB, 0);
   const __m256i cbRG = weights(detail::kCbR, detail::kCbG);
@@ -550,21 +551,20 @@ void rgbToYcbcrPlanesAvx2(const Rgb8* px, std::size_t n, std::int16_t* y,
   const auto pack = [](__m256i a, __m256i b) {
     return _mm256_permute4x64_epi64(_mm256_packs_epi32(a, b), 0xD8);
   };
-  std::size_t i = 0;
-  // 16 pixels per iteration as four 16-byte loads of 4 pixels each; the
-  // last load reads 4 bytes past pixel i+15, hence the i+18 guard.
-  for (; i + 18 <= n; i += 16) {
+  // Converts pixels i..i+15 as four 16-byte loads of 4 pixels each; the
+  // last load reads 4 bytes past pixel i+15, hence the i+18 guards below.
+  // pairs(v) turns four packed pixels per 128-bit lane of v into their
+  // (R, G) and (B, 0) int16 pairs.
+  const auto convert = [&](std::size_t i, const auto& pairs) {
     __m256i yv[2];
     __m256i cbv[2];
     __m256i crv[2];
     for (int h = 0; h < 2; ++h) {
       const std::uint8_t* p = bytes + 3 * (i + 8 * h);
-      const __m256i v = _mm256_inserti128_si256(
+      const auto [rg, b] = pairs(_mm256_inserti128_si256(
           _mm256_castsi128_si256(
               _mm_loadu_si128(reinterpret_cast<const __m128i*>(p))),
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 12)), 1);
-      const __m256i rg = _mm256_shuffle_epi8(v, rgSel);
-      const __m256i b = _mm256_shuffle_epi8(v, bSel);
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 12)), 1));
       yv[h] = plane(rg, b, yRG, yB, lumaRound);
       cbv[h] = plane(rg, b, cbRG, cbB, chromaRound);
       crv[h] = plane(rg, b, crRG, crB, chromaRound);
@@ -574,8 +574,44 @@ void rgbToYcbcrPlanesAvx2(const Rgb8* px, std::size_t n, std::int16_t* y,
                         pack(cbv[0], cbv[1]));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(cr + i),
                         pack(crv[0], crv[1]));
+  };
+  std::size_t i = 0;
+  if (table == nullptr) {
+    const __m256i rgSel = laneShuffle(
+        {0, -1, 1, -1, 3, -1, 4, -1, 6, -1, 7, -1, 9, -1, 10, -1});
+    const __m256i bSel = laneShuffle(
+        {2, -1, -1, -1, 5, -1, -1, -1, 8, -1, -1, -1, 11, -1, -1, -1});
+    const auto pairs = [&](__m256i v) {
+      return std::pair{_mm256_shuffle_epi8(v, rgSel),
+                       _mm256_shuffle_epi8(v, bSel)};
+    };
+    for (; i + 18 <= n; i += 16) convert(i, pairs);
+  } else {
+    // Each channel byte, zero-extended to an int32 lane, indexes a gather
+    // from the table widened to int32 (a byte gather would read past the
+    // table's end).  On the host measured, gathering beat looking each
+    // block of pixels up into a buffer first (DESIGN.md sec. 12).
+    alignas(32) std::int32_t wide[256];
+    for (int v = 0; v < 256; ++v) wide[v] = table[v];
+    const __m256i rSel = laneShuffle(
+        {0, -1, -1, -1, 3, -1, -1, -1, 6, -1, -1, -1, 9, -1, -1, -1});
+    const __m256i gSel = laneShuffle(
+        {1, -1, -1, -1, 4, -1, -1, -1, 7, -1, -1, -1, 10, -1, -1, -1});
+    const __m256i bSel = laneShuffle(
+        {2, -1, -1, -1, 5, -1, -1, -1, 8, -1, -1, -1, 11, -1, -1, -1});
+    const auto lookup = [&wide](__m256i v, __m256i sel) {
+      return _mm256_i32gather_epi32(wide, _mm256_shuffle_epi8(v, sel), 4);
+    };
+    const auto pairs = [&](__m256i v) {
+      return std::pair{
+          _mm256_or_si256(lookup(v, rSel),
+                          _mm256_slli_epi32(lookup(v, gSel), 16)),
+          lookup(v, bSel)};
+    };
+    for (; i + 18 <= n; i += 16) convert(i, pairs);
   }
-  detail::rgbToYcbcrPlanesScalar(px + i, n - i, y + i, cb + i, cr + i);
+  detail::rgbToYcbcrPlanesScalar(px + i, n - i, table, y + i, cb + i,
+                                 cr + i);
 }
 
 void ycbcrPlanesToRgbAvx2(const std::int16_t* y, const std::int16_t* cb,

@@ -173,7 +173,13 @@ struct KernelTable {
   /// Q5 planes (Y, Cb, Cr; 2^15-scaled weights, rounded), and back with
   /// 2^13-scaled weights, rounding once to each 8-bit channel.  The
   /// inverse accepts any int16 sample (decoded planes overshoot).
-  void (*rgbToYcbcrPlanes)(const Rgb8* px, std::size_t n, std::int16_t* y,
+  /// A non-null `table` (256 entries) maps every channel byte first: the
+  /// planes are exactly those of the pixels {table[r], table[g],
+  /// table[b]}.  That is how the encoder applies a linear-gain
+  /// compensation without a pass of its own; null converts the pixels as
+  /// they are.
+  void (*rgbToYcbcrPlanes)(const Rgb8* px, std::size_t n,
+                           const std::uint8_t* table, std::int16_t* y,
                            std::int16_t* cb, std::int16_t* cr);
   void (*ycbcrPlanesToRgb)(const std::int16_t* y, const std::int16_t* cb,
                            const std::int16_t* cr, std::size_t n, Rgb8* out);

@@ -46,7 +46,8 @@ inline constexpr std::array<int, 64> kZigzag = [] {
 
 // Scalar colour conversions (scalar.cpp) that the AVX2 variants run on
 // their ragged tails.
-void rgbToYcbcrPlanesScalar(const Rgb8* px, std::size_t n, std::int16_t* y,
+void rgbToYcbcrPlanesScalar(const Rgb8* px, std::size_t n,
+                            const std::uint8_t* table, std::int16_t* y,
                             std::int16_t* cb, std::int16_t* cr);
 void ycbcrPlanesToRgbScalar(const std::int16_t* y, const std::int16_t* cb,
                             const std::int16_t* cr, std::size_t n, Rgb8* out);

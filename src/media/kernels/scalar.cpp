@@ -138,13 +138,33 @@ inline Rgb8 toRgb(std::int32_t y, std::int32_t cb, std::int32_t cr) {
       clampToByte((kRgbY * y + kBCb * cb + kBBias) >> kToRgbShift)};
 }
 
-void rgbToYcbcrPlanesScalar(const Rgb8* px, std::size_t n, std::int16_t* y,
-                            std::int16_t* cb, std::int16_t* cr) {
+/// The conversion loop, with the channel lookup compiled in or out, so the
+/// untabled loop carries no per-pixel branch.
+template <bool kTabled>
+void convertToPlanes(const Rgb8* px, std::size_t n, const std::uint8_t* table,
+                     std::int16_t* y, std::int16_t* cb, std::int16_t* cr) {
   for (std::size_t i = 0; i < n; ++i) {
-    const Rgb8& p = px[i];
-    y[i] = toY(p.r, p.g, p.b);
-    cb[i] = toCb(p.r, p.g, p.b);
-    cr[i] = toCr(p.r, p.g, p.b);
+    int r = px[i].r;
+    int g = px[i].g;
+    int b = px[i].b;
+    if constexpr (kTabled) {
+      r = table[r];
+      g = table[g];
+      b = table[b];
+    }
+    y[i] = toY(r, g, b);
+    cb[i] = toCb(r, g, b);
+    cr[i] = toCr(r, g, b);
+  }
+}
+
+void rgbToYcbcrPlanesScalar(const Rgb8* px, std::size_t n,
+                            const std::uint8_t* table, std::int16_t* y,
+                            std::int16_t* cb, std::int16_t* cr) {
+  if (table != nullptr) {
+    convertToPlanes<true>(px, n, table, y, cb, cr);
+  } else {
+    convertToPlanes<false>(px, n, table, y, cb, cr);
   }
 }
 

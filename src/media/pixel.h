@@ -5,6 +5,7 @@
 // MPEG-1/2 era players the paper built on (Berkeley MPEG tools).
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 namespace anno::media {
@@ -18,6 +19,11 @@ struct Rgb8 {
 
   friend constexpr bool operator==(const Rgb8&, const Rgb8&) = default;
 };
+
+/// Per-channel code map: every 8-bit channel code to another, applied to
+/// R, G and B alike (compensate::gainTable, the codec's tabled colour
+/// conversion).
+using ChannelTable = std::array<std::uint8_t, 256>;
 
 /// BT.601 luma weights (paper Sec. 4.1: "Y = rR + gG + bB, where r, g, b are
 /// known constants").

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <optional>
 #include <stdexcept>
 
 #include "media/bitstream.h"
@@ -43,9 +44,17 @@ media::EncodedClip encodeForClient(const media::VideoClip& clip,
   if (caps.technology != DisplayTechnology::kBacklitLcd) {
     return media::encodeClip(clip, codecCfg);
   }
+  const display::DeviceModel device = deviceFromCapabilities(caps);
+  // A linear gain is one channel table per scene, which the encoder
+  // applies inside its colour conversion: the compensated clip is never
+  // built.  Downscaling and tone curves build it.
+  if (const std::optional<core::CompensationTables> tables =
+          core::compensationTables(clip, track, caps.qualityIndex, device,
+                                   caps.minBacklightLevel)) {
+    return media::encodeClip(clip, codecCfg, tables->frames);
+  }
   return media::encodeClip(
-      core::compensateClip(clip, track, caps.qualityIndex,
-                           deviceFromCapabilities(caps),
+      core::compensateClip(clip, track, caps.qualityIndex, device,
                            caps.minBacklightLevel),
       codecCfg);
 }

@@ -10,6 +10,7 @@
 
 #include "media/bitstream.h"
 #include "media/clipgen.h"
+#include "media/crc32.h"
 #include "media/dct.h"
 #include "media/kernels/kernels.h"
 #include "media/rng.h"
@@ -736,6 +737,66 @@ TEST(Codec, ClosedLoopPFramesDoNotDrift) {
   const double late = meanPsnr(72, 96);
   EXPECT_GT(early, 30.0);
   EXPECT_GT(late, early - 0.5) << "early " << early << " dB, late " << late;
+}
+
+/// Frame t of a 48x32 clip of hard-edged 3-pixel stripes (white, black,
+/// red, blue), whose reconstruction at quality 95 rings past the sample
+/// range on every plane.  Only the stripes of a 16x8 patch on the bottom
+/// block row move, one pixel per frame until frame 3, so P frames 1-3
+/// DELTA-code the patch's blocks and SKIP the rest, and P frame 4 SKIPs the
+/// blocks frame 3 rebuilt.
+Image stripeFrame(int t) {
+  const Rgb8 colours[] = {
+      {255, 255, 255}, {0, 0, 0}, {255, 0, 0}, {0, 0, 255}};
+  Image img(48, 32);
+  for (int y = 0; y < img.height(); ++y) {
+    for (int x = 0; x < img.width(); ++x) {
+      const bool patch = y >= 24 && x >= 16 && x < 32;
+      const int u = patch ? x + std::min(t, 3) : x;
+      img(x, y) = colours[(u / 3) % 4];
+    }
+  }
+  return img;
+}
+
+TEST(Codec, ReferenceClampCoversSkippedAndDeltaBlocks) {
+  VideoClip clip;
+  clip.name = "stripes";
+  clip.fps = 15.0;
+  for (int t = 0; t < 8; ++t) clip.frames.push_back(stripeFrame(t));
+  const EncodedClip enc = encodeClip(clip, {95, 12});
+  for (std::size_t f = 1; f < enc.frames.size(); ++f) {
+    ASSERT_FALSE(enc.frames[f].intra) << "frame " << f;
+  }
+  // Reference samples outside [0, 255 * 32] meet both block modes: after
+  // the I frame (whose every block was written) and after the P frame that
+  // rebuilt the patch.
+  for (const std::size_t f : {1u, 4u}) {
+    int skipped = 0;
+    int delta = 0;
+    for (const detail::ReferenceBlock& b : detail::referenceBlocks(enc, f)) {
+      if (b.overshoot) ++(b.delta ? delta : skipped);
+    }
+    EXPECT_GT(skipped, 0) << "frame " << f;
+    if (f == 1) {
+      EXPECT_GT(delta, 0);
+    }
+  }
+  // CRCs of the stream and of the decoded RGB, captured when both sides
+  // clamped whole planes: the encoder after every frame, the decoder before
+  // every P frame.
+  const std::vector<std::uint8_t> stream = serializeClip(enc);
+  std::uint32_t pixelCrc = 0;
+  for (const Image& frame : decodeClip(enc).frames) {
+    const auto px = frame.pixels();
+    pixelCrc = crc32(
+        std::span(reinterpret_cast<const std::uint8_t*>(px.data()),
+                  px.size() * sizeof(Rgb8)),
+        pixelCrc);
+  }
+  EXPECT_EQ(stream.size(), 1599u);
+  EXPECT_EQ(crc32(stream), 0x42A5F7D6u);
+  EXPECT_EQ(pixelCrc, 0x8E7CBC0Fu);
 }
 
 class CodecQualitySweep : public ::testing::TestWithParam<int> {};

@@ -956,15 +956,68 @@ TEST(Kernels, RgbToYcbcrMatchesScalarOnRaggedSizes) {
         got[c].assign(n + kPad, kCanary);
       }
       tableFor(Level::kScalar)
-          ->rgbToYcbcrPlanes(px.data(), n, want[0].data(), want[1].data(),
-                             want[2].data());
-      table->rgbToYcbcrPlanes(px.data(), n, got[0].data(), got[1].data(),
-                              got[2].data());
+          ->rgbToYcbcrPlanes(px.data(), n, nullptr, want[0].data(),
+                             want[1].data(), want[2].data());
+      table->rgbToYcbcrPlanes(px.data(), n, nullptr, got[0].data(),
+                              got[1].data(), got[2].data());
       for (int c = 0; c < 3; ++c) {
         ASSERT_EQ(got[c], want[c])
             << levelName(level) << " n=" << n << " plane " << c
             << " (or wrote past the end)";
       }
+    }
+  }
+}
+
+/// Planes of `px` converted at `level`, through `table` when non-null.
+std::array<std::vector<std::int16_t>, 3> planesOf(
+    Level level, const std::vector<Rgb8>& px, const ChannelTable* table) {
+  constexpr std::int16_t kCanary = 12345;
+  constexpr std::size_t kPad = 5;
+  std::array<std::vector<std::int16_t>, 3> out;
+  for (std::vector<std::int16_t>& plane : out) {
+    plane.assign(px.size() + kPad, kCanary);
+  }
+  tableFor(level)->rgbToYcbcrPlanes(
+      px.data(), px.size(), table == nullptr ? nullptr : table->data(),
+      out[0].data(), out[1].data(), out[2].data());
+  return out;
+}
+
+TEST(Kernels, TabledRgbToYcbcrIsTheConversionOfTheLookedUpPixels) {
+  ChannelTable zero{};
+  ChannelTable full;
+  full.fill(255);
+  ChannelTable identity;
+  ChannelTable reversed;
+  for (int v = 0; v < 256; ++v) {
+    identity[v] = static_cast<std::uint8_t>(v);
+    reversed[v] = static_cast<std::uint8_t>(255 - v);
+  }
+  const ChannelTable tables[] = {compensate::gainTable(1.7), identity, zero,
+                                 full, reversed};
+  // n = 0..40 covers every tail of the 16-pixel groups; 19,200 is a
+  // 160x120 frame.
+  std::vector<std::size_t> sizes(41);
+  for (std::size_t n = 0; n < sizes.size(); ++n) sizes[n] = n;
+  sizes.push_back(160 * 120);
+  for (const std::size_t n : sizes) {
+    const std::vector<Rgb8> px = colourPixels(n, 0x7AB + n);
+    for (const ChannelTable& table : tables) {
+      std::vector<Rgb8> mapped(px.size());
+      for (std::size_t i = 0; i < px.size(); ++i) {
+        mapped[i] = Rgb8{table[px[i].r], table[px[i].g], table[px[i].b]};
+      }
+      const auto want = planesOf(Level::kScalar, mapped, nullptr);
+      for (Level level : availableLevels()) {
+        ASSERT_EQ(planesOf(level, px, &table), want)
+            << levelName(level) << " n=" << n << " (or wrote past the end)";
+      }
+    }
+    for (Level level : availableLevels()) {
+      ASSERT_EQ(planesOf(level, px, &identity),
+                planesOf(level, px, nullptr))
+          << levelName(level) << " n=" << n;
     }
   }
 }
@@ -979,8 +1032,8 @@ TEST(Kernels, RgbToYcbcrIsWithinAQuantumOfTheRealConversion) {
   std::vector<std::int16_t> cb(px.size());
   std::vector<std::int16_t> cr(px.size());
   tableFor(Level::kScalar)
-      ->rgbToYcbcrPlanes(px.data(), px.size(), y.data(), cb.data(),
-                         cr.data());
+      ->rgbToYcbcrPlanes(px.data(), px.size(), nullptr, y.data(),
+                         cb.data(), cr.data());
   for (std::size_t i = 0; i < px.size(); ++i) {
     const double r = px[i].r;
     const double g = px[i].g;
@@ -1041,8 +1094,8 @@ TEST(Kernels, ColourRoundTripOfGreyIsExactAtEveryLevel) {
     std::vector<std::int16_t> y(px.size());
     std::vector<std::int16_t> cb(px.size());
     std::vector<std::int16_t> cr(px.size());
-    table->rgbToYcbcrPlanes(px.data(), px.size(), y.data(), cb.data(),
-                            cr.data());
+    table->rgbToYcbcrPlanes(px.data(), px.size(), nullptr, y.data(),
+                            cb.data(), cr.data());
     for (std::size_t v = 0; v < px.size(); ++v) {
       EXPECT_EQ(y[v], static_cast<std::int16_t>(v << kPlaneFracBits));
       EXPECT_EQ(cb[v], 128 << kPlaneFracBits);
@@ -1070,8 +1123,8 @@ TEST(Kernels, ColourRoundTripIsExactForEveryColour) {
   std::vector<Rgb8> back(px.size());
   for (Level level : availableLevels()) {
     const KernelTable* table = tableFor(level);
-    table->rgbToYcbcrPlanes(px.data(), px.size(), y.data(), cb.data(),
-                            cr.data());
+    table->rgbToYcbcrPlanes(px.data(), px.size(), nullptr, y.data(),
+                            cb.data(), cr.data());
     table->ycbcrPlanesToRgb(y.data(), cb.data(), cr.data(), px.size(),
                             back.data());
     EXPECT_TRUE(back == px) << levelName(level);
